@@ -13,6 +13,7 @@ machine) boundaries.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -55,6 +56,22 @@ class FleetCheckpoint:
         return len(self.states)
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers see the old file or the new one.
+
+    The text goes to a sibling ``<name>.tmp`` first and is renamed over
+    ``path`` by :func:`os.replace`; a write that fails partway leaves the
+    previous file untouched and removes the temporary file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_fleet_checkpoint(result: FleetResult, path: str | Path) -> Path:
     """Write the controller states of a fleet run as one JSON checkpoint."""
     return save_checkpoint_states(
@@ -74,7 +91,7 @@ def save_checkpoint_states(
         "day": int(day),
         "states": states,
     }
-    path.write_text(json.dumps(payload, indent=2))
+    write_text_atomic(path, json.dumps(payload, indent=2))
     return path
 
 

@@ -48,7 +48,11 @@ from repro.abr.base import ABRAlgorithm
 from repro.analytics.abtest import ArmComparison, compare_arm_series
 from repro.analytics.logs import LogCollection
 from repro.analytics.metrics import GroupDailyMetrics, aggregate_daily_metrics
-from repro.fleet.checkpoint import load_fleet_checkpoint, save_checkpoint_states
+from repro.fleet.checkpoint import (
+    load_fleet_checkpoint,
+    save_checkpoint_states,
+    write_text_atomic,
+)
 from repro.fleet.orchestrator import (
     FleetConfig,
     FleetOrchestrator,
@@ -320,7 +324,7 @@ class CampaignResumeState:
             "first_day": {uid: int(day) for uid, day in self.first_day.items()},
             "roster": [_profile_payload(profile) for profile in self.roster],
         }
-        path.write_text(json.dumps(payload, indent=2))
+        write_text_atomic(path, json.dumps(payload, indent=2))
         return path
 
 

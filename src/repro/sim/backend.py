@@ -9,7 +9,8 @@ in spec order.
 Two backends are registered out of the box:
 
 * ``"scalar"`` — the reference implementation: one
-  :class:`~repro.sim.session.PlaybackSession` run per spec.
+  :class:`~repro.sim.session.PlaybackSession` run per spec, each segment
+  advanced by :meth:`~repro.sim.session.LiveSession.step`.
 * ``"vector"`` — the struct-of-arrays lockstep engine of
   :mod:`repro.sim.vector` that advances all sessions of a batch one segment
   at a time with NumPy array math (registered on import of
@@ -160,11 +161,12 @@ class SimBackend(abc.ABC):
 class ScalarBackend(SimBackend):
     """Reference backend: one sequential :class:`PlaybackSession` per spec.
 
-    Networked batches route through the event-ordered reference engine of
-    :mod:`repro.sim.networked` — sessions still advance with per-session
-    scalar math (a :class:`~repro.sim.player.PlayerEnvironment` each), but
-    interleaved slot by slot so the shared allocator sees every concurrent
-    download.
+    Every segment of every session goes through the one scalar step,
+    :meth:`~repro.sim.session.LiveSession.step`.  Un-networked batches run
+    each session to completion at its trace values; networked batches route
+    through the event-ordered reference engine of :mod:`repro.sim.networked`,
+    which interleaves the same step slot by slot at the shared allocator's
+    answers.
     """
 
     name = "scalar"

@@ -10,11 +10,12 @@ traces exactly, and congestion emerges only when concurrent demand exceeds a
 link's capacity.
 
 Execution is event-ordered: the engine walks a queue of
-``(slot, batch-index)`` download events in order, advancing each session
-with per-session *scalar* math — its own
-:class:`~repro.sim.player.PlayerEnvironment`, its own ABR calls, its own
-`Philox` exit stream — exactly like :class:`~repro.sim.session.PlaybackSession`
-would.  The only cross-session computation is the per-slot allocation, and
+``(slot, batch-index)`` download events in order and advances each session
+through :meth:`repro.sim.session.LiveSession.step` — the same per-segment
+step :class:`~repro.sim.session.PlaybackSession` runs, with the allocator's
+answer in place of the trace value.  Each session keeps its own
+:class:`~repro.sim.player.PlayerEnvironment`, ABR calls and `Philox` exit
+stream.  The only cross-session computation is the per-slot allocation, and
 that subroutine is shared verbatim with the vector engine, which is what
 lets ``tests/test_network.py`` pin the two networked backends to
 segment-for-segment identical traces.
@@ -31,14 +32,7 @@ from repro.net.allocator import LinkUsageSample, allocate_step
 from repro.obs import live as obs_live
 from repro.net.topology import NetworkTopology
 from repro.sim.backend import SessionSpec, resolve_session_seeds, session_rng
-from repro.sim.player import PlayerEnvironment
-from repro.sim.session import (
-    ABRContext,
-    ExitObservation,
-    PlaybackTrace,
-    SegmentRecord,
-    SessionConfig,
-)
+from repro.sim.session import LiveSession, PlaybackTrace, SessionConfig
 
 
 def resolve_link_indices(
@@ -56,131 +50,6 @@ def resolve_link_indices(
     )
 
 
-class _LiveSession:
-    """One session's mutable state while its slots interleave with others."""
-
-    def __init__(
-        self, spec: SessionSpec, seed, config: SessionConfig
-    ) -> None:
-        self.spec = spec
-        self.rng = session_rng(seed)
-        self.player = PlayerEnvironment(
-            video=spec.video,
-            rtt=config.rtt,
-            initial_buffer=config.initial_buffer,
-            base_buffer_cap=config.base_buffer_cap,
-        )
-        self.limit = spec.video.num_segments
-        if config.max_segments is not None:
-            self.limit = min(self.limit, config.max_segments)
-        self.start = spec.start_step
-        self.playback = PlaybackTrace(
-            user_id=spec.user_id,
-            video_duration=spec.video.duration,
-            segment_duration=spec.video.segment_duration,
-            trace_name=spec.trace.name,
-        )
-        self.throughput_history: list[float] = []
-        self.last_level: int | None = None
-        self.cumulative_stall = 0.0
-        self.stall_count = 0
-        self.segments_since_stall = 0
-
-    def demand_at(self, slot: int) -> float:
-        """Access-link bandwidth for this slot's segment download."""
-        return self.spec.trace.bandwidth_at(slot - self.start)
-
-    def step(self, slot: int, allocated_kbps: float) -> bool:
-        """Download one segment at the allocated rate; False once exited.
-
-        The body mirrors :meth:`repro.sim.session.PlaybackSession.run` one
-        iteration at a time, with the allocator's answer in place of the
-        trace value.
-        """
-        spec = self.spec
-        video = spec.video
-        k = slot - self.start
-        player = self.player
-        bandwidth_model = player.bandwidth_model
-        context = ABRContext(
-            segment_index=k,
-            buffer=player.buffer,
-            buffer_cap=player.buffer_cap,
-            last_level=self.last_level,
-            throughput_history_kbps=tuple(self.throughput_history[-8:]),
-            next_segment_sizes_kbit=video.sizes_tuple(k),
-            ladder=video.ladder,
-            segment_duration=video.segment_duration,
-            bandwidth_mean_kbps=bandwidth_model.mean,
-            bandwidth_std_kbps=bandwidth_model.std,
-        )
-        level = int(spec.abr.select_level(context))
-        if not 0 <= level < video.ladder.num_levels:
-            raise ValueError(
-                f"ABR returned invalid level {level} for a "
-                f"{video.ladder.num_levels}-level ladder"
-            )
-        result = player.step(level, allocated_kbps)
-
-        self.cumulative_stall += result.stall_time
-        if result.stall_time > 1e-12:
-            self.stall_count += 1
-            self.segments_since_stall = 0
-        else:
-            self.segments_since_stall += 1
-        self.throughput_history.append(result.throughput_kbps)
-
-        watch_time = (k + 1) * video.segment_duration
-        exit_probability = 0.0
-        exited = False
-        if spec.exit_model is not None:
-            observation = ExitObservation(
-                segment_index=k,
-                level=level,
-                previous_level=self.last_level,
-                bitrate_kbps=result.bitrate_kbps,
-                stall_time=result.stall_time,
-                cumulative_stall_time=self.cumulative_stall,
-                stall_count=self.stall_count,
-                watch_time=watch_time,
-                buffer=result.buffer_after,
-                segments_since_last_stall=self.segments_since_stall,
-                throughput_kbps=result.throughput_kbps,
-            )
-            exit_probability = float(spec.exit_model.exit_probability(observation))
-            if not 0.0 <= exit_probability <= 1.0:
-                raise ValueError("exit probability must be in [0, 1]")
-            exited = bool(self.rng.random() < exit_probability)
-
-        self.playback.records.append(
-            SegmentRecord(
-                segment_index=k,
-                level=level,
-                bitrate_kbps=result.bitrate_kbps,
-                size_kbit=result.size_kbit,
-                bandwidth_kbps=result.bandwidth_kbps,
-                download_time=result.download_time,
-                stall_time=result.stall_time,
-                wait_time=result.wait_time,
-                buffer_before=result.buffer_before,
-                buffer_after=result.buffer_after,
-                watch_time=watch_time,
-                cumulative_stall_time=self.cumulative_stall,
-                stall_count=self.stall_count,
-                exit_probability=exit_probability,
-                exited=exited,
-            )
-        )
-        observe = getattr(spec.abr, "observe", None)
-        if observe is not None:
-            observe(self.playback.records[-1])
-        self.last_level = level
-        if exited:
-            self.playback.exited_early = True
-            return False
-        return True
-
-
 def run_networked_scalar(
     specs: Sequence[SessionSpec],
     network: NetworkTopology,
@@ -192,7 +61,10 @@ def run_networked_scalar(
     if not specs:
         return []
     seeds = resolve_session_seeds(specs)
-    sessions = [_LiveSession(spec, seed, config) for spec, seed in zip(specs, seeds)]
+    sessions = [
+        LiveSession.from_spec(spec, session_rng(seed), config)
+        for spec, seed in zip(specs, seeds)
+    ]
     # Reset every distinct ABR / exit-model instance once, before any session
     # runs (the vector engine does the same per cohort).  Sessions of a batch
     # interleave, so a per-session reset at its first slot would wipe the

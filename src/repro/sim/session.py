@@ -237,11 +237,166 @@ class PlaybackTrace:
 class SessionConfig:
     """Knobs of a playback session."""
 
-    start_level: int = 0
     initial_buffer: float = 0.0
     rtt: float = 0.08
     base_buffer_cap: float = 12.0
     max_segments: int | None = None
+
+
+class LiveSession:
+    """One session's mutable playback state, advanced one segment per call.
+
+    :meth:`step` is the scalar engine's only per-segment rule: ABR decision,
+    Equation 3 (via :meth:`PlayerEnvironment.step`), exit draw, ``observe``
+    hook.  :meth:`PlaybackSession.run` drives it with trace values; the
+    networked reference engine drives it slot by slot with the allocator's
+    answers.  Resetting the ABR / exit model is the caller's job, because
+    concurrent networked sessions may share one instance.
+    """
+
+    def __init__(
+        self,
+        abr: ABRPolicy,
+        video: Video,
+        trace: BandwidthTrace,
+        config: SessionConfig,
+        exit_model: ExitModel | None = None,
+        rng: np.random.Generator | None = None,
+        user_id: str = "user",
+        start: int = 0,
+    ) -> None:
+        self.abr = abr
+        self.video = video
+        self.trace = trace
+        self.exit_model = exit_model
+        self.rng = rng
+        self.start = start
+        self.player = PlayerEnvironment(
+            video=video,
+            rtt=config.rtt,
+            initial_buffer=config.initial_buffer,
+            base_buffer_cap=config.base_buffer_cap,
+        )
+        self.limit = video.num_segments
+        if config.max_segments is not None:
+            self.limit = min(self.limit, config.max_segments)
+        self.playback = PlaybackTrace(
+            user_id=user_id,
+            video_duration=video.duration,
+            segment_duration=video.segment_duration,
+            trace_name=trace.name,
+        )
+        self.throughput_history: list[float] = []
+        self.last_level: int | None = None
+        self.cumulative_stall = 0.0
+        self.stall_count = 0
+        self.segments_since_stall = 0
+
+    @classmethod
+    def from_spec(
+        cls, spec, rng: np.random.Generator, config: SessionConfig
+    ) -> "LiveSession":
+        """Build from a :class:`~repro.sim.backend.SessionSpec` (starts at its ``start_step``)."""
+        return cls(
+            spec.abr,
+            spec.video,
+            spec.trace,
+            config,
+            exit_model=spec.exit_model,
+            rng=rng,
+            user_id=spec.user_id,
+            start=spec.start_step,
+        )
+
+    def demand_at(self, slot: int) -> float:
+        """Access-link bandwidth for this slot's segment download."""
+        return self.trace.bandwidth_at(slot - self.start)
+
+    def step(self, slot: int, bandwidth_kbps: float) -> bool:  # contract: SIM-STEP-007
+        """Download one segment at ``bandwidth_kbps``; False once the user exited."""
+        video = self.video
+        k = slot - self.start
+        player = self.player
+        bandwidth_model = player.bandwidth_model
+        ladder = video.ladder
+        context = ABRContext(
+            segment_index=k,
+            buffer=player.buffer,
+            buffer_cap=player.buffer_cap,
+            last_level=self.last_level,
+            throughput_history_kbps=tuple(self.throughput_history[-8:]),
+            next_segment_sizes_kbit=video.sizes_tuple(k),
+            ladder=ladder,
+            segment_duration=video.segment_duration,
+            bandwidth_mean_kbps=bandwidth_model.mean,
+            bandwidth_std_kbps=bandwidth_model.std,
+        )
+        level = int(self.abr.select_level(context))
+        if not 0 <= level < ladder.num_levels:
+            raise ValueError(
+                f"ABR returned invalid level {level} for a "
+                f"{ladder.num_levels}-level ladder"
+            )
+        result: SegmentResult = player.step(level, bandwidth_kbps)
+
+        self.cumulative_stall += result.stall_time
+        if result.stall_time > 1e-12:
+            self.stall_count += 1
+            self.segments_since_stall = 0
+        else:
+            self.segments_since_stall += 1
+        self.throughput_history.append(result.throughput_kbps)
+
+        watch_time = (k + 1) * video.segment_duration
+        exit_probability = 0.0
+        exited = False
+        if self.exit_model is not None:
+            observation = ExitObservation(
+                segment_index=k,
+                level=level,
+                previous_level=self.last_level,
+                bitrate_kbps=result.bitrate_kbps,
+                stall_time=result.stall_time,
+                cumulative_stall_time=self.cumulative_stall,
+                stall_count=self.stall_count,
+                watch_time=watch_time,
+                buffer=result.buffer_after,
+                segments_since_last_stall=self.segments_since_stall,
+                throughput_kbps=result.throughput_kbps,
+            )
+            exit_probability = float(self.exit_model.exit_probability(observation))
+            if not 0.0 <= exit_probability <= 1.0:
+                raise ValueError("exit probability must be in [0, 1]")
+            exited = bool(self.rng.random() < exit_probability)
+
+        record = SegmentRecord(
+            segment_index=k,
+            level=level,
+            bitrate_kbps=result.bitrate_kbps,
+            size_kbit=result.size_kbit,
+            bandwidth_kbps=result.bandwidth_kbps,
+            download_time=result.download_time,
+            stall_time=result.stall_time,
+            wait_time=result.wait_time,
+            buffer_before=result.buffer_before,
+            buffer_after=result.buffer_after,
+            watch_time=watch_time,
+            cumulative_stall_time=self.cumulative_stall,
+            stall_count=self.stall_count,
+            exit_probability=exit_probability,
+            exited=exited,
+        )
+        self.playback.records.append(record)
+        observe = getattr(self.abr, "observe", None)
+        if observe is not None:
+            # Feedback hook used by LingXi-style wrappers that track
+            # per-segment outcomes (stalls, exits) during live playback.
+            observe(record)
+        self.last_level = level
+        if exited:
+            self.playback.exited_early = True
+            return False
+        return True
 
 
 class PlaybackSession:
@@ -270,119 +425,13 @@ class PlaybackSession:
         abr.reset()
         if exit_model is not None:
             exit_model.reset()
-
-        player = PlayerEnvironment(
-            video=video,
-            rtt=self.config.rtt,
-            initial_buffer=self.config.initial_buffer,
-            base_buffer_cap=self.config.base_buffer_cap,
+        session = LiveSession(
+            abr, video, trace, self.config, exit_model, rng, user_id
         )
-        playback = PlaybackTrace(
-            user_id=user_id,
-            video_duration=video.duration,
-            segment_duration=video.segment_duration,
-            trace_name=trace.name,
-        )
-
-        max_segments = video.num_segments
-        if self.config.max_segments is not None:
-            max_segments = min(max_segments, self.config.max_segments)
-
-        throughput_history: list[float] = []
-        last_level: int | None = None
-        cumulative_stall = 0.0
-        stall_count = 0
-        segments_since_stall = 0
-        # Hoisted per-video constants: the ladder, level count and segment
-        # duration are invariant across the loop, and the per-segment size
-        # tuples are cached on the video itself.
-        ladder = video.ladder
-        num_levels = ladder.num_levels
-        segment_duration = video.segment_duration
-        bandwidth_model = player.bandwidth_model
-
-        for k in range(max_segments):
-            context = ABRContext(
-                segment_index=k,
-                buffer=player.buffer,
-                buffer_cap=player.buffer_cap,
-                last_level=last_level,
-                throughput_history_kbps=tuple(throughput_history[-8:]),
-                next_segment_sizes_kbit=video.sizes_tuple(k),
-                ladder=ladder,
-                segment_duration=segment_duration,
-                bandwidth_mean_kbps=bandwidth_model.mean,
-                bandwidth_std_kbps=bandwidth_model.std,
-            )
-            level = int(abr.select_level(context))
-            if not 0 <= level < num_levels:
-                raise ValueError(
-                    f"ABR returned invalid level {level} for a "
-                    f"{num_levels}-level ladder"
-                )
-            bandwidth = trace.bandwidth_at(k)
-            result: SegmentResult = player.step(level, bandwidth)
-
-            cumulative_stall += result.stall_time
-            if result.stall_time > 1e-12:
-                stall_count += 1
-                segments_since_stall = 0
-            else:
-                segments_since_stall += 1
-            throughput_history.append(result.throughput_kbps)
-
-            watch_time = (k + 1) * segment_duration
-            exit_probability = 0.0
-            exited = False
-            if exit_model is not None:
-                observation = ExitObservation(
-                    segment_index=k,
-                    level=level,
-                    previous_level=last_level,
-                    bitrate_kbps=result.bitrate_kbps,
-                    stall_time=result.stall_time,
-                    cumulative_stall_time=cumulative_stall,
-                    stall_count=stall_count,
-                    watch_time=watch_time,
-                    buffer=result.buffer_after,
-                    segments_since_last_stall=segments_since_stall,
-                    throughput_kbps=result.throughput_kbps,
-                )
-                exit_probability = float(exit_model.exit_probability(observation))
-                if not 0.0 <= exit_probability <= 1.0:
-                    raise ValueError("exit probability must be in [0, 1]")
-                exited = bool(rng.random() < exit_probability)
-
-            playback.records.append(
-                SegmentRecord(
-                    segment_index=k,
-                    level=level,
-                    bitrate_kbps=result.bitrate_kbps,
-                    size_kbit=result.size_kbit,
-                    bandwidth_kbps=result.bandwidth_kbps,
-                    download_time=result.download_time,
-                    stall_time=result.stall_time,
-                    wait_time=result.wait_time,
-                    buffer_before=result.buffer_before,
-                    buffer_after=result.buffer_after,
-                    watch_time=watch_time,
-                    cumulative_stall_time=cumulative_stall,
-                    stall_count=stall_count,
-                    exit_probability=exit_probability,
-                    exited=exited,
-                )
-            )
-            observe = getattr(abr, "observe", None)
-            if observe is not None:
-                # Feedback hook used by LingXi-style wrappers that track
-                # per-segment outcomes (stalls, exits) during live playback.
-                observe(playback.records[-1])
-            last_level = level
-            if exited:
-                playback.exited_early = True
+        for k in range(session.limit):
+            if not session.step(k, trace.bandwidth_at(k)):
                 break
-
-        return playback
+        return session.playback
 
     def run_many(
         self,

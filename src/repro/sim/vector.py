@@ -64,9 +64,9 @@ from repro.sim.backend import (
     session_rng,
 )
 from repro.sim.bandwidth import BandwidthModel
-from repro.sim.networked import _LiveSession, resolve_link_indices, run_networked_scalar
+from repro.sim.networked import resolve_link_indices, run_networked_scalar
 from repro.sim.player import dynamic_buffer_cap
-from repro.sim.session import PlaybackTrace, SegmentRecord, SessionConfig
+from repro.sim.session import LiveSession, PlaybackTrace, SegmentRecord, SessionConfig
 
 #: Sliding-window length of the player's bandwidth model (and of the
 #: throughput history handed to ABR contexts) — both are 8 in the scalar
@@ -148,24 +148,25 @@ class ExitStepView:
 
 
 @dataclass
-class _NetGroup:
-    """One internally-lockstep cohort of a networked batch.
+class _Cohort:
+    """One internally-lockstep cohort of a batch.
 
     Sessions are grouped by (ABR type, exit type, ladder, segment duration,
-    ``start_step``): within a group every session sits at the same *local*
-    segment index at every slot, so the existing vector kernels and window
-    reductions apply unchanged.  Coupling across groups flows exclusively
-    through the shared per-slot allocator.
+    and ``start_step`` in networked batches): within a cohort every session
+    sits at the same *local* segment index at every step, so the vector
+    kernels and window reductions apply unchanged.  :meth:`step` is the
+    vector engine's only per-segment rule; independent batches feed it the
+    trace column, networked batches the shared allocator's answer.
     """
 
-    indices: np.ndarray  # batch positions of the group's sessions
+    indices: np.ndarray  # batch positions of the cohort's sessions
     specs: list
     start: int
     max_seg: np.ndarray
     max_steps: int
     segment_duration: float
     bitrates: np.ndarray
-    bandwidth: np.ndarray  # (n, max_steps) access-link demand rows
+    bandwidth: np.ndarray  # (n, max_steps) trace rows (access-link demand)
     sizes: np.ndarray  # (n, max_steps, L)
     abr_kernel: object
     exit_kernel: object | None
@@ -180,7 +181,7 @@ class _NetGroup:
     alive: np.ndarray = field(init=False)
     exited_early: np.ndarray = field(init=False)
     steps_taken: np.ndarray = field(init=False)
-    observed: np.ndarray = field(init=False)  # allocated throughput per local step
+    observed: np.ndarray = field(init=False)  # throughput seen per local step
 
     def __post_init__(self) -> None:
         n = len(self.specs)
@@ -202,6 +203,182 @@ class _NetGroup:
         self.cumulative_rec = np.empty((n, self.max_steps))
         self.stall_count_rec = np.zeros((n, self.max_steps), dtype=int)
         self.probability_rec = np.zeros((n, self.max_steps))
+
+    def step(  # contract: SIM-STEP-007
+        self,
+        j: int,
+        active: np.ndarray,
+        allocated: np.ndarray,
+        config: SessionConfig,
+    ) -> None:
+        """Advance the cohort one local step at throughputs ``allocated``.
+
+        Equation 3 as array math in the scalar player's operation order, then
+        the exit draw, then the controller host's ``observe`` step.  The
+        bandwidth-window statistics read from the cohort's *observed*
+        throughput history — exactly what the scalar player's
+        :class:`~repro.sim.bandwidth.BandwidthModel` accumulates.
+        """
+        n = len(self.specs)
+        row_index = np.arange(n)
+        # Rows that are done or exited must stay finite through the shared
+        # array expressions; their values are never recorded.
+        alloc = np.where(active, allocated, 1.0)
+
+        if j == 0:
+            window = self.observed[:, 0:0]
+            mean = np.full(n, _PRIOR_MEAN)
+        else:
+            window = self.observed[:, max(0, j - _WINDOW) : j]
+            mean = window.mean(axis=1)
+        if j < 2:
+            std = np.full(n, _PRIOR_STD)
+        else:
+            std = np.maximum(np.std(window, axis=1, ddof=1), 1e-6)
+        buffer_cap = dynamic_buffer_cap(mean, std, base_cap=config.base_buffer_cap)
+
+        context = VectorStepContext(
+            k=j,
+            buffer=self.buffer,
+            buffer_cap=buffer_cap,
+            last_level=self.last_level,
+            segment_sizes=self.sizes[:, j, :],
+            throughput_window=window,
+            bandwidth_mean=mean,
+            bandwidth_std=std,
+            bitrates=self.bitrates,
+            segment_duration=self.segment_duration,
+        )
+        levels = np.asarray(self.abr_kernel(context), dtype=int)
+        num_levels = self.bitrates.size
+        if np.any(active & ((levels < 0) | (levels >= num_levels))):
+            raise ValueError(
+                f"vector ABR kernel returned levels outside "
+                f"[0, {num_levels}) at step {j}"
+            )
+        levels = np.where(active, levels, 0)
+
+        size = self.sizes[:, j, :][row_index, levels]
+        download = size / alloc
+        if j == 0:
+            stall = np.where(
+                self.buffer == 0.0, 0.0, np.maximum(download - self.buffer, 0.0)
+            )
+        else:
+            stall = np.maximum(download - self.buffer, 0.0)
+        drained = np.maximum(self.buffer - download, 0.0)
+        unclipped = drained + self.segment_duration
+        overflow = np.maximum(unclipped - buffer_cap, 0.0)
+        wait = overflow + config.rtt
+        buffer_after = np.maximum(unclipped - overflow, 0.0)
+        buffer_after = np.minimum(buffer_after, buffer_cap)
+
+        stalled = stall > 1e-12
+        self.cumulative_stall = np.where(
+            active, self.cumulative_stall + stall, self.cumulative_stall
+        )
+        self.stall_count = self.stall_count + (active & stalled)
+
+        if self.exit_kernel is not None:
+            view = ExitStepView(
+                k=j,
+                level=levels,
+                previous_level=self.last_level,
+                stall_time=stall,
+                cumulative_stall_time=self.cumulative_stall,
+                stall_count=self.stall_count,
+                watch_time=(j + 1) * self.segment_duration,
+                buffer=buffer_after,
+                throughput=alloc,
+                active=active,
+                stalled=stalled,
+            )
+            probabilities = np.asarray(self.exit_kernel(view), dtype=float)
+            # NaN must fail this check too (the scalar engine's
+            # `not 0.0 <= p <= 1.0` rejects it), hence the negated form.
+            if np.any(
+                active & ~((probabilities >= 0.0) & (probabilities <= 1.0))
+            ):
+                raise ValueError("exit probability must be in [0, 1]")
+            exits = active & (self.uniforms[:, j] < probabilities)
+            self.probability_rec[:, j] = probabilities
+        else:
+            exits = np.zeros(n, dtype=bool)
+
+        self.level_rec[:, j] = levels
+        self.size_rec[:, j] = size
+        self.download_rec[:, j] = download
+        self.stall_rec[:, j] = stall
+        self.wait_rec[:, j] = wait
+        self.buffer_before_rec[:, j] = self.buffer
+        self.buffer_after_rec[:, j] = buffer_after
+        self.cumulative_rec[:, j] = self.cumulative_stall
+        self.stall_count_rec[:, j] = self.stall_count
+        self.observed[:, j] = alloc
+
+        if self.host is not None:
+            # Same point in the segment lifecycle as the scalar engine's
+            # ``observe`` hook: after the exit draw, before the next
+            # segment's decision — parameter adjustments land on j+1.
+            self.host.observe_step(
+                active=active,
+                levels=levels,
+                stall=stall,
+                throughput=alloc,
+                buffer_after=buffer_after,
+                exits=exits,
+                bitrates=self.bitrates,
+            )
+
+        self.steps_taken[active] = j + 1
+        self.exited_early |= exits
+        self.alive &= ~exits
+        self.buffer = np.where(active, buffer_after, self.buffer)
+        self.last_level = np.where(active, levels, self.last_level)
+
+    def traces(self) -> list[PlaybackTrace]:
+        """Finalize the controller host; materialise one trace per session."""
+        if self.host is not None:
+            self.host.finalize()
+        traces = []
+        for i, spec in enumerate(self.specs):
+            n = int(self.steps_taken[i])
+            exited_early = bool(self.exited_early[i])
+            levels = self.level_rec[i, :n]
+            exited_flags = [False] * n
+            if n and exited_early:
+                exited_flags[-1] = True
+            records = [
+                SegmentRecord(*row)
+                for row in zip(
+                    range(n),
+                    levels.tolist(),
+                    self.bitrates[levels].tolist(),
+                    self.size_rec[i, :n].tolist(),
+                    self.observed[i, :n].tolist(),
+                    self.download_rec[i, :n].tolist(),
+                    self.stall_rec[i, :n].tolist(),
+                    self.wait_rec[i, :n].tolist(),
+                    self.buffer_before_rec[i, :n].tolist(),
+                    self.buffer_after_rec[i, :n].tolist(),
+                    ((np.arange(n) + 1) * self.segment_duration).tolist(),
+                    self.cumulative_rec[i, :n].tolist(),
+                    self.stall_count_rec[i, :n].tolist(),
+                    self.probability_rec[i, :n].tolist(),
+                    exited_flags,
+                )
+            ]
+            traces.append(
+                PlaybackTrace(
+                    user_id=spec.user_id,
+                    video_duration=spec.video.duration,
+                    segment_duration=spec.video.segment_duration,
+                    trace_name=spec.trace.name,
+                    records=records,
+                    exited_early=exited_early,
+                )
+            )
+        return traces
 
 
 class VectorBackend(SimBackend):
@@ -303,8 +480,7 @@ class VectorBackend(SimBackend):
         self._record_fallback(len(fallback), len(specs))
 
         for key, indices in sorted(groups.items(), key=lambda item: item[0][0]):  # contract: DET-ITER-003
-            traces = self._run_group([specs[i] for i in indices], config)
-            for index, trace in zip(indices, traces):
+            for index, trace in zip(indices, self._run_group(indices, specs, config)):
                 results[index] = trace
             obs_live.add_sessions(len(indices))
 
@@ -409,239 +585,28 @@ class VectorBackend(SimBackend):
         return kernel, host
 
     def _run_group(
-        self, specs: list[SessionSpec], config: SessionConfig
+        self, indices: list[int], specs, config: SessionConfig
     ) -> list[PlaybackTrace]:
-        """Advance one homogeneous group (same ABR/exit types, same ladder)."""
+        """Advance one independent cohort, feeding its trace column to each step."""
         obs.counter_add("vector.cohorts")
-        obs.observe("vector.cohort_sessions", len(specs))
+        obs.observe("vector.cohort_sessions", len(indices))
         with obs.span("vector.run_group"):
-            return self._run_group_impl(specs, config)
-
-    def _run_group_impl(
-        self, specs: list[SessionSpec], config: SessionConfig
-    ) -> list[PlaybackTrace]:
-        num_sessions = len(specs)
-        first_video = specs[0].video
-        segment_duration = float(first_video.segment_duration)
-        bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
-        num_levels = bitrates.size
-
-        max_seg = np.empty(num_sessions, dtype=int)
-        for i, spec in enumerate(specs):
-            limit = spec.video.num_segments
-            if config.max_segments is not None:
-                limit = min(limit, config.max_segments)
-            max_seg[i] = limit
-        max_steps = int(max_seg.max())
-
-        # Preallocated per-session inputs: cyclic bandwidth rows and the
-        # (N, max_steps, L) segment-size tensor (videos and traces repeat
-        # across sessions of the same user, so both are cached by identity).
-        bandwidth = np.empty((num_sessions, max_steps))
-        trace_rows: dict[int, np.ndarray] = {}
-        for i, spec in enumerate(specs):
-            row = trace_rows.get(id(spec.trace))
-            if row is None:
-                row = np.resize(
-                    np.asarray(spec.trace.values_kbps, dtype=float), max_steps
-                )
-                trace_rows[id(spec.trace)] = row
-            bandwidth[i] = row
-        sizes = np.empty((num_sessions, max_steps, num_levels))
-        video_rows: dict[int, np.ndarray] = {}
-        step_index = np.arange(max_steps)
-        for i, spec in enumerate(specs):
-            block = video_rows.get(id(spec.video))
-            if block is None:
-                block = spec.video.segment_sizes_kbit[
-                    step_index % spec.video.num_segments
-                ]
-                video_rows[id(spec.video)] = block
-            sizes[i] = block
-
-        abr_kernel, host = self._build_abr_kernel(specs, first_video.ladder)
-
-        has_exit = specs[0].exit_model is not None
-        exit_models = [spec.exit_model for spec in specs]
-        if has_exit:
-            exit_kernel = type(exit_models[0]).vector_exit_kernel(exit_models)
-            for model in exit_models:
-                model.reset()
-            # One Philox substream per session, pre-drawn: row i's uniforms
-            # equal the sequence the scalar engine would draw step by step.
-            uniforms = np.empty((num_sessions, max_steps))
-            for i, spec in enumerate(specs):
-                uniforms[i] = session_rng(spec.seed).random(max_steps)
-
-        buffer = np.full(num_sessions, float(config.initial_buffer))
-        last_level = np.full(num_sessions, -1, dtype=int)
-        cumulative_stall = np.zeros(num_sessions)
-        stall_count = np.zeros(num_sessions, dtype=int)
-        alive = np.ones(num_sessions, dtype=bool)
-        exited_early = np.zeros(num_sessions, dtype=bool)
-        steps_taken = np.zeros(num_sessions, dtype=int)
-
-        level_rec = np.zeros((num_sessions, max_steps), dtype=int)
-        size_rec = np.empty((num_sessions, max_steps))
-        download_rec = np.empty((num_sessions, max_steps))
-        stall_rec = np.empty((num_sessions, max_steps))
-        wait_rec = np.empty((num_sessions, max_steps))
-        buffer_before_rec = np.empty((num_sessions, max_steps))
-        buffer_after_rec = np.empty((num_sessions, max_steps))
-        cumulative_rec = np.empty((num_sessions, max_steps))
-        stall_count_rec = np.zeros((num_sessions, max_steps), dtype=int)
-        probability_rec = np.zeros((num_sessions, max_steps))
-
-        row_index = np.arange(num_sessions)
-        for k in range(max_steps):
-            active = alive & (k < max_seg)
-            if not active.any():
-                break
-
-            obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
-            with obs.span("vector.step"):
-                # Bandwidth-window statistics *before* observing this step's
-                # throughput — columns [k-8, k), exactly the scalar model's window.
-                if k == 0:
-                    window = bandwidth[:, 0:0]
-                    mean = np.full(num_sessions, _PRIOR_MEAN)
-                else:
-                    window = bandwidth[:, max(0, k - _WINDOW) : k]
-                    mean = window.mean(axis=1)
-                if k < 2:
-                    std = np.full(num_sessions, _PRIOR_STD)
-                else:
-                    std = np.maximum(np.std(window, axis=1, ddof=1), 1e-6)
-                buffer_cap = dynamic_buffer_cap(
-                    mean, std, base_cap=config.base_buffer_cap
-                )
-
-                context = VectorStepContext(
-                    k=k,
-                    buffer=buffer,
-                    buffer_cap=buffer_cap,
-                    last_level=last_level,
-                    segment_sizes=sizes[:, k, :],
-                    throughput_window=window,
-                    bandwidth_mean=mean,
-                    bandwidth_std=std,
-                    bitrates=bitrates,
-                    segment_duration=segment_duration,
-                )
-                levels = np.asarray(abr_kernel(context), dtype=int)
-                if levels.min() < 0 or levels.max() >= num_levels:
-                    raise ValueError(
-                        f"vector ABR kernel returned levels outside "
-                        f"[0, {num_levels}) at step {k}"
-                    )
-
-                # Equation 3, batched (same operation order as PlayerEnvironment.step).
-                bandwidth_k = bandwidth[:, k]
-                size = sizes[:, k, :][row_index, levels]
-                download = size / bandwidth_k
-                if k == 0:
-                    stall = np.where(
-                        buffer == 0.0, 0.0, np.maximum(download - buffer, 0.0)
-                    )
-                else:
-                    stall = np.maximum(download - buffer, 0.0)
-                drained = np.maximum(buffer - download, 0.0)
-                unclipped = drained + segment_duration
-                overflow = np.maximum(unclipped - buffer_cap, 0.0)
-                wait = overflow + config.rtt
-                buffer_after = np.maximum(unclipped - overflow, 0.0)
-                buffer_after = np.minimum(buffer_after, buffer_cap)
-
-                stalled = stall > 1e-12
-                cumulative_stall = np.where(
-                    active, cumulative_stall + stall, cumulative_stall
-                )
-                stall_count = stall_count + (active & stalled)
-
-                if has_exit:
-                    view = ExitStepView(
-                        k=k,
-                        level=levels,
-                        previous_level=last_level,
-                        stall_time=stall,
-                        cumulative_stall_time=cumulative_stall,
-                        stall_count=stall_count,
-                        watch_time=(k + 1) * segment_duration,
-                        buffer=buffer_after,
-                        throughput=bandwidth_k,
-                        active=active,
-                        stalled=stalled,
-                    )
-                    probabilities = np.asarray(exit_kernel(view), dtype=float)
-                    # NaN must fail this check too (the scalar engine's
-                    # `not 0.0 <= p <= 1.0` rejects it), hence the negated form.
-                    if np.any(active & ~((probabilities >= 0.0) & (probabilities <= 1.0))):
-                        raise ValueError("exit probability must be in [0, 1]")
-                    exits = active & (uniforms[:, k] < probabilities)
-                    probability_rec[:, k] = probabilities
-                else:
-                    exits = np.zeros(num_sessions, dtype=bool)
-
-                level_rec[:, k] = levels
-                size_rec[:, k] = size
-                download_rec[:, k] = download
-                stall_rec[:, k] = stall
-                wait_rec[:, k] = wait
-                buffer_before_rec[:, k] = buffer
-                buffer_after_rec[:, k] = buffer_after
-                cumulative_rec[:, k] = cumulative_stall
-                stall_count_rec[:, k] = stall_count
-
-                if host is not None:
-                    # Same point in the segment lifecycle as the scalar engine's
-                    # ``observe`` hook: after the exit draw, before the next
-                    # segment's decision — parameter adjustments land on k+1.
-                    host.observe_step(
-                        active=active,
-                        levels=levels,
-                        stall=stall,
-                        throughput=bandwidth_k,
-                        buffer_after=buffer_after,
-                        exits=exits,
-                        bitrates=bitrates,
-                    )
-
-                steps_taken[active] = k + 1
-                exited_early |= exits
-                alive &= ~exits
-                buffer = np.where(active, buffer_after, buffer)
-                last_level = np.where(active, levels, last_level)
-
-        if host is not None:
-            host.finalize()
-        return [
-            self._assemble_trace(
-                spec,
-                int(steps_taken[i]),
-                bool(exited_early[i]),
-                segment_duration,
-                bitrates,
-                levels_row=level_rec[i],
-                size_row=size_rec[i],
-                bandwidth_row=bandwidth[i],
-                download_row=download_rec[i],
-                stall_row=stall_rec[i],
-                wait_row=wait_rec[i],
-                buffer_before_row=buffer_before_rec[i],
-                buffer_after_row=buffer_after_rec[i],
-                cumulative_row=cumulative_rec[i],
-                stall_count_row=stall_count_rec[i],
-                probability_row=probability_rec[i],
-            )
-            for i, spec in enumerate(specs)
-        ]
+            cohort = self._build_cohort(indices, specs, config)
+            for k in range(cohort.max_steps):
+                active = cohort.alive & (k < cohort.max_seg)
+                if not active.any():
+                    break
+                obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
+                with obs.span("vector.step"):
+                    cohort.step(k, active, cohort.bandwidth[:, k], config)
+            return cohort.traces()
 
     def _run_networked(
         self, specs, config: SessionConfig, network, link_usage, scalar_indices=()
     ) -> list[PlaybackTrace]:
         """Coupled lockstep execution: cohorts advance, links fair-share.
 
-        The batch is partitioned into :class:`_NetGroup` cohorts (same ABR /
+        The batch is partitioned into :class:`_Cohort` cohorts (same ABR /
         exit types, ladder, segment duration and ``start_step``) that each
         stay internally lockstep; every slot gathers all cohorts' access-link
         demands into one batch-order vector, fair-shares each link through
@@ -654,7 +619,7 @@ class VectorBackend(SimBackend):
         ``scalar_indices`` names the batch positions whose specs cannot run
         lockstep (no vector kernels, or a stateful ABR instance shared across
         concurrent sessions).  Those run as event-ordered
-        :class:`~repro.sim.networked._LiveSession` reference sessions *inside
+        :class:`~repro.sim.session.LiveSession` reference sessions *inside
         the same slot loop*: their demands join the cohort demands in the one
         ``allocate_step`` call per slot, so coupling between the fast and
         slow cohorts still flows solely through the shared allocator and the
@@ -665,13 +630,29 @@ class VectorBackend(SimBackend):
         weights = np.asarray([spec.weight for spec in specs], dtype=float)
         scalar_set = set(scalar_indices)
         vector_indices = [i for i in range(num_sessions) if i not in scalar_set]
-        groups = self._build_net_groups(specs, config, vector_indices)
+        grouped: dict[tuple, list[int]] = {}
+        for index in vector_indices:
+            spec = specs[index]
+            key = (
+                type(spec.abr),
+                type(spec.abr.inner) if self._controller_wrapped(spec.abr) else None,
+                None if spec.exit_model is None else type(spec.exit_model),
+                spec.video.ladder.bitrates_kbps,
+                spec.video.segment_duration,
+                spec.start_step,
+            )
+            grouped.setdefault(key, []).append(index)
+        groups = [
+            self._build_cohort(indices, specs, config) for indices in grouped.values()
+        ]
 
         # Scalar cohort: reference sessions, reset up front exactly like
         # run_networked_scalar (shared instances keep "one brain" semantics).
         scalar_order = sorted(scalar_set)  # contract: DET-ITER-003
-        live: dict[int, _LiveSession] = {
-            index: _LiveSession(specs[index], specs[index].seed, config)
+        live: dict[int, LiveSession] = {
+            index: LiveSession.from_spec(
+                specs[index], session_rng(specs[index].seed), config
+            )
             for index in scalar_order
         }
         for policy in {id(specs[i].abr): specs[i].abr for i in scalar_order}.values():
@@ -731,7 +712,7 @@ class VectorBackend(SimBackend):
             active_global[:] = False
             if tiered:
                 full_path[:] = False
-            stepping: list[tuple[_NetGroup, int, np.ndarray]] = []
+            stepping: list[tuple[_Cohort, int, np.ndarray]] = []
             runnable_any = False
             for group in groups:
                 j = k - group.start
@@ -780,9 +761,7 @@ class VectorBackend(SimBackend):
             if stepping:
                 with obs.span("vector.step"):
                     for group, j, active in stepping:
-                        self._step_net_group(
-                            group, j, active, allocations[group.indices], config
-                        )
+                        group.step(j, active, allocations[group.indices], config)
             if live_stepping:
                 with obs.span("networked.session_step"):
                     for index in live_stepping:
@@ -793,303 +772,84 @@ class VectorBackend(SimBackend):
         for index in scalar_order:
             results[index] = live[index].playback
         for group in groups:
-            if group.host is not None:
-                group.host.finalize()
-        for group in groups:
-            for i, spec in enumerate(group.specs):
-                results[int(group.indices[i])] = self._assemble_trace(
-                    spec,
-                    int(group.steps_taken[i]),
-                    bool(group.exited_early[i]),
-                    group.segment_duration,
-                    group.bitrates,
-                    levels_row=group.level_rec[i],
-                    size_row=group.size_rec[i],
-                    bandwidth_row=group.observed[i],
-                    download_row=group.download_rec[i],
-                    stall_row=group.stall_rec[i],
-                    wait_row=group.wait_rec[i],
-                    buffer_before_row=group.buffer_before_rec[i],
-                    buffer_after_row=group.buffer_after_rec[i],
-                    cumulative_row=group.cumulative_rec[i],
-                    stall_count_row=group.stall_count_rec[i],
-                    probability_row=group.probability_rec[i],
-                )
+            for index, trace in zip(group.indices, group.traces()):
+                results[int(index)] = trace
         return results
 
-    def _build_net_groups(
-        self, specs, config: SessionConfig, vector_indices=None
-    ) -> list[_NetGroup]:
-        """Partition a networked batch into internally-lockstep cohorts."""
-        if vector_indices is None:
-            vector_indices = range(len(specs))
-        grouped: dict[tuple, list[int]] = {}
-        for index in vector_indices:
-            spec = specs[index]
-            key = (
-                type(spec.abr),
-                type(spec.abr.inner) if self._controller_wrapped(spec.abr) else None,
-                None if spec.exit_model is None else type(spec.exit_model),
-                spec.video.ladder.bitrates_kbps,
-                spec.video.segment_duration,
-                spec.start_step,
-            )
-            grouped.setdefault(key, []).append(index)
+    def _build_cohort(
+        self, indices: list[int], specs, config: SessionConfig
+    ) -> _Cohort:
+        """Inputs and fresh lockstep state for the specs at batch ``indices``."""
+        members = [specs[i] for i in indices]
+        first_video = members[0].video
+        bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
+        n = len(members)
 
-        groups: list[_NetGroup] = []
-        for indices in grouped.values():
-            members = [specs[i] for i in indices]
-            first_video = members[0].video
-            segment_duration = float(first_video.segment_duration)
-            bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
-            n = len(members)
+        max_seg = np.empty(n, dtype=int)
+        for i, spec in enumerate(members):
+            limit = spec.video.num_segments
+            if config.max_segments is not None:
+                limit = min(limit, config.max_segments)
+            max_seg[i] = limit
+        max_steps = int(max_seg.max())
 
-            max_seg = np.empty(n, dtype=int)
+        # Cyclic bandwidth rows and the (n, max_steps, L) segment-size tensor
+        # (videos and traces repeat across sessions of the same user, so both
+        # are cached by identity).
+        bandwidth = np.empty((n, max_steps))
+        trace_rows: dict[int, np.ndarray] = {}
+        for i, spec in enumerate(members):
+            row = trace_rows.get(id(spec.trace))
+            if row is None:
+                row = np.resize(
+                    np.asarray(spec.trace.values_kbps, dtype=float), max_steps
+                )
+                trace_rows[id(spec.trace)] = row
+            bandwidth[i] = row
+        sizes = np.empty((n, max_steps, bitrates.size))
+        video_rows: dict[int, np.ndarray] = {}
+        step_index = np.arange(max_steps)
+        for i, spec in enumerate(members):
+            block = video_rows.get(id(spec.video))
+            if block is None:
+                block = spec.video.segment_sizes_kbit[
+                    step_index % spec.video.num_segments
+                ]
+                video_rows[id(spec.video)] = block
+            sizes[i] = block
+
+        abr_kernel, host = self._build_abr_kernel(members, first_video.ladder)
+        if members[0].exit_model is not None:
+            models = [spec.exit_model for spec in members]
+            exit_kernel = type(models[0]).vector_exit_kernel(models)
+            for model in models:
+                model.reset()
+            # One Philox substream per session, pre-drawn: row i's uniforms
+            # equal the sequence the scalar engine would draw step by step.
+            uniforms = np.empty((n, max_steps))
             for i, spec in enumerate(members):
-                limit = spec.video.num_segments
-                if config.max_segments is not None:
-                    limit = min(limit, config.max_segments)
-                max_seg[i] = limit
-            max_steps = int(max_seg.max())
-
-            bandwidth = np.empty((n, max_steps))
-            trace_rows: dict[int, np.ndarray] = {}
-            for i, spec in enumerate(members):
-                row = trace_rows.get(id(spec.trace))
-                if row is None:
-                    row = np.resize(
-                        np.asarray(spec.trace.values_kbps, dtype=float), max_steps
-                    )
-                    trace_rows[id(spec.trace)] = row
-                bandwidth[i] = row
-            sizes = np.empty((n, max_steps, bitrates.size))
-            video_rows: dict[int, np.ndarray] = {}
-            step_index = np.arange(max_steps)
-            for i, spec in enumerate(members):
-                block = video_rows.get(id(spec.video))
-                if block is None:
-                    block = spec.video.segment_sizes_kbit[
-                        step_index % spec.video.num_segments
-                    ]
-                    video_rows[id(spec.video)] = block
-                sizes[i] = block
-
-            abr_kernel, host = self._build_abr_kernel(members, first_video.ladder)
-            if members[0].exit_model is not None:
-                models = [spec.exit_model for spec in members]
-                exit_kernel = type(models[0]).vector_exit_kernel(models)
-                for model in models:
-                    model.reset()
-                uniforms = np.empty((n, max_steps))
-                for i, spec in enumerate(members):
-                    uniforms[i] = session_rng(spec.seed).random(max_steps)
-            else:
-                exit_kernel = None
-                uniforms = None
-
-            group = _NetGroup(
-                indices=np.asarray(indices, dtype=int),
-                specs=members,
-                start=members[0].start_step,
-                max_seg=max_seg,
-                max_steps=max_steps,
-                segment_duration=segment_duration,
-                bitrates=bitrates,
-                bandwidth=bandwidth,
-                sizes=sizes,
-                abr_kernel=abr_kernel,
-                exit_kernel=exit_kernel,
-                uniforms=uniforms,
-                host=host,
-            )
-            group.buffer[:] = float(config.initial_buffer)
-            groups.append(group)
-        return groups
-
-    @staticmethod
-    def _step_net_group(
-        group: _NetGroup,
-        j: int,
-        active: np.ndarray,
-        allocated: np.ndarray,
-        config: SessionConfig,
-    ) -> None:
-        """Advance one cohort one local step at the allocator's throughputs.
-
-        Identical array math to the un-networked lockstep loop, with two
-        substitutions: the step's bandwidth is the allocation (not the trace
-        value), and the bandwidth-window statistics read from the cohort's
-        *observed* throughput history (the previous allocations) — exactly
-        what the scalar player's :class:`~repro.sim.bandwidth.BandwidthModel`
-        accumulates.
-        """
-        n = len(group.specs)
-        row_index = np.arange(n)
-        # Rows that are done or exited must stay finite through the shared
-        # array expressions; their values are never recorded.
-        alloc = np.where(active, allocated, 1.0)
-
-        if j == 0:
-            window = group.observed[:, 0:0]
-            mean = np.full(n, _PRIOR_MEAN)
+                uniforms[i] = session_rng(spec.seed).random(max_steps)
         else:
-            window = group.observed[:, max(0, j - _WINDOW) : j]
-            mean = window.mean(axis=1)
-        if j < 2:
-            std = np.full(n, _PRIOR_STD)
-        else:
-            std = np.maximum(np.std(window, axis=1, ddof=1), 1e-6)
-        buffer_cap = dynamic_buffer_cap(mean, std, base_cap=config.base_buffer_cap)
+            exit_kernel = None
+            uniforms = None
 
-        context = VectorStepContext(
-            k=j,
-            buffer=group.buffer,
-            buffer_cap=buffer_cap,
-            last_level=group.last_level,
-            segment_sizes=group.sizes[:, j, :],
-            throughput_window=window,
-            bandwidth_mean=mean,
-            bandwidth_std=std,
-            bitrates=group.bitrates,
-            segment_duration=group.segment_duration,
+        cohort = _Cohort(
+            indices=np.asarray(indices, dtype=int),
+            specs=members,
+            start=members[0].start_step,
+            max_seg=max_seg,
+            max_steps=max_steps,
+            segment_duration=float(first_video.segment_duration),
+            bitrates=bitrates,
+            bandwidth=bandwidth,
+            sizes=sizes,
+            abr_kernel=abr_kernel,
+            exit_kernel=exit_kernel,
+            uniforms=uniforms,
+            host=host,
         )
-        levels = np.asarray(group.abr_kernel(context), dtype=int)
-        num_levels = group.bitrates.size
-        if np.any(active & ((levels < 0) | (levels >= num_levels))):
-            raise ValueError(
-                f"vector ABR kernel returned levels outside "
-                f"[0, {num_levels}) at step {j}"
-            )
-        levels = np.where(active, levels, 0)
-
-        size = group.sizes[:, j, :][row_index, levels]
-        download = size / alloc
-        if j == 0:
-            stall = np.where(
-                group.buffer == 0.0, 0.0, np.maximum(download - group.buffer, 0.0)
-            )
-        else:
-            stall = np.maximum(download - group.buffer, 0.0)
-        drained = np.maximum(group.buffer - download, 0.0)
-        unclipped = drained + group.segment_duration
-        overflow = np.maximum(unclipped - buffer_cap, 0.0)
-        wait = overflow + config.rtt
-        buffer_after = np.maximum(unclipped - overflow, 0.0)
-        buffer_after = np.minimum(buffer_after, buffer_cap)
-
-        stalled = stall > 1e-12
-        group.cumulative_stall = np.where(
-            active, group.cumulative_stall + stall, group.cumulative_stall
-        )
-        group.stall_count = group.stall_count + (active & stalled)
-
-        if group.exit_kernel is not None:
-            view = ExitStepView(
-                k=j,
-                level=levels,
-                previous_level=group.last_level,
-                stall_time=stall,
-                cumulative_stall_time=group.cumulative_stall,
-                stall_count=group.stall_count,
-                watch_time=(j + 1) * group.segment_duration,
-                buffer=buffer_after,
-                throughput=alloc,
-                active=active,
-                stalled=stalled,
-            )
-            probabilities = np.asarray(group.exit_kernel(view), dtype=float)
-            if np.any(
-                active & ~((probabilities >= 0.0) & (probabilities <= 1.0))
-            ):
-                raise ValueError("exit probability must be in [0, 1]")
-            exits = active & (group.uniforms[:, j] < probabilities)
-            group.probability_rec[:, j] = probabilities
-        else:
-            exits = np.zeros(n, dtype=bool)
-
-        group.level_rec[:, j] = levels
-        group.size_rec[:, j] = size
-        group.download_rec[:, j] = download
-        group.stall_rec[:, j] = stall
-        group.wait_rec[:, j] = wait
-        group.buffer_before_rec[:, j] = group.buffer
-        group.buffer_after_rec[:, j] = buffer_after
-        group.cumulative_rec[:, j] = group.cumulative_stall
-        group.stall_count_rec[:, j] = group.stall_count
-        group.observed[:, j] = alloc
-
-        if group.host is not None:
-            group.host.observe_step(
-                active=active,
-                levels=levels,
-                stall=stall,
-                throughput=alloc,
-                buffer_after=buffer_after,
-                exits=exits,
-                bitrates=group.bitrates,
-            )
-
-        group.steps_taken[active] = j + 1
-        group.exited_early |= exits
-        group.alive &= ~exits
-        group.buffer = np.where(active, buffer_after, group.buffer)
-        group.last_level = np.where(active, levels, group.last_level)
-
-    @staticmethod
-    def _assemble_trace(
-        spec: SessionSpec,
-        num_segments: int,
-        exited_early: bool,
-        segment_duration: float,
-        bitrates: np.ndarray,
-        *,
-        levels_row,
-        size_row,
-        bandwidth_row,
-        download_row,
-        stall_row,
-        wait_row,
-        buffer_before_row,
-        buffer_after_row,
-        cumulative_row,
-        stall_count_row,
-        probability_row,
-    ) -> PlaybackTrace:
-        """Materialise one session's column slices into a PlaybackTrace."""
-        n = num_segments
-        levels = levels_row[:n]
-        exited_flags = [False] * n
-        if n and exited_early:
-            exited_flags[-1] = True
-        watch_times = ((np.arange(n) + 1) * segment_duration).tolist()
-        records = [
-            SegmentRecord(*row)
-            for row in zip(
-                range(n),
-                levels.tolist(),
-                bitrates[levels].tolist(),
-                size_row[:n].tolist(),
-                bandwidth_row[:n].tolist(),
-                download_row[:n].tolist(),
-                stall_row[:n].tolist(),
-                wait_row[:n].tolist(),
-                buffer_before_row[:n].tolist(),
-                buffer_after_row[:n].tolist(),
-                watch_times,
-                cumulative_row[:n].tolist(),
-                stall_count_row[:n].tolist(),
-                probability_row[:n].tolist(),
-                exited_flags,
-            )
-        ]
-        return PlaybackTrace(
-            user_id=spec.user_id,
-            video_duration=spec.video.duration,
-            segment_duration=spec.video.segment_duration,
-            trace_name=spec.trace.name,
-            records=records,
-            exited_early=exited_early,
-        )
+        cohort.buffer[:] = float(config.initial_buffer)
+        return cohort
 
 
 register_backend("vector", VectorBackend)

@@ -433,6 +433,39 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             load_fleet_checkpoint(path)
 
+    @pytest.mark.parametrize("writer", ["checkpoint", "resume_state"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        """A write that dies partway leaves the old file byte-identical, no temp file."""
+        import pathlib
+
+        from repro.fleet.checkpoint import save_checkpoint_states
+        from repro.fleet.longitudinal import CampaignResumeState
+
+        path = tmp_path / "state.json"
+
+        def save(day: int) -> None:
+            if writer == "checkpoint":
+                save_checkpoint_states({"u0": {"user_state": {}}}, path, day=day)
+            else:
+                CampaignResumeState(
+                    next_day=day, summaries={}, first_day={"u0": day},
+                    controller_states={},
+                ).save(path)
+
+        save(1)
+        previous = path.read_bytes()
+
+        def torn_write(self, text, *args, **kwargs):
+            with open(self, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_text", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            save(2)
+        assert path.read_bytes() == previous
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_registered_migration_upgrades_old_checkpoint(self, tmp_path):
         import json
 

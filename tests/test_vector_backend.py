@@ -33,6 +33,7 @@ from repro.fleet import (
     LingXiFleetFactory,
 )
 from repro.fleet.telemetry import TelemetryWriter, replay_log_collection, session_event
+from repro.net import EdgeLink, NetworkTopology
 from repro.sim import (
     ScalarBackend,
     SessionSpec,
@@ -56,6 +57,11 @@ from repro.users.engagement import BaselineExitModel, RuleBasedUser
 from repro.users.population import UserPopulation
 
 STALL_BINS = [0.0, 1.0, 2.0, 4.0, 8.0]
+
+
+def _fat_link() -> NetworkTopology:
+    """One edge link far wider than any batch's demand (networked, uncongested)."""
+    return NetworkTopology(name="fat", links=(EdgeLink("fat", 1e9),))
 
 _TRACE_GENERATORS = {
     "stationary": StationaryTraceGenerator(1800.0, 500.0),
@@ -463,7 +469,8 @@ class TestBackendSeam:
         # must not all exit at the same segment
         assert len({len(trace_) for trace_ in scalar_traces}) > 1
 
-    def test_nan_exit_probability_rejected_by_both_backends(self):
+    @pytest.mark.parametrize("networked", [False, True], ids=["independent", "fat_link"])
+    def test_nan_exit_probability_rejected_by_both_backends(self, networked):
         class BrokenExitModel(BaselineExitModel):
             def exit_probability(self, observation):
                 return float("nan")
@@ -480,10 +487,41 @@ class TestBackendSeam:
             )
             for i in range(3)
         ]
-        with pytest.raises(ValueError, match="exit probability"):
-            get_backend("scalar").run_batch(specs)
-        with pytest.raises(ValueError, match="exit probability"):
-            get_backend("vector").run_batch(specs)
+        network = _fat_link() if networked else None
+        for backend in ("scalar", "vector"):
+            with pytest.raises(ValueError, match="exit probability"):
+                get_backend(backend).run_batch(specs, network=network)
+
+    @pytest.mark.parametrize("bad_level", [99, -1, float("nan")], ids=["high", "low", "nan"])
+    @pytest.mark.parametrize("networked", [False, True], ids=["independent", "fat_link"])
+    def test_invalid_abr_level_rejected_by_both_backends(self, networked, bad_level):
+        """An active row's out-of-range (or NaN) level fails on both engines."""
+
+        class BrokenABR(HYB):
+            def select_level(self, context):
+                return bad_level if context.segment_index == 3 else 0
+
+            @classmethod
+            def vector_kernel(cls, policies):
+                def kernel(context):
+                    levels = np.zeros(len(policies))
+                    if context.k == 3:
+                        levels[0] = bad_level
+                    return levels
+
+                return kernel
+
+        video = Video(num_segments=10, seed=0)
+        trace = StationaryTraceGenerator(3000.0).generate(10, np.random.default_rng(0))
+        specs = [
+            SessionSpec(abr=BrokenABR(), video=video, trace=trace, seed=i)
+            for i in range(3)
+        ]
+        assert VectorBackend._vectorizable(specs[0])
+        network = _fat_link() if networked else None
+        for backend in ("scalar", "vector"):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="level|NaN"):
+                get_backend(backend).run_batch(specs, network=network)
 
     def test_session_rng_is_philox_and_deterministic(self):
         first = session_rng(42)
