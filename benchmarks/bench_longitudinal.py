@@ -2,9 +2,9 @@
 
 Runs the same engagement-coupled multi-day campaign (retention-driven churn,
 profile drift, new-user influx) through both backends and reports days per
-second.  Because a longitudinal campaign forces the spec-batched fleet path
-(``spec_batched=True``), a scalar campaign and a vector campaign execute the
-*same* specs with the same per-user RNG substreams — the timing difference is
+second.  Every fleet day runs spec-batched with identity-keyed per-user RNG
+substreams, so a scalar campaign and a vector campaign execute the *same*
+specs with the same per-user RNG substreams — the timing difference is
 purely the engine, and the DAU series / retention decisions are verified
 identical before the timings count.
 

@@ -5,8 +5,8 @@ pool was built to eliminate: parallel dispatch whose per-task overhead
 (process spawn, task pickling, result transfer) eats the parallelism.  The
 same fleet day is timed twice — inline single-shard, and 4 shards on an
 already-running 4-worker pool — and the pooled run must be at least
-``--min-speedup`` times faster (best of three each, identical outputs are
-asserted before any timing counts).
+``--min-speedup`` times faster (best of three each, identical sessions and
+metrics are asserted before any timing counts).
 
 On hosts with fewer than 4 cores the four workers time-slice one core, so
 the speedup assertion is skipped (the timings are still printed); pass
@@ -22,14 +22,29 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
+from repro.analytics.logs import LogCollection  # noqa: E402
 from repro.fleet import (  # noqa: E402
     FleetConfig,
+    FleetMetrics,
     FleetOrchestrator,
+    fleet_metrics,
     shared_pool,
     shutdown_shared_pools,
 )
 from repro.sim.video import VideoLibrary  # noqa: E402
 from repro.users.population import UserPopulation  # noqa: E402
+
+
+def canonical_metrics(result) -> FleetMetrics:
+    """Fleet metrics summed over the sessions in (user, day, index) order."""
+    return fleet_metrics(
+        LogCollection(
+            sorted(
+                result.logs,
+                key=lambda log: (log.user_id, log.day, log.session_index),
+            )
+        )
+    )
 
 
 def best_wall_time(orchestrator, population, library, rounds: int) -> float:
@@ -92,11 +107,14 @@ def main(argv: list[str] | None = None) -> None:
     finally:
         shutdown_shared_pools()
 
-    if pooled_result.metrics.num_sessions != inline_result.metrics.num_sessions:
+    # Every user's traffic is keyed by (seed, user id), so the sharded run
+    # plays exactly the inline run's sessions.  Float sums follow shard
+    # order, so the metrics are compared over one canonical session order.
+    if canonical_metrics(pooled_result) != canonical_metrics(inline_result):
         raise SystemExit(
-            "pooled run produced a different session count: "
-            f"{pooled_result.metrics.num_sessions} vs "
-            f"{inline_result.metrics.num_sessions}"
+            "pooled run disagrees with the inline run: "
+            f"{canonical_metrics(pooled_result)} vs "
+            f"{canonical_metrics(inline_result)}"
         )
 
     speedup = inline_time / pooled_time

@@ -167,6 +167,7 @@ class PensieveTrainer:
         self.actor_optimizer = Adam(learning_rate=actor_learning_rate)
         self.critic_optimizer = Adam(learning_rate=critic_learning_rate)
         self.rng = np.random.default_rng(seed)
+        # contract: SIM-BATCH-008 exempt(RL training episodes drive the agent directly; no fleet or corpus trace comes from them)
         self.session = PlaybackSession(SessionConfig())
 
     def _episode_rewards(self, playback: PlaybackTrace, parameters: QoEParameters) -> np.ndarray:

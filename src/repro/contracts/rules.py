@@ -553,6 +553,37 @@ def check_checkpoint_registry(
 
 
 # ---------------------------------------------------------------------------
+# SIM-BATCH-008 — sessions outside repro.sim run through SimBackend.run_batch
+# ---------------------------------------------------------------------------
+
+
+def check_session_engine_use(
+    path: str, source: str, tree: ast.AST
+) -> Iterator[Finding]:
+    """SIM-BATCH-008: code outside ``repro.sim`` plays sessions only as
+    :class:`SessionSpec` batches through ``SimBackend.run_batch``, so a
+    session's randomness is its own substream and every backend gives the
+    same trace.  Constructing a ``PlaybackSession`` engine anywhere else
+    is a second, backend-blind path."""
+    if (
+        _is_test_path(path)
+        or not _in_packages(path, ("repro",))
+        or _in_packages(path, ("repro/sim",))
+    ):
+        return
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain = _attr_chain(node.func)
+        if chain and chain[-1] == "PlaybackSession":
+            yield Finding(
+                "SIM-BATCH-008", path, node.lineno, node.col_offset,
+                "PlaybackSession engine built outside repro.sim; build "
+                "SessionSpecs and run them through SimBackend.run_batch",
+            )
+
+
+# ---------------------------------------------------------------------------
 # Registry + driver
 # ---------------------------------------------------------------------------
 
@@ -567,6 +598,7 @@ ALL_RULES: dict[str, RuleFn] = {
     "OBS-NEUTRAL-004": check_obs_neutrality,
     "SHM-005": check_shared_memory,
     "CKPT-006": check_checkpoint_registry,
+    "SIM-BATCH-008": check_session_engine_use,
 }
 
 

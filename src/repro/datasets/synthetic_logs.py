@@ -22,7 +22,7 @@ from repro.abr.hyb import HYB
 from repro.analytics.logs import LogCollection, SessionLog
 from repro.net.topology import NetworkTopology, get_topology
 from repro.sim.backend import SessionSpec, get_backend
-from repro.sim.session import PlaybackSession, SessionConfig
+from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation, UserProfile
 
@@ -36,9 +36,10 @@ class LogGenerationConfig:
     trace_length: int = 200
     seed: int = 0
     session_config: SessionConfig = field(default_factory=SessionConfig)
-    #: Simulation backend.  ``"scalar"`` keeps the historical shared-RNG
-    #: loop; other backends run the whole corpus as one spec batch with
-    #: per-session RNG substreams (same schema, different random routing).
+    #: Simulation backend that runs each day's spec batch: ``"scalar"``
+    #: (the reference engine) or any other registered backend.  Sessions
+    #: draw from per-session RNG substreams, so every backend produces the
+    #: same corpus.
     backend: str = "scalar"
     #: Shared-bottleneck topology (name or instance): each day's corpus runs
     #: as one coupled batch whose sessions fair-share edge-link capacity, so
@@ -66,71 +67,19 @@ def generate_production_logs(
     instance with production-default parameters, the paper's baseline); it is
     called once per user per day so experiments can inject per-user or
     per-group algorithms (e.g. LingXi-wrapped ones).
+
+    Traces, videos and population drift draw from one generator seeded by
+    ``config.seed``; every session's exit decisions draw from its own RNG
+    substream, so the backend may execute a batch in any order (the vector
+    backend advances every vectorizable session in lockstep) and both
+    backends produce the same corpus.  Each simulated day runs as its own
+    batch: one day of a large population is plenty of lockstep width for the
+    vector engine, while bounding peak memory (the engine preallocates
+    per-session record arrays per batch).
     """
     config = config or LogGenerationConfig()
     abr_factory = abr_factory or (lambda _profile: HYB())
     rng = np.random.default_rng(config.seed)
-    if config.backend != "scalar" or config.network is not None:
-        # Networked corpora are coupled batches by definition, so they route
-        # through the spec-batched path no matter which backend executes it.
-        return _generate_logs_batched(population, library, config, abr_factory, rng)
-    session_engine = PlaybackSession(config.session_config)
-
-    sessions: list[SessionLog] = []
-    day_population = population
-    for day in range(config.days):
-        for profile in day_population:
-            abr = abr_factory(profile)
-            exit_model = profile.exit_model()
-            num_sessions = (
-                config.sessions_per_user_per_day
-                if config.sessions_per_user_per_day is not None
-                else profile.sessions_per_day
-            )
-            trace = profile.bandwidth_trace(config.trace_length, rng)
-            for session_index in range(num_sessions):
-                video = library.sample(rng)
-                playback = session_engine.run(
-                    abr,
-                    video,
-                    trace,
-                    exit_model=exit_model,
-                    rng=rng,
-                    user_id=profile.user_id,
-                )
-                sessions.append(
-                    SessionLog(
-                        user_id=profile.user_id,
-                        day=day,
-                        session_index=session_index,
-                        trace=playback,
-                        mean_bandwidth_kbps=profile.mean_bandwidth_kbps,
-                    )
-                )
-        day_population = day_population.next_day(rng)
-    return LogCollection(sessions)
-
-
-def _generate_logs_batched(
-    population: UserPopulation,
-    library: VideoLibrary,
-    config: LogGenerationConfig,
-    abr_factory: Callable[[UserProfile], ABRAlgorithm],
-    rng: np.random.Generator,
-) -> LogCollection:
-    """Backend-routed corpus generation: the whole corpus as one spec batch.
-
-    Traces, videos and population drift consume ``rng`` in the same per-user
-    sequence as the scalar loop, but without the per-segment exit draws
-    interleaved (those move to per-session RNG substreams), so the concrete
-    corpus differs from a ``backend="scalar"`` run of the same seed.  The
-    substreams let the backend execute the batch in any order (the vector
-    backend advances every vectorizable session in lockstep).
-
-    Each simulated day runs as its own batch: one day of a large population
-    is plenty of lockstep width for the vector engine, while bounding peak
-    memory (the engine preallocates per-session record arrays per batch).
-    """
     backend = get_backend(config.backend)
     network = get_topology(config.network)
     seed_root = np.random.SeedSequence(config.seed)

@@ -19,7 +19,7 @@ import numpy as np
 from repro.abr.base import ABRAlgorithm
 from repro.analytics.logs import LogCollection, SessionLog
 from repro.sim.backend import SessionSpec, get_backend
-from repro.sim.session import PlaybackSession, SessionConfig
+from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation, UserProfile
 
@@ -66,20 +66,18 @@ def run_campaign(
     with the same user state).  ``parameter_getter`` extracts the tracked
     parameter from an ABR (defaults to ``beta``).
 
-    ``backend`` selects the simulation backend.  ``"scalar"`` is the
-    historical loop (one shared RNG threading through every session); any
-    other registered backend runs each day's sessions as one
-    :class:`~repro.sim.backend.SessionSpec` batch with per-session RNG
-    substreams — vectorizable users (e.g. plain HYB during AA phases) then
-    advance in lockstep, while stateful LingXi users fall back to sequential
-    execution inside the same batch.
+    ``backend`` selects the simulation backend that runs each day's sessions
+    as one :class:`~repro.sim.backend.SessionSpec` batch with per-session RNG
+    substreams: ``"scalar"`` (the reference engine) or any other registered
+    backend, which produces the same logs — vectorizable users (e.g. plain
+    HYB during AA phases) then advance in lockstep, while stateful LingXi
+    users fall back to sequential execution inside the same batch.
     """
     config = config or CampaignConfig()
     parameter_getter = parameter_getter or (lambda abr: abr.parameters.beta)
     rng = np.random.default_rng(config.seed)
-    sim_backend = None if backend == "scalar" else get_backend(backend)
+    sim_backend = get_backend(backend)
     seed_root = np.random.SeedSequence(config.seed)
-    session_engine = PlaybackSession(SessionConfig()) if sim_backend is None else None
     abrs = abrs if abrs is not None else {}
 
     sessions: list[SessionLog] = []
@@ -98,46 +96,21 @@ def run_campaign(
             trace = profile.bandwidth_trace(config.trace_length, rng)
             for session_index in range(config.sessions_per_user_per_day):
                 video = library.sample(rng)
-                if sim_backend is not None:
-                    specs.append(
-                        SessionSpec(
-                            abr=abr,
-                            video=video,
-                            trace=trace,
-                            exit_model=exit_model,
-                            seed=seed_root.spawn(1)[0],
-                            user_id=profile.user_id,
-                        )
-                    )
-                    metas.append(
-                        (
-                            profile.user_id,
-                            day,
-                            session_index,
-                            profile.mean_bandwidth_kbps,
-                        )
-                    )
-                    continue
-                playback = session_engine.run(
-                    abr,
-                    video,
-                    trace,
-                    exit_model=exit_model,
-                    rng=rng,
-                    user_id=profile.user_id,
-                )
-                sessions.append(
-                    SessionLog(
+                specs.append(
+                    SessionSpec(
+                        abr=abr,
+                        video=video,
+                        trace=trace,
+                        exit_model=exit_model,
+                        seed=seed_root.spawn(1)[0],
                         user_id=profile.user_id,
-                        day=day,
-                        session_index=session_index,
-                        trace=playback,
-                        mean_bandwidth_kbps=profile.mean_bandwidth_kbps,
                     )
                 )
-        if sim_backend is not None:
-            playbacks = sim_backend.run_batch(specs, SessionConfig())
-            sessions.extend(SessionLog.zip_with_playbacks(metas, playbacks))
+                metas.append(
+                    (profile.user_id, day, session_index, profile.mean_bandwidth_kbps)
+                )
+        playbacks = sim_backend.run_batch(specs, SessionConfig())
+        sessions.extend(SessionLog.zip_with_playbacks(metas, playbacks))
         for profile in day_population:
             daily_parameters[(profile.user_id, day)] = float(
                 parameter_getter(abrs[profile.user_id])

@@ -47,9 +47,10 @@ class SubstrateConfig:
     training_oversample_threshold_kbps: float = 4500.0
     seed: int = 0
     #: Simulation backend for substrate log generation and (via the figure
-    #: drivers' defaults) the fig10/fig12 campaign loops.  ``"scalar"`` keeps
-    #: the historical shared-RNG session loop; ``"vector"`` routes sessions
-    #: through the struct-of-arrays backend with per-session RNG substreams.
+    #: drivers' defaults) the fig10/fig12 campaign batches: ``"scalar"``
+    #: (the reference engine) or ``"vector"`` (the struct-of-arrays
+    #: engine).  Every session runs from its own RNG substream, so both
+    #: give the same numbers.
     backend: str = "scalar"
     #: Shared-bottleneck topology name for substrate log generation: the
     #: synthetic corpus is produced by sessions fair-sharing edge-link

@@ -27,9 +27,10 @@ from repro.core.monte_carlo import MonteCarloConfig
 from repro.core.parameter_space import ParameterSpace
 from repro.core.triggers import TriggerPolicy
 from repro.experiments.common import Substrate, SubstrateConfig, build_substrate
-from repro.sim.backend import SessionSpec, get_backend
+from repro.net.topology import stable_user_key
+from repro.sim.backend import ScalarBackend, SessionSpec, get_backend
 from repro.sim.bandwidth import BandwidthTrace
-from repro.sim.session import ExitModel, PlaybackSession, SessionConfig
+from repro.sim.session import ExitModel, SessionConfig
 from repro.sim.traces import generate_trace_set
 from repro.sim.video import Video
 from repro.users.engagement import (
@@ -87,9 +88,12 @@ def _data_driven_users(
     video: Video,
     seed: int,
 ) -> dict[str, ExitModel]:
-    """Fit per-user logistic exit models from two weeks of simulated engagement."""
-    rng = np.random.default_rng(seed)
-    engine = PlaybackSession(SessionConfig())
+    """Fit per-user logistic exit models from two weeks of simulated engagement.
+
+    Each user's six engagement sessions run as one scalar-backend batch whose
+    per-session RNG substreams are keyed by ``(seed, md5(user_id))``.
+    """
+    engine = ScalarBackend()
     users: dict[str, ExitModel] = {}
     # Active users: prefer those with moderate bandwidth so stalls occur.
     sorted_profiles = sorted(
@@ -97,13 +101,25 @@ def _data_driven_users(
     )
     for profile in sorted_profiles[: num_users]:
         behavioural: QoSAwareExitModel = profile.exit_model()
-        records = []
-        for i in range(6):
-            trace = traces[i % len(traces)]
-            playback = engine.run(
-                RobustMPC(), video, trace, exit_model=behavioural, rng=rng, user_id=profile.user_id
+        seeds = np.random.SeedSequence(
+            seed, spawn_key=stable_user_key(profile.user_id)
+        ).spawn(6)
+        specs = [
+            SessionSpec(
+                abr=RobustMPC(),
+                video=video,
+                trace=traces[i % len(traces)],
+                exit_model=behavioural,
+                seed=seeds[i],
+                user_id=profile.user_id,
             )
-            records.extend(playback.records)
+            for i in range(6)
+        ]
+        records = [
+            record
+            for playback in engine.run_batch(specs, SessionConfig())
+            for record in playback.records
+        ]
         features, labels = features_from_segment_records(records)
         if labels.sum() == 0:
             labels = labels.copy()
@@ -149,33 +165,28 @@ def _completion_rate(
     repeats: int,
     backend: str = "scalar",
 ) -> float:
-    if backend != "scalar":
-        # Spec-batched path: each (repeat, trace) session gets its own RNG
-        # substream derived from the driver RNG, and the whole sweep runs as
-        # one backend batch (vectorized for HYB/BBA/throughput sessions,
-        # sequential fallback for MPC/Pensieve/LingXi-wrapped ones).
-        seeds = np.random.SeedSequence(int(rng.integers(2**31 - 1))).spawn(
-            repeats * len(traces)
+    """Completion rate of ``abr`` over ``repeats`` passes of ``traces``.
+
+    The whole sweep runs as one backend batch (vectorized for
+    HYB/BBA/throughput sessions, sequential fallback for
+    MPC/Pensieve/LingXi-wrapped ones); each (repeat, trace) session gets its
+    own RNG substream derived from the driver RNG.
+    """
+    seeds = np.random.SeedSequence(int(rng.integers(2**31 - 1))).spawn(
+        repeats * len(traces)
+    )
+    specs = [
+        SessionSpec(
+            abr=abr,
+            video=video,
+            trace=traces[index % len(traces)],
+            exit_model=exit_model,
+            seed=seeds[index],
         )
-        specs = [
-            SessionSpec(
-                abr=abr,
-                video=video,
-                trace=traces[index % len(traces)],
-                exit_model=exit_model,
-                seed=seeds[index],
-            )
-            for index in range(repeats * len(traces))
-        ]
-        playbacks = get_backend(backend).run_batch(specs, SessionConfig())
-        return float(np.mean([float(playback.completed) for playback in playbacks]))
-    engine = PlaybackSession(SessionConfig())
-    completions = []
-    for repeat in range(repeats):
-        for trace in traces:
-            playback = engine.run(abr, video, trace, exit_model=exit_model, rng=rng)
-            completions.append(float(playback.completed))
-    return float(np.mean(completions))
+        for index in range(repeats * len(traces))
+    ]
+    playbacks = get_backend(backend).run_batch(specs, SessionConfig())
+    return float(np.mean([float(playback.completed) for playback in playbacks]))
 
 
 def run(

@@ -21,10 +21,10 @@ Determinism contract
 Every stochastic decision outside the session engines — the retention coin,
 profile drift, influx draws, per-day fleet seeds — flows from a `Philox`
 stream keyed by ``(campaign seed, decision kind, day, md5(user id))``.
-Combined with the orchestrator's spec-batched path (``spec_batched=True`` is
-forced, so scalar and vector backends resolve identical per-user RNG
-substreams), a campaign is **bit-identical** across shard counts, worker
-counts and backends: same traces, same retention decisions, same telemetry.
+Combined with the orchestrator's identity-keyed per-user RNG substreams
+(which every fleet day uses, on either backend), a campaign is
+**bit-identical** across shard counts, worker counts and backends: same
+traces, same retention decisions, same telemetry.
 
 The cross-day A/B harness (:func:`run_ab_campaign`) splits a population into
 two arms by stable user-id hash, runs both arms through the same days with
@@ -199,7 +199,6 @@ class LongitudinalConfig:
             session_config=self.session_config,
             backend=self.backend,
             network=network,
-            spec_batched=True,
         )
 
 

@@ -12,10 +12,16 @@ including zero (inline execution).
 
 Determinism contract
 --------------------
-* Sharding is round-robin by population index (``UserPopulation.shards``).
-* Shard ``i`` draws all of its randomness from child ``i`` of
-  ``numpy.random.SeedSequence(seed)``.
-* Per-user controller seeds are drawn from the shard stream in user order.
+* Sharding is round-robin by population index (``UserPopulation.shards``),
+  or by uplink component for networked runs.
+* Every user draws all of their randomness — ABR/controller seed, scenario
+  draws, per-session `Philox` exit substreams — from a `SeedSequence` keyed
+  by ``(seed, md5(user_id))``, never from a shard-level stream.  A user's
+  traffic is therefore a function of the user and the seed only: every
+  session is identical across shard counts, worker counts and backends.
+* Shard outputs merge in shard order, so float aggregates are identical for
+  a given ``(seed, num_shards)``; across shard counts they may differ in
+  the last ulp (summation order), never in any session.
 
 ABR factories
 -------------
@@ -31,7 +37,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -64,7 +70,7 @@ from repro.net.topology import (
     stable_user_key,
 )
 from repro.sim.backend import SessionSpec, get_backend
-from repro.sim.session import PlaybackSession, SessionConfig
+from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation, UserProfile
 
@@ -134,18 +140,17 @@ class FleetConfig:
     seed: int = 0
     day: int = 0
     session_config: SessionConfig = field(default_factory=SessionConfig)
-    #: Simulation backend executing each shard's sessions.  ``"scalar"`` is
-    #: the classic per-session loop with a shared shard RNG; any other
-    #: registered backend (e.g. ``"vector"``) routes the shard through
-    #: :class:`~repro.sim.backend.SessionSpec` batches with per-session
-    #: `Philox` substreams.
+    #: Simulation backend that runs each shard's
+    #: :class:`~repro.sim.backend.SessionSpec` batch: ``"scalar"`` (the
+    #: reference engine) or any other registered backend (e.g.
+    #: ``"vector"``).  Both see the same specs with the same per-session
+    #: `Philox` substreams, so the choice never changes a trace.
     backend: str = "scalar"
     #: Shared-bottleneck network substrate: a registered topology name (or a
     #: :class:`~repro.net.topology.NetworkTopology` instance), or ``None``
     #: for the classic uncoupled mode.  Networked runs shard users **by edge
-    #: link** (so allocation coupling stays intra-shard), route every shard
-    #: through the spec-batched path regardless of backend, and emit
-    #: per-slot link-utilization telemetry.
+    #: link** (so allocation coupling stays intra-shard) and emit per-slot
+    #: link-utilization telemetry.
     network: str | NetworkTopology | None = None
     #: Rate-control algorithm override for networked runs: a name from
     #: :data:`repro.net.topology.ALLOCATORS` (``"max_min_fair"`` /
@@ -153,15 +158,14 @@ class FleetConfig:
     #: selects.  Applied after scenario shaping, so one fleet config can A/B
     #: allocators on any registered topology.
     allocator: str | None = None
-    #: Force the spec-batched shard path even for un-networked
-    #: ``backend="scalar"`` runs.  On that path both backends resolve the
-    #: same per-user identity-keyed RNG substreams, so a scalar run is
-    #: **bit-identical** to a vector run of the same config — the property
-    #: longitudinal campaigns pin across backends.  ``False`` keeps the
-    #: historical shared-shard-RNG scalar loop.
-    spec_batched: bool = False
+    #: Accepted for callers that still pass ``spec_batched=True``; every
+    #: shard runs spec-batched, so any other value raises.  Not a field.
+    #: Removed once the benchmark suite drops the keyword.
+    spec_batched: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, spec_batched: bool) -> None:
+        if spec_batched is not True:
+            raise ValueError("spec_batched=False is gone: every shard is spec-batched")
         if self.num_shards <= 0:
             raise ValueError("num_shards must be positive")
         get_backend(self.backend)  # fail fast on unknown backend names
@@ -188,7 +192,6 @@ class ShardTask:
 
     run_id: str
     shard_index: int
-    seed_seq: np.random.SeedSequence
     profiles: tuple[UserProfile, ...]
     scenario: Scenario
     library: VideoLibrary
@@ -199,11 +202,9 @@ class ShardTask:
     session_config: SessionConfig
     controller_states: dict[str, dict] = field(default_factory=dict)
     backend: str = "scalar"
-    spec_batched: bool = False
-    #: Root fleet seed, used by the spec-batched path to key per-user
-    #: `SeedSequence` substreams by user *identity* (md5) instead of shard
-    #: position — the property that makes batched fleet runs invariant to
-    #: shard and worker counts.
+    #: Root fleet seed; per-user `SeedSequence` substreams are keyed by
+    #: ``(seed, md5(user_id))`` — the property that makes fleet runs
+    #: invariant to shard and worker counts.
     seed: int = 0
     #: Full (scenario-shaped) topology for networked runs, or ``None`` for
     #: the classic uncoupled mode.  User→link attachment must happen on the
@@ -231,10 +232,8 @@ class ShardOutput:
     wall_time_s: float
     link_usage: list[LinkUsageSample] = field(default_factory=list)
     #: Sessions the batched backend bounced to the scalar reference engine
-    #: (and the size of the batch they came from); zero on the classic
-    #: scalar path, which has no fallback concept.
+    #: (always zero on the scalar backend, which has no fallback concept).
     fallback_sessions: int = 0
-    batch_sessions: int = 0
     #: Serialised :meth:`repro.obs.Collector.snapshot` when the shard ran
     #: with ``profile=True``; the orchestrator grafts it into its own tree.
     obs: dict | None = None
@@ -304,8 +303,8 @@ class FleetResult:
 
     @property
     def total_batch_sessions(self) -> int:
-        """Sessions that went through the spec-batched shard path."""
-        return sum(output.batch_sessions for output in self.shard_outputs)
+        """Sessions run through the backend (every session of the run)."""
+        return len(self.logs)
 
     @property
     def metrics(self) -> FleetMetrics:
@@ -376,86 +375,17 @@ def _run_shard(task: ShardTask) -> ShardOutput:
     obs_live.begin_shard(task.shard_index, task.day)
     try:
         if not task.profile:
-            output = _run_shard_impl(task)
+            output = _run_shard_batched(task)
         else:
             with obs.collect() as collector:
                 with obs.span("shard.run"):
-                    output = _run_shard_impl(task)
+                    output = _run_shard_batched(task)
                 output.obs = collector.snapshot()
     except BaseException as exc:
         obs_live.fail_shard(f"{type(exc).__name__}: {exc}"[:150])
         raise
     obs_live.finish_shard(len(output.sessions), output.num_segments)
     return output
-
-
-def _run_shard_impl(task: ShardTask) -> ShardOutput:
-    """Backend dispatch for one shard.
-
-    ``backend="scalar"`` keeps the classic loop — one
-    shared shard RNG threading through every session, preserving historical
-    fleet numbers for the built-in factories (fixed-mode LingXi controllers
-    are the exception: their candidate sweeps now use the batched
-    ``evaluate_many`` path, which drops inter-candidate pruning); any other
-    backend — and *every* networked run, whose coupled sessions only exist
-    at the batch level — builds the shard's full
-    :class:`~repro.sim.backend.SessionSpec` list up front and hands it to the
-    backend as one batch with per-session RNG substreams.
-    """
-    if task.backend != "scalar" or task.network is not None or task.spec_batched:
-        return _run_shard_batched(task)
-    start = time.perf_counter()  # contract: DET-CLOCK-002 exempt(wall-time telemetry only; excluded from bit-exact comparison)
-    rng = np.random.default_rng(task.seed_seq)
-    engine = PlaybackSession(task.session_config)
-    sessions: list[SessionLog] = []
-    controller_states: dict[str, dict] = {}
-    num_segments = 0
-
-    for profile in task.profiles:
-        abr_seed = int(rng.integers(2**31 - 1))
-        abr = task.abr_factory(profile, abr_seed)
-        controller = getattr(abr, "controller", None)
-        if controller is not None and profile.user_id in task.controller_states:
-            restore_controller_state(controller, task.controller_states[profile.user_id])
-        exit_model = profile.exit_model()
-        scenario_profile = (
-            replace(profile, sessions_per_day=task.sessions_per_user)
-            if task.sessions_per_user is not None
-            else profile
-        )
-        num_sessions = task.scenario.sessions_for(scenario_profile, rng)
-        trace = task.scenario.trace_for(profile, rng, task.trace_length)
-        for session_index in range(num_sessions):
-            video = task.scenario.video_for(profile, task.library, rng)
-            playback = engine.run(
-                abr,
-                video,
-                trace,
-                exit_model=exit_model,
-                rng=rng,
-                user_id=profile.user_id,
-            )
-            num_segments += len(playback)
-            sessions.append(
-                SessionLog(
-                    user_id=profile.user_id,
-                    day=task.day,
-                    session_index=session_index,
-                    trace=playback,
-                    mean_bandwidth_kbps=profile.mean_bandwidth_kbps,
-                )
-            )
-            obs_live.add_sessions(1, len(playback))
-        if controller is not None:
-            controller_states[profile.user_id] = controller_state_payload(controller)
-
-    return ShardOutput(
-        shard_index=task.shard_index,
-        sessions=sessions,
-        controller_states=controller_states,
-        num_segments=num_segments,
-        wall_time_s=time.perf_counter() - start,  # contract: DET-CLOCK-002 exempt(wall-time telemetry only; excluded from bit-exact comparison)
-    )
 
 
 def _trim_trailing_idle(samples: list[LinkUsageSample]) -> list[LinkUsageSample]:
@@ -483,19 +413,19 @@ def _trim_trailing_idle(samples: list[LinkUsageSample]) -> list[LinkUsageSample]
 
 
 def _run_shard_batched(task: ShardTask) -> ShardOutput:
-    """Spec-building shard path for non-scalar backends and networked runs.
+    """Build one shard's :class:`~repro.sim.backend.SessionSpec` list and run
+    it on the configured backend as one batch.
 
     All of a user's randomness — ABR seed, scenario draws (session counts,
     traces, videos, start slots) and the per-session `Philox` exit
     substreams — flows from a `SeedSequence` keyed by ``(fleet seed,
     md5(user_id))`` via :func:`~repro.net.topology.stable_user_key`.  Keying
     by user *identity* rather than shard position makes every user's traffic
-    independent of how the population is sharded, so batched fleet
-    aggregates are invariant to shard and worker counts (networked runs
-    included: links never straddle shards, so each link's contention set is
-    sharding-independent too).  The concrete traces and videos therefore
-    differ from a ``backend="scalar"`` run of the same seed, which keeps its
-    historical shard-RNG routing.
+    independent of how the population is sharded, so fleet aggregates are
+    invariant to shard and worker counts (networked runs included: links
+    never straddle shards, so each link's contention set is
+    sharding-independent too).  Both backends consume the same specs, so a
+    ``backend="scalar"`` run is bit-identical to a ``backend="vector"`` one.
     """
     start = time.perf_counter()  # contract: DET-CLOCK-002 exempt(wall-time telemetry only; excluded from bit-exact comparison)
     backend = get_backend(task.backend)
@@ -585,7 +515,6 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
         wall_time_s=time.perf_counter() - start,  # contract: DET-CLOCK-002 exempt(wall-time telemetry only; excluded from bit-exact comparison)
         link_usage=link_usage,
         fallback_sessions=fallback_sessions,
-        batch_sessions=len(specs),
     )
 
 
@@ -629,8 +558,7 @@ class FleetOrchestrator:
         Heavy objects are registered in the pool's worker-side cache —
         pickled once per pool lifetime, not once per shard per run — and
         every per-shard value a worker can recompute deterministically
-        (profile slice, link slice, `SeedSequence`) stays out of the wire
-        format entirely.
+        (profile slice, link slice) stays out of the wire format entirely.
         """
         config = self.config
         population_ref = pool.cache(population)
@@ -649,7 +577,6 @@ class FleetOrchestrator:
                 sessions_per_user=task.sessions_per_user,
                 trace_length=task.trace_length,
                 backend=task.backend,
-                spec_batched=task.spec_batched,
                 population=population_ref,
                 scenario=scenario_ref,
                 library=library_ref,
@@ -730,14 +657,10 @@ class FleetOrchestrator:
             else:
                 shard_profiles = population.shards(config.num_shards)
                 shard_links = [[] for _ in range(config.num_shards)]
-            seed_children = np.random.SeedSequence(config.seed).spawn(
-                config.num_shards
-            )
             tasks = [
                 ShardTask(
                     run_id=run_id,
                     shard_index=index,
-                    seed_seq=seed_children[index],
                     profiles=tuple(profiles),
                     scenario=scenario,
                     library=library,
@@ -752,7 +675,6 @@ class FleetOrchestrator:
                         if p.user_id in states
                     },
                     backend=config.backend,
-                    spec_batched=config.spec_batched,
                     seed=config.seed,
                     network=network,
                     shard_link_ids=tuple(shard_links[index]),

@@ -17,8 +17,8 @@ workers makes the run *slower* — the anti-scaling recorded in
   scenario/library/factory *cache tokens*, shard index — a few hundred bytes.
   Heavy objects go through the worker-side object cache exactly once
   (:meth:`WorkerPool.cache`), and each worker rebuilds its shard's profile
-  slice and `SeedSequence` locally from ``(seed, num_shards, shard_index)``,
-  which is deterministic by construction.
+  and link slices locally from ``(num_shards, shard_index)``, which is
+  deterministic by construction.
 * **Shared-memory results.**  A worker writes its shard's result — session
   metadata, the columnar trace export of :func:`repro.sim.vector.
   export_trace_columns`, link-usage columns, pickled controller states and
@@ -123,11 +123,12 @@ class ShardDescriptor:
     bytes on the wire.
 
     Heavy objects travel as :class:`CacheRef` tokens; the worker resolves
-    them against its local cache and *recomputes* the shard's profile slice,
-    link slice and `SeedSequence` from ``(seed, num_shards, shard_index)``
-    with the same deterministic functions the inline path uses
-    (``UserPopulation.shards`` / ``NetworkTopology.shard_profiles`` /
-    ``SeedSequence.spawn``), so no per-shard state needs shipping at all.
+    them against its local cache and *recomputes* the shard's profile slice
+    and link slice from ``(num_shards, shard_index)`` with the same
+    deterministic functions the inline path uses (``UserPopulation.shards``
+    / ``NetworkTopology.shard_profiles``), so no per-shard state needs
+    shipping at all.  ``seed`` keys every user's RNG substreams by identity,
+    exactly as inline.
     ``controller_states`` is the one per-shard payload carried inline: it is
     genuinely new data every day of a campaign.
     """
@@ -140,7 +141,6 @@ class ShardDescriptor:
     sessions_per_user: int | None
     trace_length: int
     backend: str
-    spec_batched: bool
     population: CacheRef
     scenario: CacheRef
     library: CacheRef
@@ -354,7 +354,6 @@ def _decode_shard_output(buf, layout: dict, shard_index: int, extra: dict):
         wall_time_s=float(extra["wall_time_s"]),
         link_usage=link_usage,
         fallback_sessions=int(extra["fallback_sessions"]),
-        batch_sessions=int(extra["batch_sessions"]),
         obs=extra["obs"],
         telemetry_blob=(
             get_bytes("telemetry") if "telemetry" in regions else None
@@ -369,8 +368,8 @@ def _descriptor_task(descriptor: ShardDescriptor, cache: dict):
     """Rebuild the full :class:`ShardTask` a descriptor stands for.
 
     Mirrors the orchestrator's ``fleet.prepare`` exactly: same sharding
-    functions, same `SeedSequence` spawn — so the task (and therefore the
-    result) is bit-identical to the inline path's.
+    functions, same seed — so the task (and therefore the result) is
+    bit-identical to the inline path's.
     """
     from repro.fleet.orchestrator import ShardTask
 
@@ -388,13 +387,9 @@ def _descriptor_task(descriptor: ShardDescriptor, cache: dict):
     else:
         profiles = population.shards(descriptor.num_shards)[descriptor.shard_index]
         shard_link_ids = ()
-    seed_seq = np.random.SeedSequence(descriptor.seed).spawn(
-        descriptor.num_shards
-    )[descriptor.shard_index]
     return ShardTask(
         run_id=descriptor.run_id,
         shard_index=descriptor.shard_index,
-        seed_seq=seed_seq,
         profiles=tuple(profiles),
         scenario=cache[descriptor.scenario.token],
         library=cache[descriptor.library.token],
@@ -405,7 +400,6 @@ def _descriptor_task(descriptor: ShardDescriptor, cache: dict):
         session_config=cache[descriptor.session_config.token],
         controller_states=descriptor.controller_states,
         backend=descriptor.backend,
-        spec_batched=descriptor.spec_batched,
         seed=descriptor.seed,
         network=network,
         shard_link_ids=shard_link_ids,
@@ -516,7 +510,6 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                                 "num_segments": output.num_segments,
                                 "wall_time_s": output.wall_time_s,
                                 "fallback_sessions": output.fallback_sessions,
-                                "batch_sessions": output.batch_sessions,
                                 "obs": output.obs,
                                 "pack_time_s": time.perf_counter() - start,  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
                                 "result_bytes": nbytes,

@@ -4,7 +4,7 @@ A :class:`Scenario` tells the orchestrator how a simulated day of traffic
 looks for each user: how many sessions they play, what their network looks
 like while they play, and what catalogue their device pulls videos from.
 Scenarios are plain picklable objects so they travel to worker processes
-unchanged, and all randomness flows through the per-shard RNG the orchestrator
+unchanged, and all randomness flows through the per-user RNG the orchestrator
 hands in — the same seed always produces the same traffic.
 
 Ten workloads ship built-in (the registry is open for more):

@@ -250,7 +250,7 @@ def shard_summary_event(run_id: str, output) -> TelemetryEvent:
             "num_segments": output.num_segments,
             "wall_time_s": output.wall_time_s,
             "fallback_sessions": output.fallback_sessions,
-            "batch_sessions": output.batch_sessions,
+            "batch_sessions": len(output.sessions),
         },
     )
 

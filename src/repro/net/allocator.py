@@ -127,6 +127,11 @@ def max_min_fair(
     # sessions 0..k saturated, the rest at level * weight.  Non-decreasing.
     fill = cum_demand + ratio_sorted * (total_weight - cum_weight)
     saturated = int(np.searchsorted(fill, capacity, side="left"))
+    if saturated == demands.size:
+        # Total demand exceeds capacity, yet the rounded cumulative fill ends
+        # a few ulps below it: every session is demand-limited, and no
+        # weight is left to raise a water level over.
+        return demands.copy()
     served = cum_demand[saturated - 1] if saturated > 0 else 0.0
     remaining_weight = total_weight - (cum_weight[saturated - 1] if saturated > 0 else 0.0)
     level = (capacity - served) / remaining_weight

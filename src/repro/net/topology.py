@@ -57,8 +57,8 @@ def stable_user_key(user_id: str, salt: str = "user-rng") -> tuple[int, int]:
     """Two stable 32-bit words derived from a user id (a ``spawn_key``).
 
     Used to give every user their own ``SeedSequence`` substream keyed by
-    identity rather than by shard position, which is what makes spec-batched
-    fleet runs invariant to shard and worker counts.
+    identity rather than by shard position, which is what makes fleet runs
+    invariant to shard and worker counts.
     """
     digest = _stable_digest(user_id, salt)
     return int(digest[:8], 16), int(digest[8:16], 16)

@@ -120,8 +120,13 @@ def spawn_session_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
     return list(np.random.SeedSequence(seed).spawn(count))
 
 
+# contract: SIM-BATCH-008
 class SimBackend(abc.ABC):
-    """Executes batches of :class:`SessionSpec` into playback traces."""
+    """Executes batches of :class:`SessionSpec` into playback traces.
+
+    :meth:`run_batch` is the only way code outside :mod:`repro.sim` plays
+    sessions (``SIM-BATCH-008`` in CONTRACTS.md).
+    """
 
     #: Registry name of the backend (set by subclasses).
     name: str = "base"

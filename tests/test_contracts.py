@@ -246,6 +246,40 @@ def test_ckpt_rule_flags_handrolled_payloads():
     assert lint_source("src/repro/core/persistence.py", source).findings == []
 
 
+def test_session_rule_flags_engines_outside_sim():
+    source = textwrap.dedent(
+        """\
+        from repro.sim import session
+        from repro.sim.session import PlaybackSession
+
+
+        def replay(abr, video, trace, rng):
+            engine = PlaybackSession()
+            return engine.run(abr, video, trace, rng=rng)
+
+
+        def replay_qualified(config):
+            return session.PlaybackSession(config)
+        """
+    )
+    lint = lint_source("src/repro/experiments/rogue.py", source)
+    assert [(f.rule_id, f.line) for f in lint.findings] == [
+        ("SIM-BATCH-008", 6),
+        ("SIM-BATCH-008", 11),
+    ]
+    # The engines themselves live in repro.sim; tests may drive them.
+    assert lint_source("src/repro/sim/networked.py", source).findings == []
+    assert lint_source("tests/test_session.py", source).findings == []
+    waived = source.replace(
+        "    engine = PlaybackSession()",
+        "    # contract: SIM-BATCH-008 exempt(training loop)\n"
+        "    engine = PlaybackSession()",
+    )
+    lint = lint_source("src/repro/abr/trainer.py", waived)
+    assert [f.line for f in lint.findings] == [12]
+    assert [finding.line for finding, _ in lint.waived] == [7]
+
+
 # --------------------------------------------------------------------------- #
 # Waivers
 # --------------------------------------------------------------------------- #

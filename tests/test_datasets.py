@@ -52,6 +52,26 @@ class TestLogGeneration:
         )
         assert len(logs) == 3
 
+    def test_scalar_and_vector_backends_produce_identical_corpora(self):
+        population = UserPopulation.generate(12, seed=3, bandwidth_median_kbps=2000)
+        library = VideoLibrary(num_videos=3, seed=2)
+
+        def corpus(backend):
+            logs = generate_production_logs(
+                population,
+                library,
+                LogGenerationConfig(
+                    days=2, sessions_per_user_per_day=2, trace_length=60,
+                    seed=5, backend=backend,
+                ),
+            )
+            return [
+                (log.user_id, log.day, log.session_index, tuple(log.records))
+                for log in logs
+            ]
+
+        assert corpus("scalar") == corpus("vector")
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             LogGenerationConfig(days=0)

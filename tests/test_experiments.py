@@ -35,6 +35,27 @@ class TestCampaign:
         assert len(result.daily_parameters) == len(tiny_substrate.population)
         assert all(v == pytest.approx(0.9) for v in result.daily_parameters.values())
 
+    def test_scalar_and_vector_backends_produce_identical_campaigns(
+        self, tiny_substrate
+    ):
+        def campaign(backend):
+            result = run_campaign(
+                tiny_substrate.population,
+                tiny_substrate.library,
+                lambda _profile: HYB(),
+                CampaignConfig(
+                    days=2, sessions_per_user_per_day=2, trace_length=40, seed=3
+                ),
+                backend=backend,
+            )
+            sessions = [
+                (log.user_id, log.day, log.session_index, tuple(log.records))
+                for log in result.logs
+            ]
+            return sessions, result.daily_parameters
+
+        assert campaign("scalar") == campaign("vector")
+
 
 class TestAnalysisFigures:
     def test_fig01_structure(self, tiny_substrate):

@@ -101,6 +101,17 @@ class TestOrchestrator:
         with pytest.raises(ValueError):
             FleetConfig(sessions_per_user=0)
 
+    def test_spec_batched_is_an_accepted_keyword_not_a_field(self):
+        import dataclasses
+
+        config = FleetConfig(spec_batched=True)
+        assert config == FleetConfig()
+        assert hash(config) == hash(FleetConfig())
+        assert "spec_batched" not in {f.name for f in dataclasses.fields(config)}
+        assert dataclasses.replace(config, seed=3).seed == 3
+        with pytest.raises(ValueError, match="spec_batched"):
+            FleetConfig(spec_batched=False)
+
 
 class TestTelemetry:
     def test_roundtrip_equals_in_memory_aggregates(

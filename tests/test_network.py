@@ -11,6 +11,7 @@ lowers per-session allocated throughput without anyone scaling a trace.
 from __future__ import annotations
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,18 @@ class TestMaxMinFair:
         # one ulp above the knee starts serving session 1 beyond the level
         above = max_min_fair(demands, np.nextafter(300.0, 400.0))
         assert above[1] > 100.0 or above[2] > 100.0
+
+    def test_cumulative_fill_a_few_ulps_below_capacity(self):
+        """Total demand exceeds capacity by pairwise summation, but the
+        sorted cumulative fill ends below it: every session saturates, no
+        weight remains, and the level must not divide by zero."""
+        demands = np.random.default_rng(70).uniform(100.0, 2000.0, size=17)
+        capacity = float(np.nextafter(demands.sum(), -np.inf))
+        assert np.cumsum(np.sort(demands))[-1] < capacity < demands.sum()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            allocation = max_min_fair(demands, capacity)
+        np.testing.assert_array_equal(allocation, demands)
 
     def test_near_equal_demand_weight_ratios(self):
         """Float knee ties (duplicate and 1-ulp-apart ratios) stay exact."""

@@ -244,7 +244,6 @@ class TestPooledBitIdentity:
             sessions_per_user=2,
             trace_length=40,
             backend="vector",
-            spec_batched=False,
             population=CacheRef(0),
             scenario=CacheRef(1),
             library=CacheRef(2),

@@ -2,11 +2,11 @@
 
 Two properties under test:
 
-* **Sharding invariance** — on the spec-batched fleet path every user's
-  randomness is keyed by ``(seed, md5(user_id))``, so for a fixed seed the
-  per-user cohorts *and* the per-session traces are identical no matter how
-  the population is split across shards or how many pool workers execute
-  them.  This holds for the classic scenarios (``device_mix``,
+* **Sharding invariance** — every user's randomness is keyed by
+  ``(seed, md5(user_id))``, so for a fixed seed the per-user cohorts *and*
+  the per-session traces are identical no matter how the population is
+  split across shards, how many pool workers execute them, or which backend
+  runs them.  This holds for the classic scenarios (``device_mix``,
   ``regional_degradation``) and for the congestion-native ones, where
   shard-by-link keeps each link's full contention set inside one shard.
 * **Networked fleet plumbing** — link-utilization telemetry replays exactly,
@@ -55,7 +55,9 @@ def _topology() -> NetworkTopology:
     )
 
 
-def _run(population, library, scenario, *, shards, workers, network=None):
+def _run(
+    population, library, scenario, *, shards, workers, network=None, backend="vector"
+):
     return FleetOrchestrator(
         FleetConfig(
             num_shards=shards,
@@ -63,7 +65,7 @@ def _run(population, library, scenario, *, shards, workers, network=None):
             sessions_per_user=2,
             trace_length=40,
             seed=11,
-            backend="vector",
+            backend=backend,
             network=network,
         )
     ).run(population, library, scenario=scenario)
@@ -80,15 +82,20 @@ def _session_map(result):
 
 
 class TestShardingInvariance:
+    @pytest.mark.parametrize("backend", ["scalar", "vector"])
     @pytest.mark.parametrize(
         "scenario", ["device_mix", "regional_degradation", "steady_state"]
     )
     def test_classic_scenarios_invariant_across_shard_and_worker_counts(
-        self, population, library, scenario
+        self, population, library, scenario, backend
     ):
-        baseline = _run(population, library, scenario, shards=1, workers=0)
+        run = lambda shards, workers: _run(
+            population, library, scenario,
+            shards=shards, workers=workers, backend=backend,
+        )
+        baseline = run(1, 0)
         for shards, workers in ((3, 0), (5, 2)):
-            other = _run(population, library, scenario, shards=shards, workers=workers)
+            other = run(shards, workers)
             assert _session_map(other) == _session_map(baseline)
             assert other.metrics.num_sessions == baseline.metrics.num_sessions
 
@@ -216,17 +223,17 @@ class TestNetworkedFleet:
         np.testing.assert_array_equal(replayed.active_sessions, live.active_sessions)
         assert replayed.mean_utilization() == live.mean_utilization()
 
+    @pytest.mark.parametrize("network", [_topology(), None], ids=["toy", "none"])
     def test_scalar_and_vector_backends_agree_on_networked_fleets(
-        self, population, library
+        self, population, library, network
     ):
-        topology = _topology()
         kwargs = dict(
             num_shards=2,
             num_workers=0,
             sessions_per_user=2,
             trace_length=40,
             seed=7,
-            network=topology,
+            network=network,
         )
         scalar = FleetOrchestrator(FleetConfig(backend="scalar", **kwargs)).run(
             population, library, scenario="evening_peak"
@@ -235,6 +242,7 @@ class TestNetworkedFleet:
             population, library, scenario="evening_peak"
         )
         assert _session_map(scalar) == _session_map(vector)
+        assert scalar.metrics == vector.metrics
         assert scalar.link_usage == vector.link_usage
 
     def test_config_validation_and_registry(self):
