@@ -13,8 +13,8 @@ platform simulator:
 * :mod:`repro.fleet.scenarios` — the workload registry (steady state, flash
   crowd, regional degradation, device mix, plus user-registered ones).
 * :mod:`repro.fleet.pool` — persistent shared-memory worker pool:
-  long-lived forked workers, descriptor dispatch through a worker-side
-  object cache, zero-copy columnar results in shared-memory arenas.
+  long-lived forked workers, shard tasks shipped by reference through a
+  worker-side object cache, zero-copy columnar results in shared-memory arenas.
 * :mod:`repro.fleet.telemetry` — JSONL event pipeline with a lossless
   replay/loader API.
 * :mod:`repro.fleet.checkpoint` — per-user controller-state checkpointing for
@@ -54,7 +54,6 @@ from repro.fleet.longitudinal import (
 from repro.fleet.pool import (
     CacheRef,
     PoolError,
-    ShardDescriptor,
     ShardTaskError,
     WorkerCrashError,
     WorkerPool,
@@ -134,7 +133,6 @@ __all__ = [
     "shifting_device_mix",
     "CacheRef",
     "PoolError",
-    "ShardDescriptor",
     "ShardTaskError",
     "WorkerCrashError",
     "WorkerPool",

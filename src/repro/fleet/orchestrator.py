@@ -12,8 +12,8 @@ including zero (inline execution).
 
 Determinism contract
 --------------------
-* Sharding is round-robin by population index (``UserPopulation.shards``),
-  or by uplink component for networked runs.
+* Sharding is round-robin by population index, or by uplink component for
+  networked runs — decided in one place, :func:`shard_members`.
 * Every user draws all of their randomness — ABR/controller seed, scenario
   draws, per-session `Philox` exit substreams — from a `SeedSequence` keyed
   by ``(seed, md5(user_id))``, never from a shard-level stream.  A user's
@@ -39,7 +39,7 @@ import os
 import time
 from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from repro.core.parameter_space import ParameterSpace
 from repro.core.persistence import controller_state_payload, restore_controller_state
 from repro.core.triggers import TriggerPolicy
 from repro.fleet.batched import BatchedMonteCarloEvaluator
-from repro.fleet.pool import ShardDescriptor, WorkerPool, shared_pool
+from repro.fleet.pool import WorkerPool, shared_pool
 from repro.fleet.scenarios import Scenario, get_scenario
 from repro.fleet.telemetry import (
     TelemetryEvent,
@@ -188,11 +188,32 @@ class FleetConfig:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything one worker needs to simulate one shard (picklable)."""
+    """One shard of one fleet day — the only description of a shard.
+
+    The inline path hands it to :func:`_run_shard` as is; the pool ships the
+    same task in its wire form (:meth:`~repro.fleet.pool.WorkerPool.by_ref`,
+    every :attr:`SHARED` field swapped for a cache token) and the worker
+    swaps the cached objects back before calling the same function.  A task
+    names its members by ``(population, network, num_shards, shard_index)``;
+    :func:`_run_shard` resolves them with :func:`shard_members`, so no
+    per-shard user or link list is ever stored or shipped.
+    """
+
+    #: Run-wide objects every shard of a run shares (the heavy fields the
+    #: pool registers once in its worker-side cache).
+    SHARED: ClassVar[tuple[str, ...]] = (
+        "population",
+        "scenario",
+        "library",
+        "abr_factory",
+        "session_config",
+        "network",
+    )
 
     run_id: str
     shard_index: int
-    profiles: tuple[UserProfile, ...]
+    num_shards: int
+    population: UserPopulation
     scenario: Scenario
     library: VideoLibrary
     abr_factory: Callable[[UserProfile, int], ABRAlgorithm]
@@ -200,6 +221,7 @@ class ShardTask:
     trace_length: int
     day: int
     session_config: SessionConfig
+    #: Restored LingXi state of this shard's own users only.
     controller_states: dict[str, dict] = field(default_factory=dict)
     backend: str = "scalar"
     #: Root fleet seed; per-user `SeedSequence` substreams are keyed by
@@ -209,10 +231,9 @@ class ShardTask:
     #: Full (scenario-shaped) topology for networked runs, or ``None`` for
     #: the classic uncoupled mode.  User→link attachment must happen on the
     #: full topology (restriction renormalises ``user_share``); the engines
-    #: then run on the restriction to ``shard_link_ids`` so each shard only
-    #: allocates — and reports usage for — the links it owns.
+    #: then run on the restriction to the shard's own links so each shard
+    #: only allocates — and reports usage for — the links it owns.
     network: NetworkTopology | None = None
-    shard_link_ids: tuple[str, ...] = ()
     #: Collect observability (spans + metrics) inside the shard worker and
     #: ship the snapshot back with the result.  Set by the orchestrator when
     #: the parent process has obs enabled; workers always run their own
@@ -362,13 +383,38 @@ def fleet_metrics(logs: LogCollection) -> FleetMetrics:
     )
 
 
-def _run_shard(task: ShardTask) -> ShardOutput:
+def shard_members(
+    population: UserPopulation, network: NetworkTopology | None, num_shards: int
+) -> list[tuple[tuple[UserProfile, ...], tuple[str, ...]]]:
+    """Each shard's ``(profiles, link ids)``: the one split of a fleet.
+
+    Users are dealt round-robin by population index, or — for networked
+    runs — by uplink component, so a link's whole contention set lives in
+    one shard and fair-share coupling never crosses a shard boundary.
+    Shards may be empty.  Deterministic in its arguments, which is what lets
+    the orchestrator (to drop empty shards) and every shard run (for its
+    own members, inline or in a pool worker) call it independently.
+    """
+    # contract: FLEET-SHARD-009
+    if network is None:
+        return [(tuple(profiles), ()) for profiles in population.shards(num_shards)]
+    return [
+        (tuple(profiles), tuple(link_ids))
+        for profiles, link_ids in zip(
+            network.shard_profiles(population.profiles, num_shards),
+            network.shard_links(num_shards),
+        )
+    ]
+
+
+def _run_shard(task: ShardTask) -> ShardOutput:  # contract: FLEET-SHARD-009
     """Simulate one shard: every user's sessions for one simulated day.
 
-    Module-level so it pickles for the process pool; also called inline when
-    the pool is disabled.  With ``task.profile`` the shard runs under a
-    private obs collector (identical inline and in a forked worker) and the
-    snapshot travels back in :attr:`ShardOutput.obs`.
+    The one shard runner: called inline when the pool is disabled, and by
+    every pool worker on the same :class:`ShardTask` once its cache tokens
+    are resolved.  With ``task.profile`` the shard runs under a private obs
+    collector (identical inline and in a forked worker) and the snapshot
+    travels back in :attr:`ShardOutput.obs`.
     """
     # Heartbeat bracket: identical for inline and pooled execution (workers
     # run this very function), wall-clock only — a no-op without a live run.
@@ -413,8 +459,9 @@ def _trim_trailing_idle(samples: list[LinkUsageSample]) -> list[LinkUsageSample]
 
 
 def _run_shard_batched(task: ShardTask) -> ShardOutput:
-    """Build one shard's :class:`~repro.sim.backend.SessionSpec` list and run
-    it on the configured backend as one batch.
+    """Build the :class:`~repro.sim.backend.SessionSpec` list of the shard's
+    own users (:func:`shard_members`) and run it on the configured backend
+    as one batch.
 
     All of a user's randomness — ABR seed, scenario draws (session counts,
     traces, videos, start slots) and the per-session `Philox` exit
@@ -435,7 +482,10 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
 
     obs_live.set_phase("build_specs")
     with obs.span("shard.build_specs"):
-        for profile in task.profiles:
+        profiles, link_ids = shard_members(
+            task.population, task.network, task.num_shards
+        )[task.shard_index]
+        for profile in profiles:
             obs_live.pulse()
             user_seq = np.random.SeedSequence(
                 task.seed, spawn_key=stable_user_key(profile.user_id)
@@ -488,9 +538,7 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
                 )
 
     run_network = (
-        task.network.restrict(task.shard_link_ids)
-        if task.network is not None
-        else None
+        task.network.restrict(link_ids) if task.network is not None else None
     )
     link_usage: list[LinkUsageSample] = []
     obs_live.set_shard_total(len(specs))
@@ -539,57 +587,6 @@ class FleetOrchestrator:
         if self.config.num_workers is not None:
             return self.config.num_workers
         return min(self.config.num_shards, os.cpu_count() or 1)
-
-    def _descriptors(
-        self,
-        pool: WorkerPool,
-        tasks: list[ShardTask],
-        *,
-        population: UserPopulation,
-        scenario: Scenario,
-        library: VideoLibrary,
-        abr_factory,
-        network: NetworkTopology | None,
-        telemetry: bool,
-        heartbeat: tuple | None = None,
-    ) -> list[ShardDescriptor]:
-        """Shard descriptors for the pooled path (one per non-empty shard).
-
-        Heavy objects are registered in the pool's worker-side cache —
-        pickled once per pool lifetime, not once per shard per run — and
-        every per-shard value a worker can recompute deterministically
-        (profile slice, link slice) stays out of the wire format entirely.
-        """
-        config = self.config
-        population_ref = pool.cache(population)
-        scenario_ref = pool.cache(scenario)
-        library_ref = pool.cache(library)
-        factory_ref = pool.cache(abr_factory)
-        session_config_ref = pool.cache(config.session_config)
-        network_ref = pool.cache(network) if network is not None else None
-        return [
-            ShardDescriptor(
-                run_id=task.run_id,
-                shard_index=task.shard_index,
-                num_shards=config.num_shards,
-                seed=config.seed,
-                day=task.day,
-                sessions_per_user=task.sessions_per_user,
-                trace_length=task.trace_length,
-                backend=task.backend,
-                population=population_ref,
-                scenario=scenario_ref,
-                library=library_ref,
-                abr_factory=factory_ref,
-                session_config=session_config_ref,
-                network=network_ref,
-                controller_states=task.controller_states,
-                profile=task.profile,
-                telemetry=telemetry,
-                heartbeat=heartbeat,
-            )
-            for task in tasks
-        ]
 
     def run(
         self,
@@ -647,21 +644,12 @@ class FleetOrchestrator:
                 network = scenario.network_for(network)
                 if config.allocator is not None:
                     network = replace(network, allocator=config.allocator)
-                # Shard by edge link: a link's whole contention set lives in
-                # one shard, so fair-share coupling never crosses a shard
-                # boundary.
-                shard_profiles = network.shard_profiles(
-                    population.profiles, config.num_shards
-                )
-                shard_links = network.shard_links(config.num_shards)
-            else:
-                shard_profiles = population.shards(config.num_shards)
-                shard_links = [[] for _ in range(config.num_shards)]
             tasks = [
                 ShardTask(
                     run_id=run_id,
                     shard_index=index,
-                    profiles=tuple(profiles),
+                    num_shards=config.num_shards,
+                    population=population,
                     scenario=scenario,
                     library=library,
                     abr_factory=abr_factory,
@@ -677,10 +665,11 @@ class FleetOrchestrator:
                     backend=config.backend,
                     seed=config.seed,
                     network=network,
-                    shard_link_ids=tuple(shard_links[index]),
                     profile=profiling,
                 )
-                for index, profiles in enumerate(shard_profiles)
+                for index, (profiles, _) in enumerate(
+                    shard_members(population, network, config.num_shards)
+                )
                 if profiles
             ]
 
@@ -705,17 +694,9 @@ class FleetOrchestrator:
                         pass
                 else:
                     outputs = pool.run(
-                        self._descriptors(
-                            pool,
-                            tasks,
-                            population=population,
-                            scenario=scenario,
-                            library=library,
-                            abr_factory=abr_factory,
-                            network=network,
-                            telemetry=telemetry_path is not None,
-                            heartbeat=live.worker_token() if live is not None else None,
-                        )
+                        [pool.by_ref(task) for task in tasks],
+                        telemetry=telemetry_path is not None,
+                        heartbeat=live.worker_token() if live is not None else None,
                     )
             outputs.sort(key=lambda output: output.shard_index)
             for output in outputs:

@@ -1,11 +1,11 @@
 """Persistent shared-memory worker pool for fleet shards.
 
-The classic ``multiprocessing.Pool`` route pays three taxes on every fleet
-run: pool spawn, per-task pickling of the full :class:`ShardTask` (profiles,
-video library, ABR factory, NN weights), and a full pickle of every
-:class:`ShardOutput` on the way back.  At fleet scale the work per shard is
-milliseconds of vector math, so the dispatch overhead dominates and adding
-workers makes the run *slower* — the anti-scaling recorded in
+A naive process pool pays three taxes on every fleet run: it forks its
+workers anew, it pickles each shard with everything the shard closes over
+(population, video library, ABR factory and its NN weights), and it pickles
+every :class:`ShardOutput` on the way back.  At fleet scale a shard is
+milliseconds of vector math, so that overhead dominates and adding workers
+makes the run *slower* — the anti-scaling recorded in
 ``benchmarks/baselines``.
 
 :class:`WorkerPool` removes all three taxes:
@@ -13,12 +13,15 @@ workers makes the run *slower* — the anti-scaling recorded in
 * **Long-lived workers.**  Processes are forked once (per pool) and reused
   across fleet runs and campaign days.  :func:`shared_pool` hands out one
   process-global pool per worker count, shut down at interpreter exit.
-* **Descriptor dispatch.**  A run ships a :class:`ShardDescriptor` — seeds,
-  scenario/library/factory *cache tokens*, shard index — a few hundred bytes.
-  Heavy objects go through the worker-side object cache exactly once
-  (:meth:`WorkerPool.cache`), and each worker rebuilds its shard's profile
-  and link slices locally from ``(num_shards, shard_index)``, which is
-  deterministic by construction.
+* **Tasks by reference.**  A run ships the same :class:`ShardTask` the
+  inline path runs, in its wire form (:meth:`WorkerPool.by_ref`): the
+  task's ``SHARED`` fields — population, scenario, library, ABR factory,
+  session config, topology — become :class:`CacheRef` tokens, and each of
+  those objects crosses the pipe once per pool lifetime
+  (:meth:`WorkerPool.cache`).  The rest — ids, seeds, the shard's own
+  controller states — pickles to a few hundred bytes.  A task carries no
+  user or link lists: the shard runner derives its members from
+  ``(population, network, num_shards, shard_index)``.
 * **Shared-memory results.**  A worker writes its shard's result — session
   metadata, the columnar trace export of :func:`repro.sim.vector.
   export_trace_columns`, link-usage columns, pickled controller states and
@@ -28,10 +31,10 @@ workers makes the run *slower* — the anti-scaling recorded in
   it.  Only the tiny layout dict (and the obs snapshot, when profiling)
   travels over the pipe.
 
-Determinism: the pool executes the exact same ``_run_shard`` function on the
-exact same :class:`ShardTask` values the inline path builds, so pooled fleet
-and longitudinal results are bit-identical to inline runs — the property
-pinned by ``tests/test_pool.py``.
+Determinism: a worker swaps each token back for its cached object and calls
+the same ``_run_shard`` on a task equal to the one the inline path runs, so
+pooled fleet and longitudinal results are bit-identical to inline runs —
+the property pinned by ``tests/test_pool.py`` (contract ``FLEET-SHARD-009``).
 
 Resource-tracker hygiene: ``resource_tracker.ensure_running()`` is called
 before the first fork, so parent and workers share one tracker process and
@@ -49,7 +52,7 @@ import pickle
 import time
 import traceback
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from multiprocessing import connection, get_context, resource_tracker, shared_memory
 from typing import Sequence
 
@@ -71,7 +74,7 @@ ARENAS_PER_WORKER = 2
 #: Smallest arena allocation; arenas grow geometrically and never shrink.
 MIN_ARENA_BYTES = 1 << 20
 
-#: Descriptors in flight per worker.  Two keeps every worker busy while the
+#: Tasks in flight per worker.  Two keeps every worker busy while the
 #: parent drains, and bounds both pipe directions so dispatch can never
 #: deadlock against a worker blocked on sending a result.
 MAX_INFLIGHT = 2
@@ -115,49 +118,6 @@ class CacheRef:
     """Handle to an object registered in every worker's cache."""
 
     token: int
-
-
-@dataclass(frozen=True)
-class ShardDescriptor:
-    """Everything a pooled worker needs to run one shard — a few hundred
-    bytes on the wire.
-
-    Heavy objects travel as :class:`CacheRef` tokens; the worker resolves
-    them against its local cache and *recomputes* the shard's profile slice
-    and link slice from ``(num_shards, shard_index)`` with the same
-    deterministic functions the inline path uses (``UserPopulation.shards``
-    / ``NetworkTopology.shard_profiles``), so no per-shard state needs
-    shipping at all.  ``seed`` keys every user's RNG substreams by identity,
-    exactly as inline.
-    ``controller_states`` is the one per-shard payload carried inline: it is
-    genuinely new data every day of a campaign.
-    """
-
-    run_id: str
-    shard_index: int
-    num_shards: int
-    seed: int
-    day: int
-    sessions_per_user: int | None
-    trace_length: int
-    backend: str
-    population: CacheRef
-    scenario: CacheRef
-    library: CacheRef
-    abr_factory: CacheRef
-    session_config: CacheRef
-    network: CacheRef | None = None
-    controller_states: dict = field(default_factory=dict)
-    profile: bool = False
-    #: Pre-encode the shard's telemetry events into the arena so the parent
-    #: can stream them to disk without re-serialising.
-    telemetry: bool = False
-    #: Live-monitoring token ``(shm_name, interval_s)`` of the parent's
-    #: :class:`repro.obs.live.LiveRun` progress table, or ``None``.  Workers
-    #: attach lazily by name (they were forked before the run existed) and
-    #: publish wall-clock heartbeats for the shard they are running — never
-    #: touching simulation state, so pooled results stay bit-identical.
-    heartbeat: tuple | None = None
 
 
 # --------------------------------------------------------------------------- #
@@ -326,7 +286,7 @@ def _decode_shard_output(buf, layout: dict, shard_index: int, extra: dict):
             )
         )
     ]
-    link_tiers = strings.get("link_tiers") or ["edge"] * len(strings["links"])
+    link_tiers = strings["link_tiers"]
     link_usage = [
         LinkUsageSample(
             step=step,
@@ -364,51 +324,21 @@ def _decode_shard_output(buf, layout: dict, shard_index: int, extra: dict):
 # --------------------------------------------------------------------------- #
 # Worker process
 # --------------------------------------------------------------------------- #
-def _descriptor_task(descriptor: ShardDescriptor, cache: dict):
-    """Rebuild the full :class:`ShardTask` a descriptor stands for.
-
-    Mirrors the orchestrator's ``fleet.prepare`` exactly: same sharding
-    functions, same seed — so the task (and therefore the result) is
-    bit-identical to the inline path's.
-    """
-    from repro.fleet.orchestrator import ShardTask
-
-    population = cache[descriptor.population.token]
-    network = (
-        cache[descriptor.network.token] if descriptor.network is not None else None
-    )
-    if network is not None:
-        profiles = network.shard_profiles(
-            population.profiles, descriptor.num_shards
-        )[descriptor.shard_index]
-        shard_link_ids = tuple(
-            network.shard_links(descriptor.num_shards)[descriptor.shard_index]
-        )
-    else:
-        profiles = population.shards(descriptor.num_shards)[descriptor.shard_index]
-        shard_link_ids = ()
-    return ShardTask(
-        run_id=descriptor.run_id,
-        shard_index=descriptor.shard_index,
-        profiles=tuple(profiles),
-        scenario=cache[descriptor.scenario.token],
-        library=cache[descriptor.library.token],
-        abr_factory=cache[descriptor.abr_factory.token],
-        sessions_per_user=descriptor.sessions_per_user,
-        trace_length=descriptor.trace_length,
-        day=descriptor.day,
-        session_config=cache[descriptor.session_config.token],
-        controller_states=descriptor.controller_states,
-        backend=descriptor.backend,
-        seed=descriptor.seed,
-        network=network,
-        shard_link_ids=shard_link_ids,
-        profile=descriptor.profile,
+def _resolve_refs(task, cache: dict):
+    """``task`` with every :class:`CacheRef` field swapped for its cached
+    object — the inverse of :meth:`WorkerPool.by_ref`."""
+    return replace(
+        task,
+        **{
+            f.name: cache[value.token]
+            for f in fields(task)
+            if isinstance(value := getattr(task, f.name), CacheRef)
+        },
     )
 
 
 def _worker_main(parent_conn, conn, worker_index: int) -> None:
-    """Worker loop: resolve descriptors, run shards, pack results into
+    """Worker loop: resolve tasks, run shards, pack results into
     shared-memory arenas, alternate slots under the parent's ack protocol."""
     parent_conn.close()
     obs.disable()  # a fork may inherit an enabled parent collector
@@ -456,17 +386,17 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
             elif kind == "ack":
                 acked[message[1]] = True
             elif kind == "run":
-                descriptor: ShardDescriptor = message[1]
+                _, task, encode_telemetry, heartbeat = message
                 try:
                     start = time.perf_counter()  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
-                    if descriptor.heartbeat is not None:
+                    if heartbeat is not None:
                         # Lazy re-attach: the run's progress table was created
                         # after this worker forked, so it arrives by name.
-                        obs_live.attach_worker(*descriptor.heartbeat)
-                    output = _run_shard(_descriptor_task(descriptor, cache))
+                        obs_live.attach_worker(*heartbeat)
+                    output = _run_shard(_resolve_refs(task, cache))
                     telemetry = (
-                        encode_shard_events(descriptor.run_id, output)
-                        if descriptor.telemetry
+                        encode_shard_events(task.run_id, output)
+                        if encode_telemetry
                         else None
                     )
                     arrays, strings, controller = _encode_result_arrays(output)
@@ -502,7 +432,7 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                     conn.send(
                         (
                             "result",
-                            descriptor.shard_index,
+                            task.shard_index,
                             slot,
                             arena.name,
                             layout,
@@ -518,7 +448,7 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                     )
                 except Exception:
                     conn.send(
-                        ("error", descriptor.shard_index, traceback.format_exc())
+                        ("error", task.shard_index, traceback.format_exc())
                     )
             else:  # pragma: no cover - protocol guard
                 conn.send(("error", -1, f"unknown message kind {kind!r}"))
@@ -593,9 +523,40 @@ class WorkerPool:
             self._broadcast(("uncache", old_token))
         return CacheRef(token)
 
+    def by_ref(self, task):
+        """Wire form of a shard task: each of its ``SHARED`` fields swapped
+        for a :class:`CacheRef` (see :meth:`cache`).
+
+        What is left — ids, seeds, the shard's own controller states —
+        pickles to a few hundred bytes whatever the fleet size.
+        """
+        return replace(
+            task,
+            **{
+                name: self.cache(value)
+                for name in task.SHARED
+                if (value := getattr(task, name)) is not None
+            },
+        )
+
     # -- execution ----------------------------------------------------------
-    def run(self, descriptors: Sequence[ShardDescriptor]) -> list:
-        """Execute descriptors across the workers; outputs in shard order.
+    def run(
+        self,
+        tasks: Sequence,
+        *,
+        telemetry: bool = False,
+        heartbeat: tuple | None = None,
+    ) -> list:
+        """Execute wire-form tasks (:meth:`by_ref`) across the workers;
+        outputs in shard order.
+
+        ``telemetry`` makes every worker pre-encode its shard's telemetry
+        events into the arena, so the parent streams them to disk without
+        re-serialising.  ``heartbeat`` is the ``(shm_name, interval_s)``
+        token of the parent's :class:`repro.obs.live.LiveRun` progress
+        table, or ``None``; workers attach lazily by name (they were forked
+        before the run existed) and publish wall-clock heartbeats only, so
+        pooled results stay bit-identical.
 
         Emits the ``pool.dispatch``/``pool.drain`` spans and the
         ``pool.shm_*`` byte counters.  Raises :class:`ShardTaskError` when a
@@ -607,19 +568,21 @@ class WorkerPool:
         self._ensure_open()
         queues: list[deque] = [deque() for _ in range(self.num_workers)]
         inflight = [0] * self.num_workers
-        for index, descriptor in enumerate(descriptors):
-            queues[index % self.num_workers].append(descriptor)
+        for index, task in enumerate(tasks):
+            queues[index % self.num_workers].append(
+                ("run", task, telemetry, heartbeat)
+            )
 
         with obs.span("pool.dispatch"):
             obs.gauge_max("pool.workers", self.num_workers)
             if obs.enabled():
                 obs.counter_add(
                     "pool.dispatch_bytes",
-                    sum(len(pickle.dumps(d)) for d in descriptors),
+                    sum(len(pickle.dumps(task)) for task in tasks),
                 )
             for worker in range(self.num_workers):
                 while inflight[worker] < MAX_INFLIGHT and queues[worker]:
-                    self._send(worker, ("run", queues[worker].popleft()))
+                    self._send(worker, queues[worker].popleft())
                     inflight[worker] += 1
 
         outputs = []
@@ -656,7 +619,7 @@ class WorkerPool:
                         failures.append((message[1], message[2]))
                     inflight[worker] -= 1
                     if not failures and queues[worker]:
-                        conn.send(("run", queues[worker].popleft()))
+                        conn.send(queues[worker].popleft())
                         inflight[worker] += 1
         if failures:
             shard_index, worker_traceback = failures[0]

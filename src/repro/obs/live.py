@@ -779,7 +779,7 @@ class LiveRun:
         return self.table.name
 
     def worker_token(self) -> tuple[str, float]:
-        """Compact (shm name, interval) pair shipped in ShardDescriptors."""
+        """Compact (shm name, interval) pair a pooled run hands its workers."""
         return (self.table.name, self.interval)
 
     # -- run lifecycle hooks (called by orchestrator / campaign) -----------
@@ -993,7 +993,7 @@ def live_run(
 def attach_worker(shm_name: str, interval: float) -> None:
     """Pool-worker side: attach (or re-attach) to the run's progress table.
 
-    Called from ``_worker_main`` before each shard when the descriptor
+    Called from ``_worker_main`` before each shard when the pooled run
     carries a heartbeat token.  Workers are forked once at pool creation —
     possibly before any LiveRun exists — so attachment is lazy, by name, and
     cached until the name changes (a new run created a new table).

@@ -39,8 +39,13 @@ from repro.fleet import (
     shared_pool,
     shutdown_shared_pools,
 )
-from repro.fleet.pool import _SHARED_POOLS
-from repro.sim.session import PlaybackTrace, SegmentRecord
+from repro.core.exit_predictor import ExitRatePredictor
+from repro.core.monte_carlo import MonteCarloConfig
+from repro.fleet.orchestrator import HybFleetFactory, LingXiFleetFactory, ShardTask
+from repro.fleet.pool import _SHARED_POOLS, CacheRef, _resolve_refs
+from repro.fleet.scenarios import get_scenario
+from repro.net.topology import CacheModel, EdgeLink, NetworkTopology, get_topology
+from repro.sim.session import PlaybackTrace, SegmentRecord, SessionConfig
 from repro.sim.vector import (
     export_trace_columns,
     import_trace_columns,
@@ -68,8 +73,32 @@ def library() -> VideoLibrary:
     return VideoLibrary(num_videos=3, mean_duration=30.0, std_duration=8.0, seed=2)
 
 
+def _two_trees() -> NetworkTopology:
+    """Two independent edge -> peering -> origin trees under Low-Lapsley.
+
+    Two uplink components, so users split over two shards and 4 shards
+    leave 2 of them empty.
+    """
+    links: list[EdgeLink] = []
+    for tree in ("a", "b"):
+        uplinks = (f"peer_{tree}", f"origin_{tree}")
+        links += [
+            EdgeLink(f"edge_{tree}0", 3000.0, user_share=0.6, uplinks=uplinks),
+            EdgeLink(f"edge_{tree}1", 2000.0, user_share=0.4, uplinks=uplinks),
+            EdgeLink(f"peer_{tree}", 4000.0, tier="peering"),
+            EdgeLink(f"origin_{tree}", 4500.0, tier="origin"),
+        ]
+    return NetworkTopology(
+        links=tuple(links),
+        name="two_trees",
+        cache=CacheModel(hit_ratio=0.7),
+        allocator="low_lapsley",
+    )
+
+
 def _run_fleet(population, library, *, shards, workers, pool=None,
-               telemetry=None, **overrides):
+               telemetry=None, abr_factory=None, controller_states=None,
+               **overrides):
     defaults = dict(
         num_shards=shards,
         num_workers=workers,
@@ -82,7 +111,8 @@ def _run_fleet(population, library, *, shards, workers, pool=None,
     defaults.update(overrides)
     config = FleetConfig(**defaults)
     return FleetOrchestrator(config, pool=pool).run(
-        population, library, telemetry_path=telemetry
+        population, library, telemetry_path=telemetry,
+        abr_factory=abr_factory, controller_states=controller_states,
     )
 
 
@@ -171,7 +201,12 @@ class TestPooledBitIdentity:
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize(
         "backend,network",
-        [("vector", "dual_isp"), ("vector", None), ("scalar", None)],
+        [
+            ("vector", "dual_isp"),
+            ("vector", None),
+            ("scalar", None),
+            pytest.param("vector", _two_trees(), id="vector-two_trees"),
+        ],
     )
     def test_pooled_equals_inline_across_shards(
         self, population, library, shards, backend, network
@@ -229,30 +264,71 @@ class TestPooledBitIdentity:
             right_doc["payload"].pop("wall_time_s", None)
             assert left_doc == right_doc
 
-    def test_descriptors_stay_small(self, population, library):
-        """The dispatch unit is the descriptor, not the task: a few hundred
-        bytes even though the task closes over libraries and factories."""
-        from repro.fleet.orchestrator import HybFleetFactory, ShardTask
-        from repro.fleet.pool import CacheRef, ShardDescriptor
+    def test_pooled_lingxi_day_restores_controller_states(
+        self, population, library
+    ):
+        """Day 1 of a LingXi fleet, restored from an inline day 0, is the
+        same pooled as inline: each shard gets its own users' states."""
+        factory = LingXiFleetFactory(
+            ExitRatePredictor(channels=8, hidden=16, seed=0),
+            monte_carlo=MonteCarloConfig(num_samples=2, seed=0),
+        )
+        common = dict(shards=3, network=None, abr_factory=factory)
+        day0 = _run_fleet(population, library, workers=0, **common)
+        assert len(day0.controller_states) == len(population)
+        day1 = {
+            workers: _run_fleet(
+                population, library, workers=workers, day=1,
+                controller_states=day0.controller_states, **common,
+            )
+            for workers in (0, 2)
+        }
+        assert _fingerprint(day1[2]) == _fingerprint(day1[0])
+        assert day1[2].controller_states == day1[0].controller_states
+        assert day1[0].controller_states != day0.controller_states
 
-        descriptor = ShardDescriptor(
+    def test_descriptors_stay_small(self, population, library, monkeypatch):
+        """The dispatch unit is a task's wire form: a few hundred bytes even
+        though the task closes over the population, library and factory."""
+        sent = []
+        run = WorkerPool.run
+
+        def recording_run(pool, tasks, **kwargs):
+            sent.extend(tasks)
+            return run(pool, tasks, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "run", recording_run)
+        _run_fleet(population, library, shards=4, workers=2)
+        assert [task.shard_index for task in sent] == [0, 1]  # dual_isp: 2 links
+        for task in sent:
+            assert all(
+                isinstance(getattr(task, name), CacheRef) for name in ShardTask.SHARED
+            )
+            assert len(pickle.dumps(task)) < 512
+
+    def test_by_ref_round_trips(self, population, library):
+        task = ShardTask(
             run_id="fleet-00000009-s4-d0",
-            shard_index=3,
+            shard_index=1,
             num_shards=4,
-            seed=9,
-            day=0,
+            population=population,
+            scenario=get_scenario(None),
+            library=library,
+            abr_factory=HybFleetFactory(),
             sessions_per_user=2,
             trace_length=40,
+            day=0,
+            session_config=SessionConfig(),
+            controller_states={"u1": {"state": 1}},
             backend="vector",
-            population=CacheRef(0),
-            scenario=CacheRef(1),
-            library=CacheRef(2),
-            abr_factory=CacheRef(3),
-            session_config=CacheRef(4),
-            network=CacheRef(5),
-            telemetry=True,
+            seed=9,
+            network=get_topology("dual_isp"),
         )
-        assert len(pickle.dumps(descriptor)) < 512
+        with WorkerPool(1) as pool:
+            wire = pool.by_ref(task)
+            tokens = {token: obj for obj, token in pool._cache.values()}
+        assert wire != task
+        assert _resolve_refs(wire, tokens) == task
 
 
 class _ExplodingFactory:
