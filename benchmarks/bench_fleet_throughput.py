@@ -9,9 +9,10 @@ Two measurements:
   three runs).  The warm/cold gap is the spawn overhead the persistent pool
   amortises away across fleet runs and campaign days;
 * batched vs per-row exit-rate inference on the Monte-Carlo evaluation path —
-  the exact decision points generated by sequential Algorithm-2 rollouts are
-  re-scored per-row and batched, and the lockstep evaluator is timed
-  end-to-end against the sequential one.
+  the exact decision points generated by rollouts of the sequential reference
+  evaluator (``MonteCarloEvaluator``, which no controller runs) are re-scored
+  per-row and batched, and the lockstep evaluator that every controller runs
+  is timed end-to-end against that reference.
 """
 
 from __future__ import annotations

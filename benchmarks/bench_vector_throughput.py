@@ -40,7 +40,6 @@ from repro.core.monte_carlo import MonteCarloConfig
 from repro.core.parameter_space import ParameterSpace
 from repro.core.triggers import TriggerPolicy
 from repro.experiments.common import format_table
-from repro.fleet import BatchedMonteCarloEvaluator
 from repro.sim import SessionSpec, get_backend, spawn_session_seeds
 from repro.sim.session import SessionConfig
 from repro.sim.bandwidth import StationaryTraceGenerator
@@ -125,9 +124,6 @@ def _build_lingxi_specs(num_sessions: int, predictor) -> list[SessionSpec]:
             monte_carlo=MonteCarloConfig(num_samples=2, max_sample_duration_s=12.0),
             trigger=TriggerPolicy(),
             config=ControllerConfig(mode="fixed", max_sample_times=3, seed=1000 + i),
-        )
-        controller.evaluator = BatchedMonteCarloEvaluator(
-            predictor, config=controller.evaluator.config, pruning=controller.pruning
         )
         specs.append(
             SessionSpec(

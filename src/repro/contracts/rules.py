@@ -584,6 +584,61 @@ def check_session_engine_use(
 
 
 # ---------------------------------------------------------------------------
+# CORE-MC-010 — one Algorithm 2 path: the controller's lockstep evaluator
+# ---------------------------------------------------------------------------
+
+#: The one module that may set a controller's ``evaluator``.
+EVALUATOR_OWNER = "repro/core/controller.py"
+
+
+def _assigned_attributes(node: ast.AST) -> Iterator[ast.Attribute]:
+    """Attribute targets of an assignment statement, tuples unpacked."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Attribute):
+            yield target
+
+
+def check_monte_carlo_path(
+    path: str, source: str, tree: ast.AST
+) -> Iterator[Finding]:
+    """CORE-MC-010: every LingXi controller scores candidates with the
+    lockstep ``BatchedMonteCarloEvaluator`` it builds itself, and every
+    activation runs through ``run_activations``.  The sequential
+    ``MonteCarloEvaluator`` is a test reference that the package never
+    builds, and no code outside ``core/controller.py`` swaps a
+    controller's ``evaluator`` after construction."""
+    if _is_test_path(path) or not _in_packages(path, ("repro",)):
+        return
+    owner = _module_path(path) == EVALUATOR_OWNER
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            chain = _attr_chain(node.func)
+            if chain and chain[-1] == "MonteCarloEvaluator":
+                yield Finding(
+                    "CORE-MC-010", path, node.lineno, node.col_offset,
+                    "sequential MonteCarloEvaluator built in the package; "
+                    "controllers run the lockstep BatchedMonteCarloEvaluator",
+                )
+        elif not owner:
+            for target in _assigned_attributes(node):
+                if target.attr == "evaluator":
+                    yield Finding(
+                        "CORE-MC-010", path, target.lineno, target.col_offset,
+                        "assignment to `.evaluator` outside core/controller.py; "
+                        "a controller builds its own evaluator",
+                    )
+
+
+# ---------------------------------------------------------------------------
 # Registry + driver
 # ---------------------------------------------------------------------------
 
@@ -599,6 +654,7 @@ ALL_RULES: dict[str, RuleFn] = {
     "SHM-005": check_shared_memory,
     "CKPT-006": check_checkpoint_registry,
     "SIM-BATCH-008": check_session_engine_use,
+    "CORE-MC-010": check_monte_carlo_path,
 }
 
 

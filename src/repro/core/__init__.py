@@ -5,9 +5,10 @@
 * :mod:`repro.core.statistics_model` — the overall-statistics (OS) exit-rate
   model for video quality and smoothness.
 * :mod:`repro.core.exit_predictor` — the hybrid exit-rate predictor of
-  Equation 4 (personalised neural network for stalls + OS for the rest).
-* :mod:`repro.core.monte_carlo` — the Monte-Carlo parameter evaluator of
-  Algorithm 2.
+  Equation 4 (personalised neural network for stalls + OS for the rest) and
+  its batched view.
+* :mod:`repro.core.monte_carlo` — the lockstep Monte-Carlo parameter
+  evaluator of Algorithm 2 and its sequential reference.
 * :mod:`repro.core.parameter_space` — which objective parameters LingXi tunes
   for a given ABR and over what ranges.
 * :mod:`repro.core.triggers` — activation threshold and pruning rules (§4).

@@ -4,8 +4,15 @@ The controller owns the per-user optimization loop: it accumulates the dual
 layer user state from played segments, decides when to activate (trigger of
 §4), prunes activations that cannot help, and — when activated — runs either
 online Bayesian optimization (``L(B)``) or a fixed candidate sweep (``L(F)``)
-with the Monte-Carlo evaluator scoring each candidate.  The best candidate
-becomes the ABR's new objective.
+with the lockstep Monte-Carlo evaluator (Algorithm 2) scoring each
+candidate.  The best candidate becomes the ABR's new objective.
+
+:func:`run_activations` is the one activation routine.  The scalar engine
+runs it for one session at a time (:meth:`LingXiController.optimize`); the
+vector engine's :class:`~repro.core.vector_host.VectorControllerHost` runs
+it for every session that triggers at the same lockstep step.  Both engines
+therefore score candidates through the same requests, which is why their
+controllers end with identical histories.
 
 :class:`LingXiABR` packages a controller together with any
 :class:`~repro.abr.base.ABRAlgorithm` so the combination drops straight into
@@ -16,14 +23,19 @@ and every downloaded segment is fed back into the controller through the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.bayesopt.online import OnlineBayesianOptimizer
 from repro.core.exit_predictor import ExitRatePredictor
-from repro.core.monte_carlo import MonteCarloConfig, MonteCarloEvaluator
+from repro.core.monte_carlo import (
+    BatchedMonteCarloEvaluator,
+    MonteCarloConfig,
+    RolloutRequest,
+)
 from repro.core.parameter_space import ParameterSpace
 from repro.core.state import PlayerSnapshot, UserState
 from repro.core.triggers import PruningPolicy, TriggerPolicy
@@ -77,7 +89,8 @@ class LingXiController:
         self.config = config or ControllerConfig()
         self.trigger = trigger or TriggerPolicy()
         self.pruning = pruning or PruningPolicy()
-        self.evaluator = MonteCarloEvaluator(
+        # contract: CORE-MC-010
+        self.evaluator = BatchedMonteCarloEvaluator(
             predictor, config=monte_carlo, pruning=self.pruning
         )
         self.obo = OnlineBayesianOptimizer(
@@ -132,9 +145,12 @@ class LingXiController:
     def select_best(
         self, candidates: list[QoEParameters], values: list[float]
     ) -> tuple[QoEParameters, float]:
-        """Lowest-predicted-exit-rate candidate (first wins ties), as the
-        fixed-mode sweep picks it; falls back to the current deployment when
-        every value is non-finite."""
+        """Lowest-predicted-exit-rate candidate (first wins ties).
+
+        This is how a fixed-mode sweep picks its winner in
+        :func:`run_activations`; it falls back to the current deployment when
+        every value is non-finite.
+        """
         best_value = float("inf")
         best_parameters = self.best_parameters
         for candidate, value in zip(candidates, values):
@@ -148,9 +164,7 @@ class LingXiController:
     ) -> QoEParameters:
         """Record one completed activation and deploy its winner.
 
-        Shared bookkeeping tail of :meth:`optimize`, also driven directly by
-        :class:`~repro.core.vector_host.VectorControllerHost` when the
-        evaluation itself was batched across sessions.
+        The bookkeeping tail of every activation in :func:`run_activations`.
         """
         self.history.append(
             OptimizationEvent(
@@ -166,72 +180,126 @@ class LingXiController:
         return best_parameters
 
     def optimize(self, abr: ABRAlgorithm, snapshot: PlayerSnapshot) -> QoEParameters:
-        """Run one activation: evaluate candidates and deploy the best one.
+        """Run one activation: evaluate candidates and deploy the best one."""
+        return run_activations([(self, abr, snapshot)])[0]
 
-        All candidates within one activation are evaluated under common random
-        numbers (the same Monte-Carlo seed), so the comparison between
-        candidates is paired and not dominated by sampling noise.
-        """
-        activation_seed = self.draw_activation_seed()
 
-        def evaluate(parameters: QoEParameters, best: float) -> float:
-            return self.evaluator.evaluate(
-                parameters,
-                abr,
-                snapshot,
-                self.user_state,
-                rng=np.random.default_rng(activation_seed),
-                best_exit_rate=best,
+class _Activation:
+    """One controller's activation in flight inside :func:`run_activations`.
+
+    Each round scores :attr:`candidates` (one request) and :meth:`absorb`
+    folds the scores in; a fixed sweep takes one round, a Bayesian
+    activation its incumbent round plus ``max_sample_times`` OBO rounds.
+    """
+
+    def __init__(
+        self, controller: LingXiController, abr: ABRAlgorithm, snapshot: PlayerSnapshot
+    ) -> None:
+        config = controller.config
+        self.controller = controller
+        self.abr = abr
+        self.snapshot = snapshot
+        self.seed = controller.draw_activation_seed()
+        self.best_parameters = controller.best_parameters
+        self.best_value = float("inf")
+        self.fixed = config.mode == "fixed"
+        self.vector: np.ndarray | None = None  # OBO point under evaluation
+        if self.fixed:
+            self.candidates = controller.parameter_space.candidate_grid(
+                config.fixed_candidates_per_dimension
             )
-
-        if self.config.mode == "fixed":
-            candidates = self.parameter_space.candidate_grid(
-                self.config.fixed_candidates_per_dimension
-            )
-            evaluate_many = getattr(self.evaluator, "evaluate_many", None)
-            if evaluate_many is not None:
-                # Batched sweep: all candidates' Monte-Carlo rollouts advance
-                # as one lockstep batch.  Identically seeded per-candidate
-                # generators keep the comparison paired (common random
-                # numbers) like the sequential sweep below, but without its
-                # inter-candidate pruning: every candidate runs its full
-                # budget, so a candidate the sequential sweep would have
-                # aborted can occasionally win here.
-                values = evaluate_many(
-                    candidates,
-                    abr,
-                    snapshot,
-                    self.user_state,
-                    rngs=[
-                        np.random.default_rng(activation_seed) for _ in candidates
-                    ],
-                )
-            else:
-                values = []
-                best_so_far = float("inf")
-                for candidate in candidates:
-                    value = evaluate(candidate, best_so_far)
-                    values.append(value)
-                    best_so_far = min(best_so_far, value)
-            best_parameters, best_value = self.select_best(candidates, values)
-            evaluated = len(candidates)
+            self.rounds = 0
+            self.evaluated = len(self.candidates)
         else:
-            incumbent_vector = self.parameter_space.to_vector(self.best_parameters)
-            incumbent_value = evaluate(self.best_parameters, float("inf"))
-            self.obo.start_round(incumbent=incumbent_vector, incumbent_value=incumbent_value)
-            best_value = incumbent_value
-            best_parameters = self.best_parameters
-            for _ in range(self.config.max_sample_times):
-                candidate_vector = self.obo.next_candidate()
-                candidate = self.parameter_space.to_parameters(candidate_vector)
-                value = evaluate(candidate, best_value)
-                self.obo.update(candidate_vector, value)
-                if value < best_value:
-                    best_value = value
-                    best_parameters = candidate
-            evaluated = self.config.max_sample_times + 1
+            self.candidates = [controller.best_parameters]
+            self.rounds = config.max_sample_times
+            self.evaluated = config.max_sample_times + 1
 
-        return self.finish_activation(best_parameters, best_value, evaluated)
+    def request(self) -> RolloutRequest:
+        """This round's rollouts, every candidate on the activation seed."""
+        evaluator = self.controller.evaluator
+        return RolloutRequest(
+            candidates=self.candidates,
+            abr=self.abr,
+            snapshot=self.snapshot,
+            user_state=self.controller.user_state,
+            rngs=[np.random.default_rng(self.seed) for _ in self.candidates],
+            best_exit_rate=self.best_value,
+            config=evaluator.config,
+            pruning=evaluator.pruning,
+        )
+
+    def absorb(self, scores: list[float]) -> bool:
+        """Fold one round's scores in; True while another round is due."""
+        controller = self.controller
+        space = controller.parameter_space
+        if self.fixed:
+            self.best_parameters, self.best_value = controller.select_best(
+                self.candidates, scores
+            )
+        elif self.vector is None:
+            self.best_value = scores[0]
+            controller.obo.start_round(
+                incumbent=space.to_vector(self.best_parameters),
+                incumbent_value=scores[0],
+            )
+        else:
+            controller.obo.update(self.vector, scores[0])
+            if scores[0] < self.best_value:
+                self.best_value = scores[0]
+                self.best_parameters = self.candidates[0]
+        if not self.rounds:
+            return False
+        self.rounds -= 1
+        self.vector = controller.obo.next_candidate()
+        self.candidates = [space.to_parameters(self.vector)]
+        return True
+
+
+def run_activations(  # contract: CORE-MC-010
+    jobs: Sequence[tuple[LingXiController, ABRAlgorithm, PlayerSnapshot]],
+) -> list[QoEParameters]:
+    """Run one activation per ``(controller, inner_abr, snapshot)`` job.
+
+    Returns the parameters each job deployed, in job order.  Jobs are grouped
+    by their underlying :class:`ExitRatePredictor`, and each round of a group
+    is one ``evaluate_requests`` call, so every virtual step costs the group
+    one NN forward:
+
+    * a fixed-mode (``L(F)``) activation is one request carrying its whole
+      candidate grid, scored in the first round;
+    * a Bayesian (``L(B)``) activation scores its incumbent in the first
+      round, then runs ``max_sample_times`` OBO rounds of one candidate each,
+      pruned against the best value so far.
+
+    Every candidate of an activation draws from a generator seeded with the
+    same activation seed (common random numbers), so the comparison between
+    candidates is paired.  A job's results depend only on its own
+    controller, so an activation gives the same answer alone or in a group.
+    """
+    groups: dict[int, list[int]] = {}
+    for index, (controller, _abr, _snapshot) in enumerate(jobs):
+        key = id(controller.evaluator.predictor.predictor)
+        groups.setdefault(key, []).append(index)
+    deployed: list[QoEParameters | None] = [None] * len(jobs)
+    for members in groups.values():
+        evaluator = jobs[members[0]][0].evaluator
+        activations = [_Activation(*jobs[index]) for index in members]
+        pending = activations
+        while pending:
+            values = evaluator.evaluate_requests(
+                [activation.request() for activation in pending]
+            )
+            pending = [
+                activation
+                for activation, scores in zip(pending, values)
+                if activation.absorb(scores)
+            ]
+        for index, activation in zip(members, activations):
+            deployed[index] = activation.controller.finish_activation(
+                activation.best_parameters, activation.best_value, activation.evaluated
+            )
+    return deployed
 
 
 class LingXiABR(ABRAlgorithm):

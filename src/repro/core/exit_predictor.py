@@ -5,6 +5,11 @@
 1D-CNN of Figure 7 trained on the stall-event dataset with balanced
 undersampling (§3.3); the OS part is the population-level
 :class:`~repro.core.statistics_model.OverallStatisticsModel`.
+
+:class:`BatchedExitPredictor` evaluates Equation 4 for many decision points
+at once — the OS baseline vectorised and a *single* NN forward pass over the
+stalled subset — which is how the Monte-Carlo evaluator scores every alive
+virtual-playback rollout of a step.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.core.statistics_model import OverallStatisticsModel
 from repro.datasets.stall_dataset import ExitDataset, NUM_FEATURES, WINDOW_LENGTH
 from repro.nn.metrics import classification_report
@@ -123,6 +129,74 @@ class ExitRatePredictor:
         predictions = self.network.predict(np.asarray(features, dtype=float))
         report = classification_report(np.asarray(labels, dtype=int), predictions)
         return PredictorEvaluation(**report)
+
+
+class BatchedExitPredictor:
+    """Vectorised view of a hybrid exit-rate predictor (Equation 4, batched).
+
+    Outputs match :meth:`ExitRatePredictor.predict` row for row (to float64
+    round-off).
+    """
+
+    def __init__(self, predictor: ExitRatePredictor) -> None:
+        self.predictor = predictor
+
+    def baseline_many(
+        self, levels: np.ndarray, switch_magnitudes: np.ndarray
+    ) -> np.ndarray:
+        """Vectorised ``OS(Quality, Smoothness)`` for ``n`` decision points."""
+        model = self.predictor.statistics_model
+        levels = np.asarray(levels, dtype=int)
+        switches = np.asarray(switch_magnitudes, dtype=int)
+        if np.any(levels < 0):
+            raise ValueError("levels must be non-negative")
+        level_rates = model.level_rates[np.minimum(levels, model.level_rates.size - 1)]
+        magnitudes = np.minimum(np.abs(switches), model.switch_offsets.size - 1)
+        offsets = model.switch_offsets[magnitudes] + np.where(
+            switches < 0, model.downward_extra, 0.0
+        )
+        return np.clip(level_rates + offsets, 0.0, 1.0)
+
+    def predict_many(
+        self,
+        feature_matrices: np.ndarray,
+        levels: np.ndarray,
+        switch_magnitudes: np.ndarray,
+        stalled: np.ndarray,
+    ) -> np.ndarray:
+        """Equation 4 for a batch: hybrid exit probability per decision point.
+
+        Parameters
+        ----------
+        feature_matrices:
+            ``(n, 5, 8)`` stack of per-sample feature matrices.  Rows whose
+            ``stalled`` flag is false are never fed to the network, so their
+            matrix content is irrelevant (zeros are fine).
+        levels / switch_magnitudes / stalled:
+            Length-``n`` vectors describing each decision point.
+        """
+        stalled = np.asarray(stalled, dtype=bool)
+        probabilities = self.baseline_many(levels, switch_magnitudes)
+        stalled_rows = np.flatnonzero(stalled)
+        if stalled_rows.size:
+            matrices = np.asarray(feature_matrices, dtype=float)
+            if matrices.ndim != 3 or matrices.shape[1:] != (NUM_FEATURES, WINDOW_LENGTH):
+                raise ValueError(
+                    f"expected (n, {NUM_FEATURES}, {WINDOW_LENGTH}) matrices, "
+                    f"got {matrices.shape}"
+                )
+            obs.counter_add("nn.forwards")
+            obs.counter_add("nn.rows", int(stalled_rows.size))
+            obs.observe("nn.batch_size", int(stalled_rows.size))
+            with obs.span("nn.forward"):
+                stall_probabilities = self.predictor.predict_batch(
+                    matrices[stalled_rows]
+                )[:, 1]
+            probabilities = probabilities.copy()
+            probabilities[stalled_rows] = np.clip(
+                probabilities[stalled_rows] + stall_probabilities, 0.0, 1.0
+            )
+        return probabilities
 
 
 def train_and_evaluate(

@@ -6,11 +6,10 @@ the N per-session :class:`~repro.core.controller.LingXiController`s of a
 lockstep cohort: after every engine step it folds the cohort's struct-of-
 arrays segment outcomes into per-row state arrays (bandwidth window, dual
 layer user state, stall trigger counters), checks the activation trigger
-vectorized, and routes every session that activates at the same step through
-**one** cross-session Monte-Carlo evaluation
-(:meth:`~repro.fleet.batched.BatchedMonteCarloEvaluator.evaluate_requests`) —
-a single NN forward per virtual step across all concurrently-optimizing
-sessions' candidates and samples.
+vectorized, and hands every session that activates at the same step to
+**one** :func:`~repro.core.controller.run_activations` call — a single NN
+forward per virtual step across all concurrently-optimizing sessions'
+candidates and samples.
 
 The per-segment bookkeeping is pure array math: the scalar path's
 ``BandwidthModel.update`` + ``UserState.observe_segment`` calls become a
@@ -23,18 +22,14 @@ scalar loop would have left behind.
 
 Equivalence contract
 --------------------
-The host reproduces the scalar engine's LingXi behaviour bit for bit, for
-controllers whose evaluator is the batched lockstep evaluator (the fleet
-default): every array update mirrors the float operation order of
-``UserState.observe_segment``, per-session activation seeds come from each
-controller's private stream in activation order, every candidate evaluation
-draws from its own freshly seeded generator exactly as
-``LingXiController.optimize`` would, and the controller bookkeeping (OBO
-warm starts, activation history, parameter deployment) runs through the same
-:class:`~repro.core.controller.LingXiController` methods the scalar path
-uses.  Sessions whose evaluator cannot batch across sessions simply run
-their own ``controller.optimize`` call — still correct, just without the
-cross-session NN batching.
+The host reproduces the scalar engine's LingXi behaviour bit for bit:
+every array update mirrors the float operation order of
+``UserState.observe_segment``, and the activations themselves run through
+the same :func:`~repro.core.controller.run_activations` that
+``LingXiController.optimize`` calls in the scalar engine — activation seeds
+from each controller's private stream, one freshly seeded generator per
+candidate evaluation, and the same OBO warm starts, activation history and
+parameter deployment.
 """
 
 from __future__ import annotations
@@ -43,6 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.controller import run_activations
 from repro.core.state import PlayerSnapshot
 from repro.datasets.stall_dataset import WINDOW_LENGTH
 from repro.sim.bandwidth import BandwidthModel
@@ -256,160 +252,20 @@ class VectorControllerHost:
         self, triggered: list[int], levels: np.ndarray, buffer_after: np.ndarray
     ) -> None:
         """Run one activation for every triggered session, batched."""
-        jobs: list[tuple[int, object, PlayerSnapshot]] = []
-        for i in triggered:
-            abr = self.abrs[i]
-            jobs.append(
-                (
-                    i,
-                    abr.controller,
-                    PlayerSnapshot(
-                        ladder=self.ladder,
-                        segment_duration=self.segment_duration,
-                        buffer=float(buffer_after[i]),
-                        last_level=int(levels[i]),
-                        bandwidth_model=abr.bandwidth_model.copy(),
-                    ),
-                )
+        jobs = [
+            (
+                self.abrs[i].controller,
+                self.abrs[i].inner,
+                PlayerSnapshot(
+                    ladder=self.ladder,
+                    segment_duration=self.segment_duration,
+                    buffer=float(buffer_after[i]),
+                    last_level=int(levels[i]),
+                    bandwidth_model=self.abrs[i].bandwidth_model.copy(),
+                ),
             )
+            for i in triggered
+        ]
         self.activations += len(jobs)
-
-        # Sessions whose evaluator cannot run cross-session requests fall
-        # back to their own (still candidate/sample-batched) optimize call;
-        # the rest are grouped by underlying predictor so each group's NN
-        # forwards cover every session in it.
-        groups: dict[int, list[tuple[int, object, PlayerSnapshot]]] = {}
-        for job in jobs:
-            evaluator = job[1].evaluator
-            if hasattr(evaluator, "evaluate_requests"):
-                key = id(getattr(evaluator.predictor, "predictor", evaluator.predictor))
-                groups.setdefault(key, []).append(job)
-            else:
-                i, controller, snapshot = job
-                self.abrs[i].set_parameters(
-                    controller.optimize(self.abrs[i].inner, snapshot)
-                )
-        for group in groups.values():
-            self._optimize_group(group)
-
-    def _optimize_group(self, jobs: list[tuple[int, object, PlayerSnapshot]]) -> None:
-        """One activation per job, evaluations flattened into shared rollouts."""
-        from repro.fleet.batched import RolloutRequest
-
-        evaluator = jobs[0][1].evaluator
-        fixed = [job for job in jobs if job[1].config.mode == "fixed"]
-        bayesian = [job for job in jobs if job[1].config.mode != "fixed"]
-
-        requests: list[RolloutRequest] = []
-        fixed_candidates: list[list] = []
-        bayes_rounds: list[dict] = []
-        for i, controller, snapshot in fixed:
-            activation_seed = controller.draw_activation_seed()
-            candidates = controller.parameter_space.candidate_grid(
-                controller.config.fixed_candidates_per_dimension
-            )
-            fixed_candidates.append(candidates)
-            requests.append(
-                RolloutRequest(
-                    candidates=candidates,
-                    abr=self.abrs[i].inner,
-                    snapshot=snapshot,
-                    user_state=controller.user_state,
-                    rngs=[
-                        np.random.default_rng(activation_seed) for _ in candidates
-                    ],
-                    config=controller.evaluator.config,
-                    pruning=controller.evaluator.pruning,
-                )
-            )
-        for i, controller, snapshot in bayesian:
-            activation_seed = controller.draw_activation_seed()
-            bayes_rounds.append(
-                {
-                    "index": i,
-                    "controller": controller,
-                    "snapshot": snapshot,
-                    "seed": activation_seed,
-                    "incumbent_vector": controller.parameter_space.to_vector(
-                        controller.best_parameters
-                    ),
-                }
-            )
-            requests.append(
-                RolloutRequest(
-                    candidates=[controller.best_parameters],
-                    abr=self.abrs[i].inner,
-                    snapshot=snapshot,
-                    user_state=controller.user_state,
-                    rngs=[np.random.default_rng(activation_seed)],
-                    config=controller.evaluator.config,
-                    pruning=controller.evaluator.pruning,
-                )
-            )
-
-        values = evaluator.evaluate_requests(requests)
-        fixed_values = values[: len(fixed)]
-        incumbent_values = values[len(fixed) :]
-
-        # Fixed sweeps complete in one round.
-        for (i, controller, _snapshot), candidates, sweep in zip(
-            fixed, fixed_candidates, fixed_values
-        ):
-            best_parameters, best_value = controller.select_best(candidates, sweep)
-            controller.finish_activation(
-                best_parameters, best_value, len(candidates)
-            )
-            self.abrs[i].set_parameters(best_parameters)
-
-        # Bayesian rounds: every still-iterating session contributes one
-        # single-candidate request per round, so each OBO step costs the
-        # group one shared rollout.
-        for state, incumbent in zip(bayes_rounds, incumbent_values):
-            controller = state["controller"]
-            controller.obo.start_round(
-                incumbent=state["incumbent_vector"], incumbent_value=incumbent[0]
-            )
-            state["best_value"] = incumbent[0]
-            state["best_parameters"] = controller.best_parameters
-            state["remaining"] = controller.config.max_sample_times
-        pending = [state for state in bayes_rounds if state["remaining"] > 0]
-        while pending:
-            round_requests = []
-            round_candidates = []
-            for state in pending:
-                controller = state["controller"]
-                candidate_vector = controller.obo.next_candidate()
-                candidate = controller.parameter_space.to_parameters(candidate_vector)
-                round_candidates.append((candidate_vector, candidate))
-                round_requests.append(
-                    RolloutRequest(
-                        candidates=[candidate],
-                        abr=self.abrs[state["index"]].inner,
-                        snapshot=state["snapshot"],
-                        user_state=controller.user_state,
-                        rngs=[np.random.default_rng(state["seed"])],
-                        best_exit_rate=state["best_value"],
-                        config=controller.evaluator.config,
-                        pruning=controller.evaluator.pruning,
-                    )
-                )
-            round_values = evaluator.evaluate_requests(round_requests)
-            for state, (candidate_vector, candidate), result in zip(
-                pending, round_candidates, round_values
-            ):
-                value = result[0]
-                controller = state["controller"]
-                controller.obo.update(candidate_vector, value)
-                if value < state["best_value"]:
-                    state["best_value"] = value
-                    state["best_parameters"] = candidate
-                state["remaining"] -= 1
-            pending = [state for state in pending if state["remaining"] > 0]
-        for state in bayes_rounds:
-            controller = state["controller"]
-            controller.finish_activation(
-                state["best_parameters"],
-                state["best_value"],
-                controller.config.max_sample_times + 1,
-            )
-            self.abrs[state["index"]].set_parameters(state["best_parameters"])
+        for i, parameters in zip(triggered, run_activations(jobs)):
+            self.abrs[i].set_parameters(parameters)

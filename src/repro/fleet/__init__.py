@@ -7,9 +7,10 @@ platform simulator:
   :class:`~repro.users.population.UserPopulation` across a process pool with
   deterministic per-shard seeding and merges the results into the standard
   :class:`~repro.analytics.logs.LogCollection` analytics format.
-* :mod:`repro.fleet.batched` — :class:`BatchedExitPredictor` and the lockstep
-  :class:`BatchedMonteCarloEvaluator` that batch exit-rate NN inference in the
-  Monte-Carlo hot path.
+* :mod:`repro.fleet.batched` — an old import path, with no logic, for
+  :class:`BatchedExitPredictor` and the lockstep
+  :class:`BatchedMonteCarloEvaluator`.  Both live in :mod:`repro.core`, where
+  every LingXi controller builds them, and this package re-exports them.
 * :mod:`repro.fleet.scenarios` — the workload registry (steady state, flash
   crowd, regional degradation, device mix, plus user-registered ones).
 * :mod:`repro.fleet.pool` — persistent shared-memory worker pool:
@@ -24,7 +25,8 @@ platform simulator:
   cross-day A/B harness (the compounding analogue of Figure 12).
 """
 
-from repro.fleet.batched import BatchedExitPredictor, BatchedMonteCarloEvaluator
+from repro.core.exit_predictor import BatchedExitPredictor
+from repro.core.monte_carlo import BatchedMonteCarloEvaluator
 from repro.fleet.checkpoint import (
     FleetCheckpoint,
     checkpoint_controllers,

@@ -1,473 +1,16 @@
-"""Batched exit-rate inference for the Monte-Carlo hot path.
+"""Import path for the batched Monte-Carlo classes; re-exports only.
 
-The sequential :class:`~repro.core.monte_carlo.MonteCarloEvaluator` walks its
-``M`` virtual-playback samples one after another and calls the exit predictor
-once per simulated segment — a single-row neural-network forward pass each
-time, which is dominated by per-call numpy overhead rather than arithmetic.
-
-This module replaces that hot path with two pieces:
-
-* :class:`BatchedExitPredictor` — a thin wrapper around a trained
-  :class:`~repro.core.exit_predictor.ExitRatePredictor` exposing
-  :meth:`~BatchedExitPredictor.predict_many`: Equation 4 evaluated for ``n``
-  decision points at once, with the OS baseline vectorised and a *single*
-  NN forward pass over the stalled subset.  Outputs match the unbatched
-  ``predict`` row-for-row (to float64 round-off).
-* :class:`BatchedMonteCarloEvaluator` — a drop-in replacement for the
-  sequential evaluator (same ``evaluate`` signature, so it can be swapped into
-  a :class:`~repro.core.controller.LingXiController`) that advances all ``M``
-  samples in lockstep and batches every per-step predictor call across the
-  samples that are still alive.
+:class:`~repro.core.exit_predictor.BatchedExitPredictor` and
+:class:`~repro.core.monte_carlo.BatchedMonteCarloEvaluator` live in
+:mod:`repro.core`: every :class:`~repro.core.controller.LingXiController`
+builds the lockstep evaluator itself, and ``repro.core`` cannot import
+``repro.fleet`` (the fleet package imports the controller).  This module
+holds no logic.  It stays only because the benchmark suite's tracer wraps
+the two classes through ``repro.fleet.batched``; once the tracer imports
+them from ``repro.core``, delete it.
 """
 
-from __future__ import annotations
+from repro.core.exit_predictor import BatchedExitPredictor
+from repro.core.monte_carlo import BatchedMonteCarloEvaluator
 
-import copy
-from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
-
-from repro import obs
-from repro.abr.base import ABRAlgorithm, QoEParameters
-from repro.core.exit_predictor import ExitRatePredictor
-from repro.core.monte_carlo import MonteCarloConfig, virtual_video
-from repro.core.state import PlayerSnapshot, UserState
-from repro.core.triggers import PruningPolicy
-from repro.datasets.stall_dataset import NUM_FEATURES, WINDOW_LENGTH
-from repro.sim.player import PlayerEnvironment
-from repro.sim.session import ABRContext
-
-
-@dataclass
-class RolloutRequest:
-    """One session's share of a cross-session Monte-Carlo evaluation.
-
-    A request bundles everything :meth:`BatchedMonteCarloEvaluator.evaluate`
-    (one candidate) or :meth:`~BatchedMonteCarloEvaluator.evaluate_many`
-    (a sweep) needs for a *single* session — its candidates, ABR template,
-    player snapshot, user state and per-candidate RNGs — so that several
-    sessions' evaluations can advance as one flattened lockstep rollout with
-    a single NN forward per virtual step across all of them
-    (:meth:`BatchedMonteCarloEvaluator.evaluate_requests`).
-
-    ``config`` / ``pruning`` default to the evaluator's own; single-candidate
-    requests apply the virtual-playback pruning rule against
-    ``best_exit_rate`` exactly like a standalone ``evaluate`` call.
-    """
-
-    candidates: Sequence[QoEParameters]
-    abr: ABRAlgorithm
-    snapshot: PlayerSnapshot
-    user_state: UserState
-    rngs: Sequence[np.random.Generator]
-    best_exit_rate: float = float("inf")
-    config: MonteCarloConfig | None = None
-    pruning: PruningPolicy | None = None
-
-
-@dataclass
-class _RolloutBlock:
-    """Mutable lockstep state of one (request, candidate) pair."""
-
-    request_index: int
-    candidate_index: int
-    rng: np.random.Generator
-    video: object
-    frozen_bandwidth: object
-    snapshot: PlayerSnapshot
-    pruning: PruningPolicy
-    prune: bool
-    best_exit_rate: float
-    num_steps: int
-    abrs: list[ABRAlgorithm]
-    environments: list[PlayerEnvironment]
-    states: list[UserState]
-    throughputs: list[list[float]]
-    last_levels: list[int | None]
-    alive: np.ndarray = field(init=False)
-    exited: int = 0
-    watched: int = 0
-    done: bool = False
-
-    def __post_init__(self) -> None:
-        self.alive = np.ones(len(self.abrs), dtype=bool)
-
-
-class BatchedExitPredictor:
-    """Vectorised view of a hybrid exit-rate predictor (Equation 4, batched)."""
-
-    def __init__(self, predictor: ExitRatePredictor) -> None:
-        self.predictor = predictor
-
-    @property
-    def statistics_model(self):
-        """The wrapped predictor's OS model."""
-        return self.predictor.statistics_model
-
-    def baseline_many(
-        self, levels: np.ndarray, switch_magnitudes: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised ``OS(Quality, Smoothness)`` for ``n`` decision points."""
-        model = self.predictor.statistics_model
-        levels = np.asarray(levels, dtype=int)
-        switches = np.asarray(switch_magnitudes, dtype=int)
-        if np.any(levels < 0):
-            raise ValueError("levels must be non-negative")
-        level_rates = model.level_rates[np.minimum(levels, model.level_rates.size - 1)]
-        magnitudes = np.minimum(np.abs(switches), model.switch_offsets.size - 1)
-        offsets = model.switch_offsets[magnitudes] + np.where(
-            switches < 0, model.downward_extra, 0.0
-        )
-        return np.clip(level_rates + offsets, 0.0, 1.0)
-
-    def predict_many(
-        self,
-        feature_matrices: np.ndarray,
-        levels: np.ndarray,
-        switch_magnitudes: np.ndarray,
-        stalled: np.ndarray,
-    ) -> np.ndarray:
-        """Equation 4 for a batch: hybrid exit probability per decision point.
-
-        Parameters
-        ----------
-        feature_matrices:
-            ``(n, 5, 8)`` stack of per-sample feature matrices.  Rows whose
-            ``stalled`` flag is false are never fed to the network, so their
-            matrix content is irrelevant (zeros are fine).
-        levels / switch_magnitudes / stalled:
-            Length-``n`` vectors describing each decision point.
-        """
-        stalled = np.asarray(stalled, dtype=bool)
-        probabilities = self.baseline_many(levels, switch_magnitudes)
-        stalled_rows = np.flatnonzero(stalled)
-        if stalled_rows.size:
-            matrices = np.asarray(feature_matrices, dtype=float)
-            if matrices.ndim != 3 or matrices.shape[1:] != (NUM_FEATURES, WINDOW_LENGTH):
-                raise ValueError(
-                    f"expected (n, {NUM_FEATURES}, {WINDOW_LENGTH}) matrices, "
-                    f"got {matrices.shape}"
-                )
-            obs.counter_add("nn.forwards")
-            obs.counter_add("nn.rows", int(stalled_rows.size))
-            obs.observe("nn.batch_size", int(stalled_rows.size))
-            with obs.span("nn.forward"):
-                stall_probabilities = self.predictor.predict_batch(
-                    matrices[stalled_rows]
-                )[:, 1]
-            probabilities = probabilities.copy()
-            probabilities[stalled_rows] = np.clip(
-                probabilities[stalled_rows] + stall_probabilities, 0.0, 1.0
-            )
-        return probabilities
-
-    def predict(
-        self,
-        feature_matrix: np.ndarray,
-        level: int,
-        switch_magnitude: int,
-        stalled: bool,
-    ) -> float:
-        """Single-row convenience passthrough to the wrapped predictor."""
-        return self.predictor.predict(
-            feature_matrix, level=level, switch_magnitude=switch_magnitude, stalled=stalled
-        )
-
-
-class BatchedMonteCarloEvaluator:
-    """Algorithm 2 with all virtual-playback rollouts advanced in lockstep.
-
-    Semantically this estimates the same quantity as the sequential evaluator
-    (``R_exit = exited / watched`` over ``M`` samples of frozen-bandwidth
-    virtual playback) but restructures the loop: at every virtual segment step
-    the still-alive rollouts each pick a level and advance their private
-    player environment, and then *one* batched predictor call scores all of
-    them.  ABR state is kept per rollout via cheap deep copies, so stateful
-    algorithms behave exactly as they do in per-sample rollouts.
-
-    Two entry points share the rollout engine:
-
-    * :meth:`evaluate` — one candidate, ``M`` samples, with the
-      virtual-playback pruning rule; signature matches
-      :class:`~repro.core.monte_carlo.MonteCarloEvaluator`, so instances drop
-      straight into ``LingXiController.evaluator``.
-    * :meth:`evaluate_many` — **all candidates of an activation at once**:
-      ``C × M`` rollouts advance in lockstep and every step issues a single
-      NN forward over every alive rollout of every candidate.  Each candidate
-      draws from its own RNG, so passing ``C`` generators seeded identically
-      reproduces per-candidate :meth:`evaluate` results bit-for-bit (common
-      random numbers across candidates, exactly like the sequential sweep).
-    """
-
-    def __init__(
-        self,
-        predictor: BatchedExitPredictor | ExitRatePredictor,
-        config: MonteCarloConfig | None = None,
-        pruning: PruningPolicy | None = None,
-    ) -> None:
-        if not isinstance(predictor, BatchedExitPredictor):
-            predictor = BatchedExitPredictor(predictor)
-        self.predictor = predictor
-        self.config = config or MonteCarloConfig()
-        self.pruning = pruning or PruningPolicy()
-
-    def evaluate(
-        self,
-        parameters: QoEParameters,
-        abr: ABRAlgorithm,
-        snapshot: PlayerSnapshot,
-        user_state: UserState,
-        rng: np.random.Generator | None = None,
-        best_exit_rate: float = float("inf"),
-    ) -> float:
-        """Estimated exit rate ``R_exit`` for ``parameters`` (batched rollout)."""
-        rng = rng or np.random.default_rng(self.config.seed)
-        return self.evaluate_requests(
-            [
-                RolloutRequest(
-                    candidates=[parameters],
-                    abr=abr,
-                    snapshot=snapshot,
-                    user_state=user_state,
-                    rngs=[rng],
-                    best_exit_rate=best_exit_rate,
-                )
-            ]
-        )[0][0]
-
-    def evaluate_many(
-        self,
-        parameters_list: Sequence[QoEParameters],
-        abr: ABRAlgorithm,
-        snapshot: PlayerSnapshot,
-        user_state: UserState,
-        rngs: Sequence[np.random.Generator] | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> list[float]:
-        """Estimated exit rates for *all* candidates as one lockstep batch.
-
-        ``rngs`` supplies one generator per candidate (pass generators with
-        the same seed for the paired common-random-numbers comparison of an
-        activation); alternatively a single ``rng`` is spawned into
-        independent per-candidate streams.  Inter-candidate pruning is not
-        applied — every candidate runs its full budget, which is exactly what
-        makes the single-forward-per-step batching possible.
-        """
-        if not parameters_list:
-            return []
-        if rngs is None:
-            source = rng or np.random.default_rng(self.config.seed)
-            rngs = source.spawn(len(parameters_list))
-        if len(rngs) != len(parameters_list):
-            raise ValueError("need exactly one RNG per candidate")
-        return self.evaluate_requests(
-            [
-                RolloutRequest(
-                    candidates=list(parameters_list),
-                    abr=abr,
-                    snapshot=snapshot,
-                    user_state=user_state,
-                    rngs=list(rngs),
-                )
-            ]
-        )[0]
-
-    def evaluate_requests(
-        self, requests: Sequence[RolloutRequest]
-    ) -> list[list[float]]:
-        """Advance *all* requests' rollouts in one flattened lockstep batch.
-
-        This is the cross-session generalisation of the single-session
-        rollout: each :class:`RolloutRequest` contributes ``C_r × M_r``
-        virtual playbacks, every step draws each (request, candidate) block's
-        bandwidths and exit uniforms from that block's own generator (in the
-        same order a standalone :meth:`evaluate` / :meth:`evaluate_many` call
-        would), and **one** batched predictor call scores every alive rollout
-        of every request.  Results come back per request, per candidate.
-
-        Blocks never share randomness, so the flattening is exact: each
-        request's values equal what its own single-request call would return
-        (this is what lets the lockstep controller host batch all
-        concurrently-optimizing sessions into one NN forward per step).
-        Single-candidate requests apply the virtual-playback pruning rule
-        against their ``best_exit_rate`` and drop out of the batch the moment
-        they abort, exactly like a standalone ``evaluate``.
-        """
-        obs.counter_add("mc.rollout_requests", len(requests))
-        with obs.span("mc.evaluate_requests"):
-            return self._evaluate_requests_impl(requests)
-
-    def _evaluate_requests_impl(
-        self, requests: Sequence[RolloutRequest]
-    ) -> list[list[float]]:
-        saved: dict[int, tuple[ABRAlgorithm, QoEParameters]] = {}
-        results: list[list[float | None]] = [
-            [None] * len(request.candidates) for request in requests
-        ]
-        blocks: list[_RolloutBlock] = []
-        try:
-            for r, request in enumerate(requests):
-                config = request.config or self.config
-                pruning = request.pruning or self.pruning
-                if len(request.rngs) != len(request.candidates):
-                    raise ValueError("need exactly one RNG per candidate")
-                video = virtual_video(request.snapshot, config)
-                frozen_bandwidth = request.snapshot.bandwidth_model
-                num_steps = int(
-                    np.ceil(
-                        config.max_sample_duration_s
-                        / request.snapshot.segment_duration
-                    )
-                )
-                if id(request.abr) not in saved:
-                    saved[id(request.abr)] = (request.abr, request.abr.parameters)
-                # Stateless ABRs (no ``reset`` override — the same convention
-                # the vector backend's cohort routing uses) are never mutated
-                # during a rollout, so all M samples of a candidate can share
-                # one parameter-pinned clone instead of M deep copies.
-                reset = getattr(type(request.abr), "reset", None)
-                stateless = (
-                    getattr(reset, "__qualname__", "") == "ABRAlgorithm.reset"
-                )
-                for c, parameters in enumerate(request.candidates):
-                    request.abr.set_parameters(parameters)
-                    if stateless:
-                        clone = copy.deepcopy(request.abr)
-                        clone.reset()
-                        clones = [clone] * config.num_samples
-                    else:
-                        clones = []
-                        for _ in range(config.num_samples):
-                            clone = copy.deepcopy(request.abr)
-                            clone.reset()
-                            clones.append(clone)
-                    states = [
-                        request.user_state.copy() for _ in range(config.num_samples)
-                    ]
-                    blocks.append(
-                        _RolloutBlock(
-                            request_index=r,
-                            candidate_index=c,
-                            rng=request.rngs[c],
-                            video=video,
-                            frozen_bandwidth=frozen_bandwidth,
-                            snapshot=request.snapshot,
-                            pruning=pruning,
-                            prune=len(request.candidates) == 1,
-                            best_exit_rate=request.best_exit_rate,
-                            num_steps=num_steps,
-                            abrs=clones,
-                            environments=[
-                                PlayerEnvironment(
-                                    video=video,
-                                    rtt=request.snapshot.rtt,
-                                    initial_buffer=request.snapshot.buffer,
-                                    base_buffer_cap=request.snapshot.base_buffer_cap,
-                                    bandwidth_model=frozen_bandwidth.copy(),
-                                )
-                                for _ in range(config.num_samples)
-                            ],
-                            states=states,
-                            throughputs=[
-                                list(state.throughputs_kbps) for state in states
-                            ],
-                            last_levels=[request.snapshot.last_level]
-                            * config.num_samples,
-                        )
-                    )
-
-            max_steps = max((block.num_steps for block in blocks), default=0)
-            for step in range(max_steps):
-                stepping: list[tuple[_RolloutBlock, np.ndarray, int]] = []
-                total_alive = 0
-                for block in blocks:
-                    if block.done or step >= block.num_steps:
-                        continue
-                    indices = np.flatnonzero(block.alive)
-                    if indices.size == 0:
-                        continue
-                    stepping.append((block, indices, total_alive))
-                    total_alive += int(indices.size)
-                if total_alive == 0:
-                    break
-                levels = np.empty(total_alive, dtype=int)
-                switches = np.empty(total_alive, dtype=int)
-                stalled = np.empty(total_alive, dtype=bool)
-                features = np.zeros((total_alive, NUM_FEATURES, WINDOW_LENGTH))
-                for block, indices, offset in stepping:
-                    snapshot = block.snapshot
-                    frozen_bandwidth = block.frozen_bandwidth
-                    video = block.video
-                    bandwidths = np.atleast_1d(
-                        frozen_bandwidth.sample(block.rng, size=indices.size)
-                    )
-                    for j, i in enumerate(indices):
-                        row = offset + j
-                        environment = block.environments[i]
-                        buffer_cap = environment.buffer_cap
-                        context = ABRContext(
-                            segment_index=environment.segment_index,
-                            buffer=environment.buffer,
-                            buffer_cap=buffer_cap,
-                            last_level=block.last_levels[i],
-                            throughput_history_kbps=tuple(
-                                block.throughputs[i][-8:]
-                            ),
-                            next_segment_sizes_kbit=video.sizes_tuple(
-                                environment.segment_index
-                            ),
-                            ladder=snapshot.ladder,
-                            segment_duration=snapshot.segment_duration,
-                            bandwidth_mean_kbps=frozen_bandwidth.mean,
-                            bandwidth_std_kbps=frozen_bandwidth.std,
-                        )
-                        level = int(block.abrs[i].select_level(context))
-                        result = environment.step(
-                            level, float(bandwidths[j]), buffer_cap=buffer_cap
-                        )
-                        block.states[i].observe_segment(
-                            bitrate_kbps=result.bitrate_kbps,
-                            throughput_kbps=result.throughput_kbps,
-                            stall_time=result.stall_time,
-                            segment_duration=snapshot.segment_duration,
-                        )
-                        block.throughputs[i].append(result.throughput_kbps)
-                        levels[row] = level
-                        switches[row] = (
-                            0
-                            if block.last_levels[i] is None
-                            else level - block.last_levels[i]
-                        )
-                        stalled[row] = result.stall_time > 1e-12
-                        if stalled[row]:
-                            features[row] = block.states[i].feature_matrix()
-                        block.last_levels[i] = level
-
-                probabilities = self.predictor.predict_many(
-                    features, levels, switches, stalled
-                )
-                for block, indices, start in stepping:
-                    exits = (
-                        block.rng.random(indices.size)
-                        < probabilities[start : start + indices.size]
-                    )
-                    block.watched += int(indices.size)
-                    block.exited += int(np.count_nonzero(exits))
-                    block.alive[indices[exits]] = False
-                    if block.prune and block.pruning.abort_candidate(
-                        block.exited, block.watched, block.best_exit_rate
-                    ):
-                        block.done = True
-                        results[block.request_index][block.candidate_index] = (
-                            block.exited / block.watched
-                        )
-        finally:
-            for abr, parameters in saved.values():
-                abr.set_parameters(parameters)
-        for block in blocks:
-            if results[block.request_index][block.candidate_index] is None:
-                results[block.request_index][block.candidate_index] = (
-                    block.exited / block.watched if block.watched else 1.0
-                )
-        return [list(values) for values in results]
+__all__ = ["BatchedExitPredictor", "BatchedMonteCarloEvaluator"]

@@ -28,9 +28,8 @@ ABR factories
 Worker processes need picklable factories, so the fleet defines its own
 two-argument protocol ``factory(profile, seed) -> ABRAlgorithm`` with two
 implementations: :class:`HybFleetFactory` (the production baseline) and
-:class:`LingXiFleetFactory` (per-user LingXi controllers whose Monte-Carlo
-evaluator is swapped for the batched lockstep one of
-:mod:`repro.fleet.batched`).
+:class:`LingXiFleetFactory` (per-user LingXi controllers, each with the
+lockstep Monte-Carlo evaluator every controller builds).
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ from repro.core.monte_carlo import MonteCarloConfig
 from repro.core.parameter_space import ParameterSpace
 from repro.core.persistence import controller_state_payload, restore_controller_state
 from repro.core.triggers import TriggerPolicy
-from repro.fleet.batched import BatchedMonteCarloEvaluator
 from repro.fleet.pool import WorkerPool, shared_pool
 from repro.fleet.scenarios import Scenario, get_scenario
 from repro.fleet.telemetry import (
@@ -89,9 +87,9 @@ class HybFleetFactory:
 class LingXiFleetFactory:
     """Picklable per-user factory building LingXi-wrapped HYB controllers.
 
-    Each user gets their own :class:`LingXiController` whose sequential
-    Monte-Carlo evaluator is replaced by the batched lockstep evaluator, so
-    candidate scoring inside a shard batches its NN inference.
+    Each user gets their own :class:`LingXiController`, seeded from the
+    user's seed; its lockstep evaluator batches the NN inference of candidate
+    scoring inside a shard.
     """
 
     def __init__(
@@ -118,9 +116,6 @@ class LingXiFleetFactory:
             monte_carlo=self.monte_carlo,
             trigger=self.trigger,
             config=replace(self.controller_config, seed=seed),
-        )
-        controller.evaluator = BatchedMonteCarloEvaluator(
-            self.predictor, config=self.monte_carlo, pruning=controller.pruning
         )
         return LingXiABR(HYB(parameters=self.baseline_parameters), controller)
 

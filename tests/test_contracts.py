@@ -280,6 +280,34 @@ def test_session_rule_flags_engines_outside_sim():
     assert [finding.line for finding, _ in lint.waived] == [7]
 
 
+def test_mc_rule_flags_sequential_evaluator_and_evaluator_swaps():
+    source = textwrap.dedent(
+        """\
+        from repro.core import monte_carlo
+        from repro.core.monte_carlo import BatchedMonteCarloEvaluator
+
+
+        def build(controller, predictor):
+            reference = monte_carlo.MonteCarloEvaluator(predictor)
+            controller.evaluator = BatchedMonteCarloEvaluator(predictor)
+            controller.evaluator, spare = reference, None
+            evaluator = reference
+            return evaluator, spare
+        """
+    )
+    lint = lint_source("src/repro/fleet/rogue.py", source)
+    assert [(f.rule_id, f.line) for f in lint.findings] == [
+        ("CORE-MC-010", 6),
+        ("CORE-MC-010", 7),
+        ("CORE-MC-010", 8),
+    ]
+    # The controller owns its evaluator attribute, but not the reference.
+    lint = lint_source("src/repro/core/controller.py", source)
+    assert [(f.rule_id, f.line) for f in lint.findings] == [("CORE-MC-010", 6)]
+    # Tests compare against the sequential reference and may swap freely.
+    assert lint_source("tests/test_fleet.py", source).findings == []
+
+
 # --------------------------------------------------------------------------- #
 # Waivers
 # --------------------------------------------------------------------------- #

@@ -292,9 +292,6 @@ class TestBatchedMonteCarlo:
             monte_carlo=MonteCarloConfig(num_samples=2, seed=0),
             config=ControllerConfig(mode="fixed", fixed_candidates_per_dimension=2),
         )
-        controller.evaluator = BatchedMonteCarloEvaluator(
-            predictor, config=MonteCarloConfig(num_samples=2, seed=0)
-        )
         snapshot, state = _snapshot_and_state()
         controller.user_state = state
         chosen = controller.optimize(HYB(), snapshot)

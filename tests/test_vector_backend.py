@@ -20,9 +20,20 @@ from repro.abr.hyb import HYB
 from repro.abr.robust_mpc import RobustMPC
 from repro.abr.throughput import ThroughputRule
 from repro.analytics.logs import LogCollection, SessionLog
-from repro.core.controller import ControllerConfig, LingXiABR, LingXiController
+from repro.core import vector_host
+from repro.core.controller import (
+    ControllerConfig,
+    LingXiABR,
+    LingXiController,
+    run_activations,
+)
 from repro.core.exit_predictor import ExitRatePredictor
-from repro.core.monte_carlo import MonteCarloConfig, MonteCarloEvaluator, virtual_video
+from repro.core.monte_carlo import (
+    MonteCarloConfig,
+    MonteCarloEvaluator,
+    RolloutRequest,
+    virtual_video,
+)
 from repro.core.parameter_space import ParameterSpace
 from repro.core.state import PlayerSnapshot, UserState
 from repro.core.triggers import TriggerPolicy
@@ -301,16 +312,13 @@ class KernellessABR(HYB):
 
 
 def make_lingxi_abr(predictor, seed: int, mode: str) -> LingXiABR:
-    """LingXi(HYB) with the batched lockstep evaluator (the fleet shape)."""
+    """LingXi(HYB) with a small Monte-Carlo budget and an eager trigger."""
     controller = LingXiController(
         parameter_space=ParameterSpace.for_hyb(),
         predictor=predictor,
         monte_carlo=MonteCarloConfig(num_samples=2, max_sample_duration_s=20.0),
         trigger=TriggerPolicy(stall_count_threshold=1),
         config=ControllerConfig(mode=mode, max_sample_times=2, seed=seed),
-    )
-    controller.evaluator = BatchedMonteCarloEvaluator(
-        predictor, config=controller.evaluator.config, pruning=controller.pruning
     )
     return LingXiABR(HYB(), controller)
 
@@ -395,30 +403,75 @@ class TestLingXiVectorPath:
         assert backend.last_fallback_sessions == 0
         self._assert_controllers_equal(scalar_specs, vector_specs)
 
-    def test_sequential_evaluator_still_matches_without_batching(self, predictor):
-        """Controllers on the sequential evaluator optimize per session."""
+    def test_mixed_modes_and_predictors_in_one_cohort(self, predictor, monkeypatch):
+        """Fixed and Bayesian controllers over two predictors share a cohort.
+
+        Every user watches the same video over the same trace, so the
+        sessions stall in step and trigger together; the host then hands
+        them to one ``run_activations`` call, which groups the jobs by
+        predictor and runs both modes' rounds side by side.  The result must
+        still equal the scalar engine's one-activation-at-a-time run.
+        """
+        predictors = (predictor, ExitRatePredictor(channels=8, hidden=16, seed=1))
+
         def build():
-            controller = LingXiController(
-                parameter_space=ParameterSpace.for_hyb(),
-                predictor=predictor,
-                monte_carlo=MonteCarloConfig(num_samples=2, max_sample_duration_s=16.0),
-                trigger=TriggerPolicy(stall_count_threshold=1),
-                config=ControllerConfig(mode="fixed", max_sample_times=2, seed=7),
+            population = UserPopulation.generate(
+                6, seed=4, bandwidth_median_kbps=1200.0
             )
-            abr = LingXiABR(HYB(), controller)
-            video = Video(num_segments=30, seed=4)
+            video = Video(num_segments=25, seed=2)
             trace = LowBandwidthTraceGenerator().generate(
-                40, np.random.default_rng(2)
+                60, np.random.default_rng(2)
             )
-            return [SessionSpec(abr=abr, video=video, trace=trace, seed=5)]
+            seeds = spawn_session_seeds(11, 12)
+            specs = []
+            for u, profile in enumerate(population):
+                abr = make_lingxi_abr(
+                    predictors[(u // 2) % 2], 100 + u, ("fixed", "bayesian")[u % 2]
+                )
+                specs.extend(
+                    SessionSpec(
+                        abr=abr,
+                        video=video,
+                        trace=trace,
+                        exit_model=profile.exit_model(),
+                        seed=seeds[2 * u + s],
+                        user_id=profile.user_id,
+                    )
+                    for s in range(2)
+                )
+            return specs
+
+        steps = []
+
+        def recording_run_activations(jobs):
+            steps.append(
+                {
+                    (id(controller.predictor), controller.config.mode)
+                    for controller, _abr, _snapshot in jobs
+                }
+            )
+            return run_activations(jobs)
 
         scalar_specs, vector_specs = build(), build()
         scalar_traces = get_backend("scalar").run_batch(scalar_specs)
+        monkeypatch.setattr(vector_host, "run_activations", recording_run_activations)
         backend = VectorBackend()
         vector_traces = backend.run_batch(vector_specs)
         assert_traces_equal(scalar_traces, vector_traces)
         assert backend.last_fallback_sessions == 0
         self._assert_controllers_equal(scalar_specs, vector_specs)
+        activated = {
+            spec.abr.controller.config.mode
+            for spec in scalar_specs
+            if spec.abr.controller.history
+        }
+        assert activated == {"fixed", "bayesian"}
+        # one lockstep step activated both modes over both predictors
+        assert any(
+            {mode for _key, mode in step} == {"fixed", "bayesian"}
+            and len({key for key, _mode in step}) == 2
+            for step in steps
+        )
 
     def test_lingxi_over_kernelless_inner_falls_back(self, predictor):
         controller = make_lingxi_abr(predictor, 0, "fixed").controller
@@ -646,7 +699,10 @@ class TestBatchedEvaluateMany:
             )
         return snapshot, state
 
-    def test_evaluate_many_matches_per_candidate_evaluate(self, predictor):
+    def test_multi_candidate_request_matches_per_candidate_evaluate(
+        self, predictor
+    ):
+        """One request with C candidates equals C separate ``evaluate`` calls."""
         snapshot, state = self._snapshot_and_state()
         evaluator = BatchedMonteCarloEvaluator(
             predictor, config=MonteCarloConfig(num_samples=5, seed=3)
@@ -659,30 +715,37 @@ class TestBatchedEvaluateMany:
             )
             for candidate in candidates
         ]
-        batched = evaluator.evaluate_many(
-            candidates,
-            abr,
-            snapshot,
-            state,
-            rngs=[np.random.default_rng(17) for _ in candidates],
+        [batched] = evaluator.evaluate_requests(
+            [
+                RolloutRequest(
+                    candidates=candidates,
+                    abr=abr,
+                    snapshot=snapshot,
+                    user_state=state,
+                    rngs=[np.random.default_rng(17) for _ in candidates],
+                )
+            ]
         )
         assert singles == batched
         assert abr.parameters == QoEParameters()
 
-    def test_evaluate_many_default_rng_spawn_and_validation(self, predictor):
+    def test_evaluate_requests_empty_and_rng_validation(self, predictor):
         snapshot, state = self._snapshot_and_state()
         evaluator = BatchedMonteCarloEvaluator(
             predictor, config=MonteCarloConfig(num_samples=2, seed=1)
         )
-        candidates = [QoEParameters(beta=0.6), QoEParameters(beta=0.8)]
-        values = evaluator.evaluate_many(
-            candidates, HYB(), snapshot, state, rng=np.random.default_rng(5)
-        )
-        assert len(values) == 2 and all(0.0 <= value <= 1.0 for value in values)
-        assert evaluator.evaluate_many([], HYB(), snapshot, state) == []
+        assert evaluator.evaluate_requests([]) == []
         with pytest.raises(ValueError):
-            evaluator.evaluate_many(
-                candidates, HYB(), snapshot, state, rngs=[np.random.default_rng(0)]
+            evaluator.evaluate_requests(
+                [
+                    RolloutRequest(
+                        candidates=[QoEParameters(beta=0.6), QoEParameters(beta=0.8)],
+                        abr=HYB(),
+                        snapshot=snapshot,
+                        user_state=state,
+                        rngs=[np.random.default_rng(0)],
+                    )
+                ]
             )
 
     def test_virtual_video_shared_between_evaluators(self, predictor):
