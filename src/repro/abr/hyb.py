@@ -72,7 +72,7 @@ class HYB(ABRAlgorithm):
             budget = beta * np.maximum(context.buffer, 0.0)
             download_times = context.segment_sizes / np.maximum(throughput, 1e-9)[:, None]
             feasible = download_times < budget[:, None]
-            highest = num_levels - 1 - np.argmax(feasible[:, ::-1], axis=1)
-            return np.where(feasible.any(axis=1), highest, 0)
+            highest = num_levels - 1 - feasible[:, ::-1].argmax(axis=1)
+            return np.where(np.logical_or.reduce(feasible, axis=1), highest, 0)
 
         return kernel

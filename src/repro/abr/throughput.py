@@ -71,6 +71,7 @@ class ThroughputRule(ABRAlgorithm):
                 np.searchsorted(context.bitrates, estimate, side="right") - 1, 0
             )
             stepped = context.last_level + np.sign(target - context.last_level)
-            return np.where(gradual, stepped, target)
+            # No previous level (-1): the scalar rule jumps to the target.
+            return np.where(gradual & (context.last_level >= 0), stepped, target)
 
         return kernel

@@ -8,7 +8,15 @@ candidates.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density in ``scipy.stats.norm.pdf``'s own formula,
+    without its argument handling, which dominates calls this small."""
+    return np.exp(-(z**2) / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(
@@ -19,7 +27,7 @@ def expected_improvement(
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     improvement = best - mean - xi
     z = improvement / std
-    return improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    return improvement * ndtr(z) + std * _norm_pdf(z)
 
 
 def probability_of_improvement(
@@ -28,7 +36,7 @@ def probability_of_improvement(
     """Probability of improving on the incumbent ``best`` (minimisation)."""
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
-    return stats.norm.cdf((best - mean - xi) / std)
+    return ndtr((best - mean - xi) / std)
 
 
 def lower_confidence_bound(mean: np.ndarray, std: np.ndarray, kappa: float = 2.0) -> np.ndarray:

@@ -76,13 +76,19 @@ class GaussianProcess:
         return self
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and standard deviation at query points ``x``."""
+        """Posterior mean and standard deviation at query points ``x``.
+
+        The prior variance comes from ``kernel.diagonal(x)``: the diagonal of
+        ``kernel(x, x)`` bit for bit, the pairwise-distance formula's rounding
+        residue included (so not the closed-form ``signal_variance``), without
+        evaluating the kernel on all ``n × n`` pairs.
+        """
         if self._x is None or self._alpha is None or self._cholesky is None:
             raise RuntimeError("predict called before fit")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         cross = self.kernel(x, self._x)
         mean = cross @ self._alpha + self._y_mean
         v = np.linalg.solve(self._cholesky, cross.T)
-        prior_var = np.diag(self.kernel(x, x))
+        prior_var = self.kernel.diagonal(x)
         variance = np.maximum(prior_var - np.sum(v**2, axis=0), 1e-12)
         return mean, np.sqrt(variance)

@@ -590,6 +590,14 @@ def check_session_engine_use(
 #: The one module that may set a controller's ``evaluator``.
 EVALUATOR_OWNER = "repro/core/controller.py"
 
+#: The lockstep evaluator's module.  Everything in it but the sequential
+#: reference runs rollouts as array code.
+LOCKSTEP_MODULE = "repro/core/monte_carlo.py"
+SEQUENTIAL_REFERENCE = "MonteCarloEvaluator"
+#: The one place the lockstep rollout builds per-row ABR contexts: the
+#: level-choice adapter for ABRs without a ``vector_kernel``.
+CONTEXT_ADAPTER = "_ContextAdapter"
+
 
 def _assigned_attributes(node: ast.AST) -> Iterator[ast.Attribute]:
     """Attribute targets of an assignment statement, tuples unpacked."""
@@ -607,6 +615,53 @@ def _assigned_attributes(node: ast.AST) -> Iterator[ast.Attribute]:
             yield target
 
 
+def _names_user_state(node: ast.expr) -> bool:
+    """``state``, ``request.user_state``, ``self.states[i]``: an expression
+    whose last name says it holds a user state."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    chain = _attr_chain(node)
+    return bool(chain) and "state" in chain[-1].lower()
+
+
+def _per_row_rollout_code(path: str, tree: ast.AST) -> Iterator[Finding]:
+    """Per-sample objects in the lockstep rollout (CORE-MC-010)."""
+    for top in ast.iter_child_nodes(tree):
+        if getattr(top, "name", None) == SEQUENTIAL_REFERENCE:
+            continue
+        adapter = getattr(top, "name", None) == CONTEXT_ADAPTER
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            chain = _attr_chain(node.func) or []
+            if chain[-1:] == ["PlayerEnvironment"]:
+                message = (
+                    "per-sample PlayerEnvironment in the lockstep rollout; "
+                    "Equation 3 runs as array code"
+                )
+            elif chain[-1:] == ["ABRContext"] and not adapter:
+                message = (
+                    "ABRContext built in the lockstep rollout outside "
+                    f"{CONTEXT_ADAPTER}; kernel ABRs choose levels as arrays"
+                )
+            elif (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr == "copy"
+                and _names_user_state(node.func.value)
+            ) or (
+                chain[-2:] in (["copy", "copy"], ["copy", "deepcopy"])
+                and node.args
+                and _names_user_state(node.args[0])
+            ):
+                message = (
+                    "user-state copy in the lockstep rollout; rollout rows "
+                    "keep their state as arrays"
+                )
+            else:
+                continue
+            yield Finding("CORE-MC-010", path, node.lineno, node.col_offset, message)
+
+
 def check_monte_carlo_path(
     path: str, source: str, tree: ast.AST
 ) -> Iterator[Finding]:
@@ -615,9 +670,13 @@ def check_monte_carlo_path(
     activation runs through ``run_activations``.  The sequential
     ``MonteCarloEvaluator`` is a test reference that the package never
     builds, and no code outside ``core/controller.py`` swaps a
-    controller's ``evaluator`` after construction."""
+    controller's ``evaluator`` after construction.  The lockstep rollout
+    builds no per-sample ``PlayerEnvironment`` or user-state copy, and
+    ``ABRContext``s only in its adapter for ABRs without a kernel."""
     if _is_test_path(path) or not _in_packages(path, ("repro",)):
         return
+    if _module_path(path) == LOCKSTEP_MODULE:
+        yield from _per_row_rollout_code(path, tree)
     owner = _module_path(path) == EVALUATOR_OWNER
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):

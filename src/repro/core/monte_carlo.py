@@ -9,8 +9,13 @@ after each segment.  The estimate is
 ``R_exit = exited_count / watched_count`` over all samples.
 
 :class:`BatchedMonteCarloEvaluator` is the one implementation a controller
-runs.  It advances every rollout of every request in lockstep and scores
-each virtual step with one batched predictor call, so several candidates —
+runs.  It holds every rollout of every request — one row per (request ×
+candidate × sample) — in one struct-of-arrays state and advances them in
+lockstep.  Each virtual step draws bandwidths from every (request,
+candidate) block's own generator, chooses levels with the inner ABR's
+``vector_kernel``, applies Equation 3 and the user-state update as array
+math shared with the vector engine (:mod:`repro.sim.vector`), and scores
+every alive row with one batched predictor call, so several candidates —
 and several sessions' activations — share one NN forward per step
 (:func:`repro.core.controller.run_activations` builds those requests).
 
@@ -23,7 +28,8 @@ the package builds it.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,10 +39,36 @@ from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.core.exit_predictor import BatchedExitPredictor, ExitRatePredictor
 from repro.core.state import PlayerSnapshot, UserState
 from repro.core.triggers import PruningPolicy
-from repro.datasets.stall_dataset import NUM_FEATURES, WINDOW_LENGTH
-from repro.sim.player import PlayerEnvironment
+from repro.datasets.stall_dataset import (
+    DEFAULT_TOLERANCE_PRIOR_S,
+    NUM_FEATURES,
+    WINDOW_LENGTH,
+    _BITRATE_SCALE,
+    _RECENCY_SCALE,
+    _STALL_CUMULATIVE_SCALE,
+    _THROUGHPUT_SCALE,
+)
+from repro.sim.bandwidth import BandwidthModel
+from repro.sim.player import PlayerEnvironment, dynamic_buffer_cap
 from repro.sim.session import ABRContext
-from repro.sim.video import Video
+from repro.sim.vector import (
+    VectorStepContext,
+    has_vector_kernel,
+    playback_step,
+    window_stats,
+)
+from repro.sim.video import BitrateLadder, Video
+
+#: Width of a rollout row's history columns.  One width serves both the ABR
+#: context's throughput history (the scalar rollout passes the last 8
+#: throughputs) and the predictor's 8-wide feature windows.
+_HISTORY = WINDOW_LENGTH
+
+#: Scales of the four history rows of ``UserState.feature_matrix``, in
+#: order: bitrate, throughput, cumulative stall, segments since stall.
+_HISTORY_SCALES = np.asarray(
+    [_BITRATE_SCALE, _THROUGHPUT_SCALE, _STALL_CUMULATIVE_SCALE, _RECENCY_SCALE]
+)[:, None]
 
 
 @dataclass(frozen=True)
@@ -60,15 +92,24 @@ def virtual_video(snapshot: PlayerSnapshot, config: MonteCarloConfig) -> Video:
 
     Shared by both evaluators of this module: ``T_sample`` seconds of segments
     on the snapshot's ladder, with the evaluator's own VBR jitter and seed so
-    every candidate sees the same virtual segment sizes.
+    every candidate sees the same virtual segment sizes.  It depends only on
+    the ladder, the segment duration and the frozen ``config``, so it is
+    built once per distinct triple and shared: callers only read it.
     """
+    return _virtual_video(snapshot.ladder, snapshot.segment_duration, config)
+
+
+@functools.lru_cache(maxsize=64)
+def _virtual_video(
+    ladder: BitrateLadder, segment_duration: float, config: MonteCarloConfig
+) -> Video:
     num_segments = max(
-        2, int(np.ceil(config.max_sample_duration_s / snapshot.segment_duration))
+        2, int(np.ceil(config.max_sample_duration_s / segment_duration))
     )
     return Video(
-        ladder=snapshot.ladder,
+        ladder=ladder,
         num_segments=num_segments,
-        segment_duration=snapshot.segment_duration,
+        segment_duration=segment_duration,
         vbr_std=config.vbr_std,
         seed=config.seed,
     )
@@ -202,44 +243,21 @@ class RolloutRequest:
     pruning: PruningPolicy | None = None
 
 
-@dataclass
-class _RolloutBlock:
-    """Mutable lockstep state of one (request, candidate) pair."""
-
-    request_index: int
-    candidate_index: int
-    rng: np.random.Generator
-    video: object
-    frozen_bandwidth: object
-    snapshot: PlayerSnapshot
-    pruning: PruningPolicy
-    prune: bool
-    best_exit_rate: float
-    num_steps: int
-    abrs: list[ABRAlgorithm]
-    environments: list[PlayerEnvironment]
-    states: list[UserState]
-    throughputs: list[list[float]]
-    last_levels: list[int | None]
-    alive: np.ndarray = field(init=False)
-    exited: int = 0
-    watched: int = 0
-    done: bool = False
-
-    def __post_init__(self) -> None:
-        self.alive = np.ones(len(self.abrs), dtype=bool)
-
-
 class BatchedMonteCarloEvaluator:
     """Algorithm 2 with all virtual-playback rollouts advanced in lockstep.
 
     Semantically this estimates the same quantity as the sequential evaluator
     (``R_exit = exited / watched`` over ``M`` samples of frozen-bandwidth
-    virtual playback) but restructures the loop: at every virtual segment step
-    the still-alive rollouts each pick a level and advance their private
-    player environment, and then *one* batched predictor call scores all of
-    them.  ABR state is kept per rollout via cheap deep copies, so stateful
-    algorithms behave exactly as they do in per-sample rollouts.
+    virtual playback) but restructures the loop: every rollout is a row of
+    one struct-of-arrays state, and each virtual segment step advances all
+    still-alive rows as array code — the inner ABR's ``vector_kernel``
+    picks their levels, Equation 3 and the user-state update run over the
+    arrays — before *one* batched predictor call scores them all.  Stateful
+    kernels (RobustMPC) keep per-row state, so every rollout behaves as a
+    freshly reset policy would on its own.  An ABR without its own kernel
+    (Pensieve, or a subclass that lacks one) chooses levels through per-row
+    ``ABRContext``s over one reset deep copy per rollout; everything else
+    stays array code.  The live ABR is never modified.
 
     :meth:`evaluate_requests` is the engine, and every controller activation
     runs through it (:func:`repro.core.controller.run_activations`).
@@ -313,173 +331,537 @@ class BatchedMonteCarloEvaluator:
     def _evaluate_requests_impl(
         self, requests: Sequence[RolloutRequest]
     ) -> list[list[float]]:
-        saved: dict[int, tuple[ABRAlgorithm, QoEParameters]] = {}
-        results: list[list[float | None]] = [
-            [None] * len(request.candidates) for request in requests
+        if not requests:
+            return []
+        rollout = _Rollout(requests, self.config, self.pruning)
+        for step in range(rollout.max_steps):
+            if not rollout.step(step, self.predictor):
+                break
+        return rollout.results()
+
+
+@dataclass
+class _Block:
+    """One (request, candidate) pair: ``size`` consecutive rows, one generator.
+
+    ``alive`` counts the rows that have not exited.  A block steps while it
+    has alive rows, has not been pruned and is inside its request's horizon.
+    """
+
+    request_index: int
+    candidate_index: int
+    start: int
+    size: int
+    rng: np.random.Generator
+    frozen_bandwidth: BandwidthModel
+    num_steps: int
+    pruning: PruningPolicy
+    prune: bool
+    best_exit_rate: float
+    alive: int = 0
+    exited: int = 0
+    watched: int = 0
+    result: float | None = None
+
+
+class _ContextAdapter:
+    """Level choice for an ABR without its own ``vector_kernel``.
+
+    The rollout's only per-row code: one :class:`ABRContext` per stepping
+    row, handed to that row's own clone of the ABR, so stateful policies
+    (Pensieve) see exactly the calls a standalone rollout makes.
+    """
+
+    def __init__(self, clones: list[ABRAlgorithm], ladder: BitrateLadder) -> None:
+        self.clones = clones
+        self.ladder = ladder
+
+    def __call__(
+        self, context: VectorStepContext, active: np.ndarray, step: int
+    ) -> np.ndarray:
+        levels = np.zeros(active.size, dtype=int)
+        width = context.throughput_window.shape[1]
+        for i in np.flatnonzero(active).tolist():
+            count = width if context.history is None else int(context.history[i])
+            last_level = int(context.last_level[i])
+            levels[i] = self.clones[i].select_level(
+                ABRContext(
+                    segment_index=step,
+                    buffer=float(context.buffer[i]),
+                    buffer_cap=float(context.buffer_cap[i]),
+                    last_level=None if last_level < 0 else last_level,
+                    throughput_history_kbps=tuple(
+                        context.throughput_window[i, width - count :].tolist()
+                    ),
+                    next_segment_sizes_kbit=tuple(
+                        context.segment_sizes[i].tolist()
+                    ),
+                    ladder=self.ladder,
+                    segment_duration=context.segment_duration,
+                    bandwidth_mean_kbps=float(context.bandwidth_mean[i]),
+                    bandwidth_std_kbps=float(context.bandwidth_std[i]),
+                )
+            )
+        return levels
+
+
+class _LevelGroup:
+    """Rows that share one level chooser: same ABR class, ladder and segment
+    duration, and all with or all without throughput history at the start.
+
+    The last split keeps ``context.k == 0`` ("no throughput history yet")
+    true for all of a group's rows or for none, so stateful kernels
+    (RobustMPC) stay in step across the group's rows.
+    """
+
+    def __init__(
+        self, rows, policies, ladder, segment_duration, sizes, mean, std, samples
+    ) -> None:
+        self.rows = rows  # slice(None) when the group holds every row
+        self.bitrates = np.asarray(ladder.bitrates_kbps, dtype=float)
+        self.segment_duration = segment_duration
+        self.sizes = sizes  # (rows, steps, levels) virtual segment sizes
+        self.arange = np.arange(len(policies))
+        self.mean = mean
+        self.std = std
+        self.samples = samples  # throughput samples each row starts with
+        # 0 only in a group whose rows all start without history.
+        self.fewest_samples = int(samples.min())
+        if has_vector_kernel(policies[0]):
+            kernel = type(policies[0]).vector_kernel(policies)
+            self.choose = lambda context, active, step: kernel(context)
+        else:
+            self.choose = _ContextAdapter(policies, ladder)
+
+    def context(
+        self, step: int, buffer, buffer_cap, last_level, throughputs
+    ) -> VectorStepContext:
+        rows = self.rows
+        history = None
+        if self.fewest_samples + step < _HISTORY:
+            history = np.minimum(self.samples + step, _HISTORY)
+        return VectorStepContext(
+            # ``k == 0`` means "no throughput history yet" to the kernels, and
+            # a rollout starts with the session's history.
+            k=self.fewest_samples + step,
+            buffer=buffer[rows],
+            buffer_cap=buffer_cap[rows],
+            last_level=last_level[rows],
+            segment_sizes=self.sizes[:, step],
+            throughput_window=throughputs[rows],
+            bandwidth_mean=self.mean,
+            bandwidth_std=self.std,
+            bitrates=self.bitrates,
+            segment_duration=self.segment_duration,
+            history=history,
+        )
+
+
+def _num_steps(request: RolloutRequest, config: MonteCarloConfig) -> int:
+    duration = request.snapshot.segment_duration
+    return int(np.ceil(config.max_sample_duration_s / duration))
+
+
+def _right_aligned(values: list[float]) -> list[float]:
+    """The last ``_HISTORY`` values, zero-padded on the left."""
+    recent = values[-_HISTORY:]
+    return [0.0] * (_HISTORY - len(recent)) + recent
+
+
+def _partition(keys: list, counts: list[int]) -> list[tuple]:
+    """Group requests by key: ``(key, member requests, rows)`` per group, in
+    first-seen order, with ``rows`` a slice when one group holds them all."""
+    members: dict = {}
+    for index, key in enumerate(keys):
+        members.setdefault(key, []).append(index)
+    if len(members) == 1:
+        return [(keys[0], list(range(len(keys))), slice(None))]
+    starts = np.cumsum([0] + counts)
+    return [
+        (
+            key,
+            indices,
+            np.concatenate([np.arange(starts[i], starts[i + 1]) for i in indices]),
+        )
+        for key, indices in members.items()
+    ]
+
+
+class _Rollout:  # contract: CORE-MC-010
+    """Struct-of-arrays state of every (request × candidate × sample) row.
+
+    Rows are laid out block by block, samples in order, so the stepping
+    rows in ascending order are the order the predictor has always seen:
+    block order, then sample order.  Per row the state holds the buffer and
+    last level; the histories of bitrate, throughput, cumulative stall and
+    segments-since-stall, whose last 8 columns are at once the ABR's
+    throughput history and the predictor's feature windows; the player's
+    bandwidth-model window; and the session stall time and segments since
+    the last stall.  Histories and windows grow one column per step into
+    preallocated arrays, so no step shifts them.
+
+    Rows that stopped (exited, pruned, or past their request's horizon) keep
+    flowing through the array expressions on their last bandwidth, the way
+    the vector engine's cohorts carry finished sessions; nothing reads their
+    values.  Every row takes one sample per step, so all rows of a request
+    hold the same number of samples at every step.
+    """
+
+    def __init__(
+        self,
+        requests: Sequence[RolloutRequest],
+        config: MonteCarloConfig,
+        pruning: PruningPolicy,
+    ) -> None:
+        self.blocks: list[_Block] = []
+        self.request_sizes = [len(request.candidates) for request in requests]
+        configs = [request.config or config for request in requests]
+        steps = [_num_steps(request, c) for request, c in zip(requests, configs)]
+        counts: list[int] = []
+        start = 0
+        for r, request in enumerate(requests):
+            if len(request.rngs) != len(request.candidates):
+                raise ValueError("need exactly one RNG per candidate")
+            samples = configs[r].num_samples
+            for c in range(len(request.candidates)):
+                self.blocks.append(
+                    _Block(
+                        request_index=r,
+                        candidate_index=c,
+                        start=start + c * samples,
+                        size=samples,
+                        rng=request.rngs[c],
+                        frozen_bandwidth=request.snapshot.bandwidth_model,
+                        num_steps=steps[r],
+                        pruning=request.pruning or pruning,
+                        prune=len(request.candidates) == 1,
+                        best_exit_rate=request.best_exit_rate,
+                        alive=samples,
+                    )
+                )
+            counts.append(samples * len(request.candidates))
+            start += counts[-1]
+        self.num_rows = start
+        self.max_steps = max(steps)
+        self.stepping = list(self.blocks)
+        self.alive = np.ones(self.num_rows, dtype=bool)
+        self.alive_rows = np.arange(self.num_rows)
+
+        snapshots = [request.snapshot for request in requests]
+        states = [request.user_state for request in requests]
+        models = [snapshot.bandwidth_model for snapshot in snapshots]
+        scalars = np.repeat(
+            [
+                [
+                    snapshot.buffer,
+                    snapshot.segment_duration,
+                    snapshot.base_buffer_cap,
+                    state.session_stall_time,
+                    state.segments_since_stall_history[-1]
+                    if state.segments_since_stall_history
+                    else float(WINDOW_LENGTH),
+                    state.max_survived_stall_time,
+                    # Virtual segments are all observed as survived, so a
+                    # tolerance from past stall exits stays fixed (NaN: none).
+                    (
+                        state.tolerance_estimate_s
+                        if state.lifetime_stall_exits
+                        else np.nan
+                    ),
+                    model.mean,
+                    model.std,
+                    -1 if snapshot.last_level is None else snapshot.last_level,
+                    len(state.throughputs_kbps),
+                ]
+                for snapshot, state, model in zip(snapshots, states, models)
+            ],
+            counts,
+            axis=0,
+        )
+        (
+            self.buffer,
+            self.segment_duration,
+            self.base_cap,
+            self.session_stall,
+            self.since_stall,
+            self.max_survived,
+            self.exit_tolerance,
+            frozen_mean,
+            frozen_std,
+        ) = np.ascontiguousarray(scalars[:, :9].T)
+        self.last_level = scalars[:, 9].astype(int)
+        throughput_samples = scalars[:, 10].astype(int)
+        self.bandwidth = np.ones(self.num_rows)
+        # Column ``_HISTORY + step`` receives step ``step``'s values; the
+        # right-aligned 8-wide window before step ``step`` is columns
+        # ``step .. step + 7``.
+        self.history = np.zeros((self.num_rows, 4, _HISTORY + self.max_steps))
+        self.history[:, :, :_HISTORY] = np.repeat(
+            [
+                [
+                    _right_aligned(state.bitrates_kbps),
+                    _right_aligned(state.throughputs_kbps),
+                    _right_aligned(state.cumulative_stall_history),
+                    _right_aligned(state.segments_since_stall_history),
+                ]
+                for state in states
+            ],
+            counts,
+            axis=0,
+        )
+
+        self.groups = []
+        keys = [
+            (
+                type(request.abr),
+                request.snapshot.ladder,
+                float(request.snapshot.segment_duration),
+                not request.user_state.throughputs_kbps,
+            )
+            for request in requests
         ]
-        blocks: list[_RolloutBlock] = []
-        try:
-            for r, request in enumerate(requests):
-                config = request.config or self.config
-                pruning = request.pruning or self.pruning
-                if len(request.rngs) != len(request.candidates):
-                    raise ValueError("need exactly one RNG per candidate")
-                video = virtual_video(request.snapshot, config)
-                frozen_bandwidth = request.snapshot.bandwidth_model
-                num_steps = int(
-                    np.ceil(
-                        config.max_sample_duration_s
-                        / request.snapshot.segment_duration
+        for (_abr, ladder, duration, _empty), members, rows in _partition(keys, counts):
+            policies: list[ABRAlgorithm] = []
+            tables = []
+            group_steps = np.arange(max(steps[r] for r in members))
+            for r in members:
+                for parameters in requests[r].candidates:
+                    policies.extend(
+                        _policies(requests[r].abr, parameters, configs[r].num_samples)
                     )
+                # ``Video.segment_size`` indexes segments modulo the length.
+                video = virtual_video(snapshots[r], configs[r])
+                tables.append(
+                    video.segment_sizes_kbit[group_steps % video.num_segments]
                 )
-                if id(request.abr) not in saved:
-                    saved[id(request.abr)] = (request.abr, request.abr.parameters)
-                # Stateless ABRs (no ``reset`` override — the same convention
-                # the vector backend's cohort routing uses) are never mutated
-                # during a rollout, so all M samples of a candidate can share
-                # one parameter-pinned clone instead of M deep copies.
-                reset = getattr(type(request.abr), "reset", None)
-                stateless = (
-                    getattr(reset, "__qualname__", "") == "ABRAlgorithm.reset"
+            self.groups.append(
+                _LevelGroup(
+                    rows,
+                    policies,
+                    ladder,
+                    duration,
+                    np.repeat(tables, [counts[r] for r in members], axis=0),
+                    frozen_mean[rows],
+                    frozen_std[rows],
+                    throughput_samples[rows],
                 )
-                for c, parameters in enumerate(request.candidates):
-                    request.abr.set_parameters(parameters)
-                    if stateless:
-                        clone = copy.deepcopy(request.abr)
-                        clone.reset()
-                        clones = [clone] * config.num_samples
-                    else:
-                        clones = []
-                        for _ in range(config.num_samples):
-                            clone = copy.deepcopy(request.abr)
-                            clone.reset()
-                            clones.append(clone)
-                    states = [
-                        request.user_state.copy() for _ in range(config.num_samples)
-                    ]
-                    blocks.append(
-                        _RolloutBlock(
-                            request_index=r,
-                            candidate_index=c,
-                            rng=request.rngs[c],
-                            video=video,
-                            frozen_bandwidth=frozen_bandwidth,
-                            snapshot=request.snapshot,
-                            pruning=pruning,
-                            prune=len(request.candidates) == 1,
-                            best_exit_rate=request.best_exit_rate,
-                            num_steps=num_steps,
-                            abrs=clones,
-                            environments=[
-                                PlayerEnvironment(
-                                    video=video,
-                                    rtt=request.snapshot.rtt,
-                                    initial_buffer=request.snapshot.buffer,
-                                    base_buffer_cap=request.snapshot.base_buffer_cap,
-                                    bandwidth_model=frozen_bandwidth.copy(),
-                                )
-                                for _ in range(config.num_samples)
-                            ],
-                            states=states,
-                            throughputs=[
-                                list(state.throughputs_kbps) for state in states
-                            ],
-                            last_levels=[request.snapshot.last_level]
-                            * config.num_samples,
-                        )
-                    )
+            )
 
-            max_steps = max((block.num_steps for block in blocks), default=0)
-            for step in range(max_steps):
-                stepping: list[tuple[_RolloutBlock, np.ndarray, int]] = []
-                total_alive = 0
-                for block in blocks:
-                    if block.done or step >= block.num_steps:
-                        continue
-                    indices = np.flatnonzero(block.alive)
-                    if indices.size == 0:
-                        continue
-                    stepping.append((block, indices, total_alive))
-                    total_alive += int(indices.size)
-                if total_alive == 0:
-                    break
-                levels = np.empty(total_alive, dtype=int)
-                switches = np.empty(total_alive, dtype=int)
-                stalled = np.empty(total_alive, dtype=bool)
-                features = np.zeros((total_alive, NUM_FEATURES, WINDOW_LENGTH))
-                for block, indices, offset in stepping:
-                    snapshot = block.snapshot
-                    frozen_bandwidth = block.frozen_bandwidth
-                    video = block.video
-                    bandwidths = np.atleast_1d(
-                        frozen_bandwidth.sample(block.rng, size=indices.size)
-                    )
-                    for j, i in enumerate(indices):
-                        row = offset + j
-                        environment = block.environments[i]
-                        buffer_cap = environment.buffer_cap
-                        context = ABRContext(
-                            segment_index=environment.segment_index,
-                            buffer=environment.buffer,
-                            buffer_cap=buffer_cap,
-                            last_level=block.last_levels[i],
-                            throughput_history_kbps=tuple(
-                                block.throughputs[i][-8:]
-                            ),
-                            next_segment_sizes_kbit=video.sizes_tuple(
-                                environment.segment_index
-                            ),
-                            ladder=snapshot.ladder,
-                            segment_duration=snapshot.segment_duration,
-                            bandwidth_mean_kbps=frozen_bandwidth.mean,
-                            bandwidth_std_kbps=frozen_bandwidth.std,
-                        )
-                        level = int(block.abrs[i].select_level(context))
-                        result = environment.step(
-                            level, float(bandwidths[j]), buffer_cap=buffer_cap
-                        )
-                        block.states[i].observe_segment(
-                            bitrate_kbps=result.bitrate_kbps,
-                            throughput_kbps=result.throughput_kbps,
-                            stall_time=result.stall_time,
-                            segment_duration=snapshot.segment_duration,
-                        )
-                        block.throughputs[i].append(result.throughput_kbps)
-                        levels[row] = level
-                        switches[row] = (
-                            0
-                            if block.last_levels[i] is None
-                            else level - block.last_levels[i]
-                        )
-                        stalled[row] = result.stall_time > 1e-12
-                        if stalled[row]:
-                            features[row] = block.states[i].feature_matrix()
-                        block.last_levels[i] = level
+        # Bandwidth-model windows, oldest first, in classes of rows that hold
+        # the same number of samples: (rows, samples at step 0, window
+        # length, prior mean, prior std).  Column ``held + step`` receives
+        # step ``step``'s bandwidth.
+        held = max(model.num_observations for model in models)
+        self.window = np.zeros((self.num_rows, held + self.max_steps))
+        self.window[:, :held] = np.repeat(
+            [
+                model._samples + [0.0] * (held - model.num_observations)
+                for model in models
+            ],
+            counts,
+            axis=0,
+        )
+        keys = [
+            (
+                model.num_observations,
+                model.window,
+                model.prior_mean_kbps,
+                model.prior_std_kbps,
+            )
+            for model in models
+        ]
+        self.window_classes = [
+            (rows, *key) for key, _, rows in _partition(keys, counts)
+        ]
 
-                probabilities = self.predictor.predict_many(
-                    features, levels, switches, stalled
-                )
-                for block, indices, start in stepping:
-                    exits = (
-                        block.rng.random(indices.size)
-                        < probabilities[start : start + indices.size]
+    def step(self, step: int, predictor: BatchedExitPredictor) -> bool:
+        """Advance every stepping block one virtual segment; False when none can."""
+        stepping = self.stepping
+        if not stepping:
+            return False
+        rows = self.alive_rows
+        draws = [
+            block.frozen_bandwidth.sample(block.rng, size=block.alive)
+            for block in stepping
+        ]
+        bandwidth = self.bandwidth
+        bandwidth[rows] = draws[0] if len(draws) == 1 else np.concatenate(draws)
+
+        mean, std = self._window_stats(step)
+        buffer_cap = dynamic_buffer_cap(mean, std, base_cap=self.base_cap)
+        levels, size, bitrate = self._choose_levels(step, buffer_cap)
+
+        stall, _overflow, self.buffer = playback_step(
+            self.buffer,
+            size / bandwidth,
+            buffer_cap,
+            self.segment_duration,
+            startup=step == 0,
+        )
+        previous = self.last_level
+        switches = levels - previous
+        if step == 0:
+            switches = np.where(previous < 0, 0, switches)
+        self.last_level = levels
+
+        # ``UserState.observe_segment`` (survived) for every row; stall >= 0,
+        # so adding it unconditionally equals adding it only when positive.
+        self.session_stall = self.session_stall + stall
+        self.since_stall = np.where(stall > 0.0, 0.0, self.since_stall + 1.0)
+        column = _HISTORY + step
+        history = self.history
+        history[:, 0, column] = bitrate
+        history[:, 1, column] = bandwidth
+        history[:, 2, column] = self.session_stall
+        history[:, 3, column] = self.since_stall
+        for class_rows, held, _length, _mean, _std in self.window_classes:
+            self.window[class_rows, held + step] = bandwidth[class_rows]
+
+        stalled = stall[rows] > 1e-12
+        features = np.zeros((rows.size, NUM_FEATURES, WINDOW_LENGTH))
+        hit = stalled.nonzero()[0]
+        if hit.size:
+            stalled_rows = rows[hit]
+            features[hit, :4] = (
+                history[stalled_rows, :, column - _HISTORY + 1 : column + 1]
+                / _HISTORY_SCALES
+            )
+            # The session stall time only grows, so the longest survived
+            # stall is the larger of the starting one and the current one.
+            survived = np.maximum(
+                self.max_survived[stalled_rows], self.session_stall[stalled_rows]
+            )
+            tolerance = self.exit_tolerance[stalled_rows]
+            tolerance = np.where(
+                np.isnan(tolerance),
+                np.maximum(survived, DEFAULT_TOLERANCE_PRIOR_S),
+                tolerance,
+            )
+            features[hit, 4] = (tolerance / _STALL_CUMULATIVE_SCALE)[:, None]
+        probabilities = predictor.predict_many(
+            features, levels[rows], switches[rows], stalled
+        )
+
+        uniforms = [block.rng.random(block.alive) for block in stepping]
+        if len(uniforms) > 1:
+            uniforms = [np.concatenate(uniforms)]
+        exits = uniforms[0] < probabilities
+        exited = int(np.count_nonzero(exits))
+        changed = exited > 0
+        if changed:
+            self.alive[rows[exits]] = False
+        if len(stepping) == 1:
+            exit_counts = [exited]
+        else:
+            flags = exits.tolist()
+            exit_counts = []
+            offset = 0
+            for block in stepping:
+                exit_counts.append(sum(flags[offset : offset + block.alive]))
+                offset += block.alive
+        self.stepping = []
+        for block, exited in zip(stepping, exit_counts):
+            block.watched += block.alive
+            block.exited += exited
+            block.alive -= exited
+            if block.prune and block.pruning.abort_candidate(
+                block.exited, block.watched, block.best_exit_rate
+            ):
+                block.result = block.exited / block.watched
+            elif block.alive and step + 1 < block.num_steps:
+                self.stepping.append(block)
+                continue
+            if block.alive:
+                self.alive[block.start : block.start + block.size] = False
+                changed = True
+        if changed:
+            self.alive_rows = self.alive.nonzero()[0]
+        return True
+
+    def _window_stats(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's bandwidth-model ``mean``/``std`` before this step."""
+        if len(self.window_classes) == 1:
+            [(_rows, held, length, prior_mean, prior_std)] = self.window_classes
+            end = held + step
+            return window_stats(
+                self.window[:, max(0, end - length) : end], prior_mean, prior_std
+            )
+        mean = np.empty(self.num_rows)
+        std = np.empty(self.num_rows)
+        for rows, held, length, prior_mean, prior_std in self.window_classes:
+            end = held + step
+            mean[rows], std[rows] = window_stats(
+                self.window[rows, max(0, end - length) : end], prior_mean, prior_std
+            )
+        return mean, std
+
+    def _choose_levels(self, step: int, buffer_cap):
+        """``(levels, segment sizes, bitrates)`` per row from each group's
+        chooser.  Rows that do not step get level 0 where their group's
+        chooser returned no valid level, or did not run at all."""
+        active = self.alive
+        throughputs = self.history[:, 1, step : step + _HISTORY]
+        single = len(self.groups) == 1
+        if not single:
+            levels = np.zeros(self.num_rows, dtype=int)
+            size = np.ones(self.num_rows)
+            bitrate = np.ones(self.num_rows)
+        for group in self.groups:
+            rows = group.rows
+            group_active = active[rows]
+            if not single and not group_active.any():
+                continue  # none of its rows steps again
+            context = group.context(
+                step, self.buffer, buffer_cap, self.last_level, throughputs
+            )
+            chosen = group.choose(context, group_active, step)
+            num_levels = group.bitrates.size
+            invalid = (chosen < 0) | (chosen >= num_levels)
+            if np.count_nonzero(invalid):
+                if np.count_nonzero(invalid & group_active):
+                    raise ValueError(
+                        f"ABR returned levels outside [0, {num_levels}) "
+                        f"at virtual step {step}"
                     )
-                    block.watched += int(indices.size)
-                    block.exited += int(np.count_nonzero(exits))
-                    block.alive[indices[exits]] = False
-                    if block.prune and block.pruning.abort_candidate(
-                        block.exited, block.watched, block.best_exit_rate
-                    ):
-                        block.done = True
-                        results[block.request_index][block.candidate_index] = (
-                            block.exited / block.watched
-                        )
-        finally:
-            for abr, parameters in saved.values():
-                abr.set_parameters(parameters)
-        for block in blocks:
-            if results[block.request_index][block.candidate_index] is None:
-                results[block.request_index][block.candidate_index] = (
-                    block.exited / block.watched if block.watched else 1.0
-                )
-        return [list(values) for values in results]
+                chosen = np.where(invalid, 0, chosen)
+            group_size = context.segment_sizes[group.arange, chosen]
+            if single:
+                return chosen, group_size, group.bitrates[chosen]
+            levels[rows] = chosen
+            size[rows] = group_size
+            bitrate[rows] = group.bitrates[chosen]
+        return levels, size, bitrate
+
+    def results(self) -> list[list[float]]:
+        """``exited / watched`` per request and candidate (1.0 if none watched)."""
+        out: list[list[float]] = [[1.0] * size for size in self.request_sizes]
+        for block in self.blocks:
+            if block.result is not None:
+                value = block.result
+            else:
+                value = block.exited / block.watched if block.watched else 1.0
+            out[block.request_index][block.candidate_index] = value
+        return out
+
+
+def _policies(
+    abr: ABRAlgorithm, parameters: QoEParameters, samples: int
+) -> list[ABRAlgorithm]:
+    """One candidate's per-row ABRs.
+
+    A kernel reads only its policies' configuration and live parameters, so
+    the candidate's rows share one shallow, parameter-pinned copy.  Without
+    a kernel every sample gets its own reset deep copy, so stateful policies
+    evolve per rollout as they would alone.  ``abr`` itself is not touched.
+    """
+    if has_vector_kernel(abr):
+        pinned = copy.copy(abr)
+        pinned.set_parameters(parameters)
+        return [pinned] * samples
+    clones = []
+    for _ in range(samples):
+        clone = copy.deepcopy(abr)
+        clone.set_parameters(parameters)
+        clone.reset()
+        clones.append(clone)
+    return clones

@@ -73,7 +73,7 @@ def dynamic_buffer_cap(
         scarcity = 4000.0 / (mean_bandwidth_kbps + 1000.0)
         cap = base_cap * (0.6 + 0.8 * coefficient_of_variation + 0.6 * scarcity)
         return float(min(max(cap, min_cap), max_cap))
-    if np.any(mean_bandwidth_kbps <= 0):
+    if np.count_nonzero(np.asarray(mean_bandwidth_kbps) <= 0):
         raise ValueError("mean bandwidth must be positive")
     coefficient_of_variation = np.maximum(std_bandwidth_kbps, 0.0) / mean_bandwidth_kbps
     scarcity = 4000.0 / (mean_bandwidth_kbps + 1000.0)

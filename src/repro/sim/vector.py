@@ -23,7 +23,10 @@ segment** (exact `SegmentRecord` equality, enforced by
 * all array expressions mirror the scalar code's floating-point operation
   order (including the bandwidth-window mean/std reductions, which NumPy
   evaluates with the same pairwise summation row-wise as it does for the
-  scalar model's 1-D window);
+  scalar model's 1-D window).  The window statistics
+  (:func:`window_stats`) and Equation 3 (:func:`playback_step`) are module
+  functions: the Monte-Carlo rollouts of :mod:`repro.core.monte_carlo`
+  run the same array code;
 * the rare, profile-specific stall response of
   :class:`~repro.users.engagement.QoSAwareExitModel` is evaluated by calling
   the *scalar* profile method on the masked stalled rows, not by a parallel
@@ -90,38 +93,104 @@ class VectorStepContext:
     buffer_cap: np.ndarray
     last_level: np.ndarray
     segment_sizes: np.ndarray  # (N, num_levels) sizes of this step's segment
-    throughput_window: np.ndarray  # (N, min(k, 8)) recent throughputs, oldest first
+    throughput_window: np.ndarray  # (N, W) recent throughputs, oldest first
     bandwidth_mean: np.ndarray
     bandwidth_std: np.ndarray
     bitrates: np.ndarray  # (num_levels,) shared ladder
     segment_duration: float
+    #: Per-row number of valid samples at the right end of
+    #: ``throughput_window``; ``None`` when every row holds all ``W`` columns
+    #: (the engine's cohorts).  Monte-Carlo rollouts mix rows whose
+    #: histories have different lengths.
+    history: np.ndarray | None = None
 
     def harmonic_throughput(self, windows: np.ndarray) -> np.ndarray:
         """Per-session harmonic-mean throughput over the last ``windows[i]`` samples.
 
         Mirrors :meth:`repro.abr.base.ABRAlgorithm.estimate_throughput`
         (falling back to the bandwidth-model mean when no history exists yet).
-        Sessions are grouped by window length so each group reduces over the
-        same slice shape the scalar estimator sees.
+        Sessions are grouped by effective window length so each group reduces
+        over the same slice shape the scalar estimator sees.
         """
         available = self.throughput_window.shape[1]
-        unique = np.unique(windows)
-        if unique.size == 1:
-            effective = min(int(unique[0]), available)
-            if effective == 0:
+        if self.history is not None:
+            available_rows = np.minimum(self.history, available)
+        else:
+            available_rows = available
+        effective = np.minimum(windows, available_rows)
+        first = int(effective[0]) if effective.size else 0
+        if not np.count_nonzero(effective != first):
+            if first == 0:
                 return self.bandwidth_mean.copy()
-            values = self.throughput_window[:, available - effective :]
-            return effective / np.sum(1.0 / values, axis=1)
-        out = np.empty(windows.shape[0])
-        for window in unique:
-            rows = windows == window
-            effective = min(int(window), available)
-            if effective == 0:
+            values = self.throughput_window[:, available - first :]
+            return first / np.add.reduce(1.0 / values, axis=1)
+        out = np.empty(effective.shape[0])
+        for width in np.unique(effective).tolist():
+            rows = effective == width
+            if width == 0:
                 out[rows] = self.bandwidth_mean[rows]
             else:
-                values = self.throughput_window[rows][:, available - effective :]
-                out[rows] = effective / np.sum(1.0 / values, axis=1)
+                values = self.throughput_window[rows][:, available - width :]
+                out[rows] = width / np.add.reduce(1.0 / values, axis=1)
         return out
+
+
+def has_vector_kernel(abr) -> bool:
+    """True when ``abr``'s *exact* class defines a ``vector_kernel``.
+
+    A ``__dict__`` lookup, not inheritance: a subclass that overrides
+    ``select_level`` without its own kernel must not silently run the
+    parent's vectorized decision rule.
+    """
+    return "vector_kernel" in type(abr).__dict__
+
+
+def window_stats(
+    window: np.ndarray, prior_mean=_PRIOR_MEAN, prior_std=_PRIOR_STD
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :class:`~repro.sim.bandwidth.BandwidthModel` ``mean``/``std``.
+
+    ``window`` is ``(n, c)``: every row holds exactly ``c`` samples, oldest
+    first.  Bit for bit what the model computes for each row's samples:
+    the prior mean with no samples, the prior std with fewer than two, and
+    otherwise ``np.mean`` and ``max(np.std(ddof=1), 1e-6)`` rebuilt from
+    ``np.add.reduce`` in numpy's own ``_mean``/``_var`` operation order (a
+    row-wise reduction sums each row exactly as the 1-D call does), at a
+    fraction of their dispatch cost.  The priors may be scalars or ``(n,)``.
+    """
+    n, count = window.shape
+    if count == 0:
+        return np.full(n, prior_mean, dtype=float), np.full(n, prior_std, dtype=float)
+    mean = np.add.reduce(window, axis=1) / count
+    if count < 2:
+        return mean, np.full(n, prior_std, dtype=float)
+    deviation = window - mean[:, None]
+    np.multiply(deviation, deviation, out=deviation)
+    variance = np.add.reduce(deviation, axis=1) / (count - 1)
+    return mean, np.maximum(np.sqrt(variance), 1e-6)
+
+
+def playback_step(
+    buffer: np.ndarray,
+    download: np.ndarray,
+    buffer_cap: np.ndarray,
+    segment_duration,
+    startup: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equation 3 over arrays: ``(stall, overflow, buffer_after)``.
+
+    The scalar player's operation order, elementwise.  ``startup`` marks a
+    session's first download, which stalls nothing while the buffer is still
+    empty (it is startup delay).  ``overflow + rtt`` is the waiting time.
+    """
+    stall = np.maximum(download - buffer, 0.0)
+    if startup:
+        stall = np.where(buffer == 0.0, 0.0, stall)
+    drained = np.maximum(buffer - download, 0.0)
+    unclipped = drained + segment_duration
+    overflow = np.maximum(unclipped - buffer_cap, 0.0)
+    buffer_after = np.maximum(unclipped - overflow, 0.0)
+    return stall, overflow, np.minimum(buffer_after, buffer_cap)
 
 
 @dataclass
@@ -225,16 +294,8 @@ class _Cohort:
         # array expressions; their values are never recorded.
         alloc = np.where(active, allocated, 1.0)
 
-        if j == 0:
-            window = self.observed[:, 0:0]
-            mean = np.full(n, _PRIOR_MEAN)
-        else:
-            window = self.observed[:, max(0, j - _WINDOW) : j]
-            mean = window.mean(axis=1)
-        if j < 2:
-            std = np.full(n, _PRIOR_STD)
-        else:
-            std = np.maximum(np.std(window, axis=1, ddof=1), 1e-6)
+        window = self.observed[:, max(0, j - _WINDOW) : j]
+        mean, std = window_stats(window)
         buffer_cap = dynamic_buffer_cap(mean, std, base_cap=config.base_buffer_cap)
 
         context = VectorStepContext(
@@ -260,18 +321,10 @@ class _Cohort:
 
         size = self.sizes[:, j, :][row_index, levels]
         download = size / alloc
-        if j == 0:
-            stall = np.where(
-                self.buffer == 0.0, 0.0, np.maximum(download - self.buffer, 0.0)
-            )
-        else:
-            stall = np.maximum(download - self.buffer, 0.0)
-        drained = np.maximum(self.buffer - download, 0.0)
-        unclipped = drained + self.segment_duration
-        overflow = np.maximum(unclipped - buffer_cap, 0.0)
+        stall, overflow, buffer_after = playback_step(
+            self.buffer, download, buffer_cap, self.segment_duration, startup=j == 0
+        )
         wait = overflow + config.rtt
-        buffer_after = np.maximum(unclipped - overflow, 0.0)
-        buffer_after = np.minimum(buffer_after, buffer_cap)
 
         stalled = stall > 1e-12
         self.cumulative_stall = np.where(
@@ -526,10 +579,9 @@ class VectorBackend(SimBackend):
     def _vectorizable(spec: SessionSpec) -> bool:
         """True when both the ABR and the exit model ship vector kernels.
 
-        The kernel must be defined by the spec's *exact* class (``__dict__``
-        lookup, not inheritance): a subclass that overrides ``select_level``
-        without providing its own kernel must fall back to the scalar engine
-        rather than silently run the parent's vectorized decision rule.
+        The kernel must be defined by the spec's *exact* class
+        (:func:`has_vector_kernel`): a subclass without its own kernel falls
+        back to the scalar engine.
 
         LingXi-style wrappers (``.inner`` + ``.controller`` + ``observe``
         hook) are vectorizable when their *inner* algorithm ships a kernel:
@@ -541,12 +593,12 @@ class VectorBackend(SimBackend):
         abr = spec.abr
         if VectorBackend._controller_wrapped(abr):
             inner = abr.inner
-            if "vector_kernel" not in type(inner).__dict__:
+            if not has_vector_kernel(inner):
                 return False
             if getattr(inner, "observe", None) is not None:
                 return False
         else:
-            if "vector_kernel" not in type(abr).__dict__:
+            if not has_vector_kernel(abr):
                 return False
             if getattr(abr, "observe", None) is not None:
                 return False

@@ -308,6 +308,48 @@ def test_mc_rule_flags_sequential_evaluator_and_evaluator_swaps():
     assert lint_source("tests/test_fleet.py", source).findings == []
 
 
+def test_mc_rule_flags_per_row_objects_in_the_lockstep_rollout():
+    source = textwrap.dedent(
+        """\
+        import copy
+
+
+        class MonteCarloEvaluator:
+            def evaluate(self, request):
+                env = PlayerEnvironment(video)
+                return ABRContext(), request.user_state.copy()
+
+
+        class _ContextAdapter:
+            def __call__(self, context):
+                PlayerEnvironment(video)
+                return ABRContext()
+
+
+        class _Rollout:
+            def __init__(self, request, states):
+                self.env = sim.PlayerEnvironment(video)
+                context = ABRContext()
+                clone = request.user_state.copy()
+                spare = states[0].copy()
+                deep = copy.deepcopy(request.user_state)
+                abr = copy.deepcopy(request.abr)
+                window = request.snapshot.bandwidth_model.copy()
+        """
+    )
+    lint = lint_source("src/repro/core/monte_carlo.py", source)
+    assert [(f.rule_id, f.line) for f in lint.findings] == [
+        ("CORE-MC-010", 12),
+        ("CORE-MC-010", 18),
+        ("CORE-MC-010", 19),
+        ("CORE-MC-010", 20),
+        ("CORE-MC-010", 21),
+        ("CORE-MC-010", 22),
+    ]
+    # The rule covers the lockstep evaluator's module only.
+    assert lint_source("src/repro/core/controller.py", source).findings == []
+
+
 # --------------------------------------------------------------------------- #
 # Waivers
 # --------------------------------------------------------------------------- #
