@@ -698,6 +698,74 @@ def check_monte_carlo_path(
 
 
 # ---------------------------------------------------------------------------
+# FLEET-TELEMETRY-011 — one telemetry encoder
+# ---------------------------------------------------------------------------
+
+#: The telemetry codec's module and the name of its one shared encoder.
+TELEMETRY_MODULE = "repro/fleet/telemetry.py"
+SHARED_ENCODER = "_ENCODER"
+
+
+def check_telemetry_encoder(
+    path: str, source: str, tree: ast.AST
+) -> Iterator[Finding]:
+    """FLEET-TELEMETRY-011: every telemetry line is encoded by the module's
+    one shared ``json.JSONEncoder``, so inline and pooled shards write the
+    same bytes.  In ``repro/fleet/telemetry.py`` no code deep-copies
+    records with ``dataclasses.asdict``, calls ``json.dumps``/``json.dump``
+    or builds a ``JSONEncoder`` other than the module-level
+    ``_ENCODER``."""
+    if _module_path(path) != TELEMETRY_MODULE:
+        return
+    imports = _collect_imports(tree)
+    json_aliases = imports.aliases("json")
+    from_json = {
+        local: name
+        for (module, name), locals_ in imports.from_names.items()
+        if module == "json"
+        for local in locals_
+    }
+    shared = {
+        id(node.value)
+        for node in ast.iter_child_nodes(tree)
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets]
+        == [SHARED_ENCODER]
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain = _attr_chain(node.func) or []
+        if len(chain) == 2 and chain[0] in json_aliases:
+            json_name = chain[1]
+        elif len(chain) == 1:
+            json_name = from_json.get(chain[0])
+        else:
+            json_name = None
+        callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if callee == "asdict":
+            message = (
+                "dataclasses.asdict in the telemetry codec; build record "
+                "dicts from the fields directly"
+            )
+        elif json_name in ("dumps", "dump"):
+            message = (
+                f"json.{json_name} in the telemetry codec; encode with the "
+                f"shared {SHARED_ENCODER}"
+            )
+        elif json_name == "JSONEncoder" and id(node) not in shared:
+            message = (
+                "second JSONEncoder in the telemetry codec; encode with the "
+                f"shared module-level {SHARED_ENCODER}"
+            )
+        else:
+            continue
+        yield Finding(
+            "FLEET-TELEMETRY-011", path, node.lineno, node.col_offset, message
+        )
+
+
+# ---------------------------------------------------------------------------
 # Registry + driver
 # ---------------------------------------------------------------------------
 
@@ -714,6 +782,7 @@ ALL_RULES: dict[str, RuleFn] = {
     "CKPT-006": check_checkpoint_registry,
     "SIM-BATCH-008": check_session_engine_use,
     "CORE-MC-010": check_monte_carlo_path,
+    "FLEET-TELEMETRY-011": check_telemetry_encoder,
 }
 
 

@@ -32,6 +32,12 @@ run.  Event types emitted by the orchestrator:
     fallback counters (``last/total_fallback_sessions``,
     ``total_batch_sessions``).
 
+Every line is encoded by one shared :class:`json.JSONEncoder`
+(:data:`_ENCODER`) and reaches the file as bytes through
+:meth:`TelemetryWriter.write_raw`: inline shards, pooled shard blobs and
+single run-level events take the same path, so the two fleet modes write
+identical files on every platform.
+
 The replay/loader API (:func:`read_events`, :func:`replay_log_collection`,
 :func:`replay_link_utilization`) feeds the existing analytics layer, so
 every §2-style aggregation works on a telemetry file exactly as it does on
@@ -41,7 +47,7 @@ live simulation output.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -64,15 +70,14 @@ class TelemetryEvent:
 
     def to_json(self) -> str:
         """Single-line JSON form of the event."""
-        return json.dumps(
+        return _ENCODER.encode(
             {
                 "run_id": self.run_id,
                 "shard": self.shard,
                 "user_id": self.user_id,
                 "event": self.event,
                 "payload": self.payload,
-            },
-            default=_to_builtin,
+            }
         )
 
     @classmethod
@@ -97,6 +102,13 @@ def _to_builtin(value):
     raise TypeError(f"not JSON serialisable: {type(value)!r}")
 
 
+#: The one encoder behind every telemetry line.  It is configured exactly as
+#: ``json.dumps(obj, default=_to_builtin)`` configures its own, so the bytes
+#: are the same, without building a new encoder per event.
+# contract: FLEET-TELEMETRY-011
+_ENCODER = json.JSONEncoder(default=_to_builtin)
+
+
 class TelemetryWriter:
     """JSONL event writer for one run (usable as a context manager).
 
@@ -110,34 +122,39 @@ class TelemetryWriter:
     def __init__(self, path: str | Path, append: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a" if append else "w")
+        # Binary mode: no locale encoding and no newline translation, so the
+        # file holds exactly the bytes of :func:`encode_events` — the bytes
+        # the pool's blobs and the reader's byte offsets assume.
+        self._handle = self.path.open("ab" if append else "wb")
         self.events_written = 0
 
     def emit(self, event: TelemetryEvent) -> None:
         """Write one event as a JSON line."""
-        self._handle.write(event.to_json())
-        self._handle.write("\n")
-        self.events_written += 1
+        self.write_raw(encode_events((event,)))
 
     def emit_many(self, events: Iterable[TelemetryEvent]) -> None:
-        """Write several events in order."""
+        """Write several events in order, as ``encode_events(events)``.
+
+        One event at a time: a shard's whole blob held in memory would
+        raise peak RSS by about twice its size, and it encodes no faster.
+        """
         for event in events:
             self.emit(event)
 
     def write_raw(self, data: bytes) -> None:
         """Append pre-encoded JSONL bytes (newline-terminated lines).
 
-        This is the shared-memory drain path of the pooled fleet: a worker
-        encodes its shard's events once (:func:`encode_shard_events`) and the
-        parent streams the blob to disk without re-serialising.  The bytes
-        are exactly what :meth:`emit` would have written for the same events,
-        so replay readers cannot tell the two paths apart.
+        Every event reaches the file here.  :meth:`emit` and
+        :meth:`emit_many` encode with :func:`encode_events`; a pool worker
+        encodes its shard's events once (:func:`encode_shard_events`) and
+        the parent hands the blob over as is, so both fleet modes write the
+        same bytes and replay readers cannot tell them apart.
         """
         if not data:
             return
         if not data.endswith(b"\n"):
             raise ValueError("raw telemetry blobs must be newline-terminated")
-        self._handle.write(data.decode("utf-8"))
+        self._handle.write(data)
         self.events_written += data.count(b"\n")
 
     def close(self) -> None:
@@ -181,7 +198,13 @@ def read_events(path: str | Path) -> Iterator[TelemetryEvent]:
 # Session (de)serialisation
 # --------------------------------------------------------------------------- #
 def session_payload(log: SessionLog) -> dict:
-    """Full JSON payload of one session log (replayable without loss)."""
+    """Full JSON payload of one session log (replayable without loss).
+
+    Each record object is a shallow copy of the record's instance dict, not
+    the deep copy of ``dataclasses.asdict``.  The two are equal key for key
+    and in the same order, because a frozen ``SegmentRecord`` stores exactly
+    its fields, set in field order by ``__init__``.
+    """
     trace = log.trace
     return {
         "day": int(log.day),
@@ -191,7 +214,7 @@ def session_payload(log: SessionLog) -> dict:
         "segment_duration": float(trace.segment_duration),
         "trace_name": str(trace.trace_name),
         "exited_early": bool(trace.exited_early),
-        "records": [asdict(record) for record in trace.records],
+        "records": [vars(record).copy() for record in trace.records],
     }
 
 
@@ -272,7 +295,12 @@ def iter_shard_events(run_id: str, output) -> Iterator[TelemetryEvent]:
 
 
 def encode_events(events: Iterable[TelemetryEvent]) -> bytes:
-    """Encode events to the exact bytes :class:`TelemetryWriter` would write."""
+    """The JSONL bytes of ``events``, one newline-terminated line each.
+
+    The one encoding step of every telemetry path: :class:`TelemetryWriter`
+    writes exactly these bytes, whether it encodes the events itself or a
+    pool worker did.
+    """
     return "".join(event.to_json() + "\n" for event in events).encode("utf-8")
 
 

@@ -1,12 +1,18 @@
-"""Bit-exact property tests for LingXi's array shortcuts.
+"""Bit-exact property tests for the repo's fast paths.
 
 Each shortcut below replaces a slower computation that feeds a LingXi
 decision, so it must reproduce that computation's bits, not merely its
 value to a tolerance: a single ulp can flip an exit draw or move the
-optimiser's next candidate.
+optimiser's next candidate.  The telemetry codec is held to the same
+standard byte for byte, because telemetry files are the replayable
+ground truth of a run.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import json
+from typing import get_type_hints
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,8 +24,17 @@ from repro.bayesopt.acquisition import (
     expected_improvement,
     probability_of_improvement,
 )
+from repro.analytics.logs import SessionLog
 from repro.bayesopt.kernels import Matern52Kernel, RBFKernel
+from repro.fleet.orchestrator import ShardOutput
+from repro.fleet.telemetry import (
+    _to_builtin,
+    encode_shard_events,
+    iter_shard_events,
+)
+from repro.net.allocator import LinkUsageSample
 from repro.sim.bandwidth import BandwidthModel
+from repro.sim.session import PlaybackTrace, SegmentRecord
 from repro.sim.vector import window_stats
 
 _FINITE = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -78,3 +93,140 @@ def test_acquisitions_match_scipy_stats_bitwise(mean, scale, best, xi):
     assert _same_bits(expected_improvement(mean, std, best, xi), reference_ei)
     reference_pi = stats.norm.cdf((best - mean - xi) / clipped)
     assert _same_bits(probability_of_improvement(mean, std, best, xi), reference_pi)
+
+
+# --------------------------------------------------------------------------- #
+# Telemetry codec against the dataclasses.asdict + json.dumps oracle
+# --------------------------------------------------------------------------- #
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e308, -1e308,
+    float("nan"), float("inf"), float("-inf"),
+]
+#: Every float the JSON encoder can write, as a Python float or np.float64.
+_ANY_FLOAT = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats()).flatmap(
+    lambda x: st.sampled_from([x, np.float64(x)])
+)
+#: Finite floats, for link samples, whose utilization divides the allocation
+#: by the capacity.
+_FINITE_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+).flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+_ANY_INT = st.integers(-(2**62), 2**62).flatmap(
+    lambda n: st.sampled_from([n, np.int64(n)])
+)
+_ANY_BOOL = st.booleans().flatmap(lambda b: st.sampled_from([b, np.bool_(b)]))
+#: Quotes, backslashes, control characters, non-ASCII and astral text.
+_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7fé中😀\u2028'), st.characters()),
+    max_size=12,
+)
+_FIELD_VALUES = {int: _ANY_INT, float: _ANY_FLOAT, bool: _ANY_BOOL}
+
+_records = st.builds(
+    SegmentRecord,
+    **{
+        name: _FIELD_VALUES[hint]
+        for name, hint in get_type_hints(SegmentRecord).items()
+    },
+)
+_sessions = st.builds(
+    SessionLog,
+    user_id=_TEXT,
+    day=_ANY_INT,
+    session_index=_ANY_INT,
+    mean_bandwidth_kbps=_ANY_FLOAT,
+    trace=st.builds(
+        PlaybackTrace,
+        video_duration=_ANY_FLOAT,
+        segment_duration=_ANY_FLOAT,
+        trace_name=_TEXT,
+        records=st.lists(_records, max_size=4),
+        exited_early=_ANY_BOOL,
+    ),
+)
+_link_samples = st.builds(
+    LinkUsageSample,
+    step=_ANY_INT,
+    link_id=_TEXT,
+    capacity_kbps=st.one_of(
+        st.sampled_from([0.0, -0.0]), st.floats(1.0, 1e9)
+    ).flatmap(lambda x: st.sampled_from([x, np.float64(x)])),
+    active_sessions=_ANY_INT,
+    demand_kbps=_FINITE_FLOAT,
+    allocated_kbps=_FINITE_FLOAT,
+    tier=_TEXT,
+)
+_shards = st.builds(
+    ShardOutput,
+    shard_index=st.integers(-1, 64),
+    sessions=st.lists(_sessions, max_size=3),
+    controller_states=st.just({}),
+    num_segments=_ANY_INT,
+    wall_time_s=_ANY_FLOAT,
+    link_usage=st.lists(_link_samples, max_size=3),
+    fallback_sessions=_ANY_INT,
+)
+
+
+def _oracle_line(run_id, shard, user_id, event, payload) -> str:
+    """One telemetry line as the codec first wrote it: a fresh
+    ``json.dumps`` encoder per event."""
+    document = {
+        "run_id": run_id,
+        "shard": shard,
+        "user_id": user_id,
+        "event": event,
+        "payload": payload,
+    }
+    return json.dumps(document, default=_to_builtin) + "\n"
+
+
+def _oracle_shard_bytes(run_id: str, output) -> bytes:
+    """A shard's telemetry, built the old way: ``dataclasses.asdict`` for
+    every segment record and ``json.dumps`` for every event."""
+    lines = []
+    for log in output.sessions:
+        trace = log.trace
+        payload = {
+            "day": int(log.day),
+            "session_index": int(log.session_index),
+            "mean_bandwidth_kbps": float(log.mean_bandwidth_kbps),
+            "video_duration": float(trace.video_duration),
+            "segment_duration": float(trace.segment_duration),
+            "trace_name": str(trace.trace_name),
+            "exited_early": bool(trace.exited_early),
+            "records": [dataclasses.asdict(record) for record in trace.records],
+        }
+        lines.append(
+            _oracle_line(run_id, output.shard_index, log.user_id, "session", payload)
+        )
+    for sample in output.link_usage:
+        lines.append(
+            _oracle_line(
+                run_id, output.shard_index, "", "link_utilization",
+                sample.as_payload(),
+            )
+        )
+    summary = {
+        "num_sessions": len(output.sessions),
+        "num_segments": output.num_segments,
+        "wall_time_s": output.wall_time_s,
+        "fallback_sessions": output.fallback_sessions,
+        "batch_sessions": len(output.sessions),
+    }
+    lines.append(
+        _oracle_line(run_id, output.shard_index, "", "shard_summary", summary)
+    )
+    return "".join(lines).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_id=_TEXT, output=_shards)
+def test_telemetry_codec_matches_asdict_dumps_oracle(run_id, output):
+    expected = _oracle_shard_bytes(run_id, output)
+    assert encode_shard_events(run_id, output) == expected
+    per_event = "".join(
+        event.to_json() + "\n" for event in iter_shard_events(run_id, output)
+    )
+    assert per_event.encode("utf-8") == expected

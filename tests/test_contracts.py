@@ -350,6 +350,47 @@ def test_mc_rule_flags_per_row_objects_in_the_lockstep_rollout():
     assert lint_source("src/repro/core/controller.py", source).findings == []
 
 
+def test_telemetry_rule_flags_second_encoders():
+    source = textwrap.dedent(
+        """\
+        import dataclasses
+        import json
+        import json as js
+        from dataclasses import asdict
+        from json import JSONEncoder, dumps
+
+        _ENCODER = json.JSONEncoder(default=str)
+
+
+        def payload(record):
+            first = dataclasses.asdict(record)
+            second = asdict(record)
+            return first, second
+
+
+        def encode(document, handle):
+            json.dumps(document)
+            js.dumps(document)
+            dumps(document)
+            json.dump(document, handle)
+            JSONEncoder().encode(document)
+            return _ENCODER.encode(document), json.loads("{}")
+        """
+    )
+    lint = lint_source("src/repro/fleet/telemetry.py", source)
+    assert [(f.rule_id, f.line) for f in lint.findings] == [
+        ("FLEET-TELEMETRY-011", 11),
+        ("FLEET-TELEMETRY-011", 12),
+        ("FLEET-TELEMETRY-011", 17),
+        ("FLEET-TELEMETRY-011", 18),
+        ("FLEET-TELEMETRY-011", 19),
+        ("FLEET-TELEMETRY-011", 20),
+        ("FLEET-TELEMETRY-011", 21),
+    ]
+    # The rule covers the telemetry codec's module only.
+    assert lint_source("src/repro/fleet/orchestrator.py", source).findings == []
+
+
 # --------------------------------------------------------------------------- #
 # Waivers
 # --------------------------------------------------------------------------- #

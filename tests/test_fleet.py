@@ -23,7 +23,10 @@ from repro.fleet import (
     LingXiFleetFactory,
     RegionalDegradationScenario,
     SteadyStateScenario,
+    TelemetryEvent,
+    TelemetryWriter,
     available_scenarios,
+    encode_events,
     get_scenario,
     load_fleet_checkpoint,
     read_events,
@@ -145,6 +148,40 @@ class TestTelemetry:
         assert {e.shard for e in sessions} == {0, 1, 2, 3}
         # run_end carries the deterministic fleet metrics
         assert events[-1].payload["num_sessions"] == result.metrics.num_sessions
+
+    def test_emit_paths_write_identical_bytes(
+        self, fleet_population, fleet_library, tmp_path
+    ):
+        result = run_small_fleet(fleet_population, fleet_library, tmp_path)
+        events = list(read_events(result.telemetry_path))
+        # Text that a locale encoding or newline translation would mangle.
+        events.append(
+            TelemetryEvent(
+                run_id="run-\u00e9",
+                shard=-1,
+                user_id='u"\\\n\r\u4e2d\U0001f600',
+                event="note",
+                payload={"text": "\u2028\x00\t", "value": np.float64(-0.0)},
+            )
+        )
+        paths = {name: tmp_path / f"{name}.jsonl" for name in ("emit", "many", "raw")}
+        written = {}
+        with TelemetryWriter(paths["emit"]) as writer:
+            for event in events:
+                writer.emit(event)
+            written["emit"] = writer.events_written
+        with TelemetryWriter(paths["many"]) as writer:
+            writer.emit_many(iter(events))
+            written["many"] = writer.events_written
+        with TelemetryWriter(paths["raw"]) as writer:
+            writer.write_raw(encode_events(events))
+            written["raw"] = writer.events_written
+        assert written == {"emit": len(events), "many": len(events), "raw": len(events)}
+        data = {name: path.read_bytes() for name, path in paths.items()}
+        assert data["emit"] == data["many"] == data["raw"]
+        # Re-encoding a replayed run reproduces the run's own file.
+        assert data["emit"].startswith(result.telemetry_path.read_bytes())
+        assert data["emit"].count(b"\n") == len(events)
 
 
 class TestBatchedPredictor:

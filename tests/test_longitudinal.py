@@ -448,6 +448,7 @@ class TestCheckpointAcrossDays:
         LongitudinalCampaign(config(1)).run(
             small, library, telemetry_dir=resumable, checkpoint_dir=resumable
         )
+        pre_crash = (resumable / "campaign.jsonl").read_bytes()
         resume = load_resume_state(
             resumable / "resume_day_000.json", resumable / "day_000.json"
         )
@@ -455,6 +456,10 @@ class TestCheckpointAcrossDays:
             resume.population(), library,
             resume_state=resume, telemetry_dir=resumable,
         )
+        # Appending leaves the pre-crash bytes as an exact prefix.
+        resumed = (resumable / "campaign.jsonl").read_bytes()
+        assert len(resumed) > len(pre_crash)
+        assert resumed.startswith(pre_crash)
         assert replay_retention_decisions(
             resumable / "campaign.jsonl"
         ) == replay_retention_decisions(tmp_path / "full" / "campaign.jsonl")

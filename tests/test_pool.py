@@ -29,8 +29,10 @@ from repro.fleet import (
     LongitudinalConfig,
     PoolError,
     ShardTaskError,
+    TelemetryWriter,
     WorkerCrashError,
     WorkerPool,
+    iter_shard_events,
     load_resume_state,
     read_events,
     replay_link_usage,
@@ -242,7 +244,9 @@ class TestPooledBitIdentity:
     ):
         inline_path = tmp_path / "inline.jsonl"
         pooled_path = tmp_path / "pooled.jsonl"
-        _run_fleet(population, library, shards=4, workers=0, telemetry=inline_path)
+        inline = _run_fleet(
+            population, library, shards=4, workers=0, telemetry=inline_path
+        )
         _run_fleet(population, library, shards=4, workers=2, telemetry=pooled_path)
         assert list(replay_log_collection(pooled_path)) == list(
             replay_log_collection(inline_path)
@@ -263,6 +267,19 @@ class TestPooledBitIdentity:
             left_doc["payload"].pop("wall_time_s", None)
             right_doc["payload"].pop("wall_time_s", None)
             assert left_doc == right_doc
+
+        # The same shard outputs written one event at a time through emit
+        # give the inline file, byte for byte: they come from one result,
+        # so even wall_time_s agrees.
+        run_start, *_, run_end = read_events(inline_path)
+        per_event_path = tmp_path / "per_event.jsonl"
+        with TelemetryWriter(per_event_path) as writer:
+            writer.emit(run_start)
+            for output in inline.shard_outputs:
+                for event in iter_shard_events(inline.run_id, output):
+                    writer.emit(event)
+            writer.emit(run_end)
+        assert per_event_path.read_bytes() == inline_path.read_bytes()
 
     def test_pooled_lingxi_day_restores_controller_states(
         self, population, library
