@@ -32,13 +32,12 @@ from pathlib import Path
 
 from emit import emit_bench
 from repro.experiments.common import format_table
-from repro.fleet import (
-    FleetConfig,
-    FleetOrchestrator,
-    fleet_metrics,
+from repro.fleet import FleetConfig, FleetOrchestrator, fleet_metrics
+from repro.obs.telemetry_reader import (
+    load_or_build_index,
     replay_log_collection,
+    stream_fleet_metrics,
 )
-from repro.obs.telemetry_reader import load_or_build_index, stream_fleet_metrics
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
 

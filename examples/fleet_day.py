@@ -2,9 +2,10 @@
 
 Run with ``python examples/fleet_day.py [--scenario NAME]``.  The default run
 simulates 2,000+ playback sessions from a 500-user population across 4 shards
-on a multiprocessing pool, emits the full JSONL telemetry stream, replays the
-telemetry file back into a :class:`LogCollection`, and verifies that the
-replayed exit-rate-by-stall-bin aggregate matches the live run exactly.
+on a multiprocessing pool, emits the full JSONL telemetry stream, streams the
+telemetry file back through :mod:`repro.obs.telemetry_reader`, and verifies
+that the replayed exit-rate-by-stall-bin aggregate matches the live run
+exactly.
 """
 
 from __future__ import annotations
@@ -17,14 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
+from repro.analytics.logs import exit_rate_by_stall_time
 from repro.obs.live import live_run
-from repro.fleet import (
-    FleetConfig,
-    FleetOrchestrator,
-    available_scenarios,
-    replay_link_utilization,
-    replay_log_collection,
-)
+from repro.obs.telemetry_reader import iter_session_logs, replay_link_utilization
+from repro.fleet import FleetConfig, FleetOrchestrator, available_scenarios
 from repro.net import ALLOCATORS, available_topologies, get_topology
 from repro.sim import available_backends
 from repro.sim.video import VideoLibrary
@@ -171,9 +168,8 @@ def main() -> None:
     size_kb = telemetry_path.stat().st_size / 1024
     print(f"\ntelemetry: {telemetry_path} ({size_kb:.0f} KiB)")
 
-    replayed = replay_log_collection(telemetry_path)
     live = result.logs.exit_rate_by_stall_time(STALL_BINS)
-    replay = replayed.exit_rate_by_stall_time(STALL_BINS)
+    replay = exit_rate_by_stall_time(iter_session_logs(telemetry_path), STALL_BINS)
     np.testing.assert_array_equal(live, replay)
     print("replayed exit-rate-by-stall-bin aggregate matches live run exactly:")
     for edge, rate in zip(STALL_BINS, live):

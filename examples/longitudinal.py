@@ -32,11 +32,11 @@ from repro.fleet import (
     LongitudinalCampaign,
     LongitudinalConfig,
     available_scenarios,
-    replay_log_collection,
     replay_retention_decisions,
     run_ab_campaign,
 )
 from repro.net import available_topologies
+from repro.obs.telemetry_reader import replay_log_collection
 from repro.sim import available_backends
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation

@@ -1,12 +1,16 @@
-"""Setuptools shim.
+"""Setuptools metadata for the ``repro`` package.
 
-The offline environment ships an older setuptools/pip without the ``wheel``
-package, so PEP 660 editable installs (which build a wheel) fail.  Keeping a
-``setup.py`` lets ``pip install -e . --no-build-isolation --no-use-pep517``
-fall back to the legacy ``setup.py develop`` path, which works offline.  All
-project metadata lives in ``pyproject.toml``.
+The project metadata lives here (there is no ``pyproject.toml``).  A plain
+``setup.py`` also lets ``pip install -e . --no-build-isolation
+--no-use-pep517`` take the legacy ``setup.py develop`` path, which works
+offline with an older setuptools/pip and no ``wheel`` package.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

@@ -83,6 +83,37 @@ class SessionLog:
         return self.trace.stall_count
 
 
+def segment_exit_rate(sessions: Iterable[SessionLog]) -> float:
+    """Exit probability per watched segment of any session stream (live or replayed)."""
+    watched = 0
+    exited = 0
+    for session in sessions:
+        exited_flags = session.trace.exited_flags
+        watched += exited_flags.size
+        exited += int(exited_flags.sum())
+    if watched == 0:
+        return float("nan")
+    return exited / watched
+
+
+def exit_rate_by_stall_time(
+    sessions: Iterable[SessionLog], bins: Sequence[float], min_samples: int = 20
+) -> np.ndarray:
+    """Exit rate per cumulative-stall-time bin of any session stream (live or replayed)."""
+    edges = np.asarray(bins, dtype=float)
+    watched = np.zeros(edges.size)
+    exited = np.zeros(edges.size)
+    for session in sessions:
+        cumulative = session.trace.cumulative_stall_times
+        if cumulative.size == 0:
+            continue
+        indices = np.maximum(np.searchsorted(edges, cumulative, side="right") - 1, 0)
+        np.add.at(watched, indices, 1.0)
+        np.add.at(exited, indices, session.trace.exited_flags)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(watched >= min_samples, exited / watched, np.nan)
+
+
 class LogCollection:
     """A corpus of :class:`SessionLog` records with §2-style aggregations.
 
@@ -131,21 +162,16 @@ class LogCollection:
     # ------------------------------------------------------------------ #
     def segment_exit_rate(self, predicate: Callable[[SegmentRecord], bool] | None = None) -> float:
         """Exit probability per watched segment, optionally restricted by ``predicate``."""
+        if predicate is None:
+            return segment_exit_rate(self._sessions)
         watched = 0
         exited = 0
-        if predicate is None:
-            # Fast path over the cached per-trace record arrays.
-            for session in self._sessions:
-                exited_flags = session.trace.exited_flags
-                watched += exited_flags.size
-                exited += int(exited_flags.sum())
-        else:
-            for session in self._sessions:
-                for record in session.records:
-                    if not predicate(record):
-                        continue
-                    watched += 1
-                    exited += int(record.exited)
+        for session in self._sessions:
+            for record in session.records:
+                if not predicate(record):
+                    continue
+                watched += 1
+                exited += int(record.exited)
         if watched == 0:
             return float("nan")
         return exited / watched
@@ -195,31 +221,21 @@ class LogCollection:
         last bin whose edge does not exceed its cumulative stall time.  Bins
         with fewer than ``min_samples`` segments report ``nan``.
         """
+        if record_filter is None:
+            return exit_rate_by_stall_time(self._sessions, bins, min_samples=min_samples)
         edges = np.asarray(bins, dtype=float)
         watched = np.zeros(edges.size)
         exited = np.zeros(edges.size)
-        if record_filter is None:
-            # Fast path: bin every trace's cached cumulative-stall vector at once.
-            for session in self._sessions:
-                cumulative = session.trace.cumulative_stall_times
-                if cumulative.size == 0:
+        for session in self._sessions:
+            for record in session.records:
+                if not record_filter(record):
                     continue
-                indices = np.maximum(
-                    np.searchsorted(edges, cumulative, side="right") - 1, 0
+                index = int(
+                    np.searchsorted(edges, record.cumulative_stall_time, side="right") - 1
                 )
-                np.add.at(watched, indices, 1.0)
-                np.add.at(exited, indices, session.trace.exited_flags)
-        else:
-            for session in self._sessions:
-                for record in session.records:
-                    if not record_filter(record):
-                        continue
-                    index = int(
-                        np.searchsorted(edges, record.cumulative_stall_time, side="right") - 1
-                    )
-                    index = max(index, 0)
-                    watched[index] += 1
-                    exited[index] += int(record.exited)
+                index = max(index, 0)
+                watched[index] += 1
+                exited[index] += int(record.exited)
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(watched >= min_samples, exited / watched, np.nan)
 

@@ -766,6 +766,69 @@ def check_telemetry_encoder(
 
 
 # ---------------------------------------------------------------------------
+# OBS-READER-012 — one telemetry reader
+# ---------------------------------------------------------------------------
+
+#: The one module that opens, splits and decodes telemetry files.
+READER_MODULE = "repro/obs/telemetry_reader.py"
+
+
+def _is_open_call(node: ast.AST) -> bool:
+    """``open(...)`` or ``<path>.open(...)``."""
+    return isinstance(node, ast.Call) and "open" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def check_single_reader(path: str, source: str, tree: ast.AST) -> Iterator[Finding]:
+    """OBS-READER-012: ``repro/obs/telemetry_reader.py`` is the only code
+    that decodes telemetry lines or walks a telemetry file line by line.
+    Elsewhere it flags every ``TelemetryEvent.from_json(`` call and, in the
+    codec's module and in modules importing any telemetry module or name,
+    iterating an ``open(...)`` handle, ``.readline()`` on one, and
+    iterating ``.readlines()``/``.splitlines()``."""
+    if _is_test_path(path) or _module_path(path) == READER_MODULE:
+        return
+    imports = _collect_imports(tree)
+    walks_telemetry = _module_path(path) == TELEMETRY_MODULE or any(
+        "telemetry" in f"{module}.{name}".lower()
+        for module, name in [(m, "") for m in imports.modules] + list(imports.from_names)
+    )
+    handles = {
+        item.optional_vars.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.With)
+        for item in node.items
+        if _is_open_call(item.context_expr) and isinstance(item.optional_vars, ast.Name)
+    }
+
+    def is_handle(node: ast.AST) -> bool:
+        return _is_open_call(node) or getattr(node, "id", None) in handles
+
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if (_attr_chain(func) or [])[-2:] == ["TelemetryEvent", "from_json"]:
+            what = "TelemetryEvent.from_json"
+        elif not walks_telemetry:
+            continue
+        elif isinstance(node, (ast.For, ast.comprehension)) and (
+            is_handle(node.iter)
+            or getattr(getattr(node.iter, "func", None), "attr", None)
+            in ("readlines", "splitlines")
+        ):
+            node, what = node.iter, "a line walk over a file"
+        elif getattr(func, "attr", None) == "readline" and is_handle(func.value):
+            what = "readline()"
+        else:
+            continue
+        yield Finding(
+            "OBS-READER-012", path, node.lineno, node.col_offset,
+            f"{what} outside the telemetry reader; read telemetry through "
+            "repro.obs.telemetry_reader",
+        )
+
+
+# ---------------------------------------------------------------------------
 # Registry + driver
 # ---------------------------------------------------------------------------
 
@@ -783,6 +846,7 @@ ALL_RULES: dict[str, RuleFn] = {
     "SIM-BATCH-008": check_session_engine_use,
     "CORE-MC-010": check_monte_carlo_path,
     "FLEET-TELEMETRY-011": check_telemetry_encoder,
+    "OBS-READER-012": check_single_reader,
 }
 
 

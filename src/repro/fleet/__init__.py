@@ -16,8 +16,8 @@ platform simulator:
 * :mod:`repro.fleet.pool` — persistent shared-memory worker pool:
   long-lived forked workers, shard tasks shipped by reference through a
   worker-side object cache, zero-copy columnar results in shared-memory arenas.
-* :mod:`repro.fleet.telemetry` — JSONL event pipeline with a lossless
-  replay/loader API.
+* :mod:`repro.fleet.telemetry` — JSONL event writer and per-event codec;
+  :mod:`repro.obs.telemetry_reader` replays the files losslessly.
 * :mod:`repro.fleet.checkpoint` — per-user controller-state checkpointing for
   multi-day campaigns across process boundaries.
 * :mod:`repro.fleet.longitudinal` — engagement-coupled multi-day campaigns:
@@ -47,7 +47,6 @@ from repro.fleet.longitudinal import (
     LongitudinalResult,
     RetentionDecision,
     assign_arms,
-    replay_day_summaries,
     replay_retention_decisions,
     run_ab_campaign,
     run_longitudinal_campaign,
@@ -95,13 +94,6 @@ from repro.fleet.telemetry import (
     encode_shard_events,
     iter_shard_events,
     link_utilization_event,
-    read_events,
-    replay_link_usage,
-    replay_link_utilization,
-    replay_log_collection,
-    replay_run_report,
-    replay_run_summary,
-    replay_sessions,
     session_event,
     session_from_payload,
     session_payload,
@@ -128,7 +120,6 @@ __all__ = [
     "LongitudinalResult",
     "RetentionDecision",
     "assign_arms",
-    "replay_day_summaries",
     "replay_retention_decisions",
     "run_ab_campaign",
     "run_longitudinal_campaign",
@@ -169,13 +160,6 @@ __all__ = [
     "TelemetryEvent",
     "TelemetryWriter",
     "link_utilization_event",
-    "read_events",
-    "replay_link_usage",
-    "replay_link_utilization",
-    "replay_log_collection",
-    "replay_run_report",
-    "replay_run_summary",
-    "replay_sessions",
     "session_event",
     "session_from_payload",
     "session_payload",

@@ -61,8 +61,9 @@ from repro.fleet.orchestrator import (
 )
 from repro.fleet.pool import shared_pool
 from repro.obs import live as obs_live
+from repro.obs.telemetry_reader import iter_events
 from repro.fleet.scenarios import DeviceMixScenario, Scenario, get_scenario
-from repro.fleet.telemetry import TelemetryEvent, TelemetryWriter, read_events
+from repro.fleet.telemetry import TelemetryEvent, TelemetryWriter
 from repro.net.topology import (
     NetworkTopology,
     get_topology,
@@ -100,7 +101,6 @@ __all__ = [
     "run_ab_campaign",
     "shifting_device_mix",
     "replay_retention_decisions",
-    "replay_day_summaries",
 ]
 
 #: Spawn-key namespaces for campaign-level decision streams.  Values are
@@ -1072,17 +1072,9 @@ def replay_retention_decisions(
     the result compares equal to the live campaign's ``DayResult.decisions``.
     """
     decisions: dict[tuple[int, str], RetentionDecision] = {}
-    for event in read_events(path):
-        if event.event == "retention":
-            decision = RetentionDecision.from_payload(event.user_id, event.payload)
-            decisions[(decision.day, decision.user_id)] = decision
+    for event in iter_events(path, event="retention"):
+        decision = RetentionDecision.from_payload(event.user_id, event.payload)
+        decisions[(decision.day, decision.user_id)] = decision
     if not decisions:
         raise ValueError(f"no retention events found in {path}")
     return decisions
-
-
-def replay_day_summaries(path: str | Path) -> list[dict]:
-    """The per-day summary payloads of a ``campaign.jsonl`` file, in order."""
-    return [
-        event.payload for event in read_events(path) if event.event == "day_summary"
-    ]

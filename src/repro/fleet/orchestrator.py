@@ -38,7 +38,7 @@ import os
 import time
 from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -351,8 +351,9 @@ class FleetResult:
         return LinkUtilizationLog(self.link_usage)
 
 
-def fleet_metrics(logs: LogCollection) -> FleetMetrics:
-    """Compute :class:`FleetMetrics` from a log collection."""
+def fleet_metrics(logs: Iterable[SessionLog]) -> FleetMetrics:
+    """Compute :class:`FleetMetrics` from any session stream (live or replayed)."""
+    num_sessions = 0
     num_segments = 0
     segment_exits = 0
     exited_sessions = 0
@@ -361,6 +362,7 @@ def fleet_metrics(logs: LogCollection) -> FleetMetrics:
     bitrate_sum = 0.0
     for session in logs:
         trace = session.trace
+        num_sessions += 1
         num_segments += len(trace)
         segment_exits += int(trace.exited_flags.sum())
         exited_sessions += int(trace.exited_early)
@@ -368,7 +370,7 @@ def fleet_metrics(logs: LogCollection) -> FleetMetrics:
         stall_time += trace.total_stall_time
         bitrate_sum += float(trace.bitrates_kbps.sum())
     return FleetMetrics(
-        num_sessions=len(logs),
+        num_sessions=num_sessions,
         num_segments=num_segments,
         exited_sessions=exited_sessions,
         segment_exits=segment_exits,

@@ -38,10 +38,11 @@ Every line is encoded by one shared :class:`json.JSONEncoder`
 single run-level events take the same path, so the two fleet modes write
 identical files on every platform.
 
-The replay/loader API (:func:`read_events`, :func:`replay_log_collection`,
-:func:`replay_link_utilization`) feeds the existing analytics layer, so
-every §2-style aggregation works on a telemetry file exactly as it does on
-live simulation output.
+This module is the write side and the per-event codec only.  Reading a
+file — splitting it into lines, decoding them, filtering and replaying the
+events into the analytics layer — is :mod:`repro.obs.telemetry_reader`'s
+job, so every §2-style aggregation works on a telemetry file exactly as it
+does on live simulation output.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.analytics.logs import LinkUtilizationLog, LogCollection, SessionLog
+from repro.analytics.logs import SessionLog
 from repro.net.allocator import LinkUsageSample
 from repro.sim.session import PlaybackTrace, SegmentRecord
 
@@ -82,13 +83,13 @@ class TelemetryEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "TelemetryEvent":
-        """Parse one JSONL line."""
+        """Parse one JSONL line; a missing envelope field takes its empty value."""
         raw = json.loads(line)
         return cls(
-            run_id=str(raw["run_id"]),
-            shard=int(raw["shard"]),
-            user_id=str(raw["user_id"]),
-            event=str(raw["event"]),
+            run_id=str(raw.get("run_id", "")),
+            shard=int(raw.get("shard", 0)),
+            user_id=str(raw.get("user_id", "")),
+            event=str(raw.get("event", "")),
             payload=dict(raw.get("payload", {})),
         )
 
@@ -113,8 +114,8 @@ class TelemetryWriter:
     """JSONL event writer for one run (usable as a context manager).
 
     Opening a path truncates it — one telemetry file describes exactly one
-    run, which is what keeps :func:`replay_log_collection` equal to the live
-    run's collection.  ``append=True`` keeps existing events instead: that is
+    run, which is what keeps a replayed file equal to the live run's
+    collection.  ``append=True`` keeps existing events instead: that is
     how a *resumed* longitudinal campaign continues its ``campaign.jsonl``
     without destroying the pre-crash decision history.
     """
@@ -167,31 +168,6 @@ class TelemetryWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def iter_event_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
-    """Stream ``(byte_offset, raw_line)`` pairs of a telemetry JSONL file.
-
-    The low-level iteration primitive shared by :func:`read_events` and the
-    out-of-core reader (:mod:`repro.obs.telemetry_reader`): byte offsets are
-    what make a chunked index seekable, and lines are yielded one at a time
-    so memory stays bounded regardless of file size.  Blank lines are
-    yielded too (with their offsets) — callers decide how to treat them —
-    so offsets always add up to the file size.
-    """
-    offset = 0
-    with Path(path).open("rb") as handle:
-        for line in handle:
-            yield offset, line
-            offset += len(line)
-
-
-def read_events(path: str | Path) -> Iterator[TelemetryEvent]:
-    """Stream the events of a telemetry JSONL file in order."""
-    for _offset, raw in iter_event_lines(path):
-        line = raw.strip()
-        if line:
-            yield TelemetryEvent.from_json(line.decode("utf-8"))
 
 
 # --------------------------------------------------------------------------- #
@@ -307,90 +283,3 @@ def encode_events(events: Iterable[TelemetryEvent]) -> bytes:
 def encode_shard_events(run_id: str, output) -> bytes:
     """One shard's telemetry as a raw JSONL blob (the pool's shm payload)."""
     return encode_events(iter_shard_events(run_id, output))
-
-
-def replay_link_usage(events: Iterable[TelemetryEvent]) -> list[LinkUsageSample]:
-    """Reconstruct the link-usage samples recorded in a stream of events."""
-    return [
-        LinkUsageSample.from_payload(event.payload)
-        for event in events
-        if event.event == "link_utilization"
-    ]
-
-
-def replay_link_utilization(path: str | Path) -> LinkUtilizationLog:
-    """Load a networked run's telemetry back into a link-utilization log.
-
-    Like :func:`replay_log_collection`, the result is value-equal to the
-    live run's ``FleetResult.link_utilization()``: every float survives the
-    JSON roundtrip exactly.
-    """
-    samples = replay_link_usage(read_events(path))
-    if not samples:
-        raise ValueError(f"no link_utilization events found in {path}")
-    return LinkUtilizationLog(samples)
-
-
-def replay_sessions(events: Iterable[TelemetryEvent]) -> list[SessionLog]:
-    """Reconstruct the session logs recorded in a stream of events."""
-    return [
-        session_from_payload(event.user_id, event.payload)
-        for event in events
-        if event.event == "session"
-    ]
-
-
-def replay_log_collection(path: str | Path) -> LogCollection:
-    """Load a telemetry file back into a :class:`LogCollection`.
-
-    The result is value-equal to the live run's collection: every float in a
-    segment record survives the JSON write→read roundtrip exactly, so all
-    aggregations (exit rate by stall bin, watch time by QoS, …) match the
-    in-memory ones bit-for-bit.
-
-    A telemetry file with events but **no** ``session`` events replays into an
-    empty collection — that is what a zero-arrival day of a longitudinal
-    campaign writes (``run_start``/``run_end`` only).  A file with no events
-    at all is rejected: it is not fleet telemetry.
-    """
-    sessions: list[SessionLog] = []
-    saw_event = False
-    for event in read_events(path):
-        saw_event = True
-        if event.event == "session":
-            sessions.append(session_from_payload(event.user_id, event.payload))
-    if not saw_event:
-        raise ValueError(f"no telemetry events found in {path}")
-    return LogCollection(sessions)
-
-
-def replay_run_summary(path: str | Path, run_id: str | None = None) -> dict:
-    """The ``run_end`` payload of a run recorded in a telemetry file.
-
-    This is where the fleet-level metrics *and* the backend fallback
-    counters surface on replay.  ``run_id`` selects one run of a
-    multi-run file (a longitudinal campaign's day stream); by default the
-    last ``run_end`` wins.
-    """
-    summary: dict | None = None
-    for event in read_events(path):
-        if event.event == "run_end" and (run_id is None or event.run_id == run_id):
-            summary = event.payload
-    if summary is None:
-        raise ValueError(f"no run_end event found in {path}")
-    return summary
-
-
-def replay_run_report(path: str | Path, run_id: str | None = None) -> dict | None:
-    """The ``run_report`` payload recorded in a telemetry file, if any.
-
-    Returns ``None`` for unprofiled runs — absence of a health report is
-    normal, unlike absence of a ``run_end``.
-    """
-    report: dict | None = None
-    for event in read_events(path):
-        if event.event == "run_report" and (
-            run_id is None or event.run_id == run_id
-        ):
-            report = event.payload
-    return report

@@ -13,7 +13,7 @@ state or RNG streams, so golden traces stay bit-exact with obs on or off.
 Live, in-flight observability lives in :mod:`repro.obs.live` (shared-memory
 heartbeats, straggler watchdog — re-exported here) and its companions
 :mod:`repro.obs.monitor` (``python -m repro.obs.monitor``),
-:mod:`repro.obs.telemetry_reader` (out-of-core telemetry aggregation), and
+:mod:`repro.obs.telemetry_reader` (the one telemetry file reader), and
 :mod:`repro.obs.trace_export` (Chrome/Perfetto span timelines).  The latter
 three import the fleet/analytics layers, so they are deliberately *not*
 imported here — reach them as modules to avoid import cycles.

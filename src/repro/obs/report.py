@@ -315,27 +315,27 @@ def format_report(report: dict, max_depth: int = 6) -> str:
 def load_report(path: str | Path) -> dict:
     """Load a report from ``report.json`` **or** a telemetry ``.jsonl`` file.
 
-    A telemetry file is recognised by failing to parse as a single JSON
-    document; its last ``run_report`` event is extracted instead (profiled
-    runs embed the full report there).
+    Only the first non-blank line is sniffed: when it decodes as a telemetry
+    event, the file's last ``run_report`` event is streamed out (profiled
+    runs embed the full report there), so a telemetry file of any size costs
+    one line of memory.  Anything else is read as one JSON document.
     """
-    path = Path(path)
-    text = path.read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        doc = None
-    if isinstance(doc, dict) and "event" not in doc:
-        return doc
-    # Telemetry JSONL (or a single telemetry event): replay the run_report.
-    from repro.fleet.telemetry import replay_run_report  # deferred: module cycle  # contract: OBS-NEUTRAL-004 exempt(read-only replay of a persisted report; no sim state)
+    from repro.obs.telemetry_reader import iter_events, last_event  # deferred: module cycle
 
-    report = replay_run_report(path)
+    path = Path(path)
+    try:
+        first = next(iter_events(path), None)
+    except ValueError:  # the first line of a pretty-printed document
+        first = None
+    # A one-line report document decodes too, but it has no event name.
+    if first is None or not first.event:
+        return json.loads(path.read_text())
+    report = last_event(path, "run_report")
     if report is None:
         raise SystemExit(
             f"{path}: telemetry has no run_report event (was the run profiled?)"
         )
-    return report
+    return report.payload
 
 
 def main(argv: list[str] | None = None) -> None:

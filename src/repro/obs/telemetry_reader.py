@@ -1,24 +1,21 @@
-"""Out-of-core telemetry: chunked index + bounded-memory streaming aggregates.
+"""The one telemetry reader: opens, splits, decodes and filters JSONL files.
 
-Telemetry JSONL files are the replayable source of truth for fleet runs, but
-:func:`repro.fleet.telemetry.replay_log_collection` materialises every
-session in memory — a dead end at million-user scale.  This module reads the
-same files out-of-core:
+:mod:`repro.fleet.telemetry` writes the files; everything that reads one
+goes through this module's one line scanner and decoder:
 
 * :class:`TelemetryIndex` — a sidecar index (``<file>.idx.json``) of fixed
   event-count chunks with byte offsets and per-chunk event-type counts, so
   readers seek past chunks that cannot contain the event type they want;
 * :func:`iter_events` / :func:`iter_session_logs` — streaming iterators that
   hold one event (one session) at a time;
-* :func:`stream_fleet_metrics`, :func:`stream_exit_rate_by_stall_time`,
-  :func:`stream_segment_exit_rate` — bounded-memory aggregations that
-  reproduce the in-memory ``fleet_metrics``/:class:`LogCollection` results
-  **exactly** (same per-session accumulation, in the same file order, with
-  the same float operations — pinned bit-for-bit by
-  tests/test_telemetry_reader.py).
+* :func:`last_event` / :func:`read_run_summary` — the last event of a type;
+* :func:`replay_log_collection` / :func:`replay_link_utilization` /
+  :func:`stream_fleet_metrics` — replay into the analytics layer.
 
-Peak memory is O(chunk) regardless of file size: a 10x-larger telemetry
-file aggregates in the same footprint (also pinned by tests).
+Session aggregates take any iterable of session logs, so
+``fleet_metrics(iter_session_logs(path))`` equals the live run's metrics
+bit-for-bit in O(one session) memory (pinned by
+tests/test_telemetry_reader.py).
 """
 
 from __future__ import annotations
@@ -26,16 +23,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
-import numpy as np
+from repro.analytics.logs import LinkUtilizationLog, LogCollection, SessionLog
 
 # contract: OBS-NEUTRAL-004 exempt(read-only telemetry codec; decodes events without touching sim state)
-from repro.fleet.telemetry import (
-    TelemetryEvent,
-    iter_event_lines,
-    session_from_payload,
-)
+from repro.fleet.telemetry import TelemetryEvent, session_from_payload
+
+# contract: OBS-NEUTRAL-004 exempt(read-only link-sample payload decoder; no sim state)
+from repro.net.allocator import LinkUsageSample
 
 # v2: adds file_mtime_ns to the freshness fingerprint (a rewritten file with
 # identical byte length used to keep serving the stale sidecar).  Bumping the
@@ -50,11 +46,11 @@ __all__ = [
     "load_or_build_index",
     "iter_events",
     "iter_session_logs",
-    "stream_fleet_metrics",
-    "stream_segment_exit_rate",
-    "stream_exit_rate_by_stall_time",
     "last_event",
     "read_run_summary",
+    "replay_log_collection",
+    "replay_link_utilization",
+    "stream_fleet_metrics",
 ]
 
 
@@ -115,17 +111,11 @@ class TelemetryIndex:
         chunk_start = 0
         chunk_counts: dict[str, int] = {}
         chunk_events = 0
-        end = 0
-        for offset, raw in iter_event_lines(path):
-            end = offset + len(raw)
-            line = raw.strip()
-            if not line:
-                continue
+        for offset, end, parsed in _scan(path):
             if chunk_events == 0:
                 chunk_start = offset
-            event = str(json.loads(line).get("event", ""))
-            chunk_counts[event] = chunk_counts.get(event, 0) + 1
-            totals[event] = totals.get(event, 0) + 1
+            chunk_counts[parsed.event] = chunk_counts.get(parsed.event, 0) + 1
+            totals[parsed.event] = totals.get(parsed.event, 0) + 1
             chunk_events += 1
             if chunk_events >= events_per_chunk:
                 chunks.append(
@@ -229,24 +219,43 @@ def load_or_build_index(
 
 
 # ---------------------------------------------------------------------------
-# Streaming iterators
+# The one line scanner, decoder and event iterator
 # ---------------------------------------------------------------------------
 
 
-def _iter_chunk_events(path: str | Path, chunk: ChunkEntry) -> Iterator[TelemetryEvent]:
-    # Read line-by-line within the chunk's byte range rather than slurping
-    # the chunk: peak memory stays O(longest line), not O(chunk bytes).
+# contract: OBS-READER-012
+def _decode(path: str | Path, offset: int, line: bytes) -> TelemetryEvent:
+    """The one line decoder; a torn or corrupt line names its file and offset."""
+    try:
+        return TelemetryEvent.from_json(line.decode("utf-8"))
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(
+            f"{path}: unreadable telemetry line at byte offset {offset} "
+            f"(torn or corrupt): {exc}"
+        ) from exc
+
+
+def _scan(
+    path: str | Path, chunks: Iterable[ChunkEntry] | None = None
+) -> Iterator[tuple[int, int, TelemetryEvent]]:
+    """``(offset, end, event)`` per non-blank line of the file or of ``chunks``.
+
+    Lines are read one at a time: memory stays O(longest line).
+    """
+    ranges = [(0, None)] if chunks is None else [
+        (chunk.offset, chunk.offset + chunk.length) for chunk in chunks
+    ]
     with Path(path).open("rb") as handle:
-        handle.seek(chunk.offset)
-        remaining = chunk.length
-        while remaining > 0:
-            raw = handle.readline()
-            if not raw:
-                break
-            remaining -= len(raw)
-            line = raw.strip()
-            if line:
-                yield TelemetryEvent.from_json(line.decode("utf-8"))
+        for offset, stop in ranges:
+            handle.seek(offset)
+            while stop is None or offset < stop:
+                raw = handle.readline()
+                if not raw:
+                    break
+                end = offset + len(raw)
+                if raw.strip():
+                    yield offset, end, _decode(path, offset, raw)
+                offset = end
 
 
 def iter_events(
@@ -262,127 +271,107 @@ def iter_events(
     telemetry file, asking for the single ``run_end`` event reads a few
     chunks instead of gigabytes of ``session`` payloads.
     """
+    chunks = None
     if index is not None and event is not None:
-        for chunk in index.chunks_with(event):
-            for parsed in _iter_chunk_events(path, chunk):
-                if parsed.event == event:
-                    yield parsed
-        return
-    for _offset, raw in iter_event_lines(path):
-        line = raw.strip()
-        if not line:
-            continue
-        parsed = TelemetryEvent.from_json(line.decode("utf-8"))
+        chunks = index.chunks_with(event)
+    for _offset, _end, parsed in _scan(path, chunks):
         if event is None or parsed.event == event:
             yield parsed
 
 
 def iter_session_logs(
     path: str | Path, *, index: TelemetryIndex | None = None
-) -> Iterator:
+) -> Iterator[SessionLog]:
     """Stream :class:`~repro.analytics.logs.SessionLog` objects one at a time."""
     for parsed in iter_events(path, event="session", index=index):
         yield session_from_payload(parsed.user_id, parsed.payload)
 
 
 def last_event(
-    path: str | Path, event: str, *, index: TelemetryIndex | None = None
+    path: str | Path,
+    event: str,
+    *,
+    run_id: str | None = None,
+    index: TelemetryIndex | None = None,
 ) -> TelemetryEvent | None:
-    """The last event of a given type, using the index to skip chunks."""
+    """The last ``event`` (of run ``run_id``, if given), or ``None``.
+
+    Serves ``run_end`` (:func:`read_run_summary`) and ``run_report``
+    (:func:`repro.obs.report.load_report`).
+    """
     found: TelemetryEvent | None = None
     for parsed in iter_events(path, event=event, index=index):
-        found = parsed
+        if run_id is None or parsed.run_id == run_id:
+            found = parsed
     return found
 
 
 def read_run_summary(
-    path: str | Path, *, index: TelemetryIndex | None = None
+    path: str | Path,
+    *,
+    run_id: str | None = None,
+    index: TelemetryIndex | None = None,
 ) -> dict:
-    """Index-accelerated equivalent of ``replay_run_summary`` (last run_end)."""
-    event = last_event(path, "run_end", index=index)
+    """The ``run_end`` payload of a run recorded in a telemetry file.
+
+    This is where the fleet-level metrics *and* the backend fallback
+    counters surface on replay.  ``run_id`` selects one run of a multi-run
+    file (a longitudinal campaign's day stream); by default the last
+    ``run_end`` wins.
+    """
+    event = last_event(path, "run_end", run_id=run_id, index=index)
     if event is None:
         raise ValueError(f"no run_end event found in {path}")
     return event.payload
 
 
 # ---------------------------------------------------------------------------
-# Bounded-memory aggregations (bit-exact vs the in-memory LogCollection)
+# Replay into the analytics layer
 # ---------------------------------------------------------------------------
 
 
+def replay_log_collection(path: str | Path) -> LogCollection:
+    """Load a telemetry file back into a :class:`LogCollection`.
+
+    The result is value-equal to the live run's collection: every float in a
+    segment record survives the JSON write→read roundtrip exactly, so all
+    aggregations (exit rate by stall bin, watch time by QoS, …) match the
+    in-memory ones bit-for-bit.
+
+    A telemetry file with events but **no** ``session`` events replays into an
+    empty collection — that is what a zero-arrival day of a longitudinal
+    campaign writes (``run_start``/``run_end`` only).  A file with no events
+    at all is rejected: it is not fleet telemetry.
+    """
+    sessions: list[SessionLog] = []
+    saw_event = False
+    for parsed in iter_events(path):
+        saw_event = True
+        if parsed.event == "session":
+            sessions.append(session_from_payload(parsed.user_id, parsed.payload))
+    if not saw_event:
+        raise ValueError(f"no telemetry events found in {path}")
+    return LogCollection(sessions)
+
+
+def replay_link_utilization(path: str | Path) -> LinkUtilizationLog:
+    """Load a networked run's telemetry back into a link-utilization log.
+
+    Like :func:`replay_log_collection`, the result is value-equal to the
+    live run's ``FleetResult.link_utilization()``: every float survives the
+    JSON roundtrip exactly.
+    """
+    samples = [
+        LinkUsageSample.from_payload(parsed.payload)
+        for parsed in iter_events(path, event="link_utilization")
+    ]
+    if not samples:
+        raise ValueError(f"no link_utilization events found in {path}")
+    return LinkUtilizationLog(samples)
+
+
 def stream_fleet_metrics(path: str | Path, *, index: TelemetryIndex | None = None):
-    """``fleet_metrics(replay_log_collection(path))`` without materialising.
+    """``fleet_metrics`` over the file's streamed sessions (bit-exact vs live)."""
+    from repro.fleet.orchestrator import fleet_metrics  # heavy import, deferred  # contract: OBS-NEUTRAL-004 exempt(result accumulator only; aggregates replayed read-only)
 
-    Accumulates the exact per-session terms of
-    :func:`repro.fleet.orchestrator.fleet_metrics`, in the same file order,
-    so every float matches the in-memory result bit-for-bit.
-    """
-    from repro.fleet.orchestrator import FleetMetrics  # heavy import, deferred  # contract: OBS-NEUTRAL-004 exempt(result dataclass only; aggregates replayed read-only)
-
-    num_sessions = 0
-    num_segments = 0
-    segment_exits = 0
-    exited_sessions = 0
-    watch_time = 0.0
-    stall_time = 0.0
-    bitrate_sum = 0.0
-    for session in iter_session_logs(path, index=index):
-        trace = session.trace
-        num_sessions += 1
-        num_segments += len(trace)
-        segment_exits += int(trace.exited_flags.sum())
-        exited_sessions += int(trace.exited_early)
-        watch_time += trace.watch_time
-        stall_time += trace.total_stall_time
-        bitrate_sum += float(trace.bitrates_kbps.sum())
-    return FleetMetrics(
-        num_sessions=num_sessions,
-        num_segments=num_segments,
-        exited_sessions=exited_sessions,
-        segment_exits=segment_exits,
-        total_watch_time_s=watch_time,
-        total_stall_time_s=stall_time,
-        mean_bitrate_kbps=bitrate_sum / num_segments if num_segments else 0.0,
-    )
-
-
-def stream_segment_exit_rate(
-    path: str | Path, *, index: TelemetryIndex | None = None
-) -> float:
-    """Streaming twin of ``LogCollection.segment_exit_rate()`` (no predicate)."""
-    watched = 0
-    exited = 0
-    for session in iter_session_logs(path, index=index):
-        exited_flags = session.trace.exited_flags
-        watched += exited_flags.size
-        exited += int(exited_flags.sum())
-    if watched == 0:
-        return float("nan")
-    return exited / watched
-
-
-def stream_exit_rate_by_stall_time(
-    path: str | Path,
-    bins: Sequence[float],
-    *,
-    min_samples: int = 20,
-    index: TelemetryIndex | None = None,
-) -> np.ndarray:
-    """Streaming twin of ``LogCollection.exit_rate_by_stall_time``.
-
-    Identical per-session binning (`np.searchsorted` + `np.add.at`) over the
-    same session order makes the result equal to the in-memory fast path,
-    NaN placement included.
-    """
-    edges = np.asarray(bins, dtype=float)
-    watched = np.zeros(edges.size)
-    exited = np.zeros(edges.size)
-    for session in iter_session_logs(path, index=index):
-        cumulative = session.trace.cumulative_stall_times
-        if cumulative.size == 0:
-            continue
-        indices = np.maximum(np.searchsorted(edges, cumulative, side="right") - 1, 0)
-        np.add.at(watched, indices, 1.0)
-        np.add.at(exited, indices, session.trace.exited_flags)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(watched >= min_samples, exited / watched, np.nan)
+    return fleet_metrics(iter_session_logs(path, index=index))

@@ -193,8 +193,8 @@ def test_obs_rule_flags_sim_imports():
 
 
         def attach():
-            from repro.fleet.telemetry import read_events
-            return PlaybackSession, read_events
+            from repro.fleet.telemetry import session_from_payload
+            return PlaybackSession, session_from_payload
         """
     )
     lint = lint_source("src/repro/obs/probe.py", source)
@@ -389,6 +389,45 @@ def test_telemetry_rule_flags_second_encoders():
     ]
     # The rule covers the telemetry codec's module only.
     assert lint_source("src/repro/fleet/orchestrator.py", source).findings == []
+
+
+def test_reader_rule_flags_decoding_and_line_walks_outside_the_reader():
+    source = textwrap.dedent(
+        """\
+        from pathlib import Path
+
+        from repro.fleet.telemetry import TelemetryEvent
+
+
+        def scan(path):
+            with Path(path).open("rb") as handle:
+                for line in handle:
+                    yield TelemetryEvent.from_json(line)
+                tail = handle.readline()
+            events = [line for line in open(path)]
+            rows = [row for row in Path(path).read_bytes().splitlines()]
+            return tail, events, rows, Path(path).read_text()
+        """
+    )
+    lint = lint_source("src/repro/fleet/planted_reader.py", source)
+    assert [(f.rule_id, f.line) for f in lint.findings] == [
+        ("OBS-READER-012", 8),
+        ("OBS-READER-012", 9),
+        ("OBS-READER-012", 10),
+        ("OBS-READER-012", 11),
+        ("OBS-READER-012", 12),
+    ]
+    # The reader itself is where decoding and line walks belong.
+    reader = lint_source("src/repro/obs/telemetry_reader.py", source)
+    assert [f for f in reader.findings if f.rule_id == "OBS-READER-012"] == []
+    # A module that does not touch telemetry may walk its own files.
+    unrelated = source.replace(
+        "from repro.fleet.telemetry import TelemetryEvent", "TelemetryEvent = None"
+    )
+    assert [
+        (f.rule_id, f.line)
+        for f in lint_source("src/repro/fleet/planted_reader.py", unrelated).findings
+    ] == [("OBS-READER-012", 9)]
 
 
 # --------------------------------------------------------------------------- #

@@ -29,10 +29,9 @@ from repro.fleet import (
     encode_events,
     get_scenario,
     load_fleet_checkpoint,
-    read_events,
-    replay_log_collection,
     save_fleet_checkpoint,
 )
+from repro.obs.telemetry_reader import iter_events, replay_log_collection
 from repro.sim.bandwidth import BandwidthModel
 from repro.sim.video import BitrateLadder, VideoLibrary
 from repro.users.population import UserPopulation
@@ -137,7 +136,7 @@ class TestTelemetry:
 
     def test_event_stream_structure(self, fleet_population, fleet_library, tmp_path):
         result = run_small_fleet(fleet_population, fleet_library, tmp_path)
-        events = list(read_events(result.telemetry_path))
+        events = list(iter_events(result.telemetry_path))
         assert events[0].event == "run_start"
         assert events[-1].event == "run_end"
         kinds = {event.event for event in events}
@@ -153,7 +152,7 @@ class TestTelemetry:
         self, fleet_population, fleet_library, tmp_path
     ):
         result = run_small_fleet(fleet_population, fleet_library, tmp_path)
-        events = list(read_events(result.telemetry_path))
+        events = list(iter_events(result.telemetry_path))
         # Text that a locale encoding or newline translation would mangle.
         events.append(
             TelemetryEvent(

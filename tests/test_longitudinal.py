@@ -31,8 +31,6 @@ from repro.fleet import (
     assign_arms,
     fleet_metrics,
     load_fleet_checkpoint,
-    replay_day_summaries,
-    replay_log_collection,
     replay_retention_decisions,
     run_ab_campaign,
     run_longitudinal_campaign,
@@ -41,6 +39,7 @@ from repro.fleet import (
 )
 from repro.fleet.longitudinal import _decision_rng, _day_seed
 from repro.net import EdgeLink, NetworkTopology
+from repro.obs.telemetry_reader import iter_events, replay_log_collection
 from repro.net.topology import CrossTraffic
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
@@ -259,7 +258,12 @@ class TestABCampaignBitIdentity:
             live_decisions = _decision_map(campaign)
             replayed = replay_retention_decisions(tmp_path / arm / "campaign.jsonl")
             assert replayed == live_decisions
-            summaries = replay_day_summaries(tmp_path / arm / "campaign.jsonl")
+            summaries = [
+                event.payload
+                for event in iter_events(
+                    tmp_path / arm / "campaign.jsonl", event="day_summary"
+                )
+            ]
             assert [s["day"] for s in summaries] == [d.day for d in campaign.days]
             for day, payload in zip(campaign.days, summaries):
                 assert payload["dau"] == day.dau
@@ -463,8 +467,12 @@ class TestCheckpointAcrossDays:
         assert replay_retention_decisions(
             resumable / "campaign.jsonl"
         ) == replay_retention_decisions(tmp_path / "full" / "campaign.jsonl")
-        assert [s["day"] for s in replay_day_summaries(resumable / "campaign.jsonl")] == [
-            s["day"] for s in replay_day_summaries(tmp_path / "full" / "campaign.jsonl")
+        assert [
+            e.payload["day"]
+            for e in iter_events(resumable / "campaign.jsonl", event="day_summary")
+        ] == [
+            e.payload["day"]
+            for e in iter_events(tmp_path / "full" / "campaign.jsonl", event="day_summary")
         ]
 
     def test_resume_state_rejects_conflicting_controller_states(

@@ -21,10 +21,9 @@ from repro.fleet import (
     FleetOrchestrator,
     LongitudinalCampaign,
     LongitudinalConfig,
-    replay_run_report,
-    replay_run_summary,
 )
 from repro.obs.registry import Histogram
+from repro.obs.telemetry_reader import last_event, read_run_summary
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
 
@@ -242,12 +241,12 @@ class TestFleetProfile:
         result = _run_fleet(
             population, library, shards=2, profile=True, telemetry=telemetry
         )
-        summary = replay_run_summary(telemetry)
+        summary = read_run_summary(telemetry)
         assert summary["total_fallback_sessions"] == result.total_fallback_sessions
         assert summary["total_batch_sessions"] == result.total_batch_sessions
         assert summary["last_fallback_sessions"] == result.total_fallback_sessions
         assert summary["num_sessions"] == result.metrics.num_sessions
-        replayed = replay_run_report(telemetry)
+        replayed = last_event(telemetry, "run_report").payload
         assert replayed == json.loads(json.dumps(result.obs_report))
 
     def test_unprofiled_telemetry_has_no_run_report(
@@ -255,8 +254,8 @@ class TestFleetProfile:
     ):
         telemetry = tmp_path / "telemetry.jsonl"
         result = _run_fleet(population, library, shards=2, telemetry=telemetry)
-        assert replay_run_report(telemetry) is None
-        summary = replay_run_summary(telemetry)
+        assert last_event(telemetry, "run_report") is None
+        summary = read_run_summary(telemetry)
         assert summary["total_batch_sessions"] == result.total_batch_sessions
 
 

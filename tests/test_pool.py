@@ -34,10 +34,6 @@ from repro.fleet import (
     WorkerPool,
     iter_shard_events,
     load_resume_state,
-    read_events,
-    replay_link_usage,
-    replay_log_collection,
-    replay_run_summary,
     shared_pool,
     shutdown_shared_pools,
 )
@@ -47,6 +43,7 @@ from repro.fleet.orchestrator import HybFleetFactory, LingXiFleetFactory, ShardT
 from repro.fleet.pool import _SHARED_POOLS, CacheRef, _resolve_refs
 from repro.fleet.scenarios import get_scenario
 from repro.net.topology import CacheModel, EdgeLink, NetworkTopology, get_topology
+from repro.obs.telemetry_reader import iter_events, read_run_summary, replay_log_collection
 from repro.sim.session import PlaybackTrace, SegmentRecord, SessionConfig
 from repro.sim.vector import (
     export_trace_columns,
@@ -251,10 +248,12 @@ class TestPooledBitIdentity:
         assert list(replay_log_collection(pooled_path)) == list(
             replay_log_collection(inline_path)
         )
-        assert replay_link_usage(read_events(pooled_path)) == replay_link_usage(
-            read_events(inline_path)
-        )
-        assert replay_run_summary(pooled_path) == replay_run_summary(inline_path)
+        assert [
+            event.payload for event in iter_events(pooled_path, event="link_utilization")
+        ] == [
+            event.payload for event in iter_events(inline_path, event="link_utilization")
+        ]
+        assert read_run_summary(pooled_path) == read_run_summary(inline_path)
         # Byte-for-byte identical except the wall-clock fields, which differ
         # between *any* two runs (inline vs inline included).
         inline_lines = inline_path.read_text().splitlines()
@@ -271,7 +270,7 @@ class TestPooledBitIdentity:
         # The same shard outputs written one event at a time through emit
         # give the inline file, byte for byte: they come from one result,
         # so even wall_time_s agrees.
-        run_start, *_, run_end = read_events(inline_path)
+        run_start, *_, run_end = iter_events(inline_path)
         per_event_path = tmp_path / "per_event.jsonl"
         with TelemetryWriter(per_event_path) as writer:
             writer.emit(run_start)

@@ -24,12 +24,11 @@ from repro.fleet import (
     FleetOrchestrator,
     LinkOutageScenario,
     get_scenario,
-    replay_link_utilization,
-    replay_log_collection,
 )
 from repro.fleet.orchestrator import write_fleet_telemetry
 from repro.fleet.scenarios import DeviceMixScenario, RegionalDegradationScenario
 from repro.net import EdgeLink, NetworkTopology
+from repro.obs.telemetry_reader import replay_link_utilization, replay_log_collection
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
 

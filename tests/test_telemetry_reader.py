@@ -1,29 +1,28 @@
-"""Out-of-core telemetry reader: exactness, index behaviour, bounded memory.
+"""The telemetry reader: exactness against the live run, index, bounded memory.
 
-The streaming aggregations must reproduce the in-memory
-``fleet_metrics``/:class:`LogCollection` results **bit-for-bit** — same
-accumulation order, same float operations — while holding one session at a
-time.  The sidecar index must skip chunks correctly, survive round-trips,
-and rebuild itself when the telemetry file changes underneath it.  Peak
-memory must stay flat as the file grows 10x.
+Everything the one reader gives back from a telemetry file — sessions,
+aggregates, link samples, the run summary and the run report — must equal
+what the live run itself holds (``result.logs``, ``result.metrics``,
+``result.link_utilization()``, ``result.obs_report``), bit for bit, while a
+streamed aggregate holds one session at a time.  The sidecar index must skip
+chunks correctly, survive round-trips, and rebuild itself when the
+telemetry file changes underneath it.  Peak memory must stay flat as the
+file grows 10x, and a torn line must be reported with its file and offset.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.fleet import (
-    FleetConfig,
-    FleetOrchestrator,
-    fleet_metrics,
-    replay_log_collection,
-    replay_run_summary,
-)
+from repro.analytics.logs import exit_rate_by_stall_time, segment_exit_rate
+from repro.fleet import FleetConfig, FleetOrchestrator, fleet_metrics
+from repro.obs.report import load_report
 from repro.obs.telemetry_reader import (
     TelemetryIndex,
     default_index_path,
@@ -32,9 +31,9 @@ from repro.obs.telemetry_reader import (
     last_event,
     load_or_build_index,
     read_run_summary,
-    stream_exit_rate_by_stall_time,
+    replay_link_utilization,
+    replay_log_collection,
     stream_fleet_metrics,
-    stream_segment_exit_rate,
 )
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
@@ -68,47 +67,68 @@ def telemetry(tmp_path_factory):
     return path, result
 
 
-class TestStreamingExactness:
-    def test_fleet_metrics_match_in_memory_exactly(self, telemetry):
+class TestReaderMatchesLiveRun:
+    def test_fleet_metrics_match_live_run_exactly(self, telemetry):
         path, result = telemetry
-        replayed = fleet_metrics(replay_log_collection(path))
-        streamed = stream_fleet_metrics(path)
-        assert streamed.as_dict() == replayed.as_dict()
-        assert streamed.as_dict() == result.metrics.as_dict()
+        assert stream_fleet_metrics(path).as_dict() == result.metrics.as_dict()
+        # the live metrics come from the same accumulator over result.logs
+        assert fleet_metrics(result.logs).as_dict() == result.metrics.as_dict()
 
-    def test_fleet_metrics_with_index_identical(self, telemetry):
-        path, _ = telemetry
+    def test_fleet_metrics_with_index_match_live_run(self, telemetry):
+        path, result = telemetry
         index = TelemetryIndex.build(path, events_per_chunk=7)
         assert stream_fleet_metrics(path, index=index).as_dict() == (
-            stream_fleet_metrics(path).as_dict()
+            result.metrics.as_dict()
         )
 
-    def test_segment_exit_rate_matches(self, telemetry):
-        path, _ = telemetry
-        collection = replay_log_collection(path)
-        assert stream_segment_exit_rate(path) == collection.segment_exit_rate()
+    def test_segment_exit_rate_matches_live_run(self, telemetry):
+        path, result = telemetry
+        assert segment_exit_rate(iter_session_logs(path)) == (
+            result.logs.segment_exit_rate()
+        )
 
     def test_exit_rate_by_stall_time_bit_exact(self, telemetry):
-        path, _ = telemetry
-        collection = replay_log_collection(path)
-        streamed = stream_exit_rate_by_stall_time(path, STALL_BINS, min_samples=5)
-        in_memory = collection.exit_rate_by_stall_time(STALL_BINS, min_samples=5)
-        np.testing.assert_array_equal(streamed, in_memory)
+        path, result = telemetry
+        streamed = exit_rate_by_stall_time(
+            iter_session_logs(path), STALL_BINS, min_samples=5
+        )
+        live = result.logs.exit_rate_by_stall_time(STALL_BINS, min_samples=5)
+        np.testing.assert_array_equal(streamed, live)
 
-    def test_session_stream_order_matches_replay(self, telemetry):
-        path, _ = telemetry
-        collection = replay_log_collection(path)
-        streamed_ids = [
-            (log.user_id, log.session_index) for log in iter_session_logs(path)
-        ]
-        replayed_ids = [(log.user_id, log.session_index) for log in collection]
-        assert streamed_ids == replayed_ids
+    def test_sessions_replay_equal_to_live_logs_in_order(self, telemetry):
+        path, result = telemetry
+        live = list(result.logs)
+        assert list(iter_session_logs(path)) == live
+        assert list(replay_log_collection(path)) == live
 
-    def test_run_summary_matches_replay(self, telemetry):
-        path, _ = telemetry
+    def test_link_utilization_replays_exactly(self, telemetry):
+        path, result = telemetry
+        live = result.link_utilization()
+        replayed = replay_link_utilization(path)
+        assert replayed.samples == live.samples
+        assert replayed.mean_utilization() == live.mean_utilization()
+
+    def test_run_summary_and_report_match_live_run(self, telemetry):
+        path, result = telemetry
         index = load_or_build_index(path, save=False)
-        assert read_run_summary(path, index=index) == replay_run_summary(path)
-        assert read_run_summary(path) == replay_run_summary(path)
+        for summary in (
+            read_run_summary(path),
+            read_run_summary(path, index=index),
+            read_run_summary(path, run_id=result.run_id),
+        ):
+            assert {key: summary[key] for key in result.metrics.as_dict()} == (
+                result.metrics.as_dict()
+            )
+            assert summary["total_batch_sessions"] == result.total_batch_sessions
+        expected_report = json.loads(json.dumps(result.obs_report))
+        assert last_event(path, "run_report", index=index).payload == expected_report
+        assert load_report(path) == expected_report
+
+    def test_run_id_selects_the_run(self, telemetry):
+        path, _ = telemetry
+        assert last_event(path, "run_end", run_id="no-such-run") is None
+        with pytest.raises(ValueError, match="no run_end event"):
+            read_run_summary(path, run_id="no-such-run")
 
     def test_empty_file_aggregates(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -116,9 +136,39 @@ class TestStreamingExactness:
         metrics = stream_fleet_metrics(path)
         assert metrics.num_sessions == 0
         assert metrics.mean_bitrate_kbps == 0.0
-        assert np.isnan(stream_segment_exit_rate(path))
+        assert np.isnan(segment_exit_rate(iter_session_logs(path)))
+        assert np.isnan(exit_rate_by_stall_time(iter_session_logs(path), STALL_BINS)).all()
         with pytest.raises(ValueError, match="no run_end event"):
             read_run_summary(path)
+        with pytest.raises(ValueError, match="no telemetry events"):
+            replay_log_collection(path)
+
+
+class TestTornLine:
+    def test_torn_last_line_names_file_and_offset(self, telemetry, tmp_path):
+        path, _ = telemetry
+        data = path.read_bytes()
+        last_line = data.splitlines(keepends=True)[-1]
+        offset = len(data) - len(last_line)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(data)
+        # an index built while the file was whole still points at the line
+        index = TelemetryIndex.build(torn, events_per_chunk=4)
+        torn.write_bytes(data[: offset + len(last_line) // 2])
+        message = re.escape(f"{torn}: unreadable telemetry line at byte offset {offset} ")
+
+        with pytest.raises(ValueError, match=message):
+            list(iter_events(torn))
+        with pytest.raises(ValueError, match=message):
+            list(iter_events(torn, event="run_end", index=index))
+        with pytest.raises(ValueError, match=message):
+            TelemetryIndex.build(torn)
+        with pytest.raises(ValueError, match=message):
+            load_or_build_index(torn, save=False)
+        with pytest.raises(ValueError, match=message):
+            read_run_summary(torn)
+        with pytest.raises(ValueError, match=message):
+            load_report(torn)
 
 
 class TestIndex:
@@ -147,12 +197,13 @@ class TestIndex:
         assert len(rare_chunks) < len(index.chunks)
 
     def test_last_event_uses_index(self, telemetry):
-        path, _ = telemetry
+        path, result = telemetry
         index = TelemetryIndex.build(path, events_per_chunk=4)
         plain = last_event(path, "session")
         indexed = last_event(path, "session", index=index)
         assert plain is not None and indexed is not None
         assert plain.payload == indexed.payload
+        assert plain.user_id == result.logs[len(result.logs) - 1].user_id
         assert last_event(path, "no_such_event", index=index) is None
 
     def test_save_load_roundtrip(self, telemetry, tmp_path):
@@ -235,33 +286,42 @@ class TestBoundedMemory:
                 handle.write(line)
         return out
 
-    def _peak_bytes(self, path):
+    def _peak_bytes(self, read, path):
         tracemalloc.start()
         try:
-            stream_fleet_metrics(path)
-            stream_exit_rate_by_stall_time(path, STALL_BINS)
+            read(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return peak
 
-    def test_peak_memory_flat_as_file_grows_10x(self, telemetry, tmp_path):
+    def _assert_flat(self, read, telemetry, tmp_path):
         path, _ = telemetry
         small = self._enlarge(path, tmp_path / "small.jsonl", 1)
         large = self._enlarge(path, tmp_path / "large.jsonl", 10)
         assert large.stat().st_size > 9 * small.stat().st_size
 
         # warm-up pass so imports/caches don't count against either side
-        self._peak_bytes(small)
-        peak_small = self._peak_bytes(small)
-        peak_large = self._peak_bytes(large)
+        self._peak_bytes(read, small)
+        peak_small = self._peak_bytes(read, small)
+        peak_large = self._peak_bytes(read, large)
         # allow generous slack for allocator noise; the point is that peak
         # does not scale with file size (a materialising reader would be ~10x)
         assert peak_large < max(2.0 * peak_small, peak_small + 512 * 1024)
 
+    def test_peak_memory_flat_as_file_grows_10x(self, telemetry, tmp_path):
+        def read(path):
+            stream_fleet_metrics(path)
+            exit_rate_by_stall_time(iter_session_logs(path), STALL_BINS)
+
+        self._assert_flat(read, telemetry, tmp_path)
+
+    def test_load_report_memory_flat_as_file_grows_10x(self, telemetry, tmp_path):
+        self._assert_flat(load_report, telemetry, tmp_path)
+
     def test_enlarged_file_still_aggregates_exactly(self, telemetry, tmp_path):
-        path, _ = telemetry
+        path, result = telemetry
         large = self._enlarge(path, tmp_path / "large.jsonl", 3)
-        streamed = stream_fleet_metrics(large)
-        replayed = fleet_metrics(replay_log_collection(large))
-        assert streamed.as_dict() == replayed.as_dict()
+        assert stream_fleet_metrics(large).as_dict() == (
+            fleet_metrics(list(result.logs) * 3).as_dict()
+        )

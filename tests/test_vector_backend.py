@@ -43,8 +43,9 @@ from repro.fleet import (
     FleetOrchestrator,
     LingXiFleetFactory,
 )
-from repro.fleet.telemetry import TelemetryWriter, replay_log_collection, session_event
+from repro.fleet.telemetry import TelemetryWriter, session_event
 from repro.net import EdgeLink, NetworkTopology
+from repro.obs.telemetry_reader import replay_log_collection
 from repro.sim import (
     ScalarBackend,
     SessionSpec,
