@@ -138,28 +138,19 @@ def max_min_fair(
     return np.minimum(demands, level * weights)
 
 
-def _session_routes(
-    topology, link_index: np.ndarray, active: np.ndarray, full_path
-) -> np.ndarray:
-    """Boolean ``(num_sessions, num_links)`` route matrix for one slot.
+def _session_routes(topology, link_index: np.ndarray, full_path) -> np.ndarray:
+    """Boolean ``(num_sessions, num_links)`` route matrix of one slot's
+    active sessions.
 
     Row *i* marks every link session *i* traverses this slot: its edge link
     always, plus the edge link's uplink chain when ``full_path[i]`` (an
     edge-cache miss).  ``full_path=None`` means every session traverses its
-    full path; inactive rows are all-False.
+    full path; on a flat topology every route is the edge link alone.
     """
-    num_sessions = link_index.shape[0]
-    routes = np.zeros((num_sessions, topology.num_links), dtype=bool)
-    rows = np.flatnonzero(active)
-    if rows.size == 0:
-        return routes
-    if full_path is None:
-        routes[rows] = topology.path_matrix[link_index[rows]]
-    else:
-        full_path = np.asarray(full_path, dtype=bool)
-        miss = rows[full_path[rows]]
-        hit = rows[~full_path[rows]]
-        routes[miss] = topology.path_matrix[link_index[miss]]
+    routes = topology.path_matrix[link_index]
+    if full_path is not None:
+        hit = np.flatnonzero(~np.asarray(full_path, dtype=bool))
+        routes[hit] = False
         routes[hit, link_index[hit]] = True
     return routes
 
@@ -205,49 +196,109 @@ def low_lapsley(
     routes: np.ndarray,
     weights: np.ndarray,
     *,
-    gamma: float = 0.5,
+    gamma: float = 1.5,
     tol: float = 1e-6,
     max_iters: int = 200,
 ) -> np.ndarray:
     """Primal-dual optimization flow control (Low & Lapsley).
 
-    Each link *l* carries a price ``p_l``; each session solves its local
-    problem in closed form — rate ``x_s = min(d_s, w_s / q_s)`` where ``q_s``
-    is the price sum along its route (log-utility ⇒ weighted proportional
-    fairness) — and prices ascend the dual gradient
-    ``p_l ← max(0, p_l + gamma · s_l · (y_l − c_l) / c_l)`` with ``y_l`` the
-    link's arrival rate and ``s_l`` a per-link step scale that keeps price
-    magnitudes in the regime of ``w/c``.  Iteration stops at a fixed
-    deterministic tolerance (or cap), and a final feasibility projection
-    scales every session by the worst overload ratio on its path, so the
-    result never exceeds any capacity.
+    Solves max Σ w_s·log x_s subject to ``routes.T @ x <= capacities`` and
+    ``0 <= x <= demands`` (weighted proportional fairness).  Each link *l*
+    carries a price ``p_l``; each session solves its local problem in closed
+    form, ``x_s = min(d_s, w_s / q_s)`` with ``q_s`` the price sum along its
+    route, and prices take projected steps along the dual gradient.
+
+    **Reduction.**  Only links whose total demand exceeds their capacity can
+    bind; the others keep price 0 and drop out.  Links that carry the same
+    sessions (a peering and an origin link behind the same edges) are one
+    constraint at the smaller capacity, so only that one is priced;
+    otherwise both would rise together and a miss path would take every
+    step twice.  Rows without a route receive 0.
+
+    **Step rule.**  ``p_l ← max(0, p_l + gamma · (y_l − c_l) / H_l)`` with
+    ``y_l`` the link's arrival rate and ``H_l = Σ_{s∋l} L_s · x_s² / w_s``:
+    ``x_s² / w_s`` is session *s*'s curvature ``−dx_s/dq_s``, ``L_s`` the
+    number of priced links on its route.  ``H_l`` is the row sum of the
+    dual Hessian ``Rᵀ diag(x²/w) R``, so it bounds that Hessian link by
+    link; Low & Lapsley's step condition ``gamma < 2 / (ᾱ·L̄·S̄)`` is the
+    same bound with the largest curvature, path length and session count
+    in place of each link's own, and the link-wise form keeps ``gamma < 2``.
+    A session capped at its demand does not answer a falling price, so it
+    counts in ``H_l`` only while the link is overloaded, with the curvature
+    it would have at its cap; a link with no session left to answer a
+    falling price drops straight to price 0.  Prices start at each link's
+    total weight over its capacity times the longest route.
+
+    **Stopping rule.**  Iteration stops once the KKT residual — overload
+    ``(y_l − c_l) / c_l`` on every link, and slack ``(c_l − y_l) / c_l`` on
+    every priced link — is at most ``tol``, or after ``max_iters`` steps (a
+    *cap hit*, counted under ``allocator.low_lapsley.cap_hits``).  A final
+    feasibility projection scales each session by the worst overload ratio
+    on its route, so the result never exceeds any capacity.
+
+    Callers pass the slot's active rows only (:func:`allocate_step` compacts
+    them), which keeps the dense route matrix at the size of the slot's
+    traffic.
+    """
+    rates, _, iterations, converged = _dual_ascent(
+        demands, capacities, routes, weights, gamma, tol, max_iters
+    )
+    if obs.enabled():
+        obs.counter_add("allocator.low_lapsley.iterations", iterations)
+        obs.counter_add("allocator.low_lapsley.cap_hits", int(not converged))
+    return rates
+
+
+def _dual_ascent(demands, capacities, routes, weights, gamma, tol, max_iters):
+    """:func:`low_lapsley`'s iteration: ``(rates, prices, iterations, converged)``.
+
+    ``prices`` has one entry per link (0 on links that were never priced);
+    ``rates`` are the projected rates :func:`low_lapsley` returns.
     """
     demands = np.where(routes.any(axis=1), demands, 0.0)
-    if not demands.any():
-        return np.zeros_like(demands)
-    weight_load = routes.T.astype(float) @ weights  # total weight per link
-    scale = np.maximum(weight_load, 1.0) / capacities
-    prices = scale.copy()
-    rates = demands.copy()
-    for _ in range(max_iters):
-        path_price = routes.astype(float) @ prices
-        with np.errstate(divide="ignore"):
-            unconstrained = np.where(path_price > 0.0, weights / path_price, np.inf)
-        new_rates = np.minimum(demands, unconstrained)
-        arrivals = routes.T.astype(float) @ new_rates
-        prices = np.maximum(
-            0.0, prices + gamma * scale * (arrivals - capacities) / capacities
-        )
-        if np.max(np.abs(new_rates - rates)) <= tol * max(1.0, float(new_rates.max())):
-            rates = new_rates
-            break
-        rates = new_rates
-    # Feasibility projection: scale each session by the worst overload on its
-    # path so no link ends above capacity (prices may not have fully settled).
-    arrivals = routes.T.astype(float) @ rates
-    link_scale = np.where(arrivals > capacities, capacities / np.maximum(arrivals, 1e-12), 1.0)
-    session_scale = np.where(routes, link_scale[None, :], 1.0).min(axis=1)
-    return rates * session_scale
+    prices = np.zeros(capacities.shape[0])
+    # Which links to price: congestible ones, one per distinct session set
+    # (the smallest capacity; the first in topology order on a tie).
+    matrix = routes.astype(float)
+    load = matrix.T @ demands
+    priced: dict[bytes, int] = {}
+    for index in np.flatnonzero(load > capacities):
+        key = routes[:, index].tobytes()
+        kept = priced.get(key)
+        if kept is None or capacities[index] < capacities[kept]:
+            priced[key] = int(index)
+    if not priced:
+        return demands, prices, 0, True
+    links = np.sort(np.fromiter(priced.values(), dtype=int, count=len(priced)))
+    matrix = matrix[:, links]
+    caps = capacities[links]
+    lengths = matrix.sum(axis=1)
+    curvature_scale = lengths / weights
+    price = (matrix.T @ weights) / (caps * lengths.max())
+    converged = False
+    # A session on no priced link has path price 0 and runs at its demand;
+    # a link with nothing left to answer a falling price gets H = 0, and
+    # fmax maps its -inf (or 0/0) step to price 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iterations in range(max_iters + 1):
+            rates = np.minimum(demands, weights / (matrix @ price))
+            arrivals = matrix.T @ rates
+            excess = arrivals - caps
+            relative = excess / caps
+            if np.where(price > 0.0, np.abs(relative), relative).max() <= tol:
+                converged = True
+                break
+            if iterations == max_iters:
+                break
+            curvature = rates * rates * curvature_scale
+            hessian_all = matrix.T @ curvature
+            hessian_free = matrix.T @ np.where(rates < demands, curvature, 0.0)
+            hessian = np.where(excess > 0.0, hessian_all, hessian_free)
+            price = np.fmax(0.0, price + gamma * excess / hessian)
+    prices[links] = price
+    link_scale = np.where(arrivals > caps, caps / arrivals, 1.0)
+    session_scale = np.where(matrix > 0.0, link_scale, 1.0).min(axis=1)
+    return rates * session_scale, prices, iterations, converged
 
 
 def allocate_step(
@@ -264,11 +315,13 @@ def allocate_step(
 
     ``link_index``/``demands``/``active``/``weights``/``full_path`` are
     batch-order arrays (one row per session); inactive rows receive
-    allocation 0 and take no capacity.  Links are processed in topology
-    order and each link's active rows are gathered in ascending batch order
-    — the ordering contract that keeps the scalar and vector engines'
-    allocations identical.  When ``usage_out`` is given, one
-    :class:`LinkUsageSample` per link (idle links included) is appended.
+    allocation 0 and take no capacity.  The active rows are gathered once,
+    in ascending batch order, and every allocator works on those rows only;
+    links are processed in topology order — the ordering contract that keeps
+    the scalar and vector engines' allocations identical, and that makes
+    inactive rows anywhere in the batch leave every allocation unchanged.
+    When ``usage_out`` is given, one :class:`LinkUsageSample` per link (idle
+    links included) is appended.
 
     On flat topologies running ``max_min_fair`` this is the historical
     independent per-link water-fill, bit for bit.  Multi-tier topologies
@@ -280,79 +333,67 @@ def allocate_step(
     capacities = topology.capacities_at(step)
     demands = np.asarray(demands, dtype=float)
     allocations = np.zeros_like(demands)
-    profiling = obs.enabled()
-    congested = 0
+    rows = np.flatnonzero(active)
+    link_demands = demands[rows]
+    if not np.all(np.isfinite(link_demands)) or np.any(link_demands < 0):
+        raise ValueError("demands must be finite and non-negative")
+    if weights is None:
+        link_weights = None
+    else:
+        link_weights = np.asarray(weights, dtype=float)[rows]
+        if not np.all(np.isfinite(link_weights)) or np.any(link_weights <= 0):
+            raise ValueError("weights must be finite and positive")
+    routes = _session_routes(
+        topology,
+        np.asarray(link_index)[rows],
+        None if full_path is None else np.asarray(full_path)[rows],
+    )
     path_aware = topology.has_tiers or topology.allocator != "max_min_fair"
     with obs.span("allocator.water_fill"):
-        if not path_aware:
-            for index, link in enumerate(topology.links):
-                rows = active & (link_index == index)
-                capacity = float(capacities[index])
-                count = int(np.count_nonzero(rows))
-                if count:
-                    link_demands = demands[rows]
-                    link_weights = None if weights is None else weights[rows]
-                    link_alloc = max_min_fair(link_demands, capacity, link_weights)
-                    allocations[rows] = link_alloc
-                    demand_total = float(link_demands.sum())
-                    allocated_total = float(link_alloc.sum())
-                    if profiling and demand_total > capacity:
-                        congested += 1
-                else:
-                    demand_total = 0.0
-                    allocated_total = 0.0
-                if usage_out is not None:
-                    usage_out.append(
-                        LinkUsageSample(
-                            step=step,
-                            link_id=link.link_id,
-                            capacity_kbps=capacity,
-                            active_sessions=count,
-                            demand_kbps=demand_total,
-                            allocated_kbps=allocated_total,
-                            tier=link.tier,
-                        )
+        if not path_aware:  # one link per route
+            served = np.zeros_like(link_demands)
+            for index in range(topology.num_links):
+                members = routes[:, index]
+                if members.any():
+                    served[members] = max_min_fair(
+                        link_demands[members],
+                        float(capacities[index]),
+                        None if link_weights is None else link_weights[members],
                     )
         else:
-            if not np.all(np.isfinite(demands)) or np.any(demands < 0):
-                raise ValueError("demands must be finite and non-negative")
-            if weights is None:
-                weights_arr = np.ones_like(demands)
-            else:
-                weights_arr = np.asarray(weights, dtype=float)
-                if not np.all(np.isfinite(weights_arr)) or np.any(weights_arr <= 0):
-                    raise ValueError("weights must be finite and positive")
-            link_index = np.asarray(link_index)
-            routes = _session_routes(topology, link_index, active, full_path)
+            if link_weights is None:
+                link_weights = np.ones_like(link_demands)
             if topology.allocator == "low_lapsley":
-                allocations = low_lapsley(demands, capacities, routes, weights_arr)
+                served = low_lapsley(link_demands, capacities, routes, link_weights)
             else:
-                allocations = path_water_fill(
-                    demands, capacities, routes, weights_arr
+                served = path_water_fill(
+                    link_demands, capacities, routes, link_weights
                 )
-            for index, link in enumerate(topology.links):
-                rows = routes[:, index]
-                capacity = float(capacities[index])
-                count = int(np.count_nonzero(rows))
-                demand_total = float(demands[rows].sum()) if count else 0.0
-                allocated_total = float(allocations[rows].sum()) if count else 0.0
-                if profiling and demand_total > capacity:
-                    congested += 1
-                if usage_out is not None:
-                    usage_out.append(
-                        LinkUsageSample(
-                            step=step,
-                            link_id=link.link_id,
-                            capacity_kbps=capacity,
-                            active_sessions=count,
-                            demand_kbps=demand_total,
-                            allocated_kbps=allocated_total,
-                            tier=link.tier,
-                        )
+        allocations[rows] = served
+        congested = 0
+        for index, link in enumerate(topology.links):
+            members = routes[:, index]
+            capacity = float(capacities[index])
+            count = int(np.count_nonzero(members))
+            demand_total = float(link_demands[members].sum()) if count else 0.0
+            allocated_total = float(served[members].sum()) if count else 0.0
+            if demand_total > capacity:
+                congested += 1
+            if usage_out is not None:
+                usage_out.append(
+                    LinkUsageSample(
+                        step=step,
+                        link_id=link.link_id,
+                        capacity_kbps=capacity,
+                        active_sessions=count,
+                        demand_kbps=demand_total,
+                        allocated_kbps=allocated_total,
+                        tier=link.tier,
                     )
-    if profiling:
+                )
+    if obs.enabled():
         obs.counter_add("allocator.slots")
         obs.counter_add("allocator.links", len(topology.links))
         obs.counter_add("allocator.congested_links", congested)
-        obs.gauge_max("allocator.active_sessions", int(np.count_nonzero(active)))
+        obs.gauge_max("allocator.active_sessions", rows.size)
     return allocations

@@ -324,6 +324,32 @@ class NetworkTopology:
         """The edge link a user attaches to."""
         return self.links[self.link_index_for(user_id)]
 
+    def miss_rows(
+        self, user_ids: Sequence[str], lengths: Sequence[int]
+    ) -> list[np.ndarray]:
+        """Cache-miss masks of a batch: row *i* covers the first
+        ``lengths[i]`` segments of ``user_ids[i]``.
+
+        Each user's profile is drawn once, at the longest length the batch
+        asks of that user, and every row of that user is a slice of it (a
+        miss profile's prefix does not depend on its length), so rows of one
+        user share memory and are read-only by convention.  Without a cache
+        model every download misses.  Both simulation engines take their
+        masks from here.
+        """
+        if self.cache is None:
+            return [np.ones(length, dtype=bool) for length in lengths]
+        longest: dict[str, int] = {}
+        for user_id, length in zip(user_ids, lengths):
+            longest[user_id] = max(longest.get(user_id, 0), length)
+        profiles = {
+            user_id: self.cache.miss_profile(user_id, length)
+            for user_id, length in longest.items()
+        }
+        return [
+            profiles[user_id][:length] for user_id, length in zip(user_ids, lengths)
+        ]
+
     def capacities_at(self, step: int) -> np.ndarray:
         """Per-link usable capacity (kbps) during slot ``step``."""
         return np.asarray([link.capacity_at(step) for link in self.links])

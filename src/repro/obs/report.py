@@ -235,6 +235,13 @@ def format_report(report: dict, max_depth: int = 6) -> str:
     if rss is not None:
         lines.append(f"  peak RSS         {rss / (1024 * 1024):.1f} MiB")
     lines.append(f"  span coverage    {report.get('span_coverage', 0.0) * 100:.1f}%")
+    counters = report.get("metrics", {}).get("counters", {})
+    if "allocator.low_lapsley.iterations" in counters:
+        lines.append(
+            "  low-lapsley      "
+            f"{counters['allocator.low_lapsley.iterations']} iterations, "
+            f"{counters.get('allocator.low_lapsley.cap_hits', 0)} cap hits"
+        )
 
     per_shard = report.get("per_shard") or []
     if per_shard:
@@ -289,7 +296,6 @@ def format_report(report: dict, max_depth: int = 6) -> str:
     if not span_children.get("children"):
         lines.append("    (no spans recorded)")
 
-    counters = report.get("metrics", {}).get("counters", {})
     if counters:
         lines.append("  counters:")
         for name in sorted(counters):

@@ -93,22 +93,15 @@ def run_networked_scalar(
 
     # Multi-tier topologies: precompute each session's deterministic
     # per-segment cache-miss profile (identity-keyed, so both engines and
-    # every shard agree).  No cache model on a tiered topology means every
-    # download traverses the full path.
+    # every shard agree).
     tiered = network.has_tiers
     full_path: np.ndarray | None = None
     miss_profiles: list[np.ndarray] = []
     if tiered:
         full_path = np.zeros(num_sessions, dtype=bool)
-        if network.cache is not None:
-            miss_profiles = [
-                network.cache.miss_profile(spec.user_id, session.limit)
-                for spec, session in zip(specs, sessions)
-            ]
-        else:
-            miss_profiles = [
-                np.ones(session.limit, dtype=bool) for session in sessions
-            ]
+        miss_profiles = network.miss_rows(
+            [spec.user_id for spec in specs], [session.limit for session in sessions]
+        )
 
     with obs.span("networked.run_scalar"):
         for slot in range(horizon):

@@ -727,36 +727,25 @@ class VectorBackend(SimBackend):
         demand = np.zeros(num_sessions)
         active_global = np.zeros(num_sessions, dtype=bool)
 
-        # Multi-tier topologies: identity-keyed per-segment cache-miss masks,
-        # computed exactly like the scalar reference (same ``CacheModel``
-        # draws, keyed by (user_id, local segment index)).
+        # Multi-tier topologies: identity-keyed per-segment cache-miss masks
+        # from the same ``NetworkTopology.miss_rows`` as the scalar reference
+        # (``CacheModel`` draws keyed by (user_id, local segment index)).
         tiered = network.has_tiers
         full_path: np.ndarray | None = None
         live_miss: dict[int, np.ndarray] = {}
         if tiered:
             full_path = np.zeros(num_sessions, dtype=bool)
-            profile_rows: dict[tuple[str, int], np.ndarray] = {}
-
-            def _miss_row(user_id: str, length: int) -> np.ndarray:
-                if network.cache is None:
-                    return np.ones(length, dtype=bool)
-                row = profile_rows.get((user_id, length))
-                if row is None:
-                    row = network.cache.miss_profile(user_id, length)
-                    profile_rows[(user_id, length)] = row
-                return row
-
-            for group in groups:
-                group.miss = np.stack(
-                    [
-                        _miss_row(spec.user_id, group.max_steps)
-                        for spec in group.specs
-                    ]
+            miss_rows = iter(
+                network.miss_rows(
+                    [spec.user_id for group in groups for spec in group.specs]
+                    + [specs[index].user_id for index in scalar_order],
+                    [group.max_steps for group in groups for _ in group.specs]
+                    + [live[index].limit for index in scalar_order],
                 )
-            live_miss = {
-                index: _miss_row(specs[index].user_id, live[index].limit)
-                for index in scalar_order
-            }
+            )
+            for group in groups:
+                group.miss = np.stack([next(miss_rows) for _ in group.specs])
+            live_miss = {index: next(miss_rows) for index in scalar_order}
 
         for k in range(horizon):
             obs_live.pulse()  # wall-clock heartbeat; no-op without a live run

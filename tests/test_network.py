@@ -780,6 +780,25 @@ class TestCacheModel:
         )
         assert draws.mean() == pytest.approx(0.3, abs=0.05)
 
+    def test_miss_rows_slice_one_draw_per_user(self, monkeypatch):
+        topology = _tiered_topology(hit_ratio=0.6)
+        users = ["u1", "u2", "u1", "u3", "u1"]
+        lengths = [12, 30, 40, 0, 7]
+        expected = [topology.cache.miss_profile(u, n) for u, n in zip(users, lengths)]
+        draws = []
+        profile = CacheModel.miss_profile
+        monkeypatch.setattr(
+            CacheModel,
+            "miss_profile",
+            lambda self, user, n: draws.append(user) or profile(self, user, n),
+        )
+        rows = topology.miss_rows(users, lengths)
+        assert draws == ["u1", "u2", "u3"]
+        for row, want in zip(rows, expected):
+            np.testing.assert_array_equal(row, want)
+        cold = _tiered_topology(hit_ratio=None).miss_rows(users, lengths)
+        assert [row.tolist() for row in cold] == [[True] * n for n in lengths]
+
 
 class TestMultiTierTopology:
     def test_uplink_validation(self):
@@ -857,13 +876,6 @@ class TestMultiTierTopology:
 
 
 class TestPathAwareAllocators:
-    def _routes(self, topology, link_index, active, full_path=None):
-        from repro.net.allocator import _session_routes
-
-        return _session_routes(
-            topology, np.asarray(link_index), np.asarray(active), full_path
-        )
-
     def test_single_link_paths_match_classic_water_fill(self):
         rng = np.random.default_rng(5)
         demands = rng.uniform(100.0, 4000.0, size=16)

@@ -22,6 +22,7 @@ from repro.fleet import (
     LongitudinalCampaign,
     LongitudinalConfig,
 )
+from repro.net import CacheModel, EdgeLink, NetworkTopology
 from repro.obs.registry import Histogram
 from repro.obs.telemetry_reader import last_event, read_run_summary
 from repro.sim.video import VideoLibrary
@@ -50,7 +51,7 @@ def _run_fleet(population, library, *, shards, workers=0, profile=False,
     if profile:
         obs.enable()
     try:
-        config = FleetConfig(
+        settings = dict(
             num_shards=shards,
             num_workers=workers,
             sessions_per_user=2,
@@ -58,8 +59,8 @@ def _run_fleet(population, library, *, shards, workers=0, profile=False,
             seed=9,
             backend="vector",
             network="dual_isp",
-            **overrides,
         )
+        config = FleetConfig(**{**settings, **overrides})
         return FleetOrchestrator(config).run(
             population, library, telemetry_path=telemetry
         )
@@ -233,6 +234,34 @@ class TestFleetProfile:
         assert counters["fleet.shards"] == 2
         assert counters["allocator.slots"] > 0
         assert report["peak_rss_bytes"] is None or report["peak_rss_bytes"] > 0
+
+    def test_low_lapsley_counters_reach_the_report_and_move_no_trace_byte(
+        self, population, library
+    ):
+        """OBS-NEUTRAL-004: counting iterations and cap hits is inert."""
+        tree = NetworkTopology(
+            name="congested_tree",
+            cache=CacheModel(hit_ratio=0.5),
+            links=(
+                EdgeLink("east", 6_000.0, uplinks=("peer", "origin")),
+                EdgeLink("west", 5_000.0, uplinks=("peer", "origin")),
+                EdgeLink("peer", 4_000.0, tier="peering"),
+                EdgeLink("origin", 4_500.0, tier="origin"),
+            ),
+        )
+        settings = dict(shards=1, network=tree, allocator="low_lapsley")
+        plain = _run_fleet(population, library, **settings)
+        profiled = _run_fleet(population, library, profile=True, **settings)
+        assert _session_map(plain) == _session_map(profiled)
+        assert plain.link_usage == profiled.link_usage
+        assert any(s.demand_kbps > s.capacity_kbps for s in plain.link_usage)
+        counters = profiled.obs_report["metrics"]["counters"]
+        assert counters["allocator.low_lapsley.iterations"] > 0
+        assert counters["allocator.low_lapsley.cap_hits"] == 0
+        assert (
+            f"low-lapsley      {counters['allocator.low_lapsley.iterations']} "
+            "iterations, 0 cap hits" in obs.format_report(profiled.obs_report)
+        )
 
     def test_run_report_and_fallback_fields_replay_from_telemetry(
         self, population, library, tmp_path
