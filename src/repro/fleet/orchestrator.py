@@ -254,7 +254,8 @@ class ShardOutput:
     #: with ``profile=True``; the orchestrator grafts it into its own tree.
     obs: dict | None = None
     #: Pre-encoded telemetry JSONL for this shard (pooled runs only): the
-    #: worker serialises its events once into the shared-memory arena and
+    #: worker writes its encoded events into its arena right after this
+    #: output's pickle, the parent sets this field from those bytes, and
     #: :func:`write_fleet_telemetry` streams the blob to disk verbatim.
     telemetry_blob: bytes | None = None
 

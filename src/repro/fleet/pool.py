@@ -2,10 +2,10 @@
 
 A naive process pool pays three taxes on every fleet run: it forks its
 workers anew, it pickles each shard with everything the shard closes over
-(population, video library, ABR factory and its NN weights), and it pickles
-every :class:`ShardOutput` on the way back.  At fleet scale a shard is
-milliseconds of vector math, so that overhead dominates and adding workers
-makes the run *slower* — the anti-scaling recorded in
+(population, video library, ABR factory and its NN weights), and it pushes
+every pickled :class:`ShardOutput` back through the result pipe.  At fleet
+scale a shard is milliseconds of vector math, so that overhead dominates
+and adding workers makes the run *slower* — the anti-scaling recorded in
 ``benchmarks/baselines``.
 
 :class:`WorkerPool` removes all three taxes:
@@ -22,14 +22,14 @@ makes the run *slower* — the anti-scaling recorded in
   controller states — pickles to a few hundred bytes.  A task carries no
   user or link lists: the shard runner derives its members from
   ``(population, network, num_shards, shard_index)``.
-* **Shared-memory results.**  A worker writes its shard's result — session
-  metadata, the columnar trace export of :func:`repro.sim.vector.
-  export_trace_columns`, link-usage columns, pickled controller states and
-  the pre-encoded telemetry JSONL blob — into one of its two shared-memory
-  arenas.  The parent maps the arena with zero-copy numpy views, materialises
-  the :class:`ShardOutput`, and acks the arena slot so the worker may reuse
-  it.  Only the tiny layout dict (and the obs snapshot, when profiling)
-  travels over the pipe.
+* **Shared-memory results.**  A worker pickles the :class:`ShardOutput`
+  its ``_run_shard`` returned — the object the inline path returns — into
+  one of its two shared-memory arenas, followed by the pre-encoded
+  telemetry JSONL blob as raw bytes when the run asks for telemetry.  Only
+  the arena name, the slot, the two lengths and two pack statistics cross
+  the pipe.  The parent unpickles the output, copies the blob out, and acks
+  the slot so the worker may reuse it; results never fill the pipe, and a
+  worker packs its next shard while the parent drains the last one.
 
 Determinism: a worker swaps each token back for its cached object and calls
 the same ``_run_shard`` on a task equal to the one the inline path runs, so
@@ -47,7 +47,6 @@ clean shutdown leaves no segments and no tracker warnings behind.
 from __future__ import annotations
 
 import atexit
-import json
 import pickle
 import time
 import traceback
@@ -56,16 +55,8 @@ from dataclasses import dataclass, fields, replace
 from multiprocessing import connection, get_context, resource_tracker, shared_memory
 from typing import Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.obs import live as obs_live
-from repro.sim.vector import (
-    _align8,
-    export_trace_columns,
-    import_trace_columns,
-    trace_columns_nbytes,
-)
 
 #: Arena slots per worker: double buffering lets a worker start its next
 #: shard while the parent is still draining the previous one.
@@ -82,23 +73,6 @@ MAX_INFLIGHT = 2
 #: Worker-side object-cache capacity (heavy objects: libraries, factories,
 #: populations, topologies).  LRU eviction, driven by the parent.
 CACHE_CAPACITY = 32
-
-_RESULT_FORMAT_VERSION = 1
-
-#: Fixed order of the numeric result columns in an arena.
-_RESULT_ARRAYS = (
-    "session.user",
-    "session.trace",
-    "session.day",
-    "session.index",
-    "session.mean_bw",
-    "usage.step",
-    "usage.link",
-    "usage.active",
-    "usage.capacity",
-    "usage.demand",
-    "usage.allocated",
-)
 
 
 class PoolError(RuntimeError):
@@ -118,207 +92,6 @@ class CacheRef:
     """Handle to an object registered in every worker's cache."""
 
     token: int
-
-
-# --------------------------------------------------------------------------- #
-# Result packing (worker side) / unpacking (parent side)
-# --------------------------------------------------------------------------- #
-def _encode_result_arrays(output) -> tuple[dict, bytes, bytes]:
-    """Columnar arrays + string table + controller pickle for one output."""
-    users: dict[str, int] = {}
-    trace_names: dict[str, int] = {}
-    links: dict[str, int] = {}
-    user_idx = [
-        users.setdefault(log.user_id, len(users)) for log in output.sessions
-    ]
-    trace_idx = [
-        trace_names.setdefault(log.trace.trace_name, len(trace_names))
-        for log in output.sessions
-    ]
-    link_idx = [
-        links.setdefault(sample.link_id, len(links))
-        for sample in output.link_usage
-    ]
-    # Tier travels in the string table, parallel to ``links`` (a link's tier
-    # is constant within a run, so one entry per link id suffices).
-    link_tiers: dict[str, str] = {}
-    for sample in output.link_usage:
-        link_tiers.setdefault(sample.link_id, sample.tier)
-    arrays = {
-        "session.user": np.asarray(user_idx, dtype=np.int32),
-        "session.trace": np.asarray(trace_idx, dtype=np.int32),
-        "session.day": np.asarray(
-            [log.day for log in output.sessions], dtype=np.int64
-        ),
-        "session.index": np.asarray(
-            [log.session_index for log in output.sessions], dtype=np.int64
-        ),
-        "session.mean_bw": np.asarray(
-            [log.mean_bandwidth_kbps for log in output.sessions], dtype=np.float64
-        ),
-        "usage.step": np.asarray(
-            [sample.step for sample in output.link_usage], dtype=np.int64
-        ),
-        "usage.link": np.asarray(link_idx, dtype=np.int32),
-        "usage.active": np.asarray(
-            [sample.active_sessions for sample in output.link_usage], dtype=np.int64
-        ),
-        "usage.capacity": np.asarray(
-            [sample.capacity_kbps for sample in output.link_usage], dtype=np.float64
-        ),
-        "usage.demand": np.asarray(
-            [sample.demand_kbps for sample in output.link_usage], dtype=np.float64
-        ),
-        "usage.allocated": np.asarray(
-            [sample.allocated_kbps for sample in output.link_usage], dtype=np.float64
-        ),
-    }
-    strings = json.dumps(
-        {
-            "users": list(users),
-            "traces": list(trace_names),
-            "links": list(links),
-            "link_tiers": [link_tiers[link_id] for link_id in links],
-        }
-    ).encode("utf-8")
-    controller = pickle.dumps(
-        output.controller_states, protocol=pickle.HIGHEST_PROTOCOL
-    )
-    return arrays, strings, controller
-
-
-def _layout_result(
-    buf, *, arrays: dict, strings: bytes, traces, controller: bytes,
-    telemetry: bytes | None,
-) -> tuple[dict, int]:
-    """Write (``buf`` given) or measure (``buf=None``) one packed result.
-
-    Single walk used for both sizing and writing, so the two can never
-    disagree about offsets.
-    """
-    layout: dict = {"version": _RESULT_FORMAT_VERSION, "regions": {}}
-    position = 0
-
-    def put_bytes(name: str, data: bytes) -> None:
-        nonlocal position
-        position = _align8(position)
-        if buf is not None:
-            buf[position : position + len(data)] = data
-        layout["regions"][name] = [position, len(data)]
-        position += len(data)
-
-    def put_array(name: str, array: np.ndarray) -> None:
-        nonlocal position
-        position = _align8(position)
-        if buf is not None:
-            view = np.frombuffer(
-                buf, dtype=array.dtype, count=array.size, offset=position
-            )
-            view[:] = array
-        layout["regions"][name] = [position, int(array.size), array.dtype.str]
-        position += array.size * array.itemsize
-
-    put_bytes("strings", strings)
-    for name in _RESULT_ARRAYS:
-        put_array(name, arrays[name])
-    num_traces = len(traces)
-    num_records = sum(len(trace.records) for trace in traces)
-    position = _align8(position)
-    if buf is None:
-        position += trace_columns_nbytes(num_traces, num_records, offset=position)
-        layout["trace_columns"] = None
-    else:
-        trace_layout, position = export_trace_columns(traces, buf, offset=position)
-        layout["trace_columns"] = trace_layout
-    put_bytes("controller", controller)
-    if telemetry is not None:
-        put_bytes("telemetry", telemetry)
-    return layout, position
-
-
-def _decode_shard_output(buf, layout: dict, shard_index: int, extra: dict):
-    """Materialise a :class:`ShardOutput` from a packed arena region.
-
-    Everything returned is plain Python data — transient numpy views only —
-    so the arena slot may be acked (and overwritten) the moment this returns.
-    """
-    from repro.analytics.logs import SessionLog
-    from repro.fleet.orchestrator import ShardOutput
-    from repro.net.allocator import LinkUsageSample
-
-    if layout.get("version") != _RESULT_FORMAT_VERSION:
-        raise PoolError(f"unsupported result layout: {layout.get('version')!r}")
-    regions = layout["regions"]
-
-    def get_bytes(name: str) -> bytes:
-        offset, length = regions[name]
-        return bytes(buf[offset : offset + length])
-
-    def get_list(name: str) -> list:
-        offset, count, dtype = regions[name]
-        return np.frombuffer(
-            buf, dtype=np.dtype(dtype), count=count, offset=offset
-        ).tolist()
-
-    strings = json.loads(get_bytes("strings").decode("utf-8"))
-    user_idx = get_list("session.user")
-    trace_idx = get_list("session.trace")
-    user_ids = [strings["users"][i] for i in user_idx]
-    traces = import_trace_columns(
-        buf,
-        layout["trace_columns"],
-        user_ids=user_ids,
-        trace_names=[strings["traces"][i] for i in trace_idx],
-    )
-    sessions = [
-        SessionLog(
-            user_id=user_ids[i],
-            day=day,
-            session_index=session_index,
-            trace=traces[i],
-            mean_bandwidth_kbps=mean_bw,
-        )
-        for i, (day, session_index, mean_bw) in enumerate(
-            zip(
-                get_list("session.day"),
-                get_list("session.index"),
-                get_list("session.mean_bw"),
-            )
-        )
-    ]
-    link_tiers = strings["link_tiers"]
-    link_usage = [
-        LinkUsageSample(
-            step=step,
-            link_id=strings["links"][link],
-            capacity_kbps=capacity,
-            active_sessions=active,
-            demand_kbps=demand,
-            allocated_kbps=allocated,
-            tier=link_tiers[link],
-        )
-        for step, link, active, capacity, demand, allocated in zip(
-            get_list("usage.step"),
-            get_list("usage.link"),
-            get_list("usage.active"),
-            get_list("usage.capacity"),
-            get_list("usage.demand"),
-            get_list("usage.allocated"),
-        )
-    ]
-    return ShardOutput(
-        shard_index=shard_index,
-        sessions=sessions,
-        controller_states=pickle.loads(get_bytes("controller")),
-        num_segments=int(extra["num_segments"]),
-        wall_time_s=float(extra["wall_time_s"]),
-        link_usage=link_usage,
-        fallback_sessions=int(extra["fallback_sessions"]),
-        obs=extra["obs"],
-        telemetry_blob=(
-            get_bytes("telemetry") if "telemetry" in regions else None
-        ),
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -399,12 +172,9 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                         if encode_telemetry
                         else None
                     )
-                    arrays, strings, controller = _encode_result_arrays(output)
-                    traces = [log.trace for log in output.sessions]
-                    _, nbytes = _layout_result(
-                        None, arrays=arrays, strings=strings, traces=traces,
-                        controller=controller, telemetry=telemetry,
-                    )
+                    result = pickle.dumps(output, protocol=5)
+                    telemetry_len = None if telemetry is None else len(telemetry)
+                    nbytes = len(result) + (telemetry_len or 0)
                     slot = task_count % ARENAS_PER_WORKER
                     task_count += 1
                     if not wait_for_ack(slot):
@@ -414,6 +184,9 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                         if arena is not None:
                             arena.close()
                             arena.unlink()
+                            # Forget it now: if the create below fails, the
+                            # slot must not keep an unlinked, closed arena.
+                            arenas[slot] = None
                         capacity = max(
                             MIN_ARENA_BYTES,
                             arena.size * 2 if arena is not None else 0,
@@ -424,28 +197,24 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                             create=True, size=capacity
                         )
                         arenas[slot] = arena
-                    layout, _ = _layout_result(
-                        arena.buf, arrays=arrays, strings=strings, traces=traces,
-                        controller=controller, telemetry=telemetry,
-                    )
+                    arena.buf[: len(result)] = result
+                    if telemetry is not None:
+                        arena.buf[len(result) : nbytes] = telemetry
                     acked[slot] = False
                     conn.send(
                         (
                             "result",
-                            task.shard_index,
                             slot,
                             arena.name,
-                            layout,
-                            {
-                                "num_segments": output.num_segments,
-                                "wall_time_s": output.wall_time_s,
-                                "fallback_sessions": output.fallback_sessions,
-                                "obs": output.obs,
-                                "pack_time_s": time.perf_counter() - start,  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
-                                "result_bytes": nbytes,
-                            },
+                            len(result),
+                            telemetry_len,
+                            time.perf_counter() - start,  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
+                            nbytes,
                         )
                     )
+                    # Free this shard before the next one is built, so a
+                    # worker's peak holds one shard's objects, not two.
+                    del output, telemetry, result
                 except Exception:
                     conn.send(
                         ("error", task.shard_index, traceback.format_exc())
@@ -585,42 +354,19 @@ class WorkerPool:
                     self._send(worker, queues[worker].popleft())
                     inflight[worker] += 1
 
-        outputs = []
-        failures: list[tuple[int, str]] = []
-        conn_worker = {id(conn): w for w, conn in enumerate(self._conns)}
         with obs.span("pool.drain"):
-            while sum(inflight) > 0:
-                ready = connection.wait(
-                    [
-                        self._conns[w]
-                        for w in range(self.num_workers)
-                        if inflight[w] > 0
-                    ],
-                    timeout=0.2,
-                )
-                if not ready:
-                    self._check_alive()
-                    continue
-                for conn in ready:
-                    worker = conn_worker[id(conn)]
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        self._reap_crash(worker)
-                    if message[0] == "result":
-                        _, shard_index, slot, name, layout, extra = message
-                        outputs.append(
-                            self._drain_result(
-                                worker, slot, name, layout, shard_index, extra
-                            )
-                        )
-                        conn.send(("ack", slot))
-                    elif message[0] == "error":
-                        failures.append((message[1], message[2]))
-                    inflight[worker] -= 1
-                    if not failures and queues[worker]:
-                        conn.send(queues[worker].popleft())
-                        inflight[worker] += 1
+            try:
+                outputs, failures = self._drain(queues, inflight)
+            except BaseException as exc:
+                # Unacked slots and results left in the pipes would leak into
+                # the next run, so a pool that cannot finish draining closes.
+                self.shutdown()
+                if isinstance(exc, PoolError) or not isinstance(exc, Exception):
+                    raise
+                raise PoolError(
+                    f"draining pool results failed ({exc!r}); "
+                    "pool shut down — acquire a fresh one"
+                ) from exc
         if failures:
             shard_index, worker_traceback = failures[0]
             raise ShardTaskError(
@@ -630,14 +376,52 @@ class WorkerPool:
         outputs.sort(key=lambda output: output.shard_index)
         return outputs
 
-    def _drain_result(self, worker, slot, name, layout, shard_index, extra):
+    def _drain(self, queues: list[deque], inflight: list[int]) -> tuple[list, list]:
+        """Collect every in-flight result, topping workers up from ``queues``
+        until the first shard failure; ``(outputs, failures)``."""
+        outputs = []
+        failures: list[tuple[int, str]] = []
+        conn_worker = {id(conn): w for w, conn in enumerate(self._conns)}
+        while sum(inflight) > 0:
+            ready = connection.wait(
+                [self._conns[w] for w in range(self.num_workers) if inflight[w] > 0],
+                timeout=0.2,
+            )
+            if not ready:
+                self._check_alive()
+                continue
+            for conn in ready:
+                worker = conn_worker[id(conn)]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    self._reap_crash(worker)
+                if message[0] == "result":
+                    outputs.append(self._drain_result(worker, *message[1:]))
+                    self._send(worker, ("ack", message[1]))
+                elif message[0] == "error":
+                    failures.append((message[1], message[2]))
+                inflight[worker] -= 1
+                if not failures and queues[worker]:
+                    self._send(worker, queues[worker].popleft())
+                    inflight[worker] += 1
+        return outputs, failures
+
+    def _drain_result(
+        self, worker, slot, name, result_len, telemetry_len, pack_time_s, result_bytes
+    ):
+        """Unpickle one shard's :class:`ShardOutput` from its arena slot and
+        copy its telemetry blob out; nothing returned refers to the arena."""
         arena = self._attach(worker, slot, name)
-        output = _decode_shard_output(arena.buf, layout, shard_index, extra)
-        obs.counter_add("pool.shm_result_bytes", int(extra["result_bytes"]))
-        if output.telemetry_blob is not None:
-            obs.counter_add("pool.shm_telemetry_bytes", len(output.telemetry_blob))
+        with arena.buf[:result_len] as view:
+            output = pickle.loads(view)
+        if telemetry_len is not None:
+            end = result_len + telemetry_len
+            output.telemetry_blob = bytes(arena.buf[result_len:end])
+            obs.counter_add("pool.shm_telemetry_bytes", telemetry_len)
+        obs.counter_add("pool.shm_result_bytes", result_bytes)
         obs.gauge_max("pool.shm_arena_bytes", arena.size)
-        obs.observe("pool.shard_pack_seconds", float(extra["pack_time_s"]))
+        obs.observe("pool.shard_pack_seconds", pack_time_s)
         return output
 
     def _attach(self, worker: int, slot: int, name: str) -> shared_memory.SharedMemory:

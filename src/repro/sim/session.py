@@ -18,7 +18,8 @@ The session produces a :class:`PlaybackTrace` of per-segment
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -116,6 +117,15 @@ class SegmentRecord:
     stall_count: int
     exit_probability: float
     exited: bool
+
+    def __reduce__(self):
+        # Pickle positionally, through __init__: a pooled shard's result
+        # carries ~10k records, and the default state-dict form builds and
+        # memoises one dict per record in the worker and in the parent.
+        return (SegmentRecord, _record_values(self))
+
+
+_record_values = operator.attrgetter(*(f.name for f in fields(SegmentRecord)))
 
 
 #: Column layout of the cached per-record array of :class:`PlaybackTrace`.

@@ -48,10 +48,7 @@ and event-ordered reference sessions share one ``allocate_step`` per slot.
 
 from __future__ import annotations
 
-import dataclasses
-import itertools
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -894,156 +891,3 @@ class VectorBackend(SimBackend):
 
 
 register_backend("vector", VectorBackend)
-
-
-# --------------------------------------------------------------------------- #
-# Columnar trace export/import into caller-provided buffers
-# --------------------------------------------------------------------------- #
-# The struct-of-arrays layout of the lockstep engine does not have to die at
-# the process boundary: a batch of PlaybackTraces flattens into a fixed set of
-# per-field columns (one array per SegmentRecord field, plus four per-trace
-# header arrays) that a shard worker writes straight into a caller-provided
-# buffer — in practice a ``multiprocessing.shared_memory`` arena owned by
-# ``repro.fleet.pool`` — and the parent reads back through zero-copy numpy
-# views.  Strings (user ids, trace names) are deliberately *not* part of the
-# columnar format; the caller carries them out of band and hands them back to
-# :func:`import_trace_columns`.
-#
-# Round-trip contract: ``import_trace_columns(export_trace_columns(traces))``
-# is *value-identical* to ``traces`` — every int/float/bool survives exactly
-# (int64/float64/bool columns, ``.tolist()`` back to Python scalars), which is
-# what lets the pooled fleet path stay bit-identical to the inline one.
-
-_TRACE_FIELD_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_}
-
-
-def _trace_field_dtype(field_type) -> np.dtype:
-    name = field_type if isinstance(field_type, str) else field_type.__name__
-    return np.dtype(_TRACE_FIELD_DTYPES[name])
-
-
-#: ``(field_name, dtype)`` per :class:`SegmentRecord` field, in declaration
-#: order (which is also the record's positional-constructor order).
-TRACE_RECORD_COLUMNS: tuple[tuple[str, np.dtype], ...] = tuple(
-    (f.name, _trace_field_dtype(f.type)) for f in dataclasses.fields(SegmentRecord)
-)
-
-#: Per-trace header columns: record count, video geometry, early-exit flag.
-TRACE_HEADER_COLUMNS: tuple[tuple[str, np.dtype], ...] = (
-    ("num_records", np.dtype(np.int64)),
-    ("video_duration", np.dtype(np.float64)),
-    ("segment_duration", np.dtype(np.float64)),
-    ("exited_early", np.dtype(np.bool_)),
-)
-
-TRACE_COLUMNS_VERSION = 1
-
-
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
-
-
-def _trace_regions(
-    num_traces: int, num_records: int
-) -> list[tuple[str, np.dtype, int]]:
-    """Ordered ``(name, dtype, count)`` region walk of the columnar format."""
-    regions = [
-        (f"header.{name}", dtype, num_traces)
-        for name, dtype in TRACE_HEADER_COLUMNS
-    ]
-    regions += [
-        (f"records.{name}", dtype, num_records)
-        for name, dtype in TRACE_RECORD_COLUMNS
-    ]
-    return regions
-
-
-def trace_columns_nbytes(num_traces: int, num_records: int, offset: int = 0) -> int:
-    """Bytes :func:`export_trace_columns` needs from ``offset`` (incl. padding)."""
-    end = offset
-    for _, dtype, count in _trace_regions(num_traces, num_records):
-        end = _align8(end) + dtype.itemsize * count
-    return end - offset
-
-
-def export_trace_columns(
-    traces: Sequence[PlaybackTrace], buffer, offset: int = 0
-) -> tuple[dict, int]:
-    """Write ``traces`` as columns into ``buffer`` starting at ``offset``.
-
-    ``buffer`` is anything :func:`numpy.frombuffer` accepts (a
-    ``SharedMemory.buf`` memoryview, a ``bytearray``, …).  Returns
-    ``(layout, end_offset)``; the layout dict is JSON-safe and is all a reader
-    needs besides the buffer itself and the out-of-band string columns.
-    """
-    num_traces = len(traces)
-    num_records = sum(len(trace.records) for trace in traces)
-    values: dict[str, list] = {
-        "header.num_records": [len(trace.records) for trace in traces],
-        "header.video_duration": [trace.video_duration for trace in traces],
-        "header.segment_duration": [trace.segment_duration for trace in traces],
-        "header.exited_early": [trace.exited_early for trace in traces],
-    }
-    for name, _ in TRACE_RECORD_COLUMNS:
-        values[f"records.{name}"] = [
-            getattr(record, name) for trace in traces for record in trace.records
-        ]
-    layout = {
-        "version": TRACE_COLUMNS_VERSION,
-        "traces": num_traces,
-        "records": num_records,
-        "regions": {},
-    }
-    position = offset
-    for name, dtype, count in _trace_regions(num_traces, num_records):
-        position = _align8(position)
-        view = np.frombuffer(buffer, dtype=dtype, count=count, offset=position)
-        view[:] = np.asarray(values[name], dtype=dtype)
-        layout["regions"][name] = position
-        position += view.nbytes
-    return layout, position
-
-
-def import_trace_columns(
-    buffer, layout: dict, *, user_ids: Sequence[str], trace_names: Sequence[str]
-) -> list[PlaybackTrace]:
-    """Inverse of :func:`export_trace_columns` (strings supplied out of band).
-
-    Reads through transient numpy views over ``buffer`` and materialises
-    plain-Python :class:`PlaybackTrace` objects, so nothing returned keeps a
-    reference into the buffer — the caller may recycle it immediately.
-    """
-    if layout.get("version") != TRACE_COLUMNS_VERSION:
-        raise ValueError(f"unsupported trace-columns layout: {layout.get('version')!r}")
-    num_traces = int(layout["traces"])
-    num_records = int(layout["records"])
-    if len(user_ids) != num_traces or len(trace_names) != num_traces:
-        raise ValueError("user_ids/trace_names must have one entry per trace")
-    columns: dict[str, list] = {}
-    for name, dtype, count in _trace_regions(num_traces, num_records):
-        view = np.frombuffer(
-            buffer, dtype=dtype, count=count, offset=int(layout["regions"][name])
-        )
-        columns[name] = view.tolist()
-    record_rows = zip(
-        *(columns[f"records.{name}"] for name, _ in TRACE_RECORD_COLUMNS)
-    )
-    traces: list[PlaybackTrace] = []
-    for index in range(num_traces):
-        records = [
-            SegmentRecord(*row)
-            for row in itertools.islice(
-                record_rows, columns["header.num_records"][index]
-            )
-        ]
-        traces.append(
-            PlaybackTrace(
-                user_id=user_ids[index],
-                video_duration=columns["header.video_duration"][index],
-                segment_duration=columns["header.segment_duration"][index],
-                trace_name=trace_names[index],
-                records=records,
-                exited_early=columns["header.exited_early"][index],
-            )
-        )
-    return traces

@@ -44,12 +44,7 @@ from repro.fleet.pool import _SHARED_POOLS, CacheRef, _resolve_refs
 from repro.fleet.scenarios import get_scenario
 from repro.net.topology import CacheModel, EdgeLink, NetworkTopology, get_topology
 from repro.obs.telemetry_reader import iter_events, read_run_summary, replay_log_collection
-from repro.sim.session import PlaybackTrace, SegmentRecord, SessionConfig
-from repro.sim.vector import (
-    export_trace_columns,
-    import_trace_columns,
-    trace_columns_nbytes,
-)
+from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
 
@@ -138,62 +133,11 @@ def _fingerprint(result):
     )
 
 
-class TestTraceColumns:
-    def _trace(self, n, uid="u1", name="t", exited=False):
-        records = [
-            SegmentRecord(
-                segment_index=i,
-                level=i % 4,
-                bitrate_kbps=300.0 * (1 + i % 4),
-                size_kbit=1200.0 + 0.125 * i,
-                bandwidth_kbps=2500.0 + i,
-                download_time=0.5 + 0.001 * i,
-                stall_time=0.0 if i % 3 else 0.25,
-                wait_time=0.125,
-                buffer_before=4.0 + i * 0.5,
-                buffer_after=5.0 + i * 0.5,
-                watch_time=(i + 1) * 4.0,
-                cumulative_stall_time=0.25 * (i // 3 + 1),
-                stall_count=i // 3,
-                exit_probability=0.01 * i,
-                exited=exited and i == n - 1,
-            )
-            for i in range(n)
-        ]
-        return PlaybackTrace(
-            user_id=uid, video_duration=n * 4.0, segment_duration=4.0,
-            trace_name=name, records=records, exited_early=exited,
-        )
-
-    def test_roundtrip_is_value_identical_with_python_types(self):
-        traces = [self._trace(6, "a", "t1", exited=True), self._trace(0, "b", "t2"),
-                  self._trace(3, "c", "t1")]
-        size = trace_columns_nbytes(len(traces), sum(len(t.records) for t in traces))
-        buffer = bytearray(size + 32)
-        layout, end = export_trace_columns(traces, buffer, offset=16)
-        assert end <= len(buffer)
-        assert json.loads(json.dumps(layout)) == layout  # JSON-safe layout
-        back = import_trace_columns(
-            buffer, layout, user_ids=["a", "b", "c"], trace_names=["t1", "t2", "t1"]
-        )
-        assert back == traces
-        for trace in back:
-            for record in trace.records:
-                assert type(record.segment_index) is int
-                assert type(record.level) is int
-                assert type(record.stall_count) is int
-                assert type(record.exited) is bool
-                assert type(record.bitrate_kbps) is float
-
-    def test_import_validates_string_columns_and_version(self):
-        traces = [self._trace(2)]
-        buffer = bytearray(trace_columns_nbytes(1, 2))
-        layout, _ = export_trace_columns(traces, buffer)
-        with pytest.raises(ValueError):
-            import_trace_columns(buffer, layout, user_ids=[], trace_names=[])
-        bad = dict(layout, version=99)
-        with pytest.raises(ValueError):
-            import_trace_columns(buffer, bad, user_ids=["u1"], trace_names=["t"])
+def _shm_segments() -> set[str] | None:
+    """Names of the POSIX shared-memory segments in /dev/shm, if it exists."""
+    if not os.path.isdir("/dev/shm"):
+        return None
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
 
 
 class TestPooledBitIdentity:
@@ -503,6 +447,79 @@ class TestPoolLifecycle:
                                pool=pool, trace_length=20)
         assert _fingerprint(small) == _fingerprint(again)
         assert len(large.logs) == len(small.logs)
+
+    def test_failed_arena_growth_leaves_the_pool_usable(
+        self, population, library, tmp_path, monkeypatch, capfd
+    ):
+        """SHM-005: a worker whose arena cannot grow (ENOSPC on /dev/shm)
+        reports the shard as failed, and the slot it emptied keeps no
+        unlinked arena: the next run on the same pool equals a fresh pool's,
+        and shutdown unlinks every segment without a worker traceback."""
+        import errno
+        from multiprocessing import shared_memory
+
+        from repro.fleet import pool as pool_module
+
+        full = tmp_path / "shm_full"
+
+        class FullSharedMemory(shared_memory.SharedMemory):
+            def __init__(self, name=None, create=False, size=0):
+                if create and full.exists():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                super().__init__(name=name, create=create, size=size)
+
+        # Both patches must be in place before the pool forks its worker.
+        monkeypatch.setattr(shared_memory, "SharedMemory", FullSharedMemory)
+        monkeypatch.setattr(pool_module, "MIN_ARENA_BYTES", 4096)
+        before = _shm_segments()
+        small = dict(shards=2, workers=2, trace_length=20)
+        pool = WorkerPool(1)
+        try:
+            _run_fleet(population, library, pool=pool, **small)
+            full.touch()
+            with pytest.raises(ShardTaskError, match=r"\[Errno 28\]"):
+                _run_fleet(population, library, pool=pool,
+                           **dict(small, trace_length=160))
+            full.unlink()
+            again = _run_fleet(population, library, pool=pool, **small)
+        finally:
+            pool.shutdown()
+        with WorkerPool(1) as fresh:
+            reference = _run_fleet(population, library, pool=fresh, **small)
+        assert _fingerprint(again) == _fingerprint(reference)
+        if before is not None:
+            assert _shm_segments() == before
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_failed_drain_closes_the_pool(self, population, library, monkeypatch):
+        """A result the parent cannot drain leaves an unacked slot and other
+        shards' results in the pipes; the pool must close with a PoolError
+        rather than hand them to the next run, and shared_pool replaces it."""
+        drain = WorkerPool._drain_result
+        calls = []
+
+        def drain_failing_once(pool, *args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise RuntimeError("injected drain failure")
+            return drain(pool, *args)
+
+        monkeypatch.setattr(WorkerPool, "_drain_result", drain_failing_once)
+        before = _shm_segments()
+        with pytest.raises(PoolError, match="draining") as raised:
+            _run_fleet(population, library, shards=4, workers=2)
+        assert isinstance(raised.value.__cause__, RuntimeError)
+        broken = _SHARED_POOLS[2]
+        assert broken.closed
+        with pytest.raises(PoolError, match="closed"):
+            _run_fleet(population, library, shards=4, workers=2, pool=broken)
+        after = _run_fleet(population, library, shards=4, workers=2, seed=123)
+        assert _SHARED_POOLS[2] is not broken
+        inline = _run_fleet(population, library, shards=4, workers=0, seed=123)
+        assert _fingerprint(after) == _fingerprint(inline)
+        shutdown_shared_pools()
+        if before is not None:
+            assert _shm_segments() == before
 
     def test_cache_is_identity_keyed_and_bounded(self):
         from repro.fleet.pool import CACHE_CAPACITY
