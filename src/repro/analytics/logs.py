@@ -196,14 +196,12 @@ class LogCollection:
         """
         counts: dict[int, list[int]] = {g: [0, 0] for g in granularities}
         for session in self._sessions:
-            previous_level: int | None = None
-            for record in session.records:
-                if previous_level is not None:
-                    switch = record.level - previous_level
-                    if switch in counts:
-                        counts[switch][0] += 1
-                        counts[switch][1] += int(record.exited)
-                previous_level = record.level
+            segments = session.trace.segments
+            switches = np.diff(segments["level"]).tolist()
+            for switch, exited in zip(switches, segments["exited"][1:].tolist()):
+                if switch in counts:
+                    counts[switch][0] += 1
+                    counts[switch][1] += exited
         return {
             g: (exited / watched if watched >= min_samples else float("nan"))
             for g, (watched, exited) in counts.items()
@@ -247,9 +245,9 @@ class LogCollection:
         sums = np.zeros(num_levels)
         counts = np.zeros(num_levels)
         for session in self._sessions:
-            if not session.records:
+            if not len(session.trace):
                 continue
-            levels = [r.level for r in session.records]
+            levels = session.trace.segments["level"]
             dominant = int(np.bincount(levels, minlength=num_levels).argmax())
             sums[dominant] += session.watch_time
             counts[dominant] += 1
@@ -315,11 +313,8 @@ class LogCollection:
         for session in self._sessions:
             if session.total_stall_time <= 0:
                 continue
-            exited_on_stall = (
-                session.exited_early
-                and session.records
-                and session.records[-1].stall_time > 0
-            )
+            stall_times = session.trace.segments["stall_time"]
+            exited_on_stall = session.exited_early and stall_times[-1] > 0
             if not exited_on_stall:
                 tolerated[session.user_id].append(session.total_stall_time)
         return {user: float(np.mean(values)) for user, values in tolerated.items() if values}
@@ -332,15 +327,15 @@ class LogCollection:
         """
         stats: dict[str, list[int]] = defaultdict(lambda: [0, 0])
         for session in self._sessions:
-            records = session.records
-            for i, record in enumerate(records):
-                if record.stall_time <= 0:
-                    continue
-                stats[session.user_id][0] += 1
-                exited_now = record.exited
-                exited_next = i + 1 < len(records) and records[i + 1].exited
-                if exited_now or exited_next:
-                    stats[session.user_id][1] += 1
+            segments = session.trace.segments
+            stalled = segments["stall_time"] > 0
+            if not stalled.any():
+                continue
+            exited = segments["exited"]
+            exited_now_or_next = exited | np.append(exited[1:], False)
+            user = stats[session.user_id]
+            user[0] += int(np.count_nonzero(stalled))
+            user[1] += int(np.count_nonzero(stalled & exited_now_or_next))
         return {
             user: exits / events
             for user, (events, exits) in stats.items()

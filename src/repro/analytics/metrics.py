@@ -64,10 +64,9 @@ def aggregate_daily_metrics(
         watch_time = sum(s.watch_time for s in day_sessions)
         stall_time = sum(s.total_stall_time for s in day_sessions)
         stall_count = sum(s.stall_count for s in day_sessions)
-        bitrates = [s.trace.mean_bitrate_kbps for s in day_sessions if s.records]
-        qoe_values = [
-            session_qoe_lin(s.trace, stall_penalty=stall_penalty) for s in day_sessions if s.records
-        ]
+        played = [s.trace for s in day_sessions if len(s.trace)]
+        bitrates = [trace.mean_bitrate_kbps for trace in played]
+        qoe_values = [session_qoe_lin(t, stall_penalty=stall_penalty) for t in played]
         rows.append(
             GroupDailyMetrics(
                 day=day,

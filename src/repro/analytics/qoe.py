@@ -53,7 +53,7 @@ def session_qoe_lin(
     When ``stall_penalty`` is omitted the paper's choice is used: the maximum
     video quality value (the top rung's bitrate in Mbps).
     """
-    if not trace.records:
+    if not len(trace):
         return 0.0
     qualities = trace.bitrates_kbps / 1000.0
     if stall_penalty is None:

@@ -37,7 +37,7 @@ from repro.users.engagement import (
     DataDrivenUser,
     QoSAwareExitModel,
     RuleBasedUser,
-    features_from_segment_records,
+    features_from_segments,
     fit_data_driven_user,
 )
 
@@ -115,12 +115,10 @@ def _data_driven_users(
             )
             for i in range(6)
         ]
-        records = [
-            record
-            for playback in engine.run_batch(specs, SessionConfig())
-            for record in playback.records
-        ]
-        features, labels = features_from_segment_records(records)
+        playbacks = engine.run_batch(specs, SessionConfig())
+        features, labels = features_from_segments(
+            np.concatenate([playback.segments for playback in playbacks])
+        )
         if labels.sum() == 0:
             labels = labels.copy()
             labels[-1] = 1  # avoid degenerate all-negative fits

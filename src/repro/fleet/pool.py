@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import atexit
 import pickle
+import secrets
 import time
 import traceback
 from collections import OrderedDict, deque
@@ -110,7 +111,7 @@ def _resolve_refs(task, cache: dict):
     )
 
 
-def _worker_main(parent_conn, conn, worker_index: int) -> None:
+def _worker_main(parent_conn, conn, worker_index: int, shm_prefix: str) -> None:
     """Worker loop: resolve tasks, run shards, pack results into
     shared-memory arenas, alternate slots under the parent's ack protocol."""
     parent_conn.close()
@@ -161,7 +162,6 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
             elif kind == "run":
                 _, task, encode_telemetry, heartbeat = message
                 try:
-                    start = time.perf_counter()  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
                     if heartbeat is not None:
                         # Lazy re-attach: the run's progress table was created
                         # after this worker forked, so it arrives by name.
@@ -172,13 +172,15 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                         if encode_telemetry
                         else None
                     )
-                    result = pickle.dumps(output, protocol=5)
-                    telemetry_len = None if telemetry is None else len(telemetry)
-                    nbytes = len(result) + (telemetry_len or 0)
                     slot = task_count % ARENAS_PER_WORKER
                     task_count += 1
                     if not wait_for_ack(slot):
                         break
+                    # The pack: the pickle and the arena write, nothing else.
+                    start = time.perf_counter()  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
+                    result = pickle.dumps(output, protocol=5)
+                    telemetry_len = None if telemetry is None else len(telemetry)
+                    nbytes = len(result) + (telemetry_len or 0)
                     arena = arenas[slot]
                     if arena is None or arena.size < nbytes:
                         if arena is not None:
@@ -194,12 +196,15 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                         )
                         # contract: SHM-005 exempt(creating worker unlinks on growth and in its finally; parent reaps via _reap_crash and terminated-worker shutdown)
                         arena = shared_memory.SharedMemory(
-                            create=True, size=capacity
+                            name=f"{shm_prefix}{worker_index}_{task_count}",
+                            create=True,
+                            size=capacity,
                         )
                         arenas[slot] = arena
                     arena.buf[: len(result)] = result
                     if telemetry is not None:
                         arena.buf[len(result) : nbytes] = telemetry
+                    pack_time_s = time.perf_counter() - start  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
                     acked[slot] = False
                     conn.send(
                         (
@@ -208,7 +213,7 @@ def _worker_main(parent_conn, conn, worker_index: int) -> None:
                             arena.name,
                             len(result),
                             telemetry_len,
-                            time.perf_counter() - start,  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
+                            pack_time_s,
                             nbytes,
                         )
                     )
@@ -248,6 +253,8 @@ class WorkerPool:
         # registry the parent's (sole) unlink balances.
         resource_tracker.ensure_running()
         self.num_workers = num_workers
+        # Arena names: rpool_<token>_<worker>_<task>, unique to this pool.
+        self.shm_prefix = f"rpool_{secrets.token_hex(4)}_"
         self.closed = False
         self._context = get_context("fork")
         self._cache: OrderedDict[int, tuple[object, int]] = OrderedDict()
@@ -260,7 +267,7 @@ class WorkerPool:
             parent_conn, child_conn = self._context.Pipe(duplex=True)
             process = self._context.Process(
                 target=_worker_main,
-                args=(parent_conn, child_conn, index),
+                args=(parent_conn, child_conn, index, self.shm_prefix),
                 name=f"fleet-pool-{index}",
                 daemon=True,
             )

@@ -48,6 +48,7 @@ does on live simulation output.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -56,7 +57,7 @@ import numpy as np
 
 from repro.analytics.logs import SessionLog
 from repro.net.allocator import LinkUsageSample
-from repro.sim.session import PlaybackTrace, SegmentRecord
+from repro.sim.session import SEGMENT_DTYPE, SEGMENT_FIELDS, PlaybackTrace
 
 
 @dataclass(frozen=True)
@@ -176,10 +177,10 @@ class TelemetryWriter:
 def session_payload(log: SessionLog) -> dict:
     """Full JSON payload of one session log (replayable without loss).
 
-    Each record object is a shallow copy of the record's instance dict, not
-    the deep copy of ``dataclasses.asdict``.  The two are equal key for key
-    and in the same order, because a frozen ``SegmentRecord`` stores exactly
-    its fields, set in field order by ``__init__``.
+    Each record object is a dict of one row of the trace's segment array,
+    keyed by the ``SegmentRecord`` fields in field order.  ``tolist`` turns
+    the row into Python ``int``, ``float`` and ``bool`` values, so the bytes
+    equal those of ``dataclasses.asdict`` on the record objects.
     """
     trace = log.trace
     return {
@@ -190,18 +191,28 @@ def session_payload(log: SessionLog) -> dict:
         "segment_duration": float(trace.segment_duration),
         "trace_name": str(trace.trace_name),
         "exited_early": bool(trace.exited_early),
-        "records": [vars(record).copy() for record in trace.records],
+        "records": [
+            dict(zip(SEGMENT_FIELDS, row)) for row in trace.segments.tolist()
+        ],
     }
 
 
+_SEGMENT_KEYS = frozenset(SEGMENT_FIELDS)
+_segment_values = operator.itemgetter(*SEGMENT_FIELDS)
+
+
 def session_from_payload(user_id: str, payload: dict) -> SessionLog:
-    """Inverse of :func:`session_payload`."""
+    """Inverse of :func:`session_payload`.  As ``SegmentRecord(**raw)`` did,
+    a record with a missing or an unknown key raises ``TypeError``."""
+    records = payload["records"]
+    if any(raw.keys() != _SEGMENT_KEYS for raw in records):
+        raise TypeError("segment record keys differ from the SegmentRecord fields")
     trace = PlaybackTrace(
         user_id=user_id,
         video_duration=float(payload["video_duration"]),
         segment_duration=float(payload["segment_duration"]),
         trace_name=str(payload["trace_name"]),
-        records=[SegmentRecord(**raw) for raw in payload["records"]],
+        segments=np.array(list(map(_segment_values, records)), dtype=SEGMENT_DTYPE),
         exited_early=bool(payload["exited_early"]),
     )
     return SessionLog(

@@ -11,9 +11,10 @@ A :class:`PlaybackSession` joins three pieces around a
   video — this is the per-segment exit behaviour the paper's Monte-Carlo
   evaluator and pre-deployment simulation build on.
 
-The session produces a :class:`PlaybackTrace` of per-segment
-:class:`SegmentRecord` entries carrying everything later stages need
-(analytics, exit-rate predictor features, production-log synthesis).
+The session produces a :class:`PlaybackTrace` carrying everything later
+stages need (analytics, exit-rate predictor features, production-log
+synthesis) in one structured array, a row per segment (:data:`SEGMENT_DTYPE`);
+:class:`SegmentRecord` objects are built only on demand.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ class ExitModel(Protocol):
 
 @dataclass(frozen=True)
 class SegmentRecord:
-    """Per-segment entry of a :class:`PlaybackTrace`."""
+    """Per-segment entry of a :class:`PlaybackTrace`: one row of its
+    ``segments`` array as an object."""
 
     segment_index: int
     level: int
@@ -118,67 +120,76 @@ class SegmentRecord:
     exit_probability: float
     exited: bool
 
-    def __reduce__(self):
-        # Pickle positionally, through __init__: a pooled shard's result
-        # carries ~10k records, and the default state-dict form builds and
-        # memoises one dict per record in the worker and in the parent.
-        return (SegmentRecord, _record_values(self))
+
+#: Row layout of :attr:`PlaybackTrace.segments`: the :class:`SegmentRecord`
+#: fields in field order, ``int``/``bool``/``float`` as int64/bool/float64.
+SEGMENT_DTYPE = np.dtype(
+    [
+        (f.name, {"int": np.int64, "bool": np.bool_, "float": np.float64}[f.type])
+        for f in fields(SegmentRecord)
+    ],
+    align=True,
+)
+SEGMENT_FIELDS = SEGMENT_DTYPE.names
 
 
-_record_values = operator.attrgetter(*(f.name for f in fields(SegmentRecord)))
+#: The fields of a :class:`PlaybackTrace` before ``segments``, in order.
+_trace_metadata = operator.attrgetter(
+    "user_id", "video_duration", "segment_duration", "trace_name", "exited_early"
+)
 
 
-#: Column layout of the cached per-record array of :class:`PlaybackTrace`.
-_COL_STALL, _COL_BITRATE, _COL_LEVEL, _COL_CUM_STALL, _COL_EXITED = range(5)
-
-
-@dataclass
+@dataclass(eq=False)
 class PlaybackTrace:
-    """Full record of one playback session."""
+    """Full record of one playback session.
+
+    ``segments`` is a read-only structured array, one row per played segment;
+    :attr:`records` builds its :class:`SegmentRecord` objects on first access.
+    Equality is exact, field by field.
+    """
 
     user_id: str = "user"
     video_duration: float = 0.0
     segment_duration: float = 0.0
     trace_name: str = ""
-    records: list[SegmentRecord] = field(default_factory=list)
     exited_early: bool = False
-    #: Lazily built (n, 5) array of per-record aggregates; rebuilt whenever the
-    #: number of records changes (records are append-only in practice).
-    _record_cache: np.ndarray | None = field(
-        default=None, init=False, repr=False, compare=False
+    segments: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=SEGMENT_DTYPE)
     )
+    _records: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.segments.dtype != SEGMENT_DTYPE or self.segments.ndim != 1:
+            raise ValueError("segments must be a 1-D array of SEGMENT_DTYPE")
+        self.segments.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PlaybackTrace):
+            return NotImplemented
+        return _trace_metadata(self) == _trace_metadata(other) and np.array_equal(
+            self.segments, other.segments
+        )
+
+    def __reduce__(self):
+        # Rebuild through __init__ from the array; the records stay behind.
+        return (PlaybackTrace, _trace_metadata(self) + (self.segments,))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.segments)
 
-    def record_array(self) -> np.ndarray:
-        """Cached (n, 5) array: stall time, bitrate, level, cumulative stall, exited.
-
-        The aggregate properties below (and the analytics inner loops) all read
-        from this single array instead of rebuilding Python lists per access.
-        The cache is invalidated by length, which covers the append-only way
-        the session engine grows a trace.
-        """
-        if self._record_cache is None or self._record_cache.shape[0] != len(self.records):
-            self._record_cache = np.asarray(
-                [
-                    (
-                        r.stall_time,
-                        r.bitrate_kbps,
-                        float(r.level),
-                        r.cumulative_stall_time,
-                        float(r.exited),
-                    )
-                    for r in self.records
-                ],
-                dtype=float,
-            ).reshape(len(self.records), 5)
-        return self._record_cache
+    @property
+    def records(self) -> tuple[SegmentRecord, ...]:
+        """The segments as :class:`SegmentRecord` objects (built once, on demand)."""
+        if self._records is None:
+            self._records = tuple(
+                SegmentRecord(*row) for row in self.segments.tolist()
+            )
+        return self._records
 
     @property
     def watch_time(self) -> float:
         """Seconds of video actually played."""
-        return len(self.records) * self.segment_duration
+        return len(self.segments) * self.segment_duration
 
     @property
     def completed(self) -> bool:
@@ -195,52 +206,49 @@ class PlaybackTrace:
     @property
     def total_stall_time(self) -> float:
         """Total stall time (seconds)."""
-        return float(np.sum(self.record_array()[:, _COL_STALL]))
+        return float(np.sum(self.segments["stall_time"]))
 
     @property
     def stall_count(self) -> int:
         """Number of stall events."""
-        return int(np.count_nonzero(self.record_array()[:, _COL_STALL] > 1e-12))
+        return int(np.count_nonzero(self.segments["stall_time"] > 1e-12))
 
     @property
     def mean_bitrate_kbps(self) -> float:
         """Mean selected bitrate (kbps), 0 for an empty trace."""
-        if not self.records:
+        if not len(self):
             return 0.0
-        return float(np.mean(self.record_array()[:, _COL_BITRATE]))
+        return float(np.mean(self.segments["bitrate_kbps"]))
 
     @property
     def bitrates_kbps(self) -> np.ndarray:
         """Vector of selected bitrates."""
-        return self.record_array()[:, _COL_BITRATE].copy()
+        return self.segments["bitrate_kbps"].copy()
 
     @property
     def levels(self) -> np.ndarray:
         """Vector of selected ladder levels."""
-        return self.record_array()[:, _COL_LEVEL].astype(int)
+        return self.segments["level"].copy()
 
     @property
     def num_switches(self) -> int:
         """Number of quality switches."""
-        levels = self.record_array()[:, _COL_LEVEL]
-        if levels.size < 2:
-            return 0
-        return int(np.count_nonzero(np.diff(levels)))
+        return int(np.count_nonzero(np.diff(self.segments["level"])))
 
     @property
     def stall_times(self) -> np.ndarray:
         """Per-segment stall time vector."""
-        return self.record_array()[:, _COL_STALL].copy()
+        return self.segments["stall_time"].copy()
 
     @property
     def cumulative_stall_times(self) -> np.ndarray:
         """Per-segment cumulative stall time vector."""
-        return self.record_array()[:, _COL_CUM_STALL].copy()
+        return self.segments["cumulative_stall_time"].copy()
 
     @property
     def exited_flags(self) -> np.ndarray:
         """Per-segment exit indicator vector (0/1 floats)."""
-        return self.record_array()[:, _COL_EXITED].copy()
+        return self.segments["exited"].astype(float)
 
 
 @dataclass(frozen=True)
@@ -290,12 +298,9 @@ class LiveSession:
         self.limit = video.num_segments
         if config.max_segments is not None:
             self.limit = min(self.limit, config.max_segments)
-        self.playback = PlaybackTrace(
-            user_id=user_id,
-            video_duration=video.duration,
-            segment_duration=video.segment_duration,
-            trace_name=trace.name,
-        )
+        self.user_id = user_id
+        self.exited_early = False
+        self._rows: list[tuple] = []  # one SegmentRecord field tuple per segment
         self.throughput_history: list[float] = []
         self.last_level: int | None = None
         self.cumulative_stall = 0.0
@@ -379,34 +384,46 @@ class LiveSession:
                 raise ValueError("exit probability must be in [0, 1]")
             exited = bool(self.rng.random() < exit_probability)
 
-        record = SegmentRecord(
-            segment_index=k,
-            level=level,
-            bitrate_kbps=result.bitrate_kbps,
-            size_kbit=result.size_kbit,
-            bandwidth_kbps=result.bandwidth_kbps,
-            download_time=result.download_time,
-            stall_time=result.stall_time,
-            wait_time=result.wait_time,
-            buffer_before=result.buffer_before,
-            buffer_after=result.buffer_after,
-            watch_time=watch_time,
-            cumulative_stall_time=self.cumulative_stall,
-            stall_count=self.stall_count,
-            exit_probability=exit_probability,
-            exited=exited,
+        row = (
+            k,
+            level,
+            result.bitrate_kbps,
+            result.size_kbit,
+            result.bandwidth_kbps,
+            result.download_time,
+            result.stall_time,
+            result.wait_time,
+            result.buffer_before,
+            result.buffer_after,
+            watch_time,
+            self.cumulative_stall,
+            self.stall_count,
+            exit_probability,
+            exited,
         )
-        self.playback.records.append(record)
+        self._rows.append(row)
         observe = getattr(self.abr, "observe", None)
         if observe is not None:
             # Feedback hook used by LingXi-style wrappers that track
             # per-segment outcomes (stalls, exits) during live playback.
-            observe(record)
+            observe(SegmentRecord(*row))
         self.last_level = level
         if exited:
-            self.playback.exited_early = True
+            self.exited_early = True
             return False
         return True
+
+    @property
+    def playback(self) -> PlaybackTrace:
+        """The session's trace so far, its rows converted to one array."""
+        return PlaybackTrace(
+            user_id=self.user_id,
+            video_duration=self.video.duration,
+            segment_duration=self.video.segment_duration,
+            trace_name=self.trace.name,
+            segments=np.array(self._rows, dtype=SEGMENT_DTYPE),
+            exited_early=self.exited_early,
+        )
 
 
 class PlaybackSession:

@@ -13,7 +13,7 @@ Equivalence gate
 ----------------
 For the same :class:`~repro.sim.backend.SessionSpec` batch, this backend
 reproduces :class:`~repro.sim.backend.ScalarBackend` traces **segment for
-segment** (exact `SegmentRecord` equality, enforced by
+segment** (exact segment-array equality, enforced by
 ``tests/test_vector_backend.py``).  Three design rules make that possible:
 
 * every session draws exit uniforms from its own `Philox` substream
@@ -66,7 +66,7 @@ from repro.sim.backend import (
 from repro.sim.bandwidth import BandwidthModel
 from repro.sim.networked import resolve_link_indices, run_networked_scalar
 from repro.sim.player import dynamic_buffer_cap
-from repro.sim.session import LiveSession, PlaybackTrace, SegmentRecord, SessionConfig
+from repro.sim.session import SEGMENT_DTYPE, LiveSession, PlaybackTrace, SessionConfig
 
 #: Sliding-window length of the player's bandwidth model (and of the
 #: throughput history handed to ABR contexts) — both are 8 in the scalar
@@ -259,16 +259,8 @@ class _Cohort:
         self.exited_early = np.zeros(n, dtype=bool)
         self.steps_taken = np.zeros(n, dtype=int)
         self.observed = np.zeros((n, self.max_steps))
-        self.level_rec = np.zeros((n, self.max_steps), dtype=int)
-        self.size_rec = np.empty((n, self.max_steps))
-        self.download_rec = np.empty((n, self.max_steps))
-        self.stall_rec = np.empty((n, self.max_steps))
-        self.wait_rec = np.empty((n, self.max_steps))
-        self.buffer_before_rec = np.empty((n, self.max_steps))
-        self.buffer_after_rec = np.empty((n, self.max_steps))
-        self.cumulative_rec = np.empty((n, self.max_steps))
-        self.stall_count_rec = np.zeros((n, self.max_steps), dtype=int)
-        self.probability_rec = np.zeros((n, self.max_steps))
+        # The recorded segments: step j writes column j, never reads it.
+        self.segments = np.zeros((n, self.max_steps), dtype=SEGMENT_DTYPE)
 
     def step(  # contract: SIM-STEP-007
         self,
@@ -324,6 +316,7 @@ class _Cohort:
         wait = overflow + config.rtt
 
         stalled = stall > 1e-12
+        record = self.segments[:, j]
         self.cumulative_stall = np.where(
             active, self.cumulative_stall + stall, self.cumulative_stall
         )
@@ -351,19 +344,19 @@ class _Cohort:
             ):
                 raise ValueError("exit probability must be in [0, 1]")
             exits = active & (self.uniforms[:, j] < probabilities)
-            self.probability_rec[:, j] = probabilities
+            record["exit_probability"] = probabilities
         else:
             exits = np.zeros(n, dtype=bool)
 
-        self.level_rec[:, j] = levels
-        self.size_rec[:, j] = size
-        self.download_rec[:, j] = download
-        self.stall_rec[:, j] = stall
-        self.wait_rec[:, j] = wait
-        self.buffer_before_rec[:, j] = self.buffer
-        self.buffer_after_rec[:, j] = buffer_after
-        self.cumulative_rec[:, j] = self.cumulative_stall
-        self.stall_count_rec[:, j] = self.stall_count
+        record["level"] = levels
+        record["size_kbit"] = size
+        record["download_time"] = download
+        record["stall_time"] = stall
+        record["wait_time"] = wait
+        record["buffer_before"] = self.buffer
+        record["buffer_after"] = buffer_after
+        record["cumulative_stall_time"] = self.cumulative_stall
+        record["stall_count"] = self.stall_count
         self.observed[:, j] = alloc
 
         if self.host is not None:
@@ -387,48 +380,31 @@ class _Cohort:
         self.last_level = np.where(active, levels, self.last_level)
 
     def traces(self) -> list[PlaybackTrace]:
-        """Finalize the controller host; materialise one trace per session."""
+        """Finalize the controller host; fill the columns :meth:`step` leaves
+        out and hand each session a view of its row's played prefix."""
         if self.host is not None:
             self.host.finalize()
-        traces = []
-        for i, spec in enumerate(self.specs):
-            n = int(self.steps_taken[i])
-            exited_early = bool(self.exited_early[i])
-            levels = self.level_rec[i, :n]
-            exited_flags = [False] * n
-            if n and exited_early:
-                exited_flags[-1] = True
-            records = [
-                SegmentRecord(*row)
-                for row in zip(
-                    range(n),
-                    levels.tolist(),
-                    self.bitrates[levels].tolist(),
-                    self.size_rec[i, :n].tolist(),
-                    self.observed[i, :n].tolist(),
-                    self.download_rec[i, :n].tolist(),
-                    self.stall_rec[i, :n].tolist(),
-                    self.wait_rec[i, :n].tolist(),
-                    self.buffer_before_rec[i, :n].tolist(),
-                    self.buffer_after_rec[i, :n].tolist(),
-                    ((np.arange(n) + 1) * self.segment_duration).tolist(),
-                    self.cumulative_rec[i, :n].tolist(),
-                    self.stall_count_rec[i, :n].tolist(),
-                    self.probability_rec[i, :n].tolist(),
-                    exited_flags,
-                )
-            ]
-            traces.append(
-                PlaybackTrace(
-                    user_id=spec.user_id,
-                    video_duration=spec.video.duration,
-                    segment_duration=spec.video.segment_duration,
-                    trace_name=spec.trace.name,
-                    records=records,
-                    exited_early=exited_early,
-                )
+        segments = self.segments
+        steps = np.arange(self.max_steps)
+        segments["segment_index"] = steps
+        segments["bitrate_kbps"] = self.bitrates[segments["level"]]
+        segments["bandwidth_kbps"] = self.observed
+        segments["watch_time"] = (steps + 1) * self.segment_duration
+        exited = np.flatnonzero(self.exited_early & (self.steps_taken > 0))
+        segments["exited"][exited, self.steps_taken[exited] - 1] = True
+        return [
+            PlaybackTrace(
+                user_id=spec.user_id,
+                video_duration=spec.video.duration,
+                segment_duration=spec.video.segment_duration,
+                trace_name=spec.trace.name,
+                exited_early=exited_early,
+                segments=segments[i, :n],
             )
-        return traces
+            for i, (spec, n, exited_early) in enumerate(
+                zip(self.specs, self.steps_taken.tolist(), self.exited_early.tolist())
+            )
+        ]
 
 
 class VectorBackend(SimBackend):

@@ -26,7 +26,7 @@ from repro.users.engagement import (
     RuleBasedUser,
     DataDrivenUser,
     fit_data_driven_user,
-    features_from_segment_records,
+    features_from_segments,
 )
 from repro.users.population import UserProfile, UserPopulation
 from repro.users.retention import (
@@ -46,7 +46,7 @@ __all__ = [
     "RuleBasedUser",
     "DataDrivenUser",
     "fit_data_driven_user",
-    "features_from_segment_records",
+    "features_from_segments",
     "UserProfile",
     "UserPopulation",
     "DataDrivenRetentionModel",

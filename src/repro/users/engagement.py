@@ -282,35 +282,30 @@ class DataDrivenUser:
         """Stateless — nothing to reset."""
 
 
-def features_from_segment_records(records) -> tuple[np.ndarray, np.ndarray]:
-    """Observation features and exit labels from a sequence of segment records.
+def features_from_segments(segments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Observation features and exit labels from a segment array.
 
-    Mirrors :func:`observation_features` for
-    :class:`~repro.sim.session.SegmentRecord` sequences so per-user exit
-    models can be fitted directly from logged playback traces (the paper's
-    data-driven user modelling, §5.2).
+    Mirrors :func:`observation_features` for the rows of
+    :attr:`~repro.sim.session.PlaybackTrace.segments` (each row's switch is
+    against the row before it) so per-user exit models can be fitted
+    directly from logged playback traces (the paper's data-driven user
+    modelling, §5.2).
     """
-    features: list[list[float]] = []
-    labels: list[int] = []
-    previous_level: int | None = None
-    for record in records:
-        switch = 0 if previous_level is None else record.level - previous_level
-        features.append(
-            [
-                record.stall_time,
-                record.cumulative_stall_time,
-                float(record.stall_count),
-                record.watch_time / 60.0,
-                record.bitrate_kbps / 1000.0,
-                float(abs(switch)),
-                record.buffer_after,
-            ]
-        )
-        labels.append(int(record.exited))
-        previous_level = record.level
-    if not features:
+    if not len(segments):
         raise ValueError("need at least one segment record")
-    return np.asarray(features, dtype=float), np.asarray(labels, dtype=int)
+    levels = segments["level"]
+    features = np.column_stack(
+        [
+            segments["stall_time"],
+            segments["cumulative_stall_time"],
+            segments["stall_count"],
+            segments["watch_time"] / 60.0,
+            segments["bitrate_kbps"] / 1000.0,
+            np.abs(np.diff(levels, prepend=levels[0])),
+            segments["buffer_after"],
+        ]
+    )
+    return features, segments["exited"].astype(int)
 
 
 def fit_data_driven_user(

@@ -34,7 +34,7 @@ from repro.fleet.telemetry import (
 )
 from repro.net.allocator import LinkUsageSample
 from repro.sim.bandwidth import BandwidthModel
-from repro.sim.session import PlaybackTrace, SegmentRecord
+from repro.sim.session import SEGMENT_DTYPE, PlaybackTrace, SegmentRecord
 from repro.sim.vector import window_stats
 
 _FINITE = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -141,7 +141,12 @@ _sessions = st.builds(
         video_duration=_ANY_FLOAT,
         segment_duration=_ANY_FLOAT,
         trace_name=_TEXT,
-        records=st.lists(_records, max_size=4),
+        segments=st.lists(_records, max_size=4).map(
+            lambda records: np.array(
+                [dataclasses.astuple(record) for record in records],
+                dtype=SEGMENT_DTYPE,
+            )
+        ),
         exited_early=_ANY_BOOL,
     ),
 )

@@ -105,6 +105,8 @@ def assert_traces_equal(scalar_traces, vector_traces):
         assert scalar_trace.user_id == vector_trace.user_id
         assert scalar_trace.exited_early == vector_trace.exited_early
         assert len(scalar_trace) == len(vector_trace)
+        assert scalar_trace.segments.dtype == vector_trace.segments.dtype
+        np.testing.assert_array_equal(scalar_trace.segments, vector_trace.segments)
         for scalar_record, vector_record in zip(
             scalar_trace.records, vector_trace.records
         ):

@@ -18,6 +18,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -133,11 +134,12 @@ def _fingerprint(result):
     )
 
 
-def _shm_segments() -> set[str] | None:
-    """Names of the POSIX shared-memory segments in /dev/shm, if it exists."""
+def _shm_segments(*prefixes: str) -> set[str]:
+    """Names of the POSIX shared-memory segments in /dev/shm that start with
+    one of ``prefixes`` (pools' ``shm_prefix``); empty without /dev/shm."""
     if not os.path.isdir("/dev/shm"):
-        return None
-    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+        return set()
+    return {name for name in os.listdir("/dev/shm") if name.startswith(prefixes)}
 
 
 class TestPooledBitIdentity:
@@ -400,13 +402,13 @@ class TestPoolLifecycle:
                     pass
 
     def test_shutdown_releases_all_shm_segments(self, population, library):
-        before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else None
         pool = WorkerPool(2)
         _run_fleet(population, library, shards=4, workers=2, pool=pool)
+        if os.path.isdir("/dev/shm"):
+            assert _shm_segments(pool.shm_prefix), "arenas carry the pool's prefix"
         pool.shutdown()
-        if before is not None:
-            leaked = set(os.listdir("/dev/shm")) - before
-            assert not leaked, f"segments left behind: {leaked}"
+        leaked = _shm_segments(pool.shm_prefix)
+        assert not leaked, f"segments left behind: {leaked}"
 
     def test_clean_shutdown_emits_no_resource_tracker_warnings(self, tmp_path):
         """End-to-end in a subprocess: run pooled fleets, shut down, and
@@ -471,7 +473,6 @@ class TestPoolLifecycle:
         # Both patches must be in place before the pool forks its worker.
         monkeypatch.setattr(shared_memory, "SharedMemory", FullSharedMemory)
         monkeypatch.setattr(pool_module, "MIN_ARENA_BYTES", 4096)
-        before = _shm_segments()
         small = dict(shards=2, workers=2, trace_length=20)
         pool = WorkerPool(1)
         try:
@@ -487,8 +488,7 @@ class TestPoolLifecycle:
         with WorkerPool(1) as fresh:
             reference = _run_fleet(population, library, pool=fresh, **small)
         assert _fingerprint(again) == _fingerprint(reference)
-        if before is not None:
-            assert _shm_segments() == before
+        assert not _shm_segments(pool.shm_prefix, fresh.shm_prefix)
         assert "Traceback" not in capfd.readouterr().err
 
     def test_failed_drain_closes_the_pool(self, population, library, monkeypatch):
@@ -505,7 +505,6 @@ class TestPoolLifecycle:
             return drain(pool, *args)
 
         monkeypatch.setattr(WorkerPool, "_drain_result", drain_failing_once)
-        before = _shm_segments()
         with pytest.raises(PoolError, match="draining") as raised:
             _run_fleet(population, library, shards=4, workers=2)
         assert isinstance(raised.value.__cause__, RuntimeError)
@@ -514,12 +513,12 @@ class TestPoolLifecycle:
         with pytest.raises(PoolError, match="closed"):
             _run_fleet(population, library, shards=4, workers=2, pool=broken)
         after = _run_fleet(population, library, shards=4, workers=2, seed=123)
-        assert _SHARED_POOLS[2] is not broken
+        replacement = _SHARED_POOLS[2]
+        assert replacement is not broken
         inline = _run_fleet(population, library, shards=4, workers=0, seed=123)
         assert _fingerprint(after) == _fingerprint(inline)
         shutdown_shared_pools()
-        if before is not None:
-            assert _shm_segments() == before
+        assert not _shm_segments(broken.shm_prefix, replacement.shm_prefix)
 
     def test_cache_is_identity_keyed_and_bounded(self):
         from repro.fleet.pool import CACHE_CAPACITY
@@ -610,3 +609,27 @@ class TestPooledObservability:
         names = obs.span_names(result.obs_report["spans"])
         assert "fleet.run_day/fleet.run_shards/shard.map/pool.dispatch" in names
         assert "fleet.run_day/fleet.run_shards/shard.map/pool.drain" in names
+
+    def test_pack_time_excludes_the_shard_run(self, population, library, monkeypatch):
+        """``pool.shard_pack_seconds`` times the pickle and the arena write:
+        a shard that takes half a second to run still packs in milliseconds."""
+        from repro import obs
+        from repro.fleet import orchestrator
+
+        run_shard = orchestrator._run_shard
+
+        def slow_run_shard(task):
+            time.sleep(0.5)
+            return run_shard(task)
+
+        # In place before the pool forks: a worker imports _run_shard after.
+        monkeypatch.setattr(orchestrator, "_run_shard", slow_run_shard)
+        obs.enable()
+        try:
+            with WorkerPool(2) as pool:
+                result = _run_fleet(population, library, shards=2, workers=2, pool=pool)
+        finally:
+            obs.disable()
+        pack = result.obs_report["metrics"]["histograms"]["pool.shard_pack_seconds"]
+        assert pack["count"] == 2
+        assert pack["max"] < 0.25

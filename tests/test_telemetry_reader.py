@@ -22,6 +22,7 @@ import pytest
 
 from repro.analytics.logs import exit_rate_by_stall_time, segment_exit_rate
 from repro.fleet import FleetConfig, FleetOrchestrator, fleet_metrics
+from repro.fleet.telemetry import session_from_payload, session_payload
 from repro.obs.report import load_report
 from repro.obs.telemetry_reader import (
     TelemetryIndex,
@@ -142,6 +143,31 @@ class TestReaderMatchesLiveRun:
             read_run_summary(path)
         with pytest.raises(ValueError, match="no telemetry events"):
             replay_log_collection(path)
+
+
+class TestSessionDecoder:
+    """A decoded record must carry exactly the ``SegmentRecord`` fields."""
+
+    def _payload(self, telemetry):
+        _path, result = telemetry
+        log = next(log for log in result.logs if len(log.trace))
+        return log, session_payload(log)
+
+    def test_round_trip_equals_the_live_session(self, telemetry):
+        log, payload = self._payload(telemetry)
+        assert session_from_payload(log.user_id, payload) == log
+
+    def test_missing_key_is_rejected(self, telemetry):
+        log, payload = self._payload(telemetry)
+        del payload["records"][0]["stall_time"]
+        with pytest.raises(TypeError):
+            session_from_payload(log.user_id, payload)
+
+    def test_unknown_key_is_rejected(self, telemetry):
+        log, payload = self._payload(telemetry)
+        payload["records"][-1]["stall_seconds"] = 0.0
+        with pytest.raises(TypeError):
+            session_from_payload(log.user_id, payload)
 
 
 class TestTornLine:

@@ -11,7 +11,7 @@ from repro.users import (
     QoSAwareExitModel,
     RuleBasedUser,
     UserPopulation,
-    features_from_segment_records,
+    features_from_segments,
     fit_data_driven_user,
 )
 from repro.users.perception import (
@@ -166,16 +166,16 @@ class TestDataDrivenUser:
         with pytest.raises(ValueError):
             fit_data_driven_user(np.zeros((3, 7)), np.zeros(4))
 
-    def test_features_from_segment_records(self, video, low_bandwidth_trace, rng):
+    def test_features_from_segments(self, video, low_bandwidth_trace, rng):
         from repro.abr.hyb import HYB
         from repro.sim.session import PlaybackSession
 
         trace = PlaybackSession().run(HYB(), video, low_bandwidth_trace, rng=rng)
-        features, labels = features_from_segment_records(trace.records)
+        features, labels = features_from_segments(trace.segments)
         assert features.shape == (len(trace), 7)
         assert labels.shape == (len(trace),)
         with pytest.raises(ValueError):
-            features_from_segment_records([])
+            features_from_segments(trace.segments[:0])
 
 
 class TestUserPopulation:
