@@ -1,32 +1,13 @@
-"""Append ``BENCH_*.json`` documents to the benchmark history ledger.
+"""Commit stamp for benchmark records.
 
-``benchmarks/history.jsonl`` accumulates one line per (commit, benchmark)
-pair so the repo's performance trajectory is greppable across commits
-instead of living in per-run CI artifacts.  Each line carries the commit,
-the benchmark name, the measurement timestamp, the config knobs, and the
-result rows; the host fingerprint is kept so numbers from different
-machines are never conflated.
-
-Usage (CI appends after the benchmark steps)::
-
-    python benchmarks/append_history.py --results-dir bench-results
-    python benchmarks/append_history.py --results-dir . --commit abc1234
-
-Appending is idempotent per (commit, bench): re-running on the same commit
-skips benchmarks already recorded, so a retried CI job never duplicates
-lines.
+``benchmarks/suite/run.py`` stamps every record with :func:`current_commit`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import subprocess
-import sys
 from pathlib import Path
-
-DEFAULT_HISTORY = Path(__file__).resolve().parent / "history.jsonl"
 
 
 def current_commit() -> str:
@@ -44,83 +25,3 @@ def current_commit() -> str:
         ).strip()
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
-
-
-def load_history(path: Path) -> list[dict]:
-    if not path.exists():
-        return []
-    entries = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            entries.append(json.loads(line))
-    return entries
-
-
-def append_results(
-    results_dir: Path,
-    history_path: Path = DEFAULT_HISTORY,
-    commit: str | None = None,
-) -> list[dict]:
-    """Append every fresh BENCH_*.json under ``results_dir``; returns them."""
-    commit = commit or current_commit()
-    seen = {
-        (entry.get("commit"), entry.get("bench"))
-        for entry in load_history(history_path)
-    }
-    appended: list[dict] = []
-    for bench_file in sorted(results_dir.rglob("BENCH_*.json")):
-        doc = json.loads(bench_file.read_text(encoding="utf-8"))
-        bench = doc.get("bench") or bench_file.stem.removeprefix("BENCH_")
-        if (commit, bench) in seen:
-            print(f"skip {bench}: commit {commit[:12]} already recorded")
-            continue
-        entry = {
-            "commit": commit,
-            "bench": bench,
-            "timestamp": doc.get("timestamp"),
-            "host": doc.get("host", {}),
-            "config": doc.get("config", {}),
-            "results": doc.get("results", []),
-        }
-        appended.append(entry)
-        seen.add((commit, bench))
-    if appended:
-        with history_path.open("a", encoding="utf-8") as handle:
-            for entry in appended:
-                handle.write(json.dumps(entry) + "\n")
-    print(
-        f"{history_path}: appended {len(appended)} entr"
-        f"{'y' if len(appended) == 1 else 'ies'} for commit {commit[:12]}"
-    )
-    return appended
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--results-dir",
-        default=".",
-        help="directory searched recursively for BENCH_*.json (default: cwd)",
-    )
-    parser.add_argument(
-        "--history",
-        default=str(DEFAULT_HISTORY),
-        help=f"history ledger to append to (default: {DEFAULT_HISTORY})",
-    )
-    parser.add_argument(
-        "--commit",
-        default=None,
-        help="commit hash to stamp (default: GITHUB_SHA / CI_COMMIT_SHA / git HEAD)",
-    )
-    args = parser.parse_args(argv)
-    results_dir = Path(args.results_dir)
-    if not results_dir.is_dir():
-        print(f"error: {results_dir} is not a directory", file=sys.stderr)
-        return 2
-    append_results(results_dir, Path(args.history), args.commit)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,40 +1,21 @@
-"""Machine-readable benchmark results.
+"""Host fingerprint for benchmark records.
 
-Every benchmark that prints a table also calls :func:`emit_bench` to write a
-``BENCH_<name>.json`` file — one JSON document per benchmark with the
-configuration and the measured rows — so the repo's performance trajectory
-can be tracked across commits and CI runs instead of living in scrollback.
-
-The output directory defaults to the current working directory and can be
-redirected with ``BENCH_OUTPUT_DIR``.
+``benchmarks/suite/run.py`` stamps every record with :func:`host_metadata`:
+numbers are only comparable across machines when the machine is recorded.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import platform
-import time
-from pathlib import Path
 
 import numpy as np
 
 
-def _to_builtin(value):
-    """JSON fallback for numpy scalars/arrays."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serialisable: {type(value)!r}")
-
-
 def host_metadata() -> dict:
-    """Host fingerprint stamped into every benchmark document.
+    """Interpreter and numpy versions, platform and core count.
 
-    Baselines are only comparable across machines when the machine is
-    recorded: interpreter and numpy versions move the numbers, and so do
-    core count and platform.
+    Each of these moves the numbers, so each is recorded.
     """
     return {
         "python": platform.python_version(),
@@ -43,48 +24,3 @@ def host_metadata() -> dict:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
     }
-
-
-def _obs_summary() -> dict | None:
-    """Condensed observability snapshot, when the run was profiled."""
-    try:
-        from repro import obs
-    except ImportError:  # benchmarks runnable without src/ on the path
-        return None
-    collector = obs.active()
-    if collector is None:
-        return None
-    snapshot = collector.snapshot()
-    return {
-        "spans": snapshot["spans"],
-        "counters": snapshot["metrics"]["counters"],
-        "peak_rss_bytes": obs.peak_rss_bytes(),
-    }
-
-
-def emit_bench(name: str, results, config: dict | None = None) -> Path:
-    """Write ``BENCH_<name>.json`` and return its path.
-
-    ``results`` is the benchmark's row list (or any JSON-serialisable
-    structure); ``config`` records the knobs the numbers were measured under.
-    The document is stamped with :func:`host_metadata`, and — when the
-    process has observability enabled — an ``obs`` summary (span tree,
-    counters, peak RSS).
-    """
-    out_dir = Path(os.environ.get("BENCH_OUTPUT_DIR", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{name}.json"
-    document = {
-        "bench": name,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "host": host_metadata(),
-        "config": config or {},
-        "results": results,
-    }
-    obs_summary = _obs_summary()
-    if obs_summary is not None:
-        document["obs"] = obs_summary
-    path.write_text(json.dumps(document, indent=2, default=_to_builtin) + "\n")
-    return path

@@ -177,13 +177,15 @@ class LogCollection:
         return exited / watched
 
     def exit_rate_by_level(self, num_levels: int) -> np.ndarray:
-        """Exit rate per quality level (Figure 4a)."""
-        return np.asarray(
-            [
-                self.segment_exit_rate(lambda r, lvl=level: r.level == lvl)
-                for level in range(num_levels)
-            ]
-        )
+        """Exit rate per quality level (Figure 4a); ``nan`` for unwatched levels."""
+        segments = [session.trace.segments for session in self._sessions]
+        levels = np.concatenate([s["level"] for s in segments] + [np.empty(0, int)])
+        exited = np.concatenate([s["exited"] for s in segments] + [np.empty(0, bool)])
+        kept = levels < num_levels
+        watched = np.bincount(levels[kept], minlength=num_levels)
+        exits = np.bincount(levels[kept], weights=exited[kept], minlength=num_levels)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(watched > 0, exits / watched, np.nan)
 
     def exit_rate_by_switch(
         self, granularities: Sequence[int], min_samples: int = 20

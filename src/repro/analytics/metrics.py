@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.analytics.logs import LogCollection, SessionLog
+from repro.analytics.logs import SessionLog
 from repro.analytics.qoe import session_qoe_lin
 
 
@@ -90,10 +90,3 @@ def normalize_series(values: Sequence[float], reference: Sequence[float]) -> np.
         raise ValueError("values and reference must have the same shape")
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(reference_arr != 0, values_arr / reference_arr, np.nan)
-
-
-def metrics_from_logs(
-    logs: LogCollection, group: str, stall_penalty: float | None = None
-) -> list[GroupDailyMetrics]:
-    """Shorthand for :func:`aggregate_daily_metrics` over a :class:`LogCollection`."""
-    return aggregate_daily_metrics(logs.sessions, group, stall_penalty=stall_penalty)

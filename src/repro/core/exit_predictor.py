@@ -66,12 +66,6 @@ class ExitRatePredictor:
             num_classes=2,
             seed=seed,
         )
-        self._trained = False
-
-    @property
-    def is_trained(self) -> bool:
-        """True once :meth:`train` has been called."""
-        return self._trained
 
     def train(
         self,
@@ -94,7 +88,6 @@ class ExitRatePredictor:
             learning_rate=learning_rate,
             seed=seed,
         )
-        self._trained = True
         return losses
 
     def stall_exit_probability(self, feature_matrix: np.ndarray) -> float:

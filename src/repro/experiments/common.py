@@ -144,11 +144,6 @@ def build_substrate(config: SubstrateConfig | None = None, train_epochs: int = 1
     return substrate
 
 
-def clear_cache() -> None:
-    """Drop all cached substrates (used by tests)."""
-    _CACHE.clear()
-
-
 def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted values and their empirical CDF (both 1-D arrays)."""
     values = np.sort(np.asarray(values, dtype=float))

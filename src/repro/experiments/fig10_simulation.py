@@ -115,12 +115,15 @@ def _data_driven_users(
             )
             for i in range(6)
         ]
-        playbacks = engine.run_batch(specs, SessionConfig())
-        features, labels = features_from_segments(
-            np.concatenate([playback.segments for playback in playbacks])
-        )
+        # One feature block per session, so no first segment takes its
+        # switch from the previous session's last level.
+        blocks = [
+            features_from_segments(playback.segments)
+            for playback in engine.run_batch(specs, SessionConfig())
+        ]
+        features = np.concatenate([block[0] for block in blocks])
+        labels = np.concatenate([block[1] for block in blocks])
         if labels.sum() == 0:
-            labels = labels.copy()
             labels[-1] = 1  # avoid degenerate all-negative fits
         users[profile.user_id] = fit_data_driven_user(features, labels)
     return users

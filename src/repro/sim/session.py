@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -44,11 +44,6 @@ class ABRContext:
     segment_duration: float
     bandwidth_mean_kbps: float
     bandwidth_std_kbps: float
-
-    @property
-    def estimated_bandwidth_kbps(self) -> float:
-        """Plain mean-of-window bandwidth estimate (kbps)."""
-        return self.bandwidth_mean_kbps
 
 
 class ABRPolicy(Protocol):
@@ -459,29 +454,3 @@ class PlaybackSession:
             if not session.step(k, trace.bandwidth_at(k)):
                 break
         return session.playback
-
-    def run_many(
-        self,
-        abr: ABRPolicy,
-        videos: Sequence[Video],
-        traces: Sequence[BandwidthTrace],
-        exit_model: ExitModel | None = None,
-        rng: np.random.Generator | None = None,
-        user_id: str = "user",
-    ) -> list[PlaybackTrace]:
-        """Run one session per (video, trace) pair, zipped and cycled."""
-        rng = rng or np.random.default_rng(0)
-        n = max(len(videos), len(traces))
-        results = []
-        for i in range(n):
-            results.append(
-                self.run(
-                    abr,
-                    videos[i % len(videos)],
-                    traces[i % len(traces)],
-                    exit_model=exit_model,
-                    rng=rng,
-                    user_id=user_id,
-                )
-            )
-        return results

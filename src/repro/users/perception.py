@@ -84,14 +84,6 @@ class StallSensitivityProfile:
         multi_stall_boost = min(1.0 + 0.15 * max(stall_count - 1, 0), 1.5)
         return float(min(base * multi_stall_boost, 1.0))
 
-    def expected_tolerable_stall_time(self) -> float:
-        """The stall time at which the exit probability crosses one half of peak."""
-        if self.archetype is SensitivityArchetype.THRESHOLD:
-            return self.tolerance_s
-        if self.archetype is SensitivityArchetype.SENSITIVE:
-            return self.tolerance_s * math.log(2.0) / 2.5
-        return 2.0 * self.tolerance_s
-
     def drifted(self, rng: np.random.Generator) -> "StallSensitivityProfile":
         """Next-day profile after applying the random tolerance drift."""
         if self.daily_drift_s == 0:

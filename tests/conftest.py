@@ -17,6 +17,12 @@ from repro.sim.video import BitrateLadder, Video, VideoLibrary
 from repro.users.population import UserPopulation
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    # pytest-cov registers this marker itself; without the plugin, the timing
+    # gates in tests/test_perf_gates.py still carry it.
+    config.addinivalue_line("markers", "no_cover: run this test without coverage")
+
+
 def pytest_addoption(parser: pytest.Parser) -> None:
     """``--regen-golden``: rewrite the golden-trace corpus instead of failing.
 

@@ -113,6 +113,16 @@ class TestLogCollection:
         rates = small_logs.exit_rate_by_level(4)
         assert rates.shape == (4,)
 
+    def test_exit_rate_by_level_equals_per_record_rates(self, small_logs):
+        # one level past the ladder: never watched, so nan
+        reference = [
+            small_logs.segment_exit_rate(lambda r, lvl=level: r.level == lvl)
+            for level in range(5)
+        ]
+        assert np.isnan(reference[-1])
+        np.testing.assert_array_equal(small_logs.exit_rate_by_level(5), reference)
+        np.testing.assert_array_equal(small_logs.exit_rate_by_level(2), reference[:2])
+
     def test_exit_rate_by_stall_respects_min_samples(self, small_logs):
         rates = small_logs.exit_rate_by_stall_time([0, 1000.0], min_samples=10**9)
         assert np.isnan(rates).all()

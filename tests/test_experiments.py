@@ -20,6 +20,8 @@ from repro.experiments import (
 )
 from repro.experiments.campaign import CampaignConfig, run_campaign
 from repro.experiments.common import format_table
+from repro.sim.traces import generate_trace_set
+from repro.sim.video import Video
 from repro.abr.hyb import HYB
 
 
@@ -125,6 +127,39 @@ class TestSimulationFigures:
         assert 0.0 <= result.best_fixed <= 1.0
         assert result.completion_lingxi_bayesian is not None
         assert 0.0 <= result.completion_lingxi_bayesian <= 1.0
+
+    def test_fig10_data_driven_users_start_each_session_unswitched(
+        self, tiny_substrate, monkeypatch
+    ):
+        playbacks, fitted = [], []
+        run_batch = fig10_simulation.ScalarBackend.run_batch
+        fit = fig10_simulation.fit_data_driven_user
+
+        def recording_run_batch(self, specs, config=None, **kwargs):
+            traces = run_batch(self, specs, config, **kwargs)
+            playbacks.append(traces)
+            return traces
+
+        def recording_fit(features, labels):
+            fitted.append(features)
+            return fit(features, labels)
+
+        monkeypatch.setattr(
+            fig10_simulation.ScalarBackend, "run_batch", recording_run_batch
+        )
+        monkeypatch.setattr(fig10_simulation, "fit_data_driven_user", recording_fit)
+        traces = generate_trace_set(num_traces=3, length=80, low_bandwidth_fraction=0.7)
+        video = Video(ladder=tiny_substrate.library.ladder, num_segments=30, seed=1)
+        fig10_simulation._data_driven_users(tiny_substrate, 3, traces, video, seed=0)
+        assert len(fitted) == len(playbacks) == 3
+        for features, sessions in zip(fitted, playbacks):
+            starts = np.cumsum([0] + [len(trace) for trace in sessions[:-1]])
+            assert len(features) == sum(map(len, sessions))
+            assert np.all(features[starts, 5] == 0.0)  # column 5: |switch|
+            levels = np.concatenate([trace.segments["level"] for trace in sessions])
+            assert np.any(np.diff(levels)[starts[1:] - 1] != 0), (
+                "no session starts on a new level; the check shows nothing"
+            )
 
     def test_fig10_invalid_arguments(self, tiny_substrate):
         with pytest.raises(ValueError):

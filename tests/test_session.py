@@ -112,12 +112,6 @@ class TestPlaybackSession:
         cumulative = [r.cumulative_stall_time for r in trace.records]
         assert all(b >= a for a, b in zip(cumulative, cumulative[1:]))
 
-    def test_run_many_zips_and_cycles(self, library, high_bandwidth_trace, rng):
-        traces = PlaybackSession().run_many(
-            AlwaysLowest(), list(library.videos), [high_bandwidth_trace], rng=rng
-        )
-        assert len(traces) == len(library)
-
     def test_empty_trace_properties(self):
         from repro.sim.session import PlaybackTrace
 

@@ -321,8 +321,7 @@ class TestBoundedMemory:
             tracemalloc.stop()
         return peak
 
-    def _assert_flat(self, read, telemetry, tmp_path):
-        path, _ = telemetry
+    def _assert_flat(self, read, path, tmp_path, slack=512 * 1024, contrast=None):
         small = self._enlarge(path, tmp_path / "small.jsonl", 1)
         large = self._enlarge(path, tmp_path / "large.jsonl", 10)
         assert large.stat().st_size > 9 * small.stat().st_size
@@ -331,19 +330,55 @@ class TestBoundedMemory:
         self._peak_bytes(read, small)
         peak_small = self._peak_bytes(read, small)
         peak_large = self._peak_bytes(read, large)
-        # allow generous slack for allocator noise; the point is that peak
-        # does not scale with file size (a materialising reader would be ~10x)
-        assert peak_large < max(2.0 * peak_small, peak_small + 512 * 1024)
+        # the peak must not scale with file size (a materialising reader
+        # would be ~10x); ``slack`` absorbs allocator noise on tiny peaks
+        assert peak_large < max(2.0 * peak_small, peak_small + slack)
+        if contrast is not None:
+            # the materialising path must scale, or the corpus is too small
+            # for a flat peak to mean anything
+            assert self._peak_bytes(contrast, large) > 2.0 * peak_small
 
     def test_peak_memory_flat_as_file_grows_10x(self, telemetry, tmp_path):
         def read(path):
             stream_fleet_metrics(path)
             exit_rate_by_stall_time(iter_session_logs(path), STALL_BINS)
 
-        self._assert_flat(read, telemetry, tmp_path)
+        self._assert_flat(read, telemetry[0], tmp_path)
 
     def test_load_report_memory_flat_as_file_grows_10x(self, telemetry, tmp_path):
-        self._assert_flat(load_report, telemetry, tmp_path)
+        self._assert_flat(load_report, telemetry[0], tmp_path)
+
+    def test_streamed_metrics_peak_at_most_doubles_without_slack(self, tmp_path):
+        """A 64-user day, large enough that the streaming peak needs no
+        absolute slack while the in-memory replay's peak scales."""
+        population = UserPopulation.generate(64, seed=0, bandwidth_median_kbps=4000.0)
+        library = VideoLibrary(
+            num_videos=4, mean_duration=40.0, std_duration=12.0, seed=1
+        )
+        path = tmp_path / "telemetry.jsonl"
+        FleetOrchestrator(
+            FleetConfig(
+                num_shards=2,
+                num_workers=0,
+                sessions_per_user=2,
+                trace_length=60,
+                seed=0,
+                backend="vector",
+            )
+        ).run(population, library, telemetry_path=path)
+
+        def replay(path):
+            return fleet_metrics(replay_log_collection(path))
+
+        self._assert_flat(
+            stream_fleet_metrics, path, tmp_path, slack=0, contrast=replay
+        )
+        for factor in (1, 4, 10):
+            enlarged = self._enlarge(path, tmp_path / f"x{factor}.jsonl", factor)
+            replayed = replay(enlarged).as_dict()
+            assert stream_fleet_metrics(enlarged).as_dict() == replayed
+            index = load_or_build_index(enlarged)
+            assert stream_fleet_metrics(enlarged, index=index).as_dict() == replayed
 
     def test_enlarged_file_still_aggregates_exactly(self, telemetry, tmp_path):
         path, result = telemetry
