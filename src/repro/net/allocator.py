@@ -7,7 +7,9 @@ the most it could pull on its own (its access-link bandwidth — the
 pre-drawn trace value), so an uncongested link passes every demand through
 unchanged and a congested one water-fills: small demands are served in full,
 large ones are clipped to a common fair level ``lambda`` (scaled by the
-session's weight) chosen so the link is exactly filled.
+session's weight) chosen so the link is exactly filled.  Routes over
+several links (edge-cache misses) get the max-min fair rate over all of
+them (:func:`path_water_fill`), or proportional fairness (:func:`low_lapsley`).
 
 Everything is whole-batch array math — sorting plus cumulative sums, no
 per-session Python loop — and, crucially, both simulation engines (the
@@ -23,6 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+
+#: :func:`low_lapsley`'s price step size γ (stable below 2).
+LOW_LAPSLEY_GAMMA = 1.5
+#: :func:`low_lapsley`'s stopping rule: the largest KKT residual, as a
+#: fraction of each link's capacity.
+LOW_LAPSLEY_TOL = 1e-6
+#: :func:`low_lapsley`'s iteration cap; a call that reaches it is a cap hit.
+LOW_LAPSLEY_MAX_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -155,38 +165,44 @@ def _session_routes(topology, link_index: np.ndarray, full_path) -> np.ndarray:
     return routes
 
 
-def path_water_fill(
+def path_water_fill(  # contract: NET-ALLOC-013
     demands: np.ndarray,
     capacities: np.ndarray,
     routes: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Path-aware weighted max-min fair allocation (fixed-point sweeps).
+    """Path-aware weighted max-min fair allocation (progressive filling).
 
-    Starting from every session at its demand, sweep links in canonical
-    (topology) order applying single-link water-filling to each link's
-    current allocations; a sweep only ever *lowers* rates, and sweeping
-    repeats until a full pass changes nothing.  A session's rate ends up
-    bounded by the min of its links' fair shares; on single-link paths the
-    first sweep is exactly the classic allocation.  Termination is bounded:
-    each non-final sweep fills at least one link exactly to capacity, after
-    which later (rate-lowering) sweeps can never congest it again.
+    Each round water-fills every link's unfrozen sessions on the capacity
+    its frozen sessions leave (:func:`max_min_fair`); a session's tentative
+    rate is the least of its links' fills.  A link on which every unfrozen
+    session's tentative rate is that link's own fill is a bottleneck, and
+    its sessions freeze at those rates.  The link with the lowest water
+    level always qualifies, so every round freezes at least one link and
+    the loop ends within ``num_links`` rounds.  Rows without a route
+    receive 0.  Disjoint one-link routes all freeze in the first round, at
+    :func:`max_min_fair`'s own output bit for bit.
     """
-    alloc = np.where(routes.any(axis=1), demands, 0.0)
-    num_links = capacities.shape[0]
-    for _ in range(num_links + 1):
-        changed = False
-        for index in range(num_links):
-            rows = routes[:, index]
-            if not rows.any():
-                continue
-            current = alloc[rows]
-            filled = max_min_fair(current, float(capacities[index]), weights[rows])
-            if np.any(filled < current):
-                alloc[rows] = filled
-                changed = True
-        if not changed:
-            break
+    residual = np.array(capacities, dtype=float)
+    if not np.all(np.isfinite(residual)) or np.any(residual <= 0):
+        raise ValueError("capacity must be finite and positive")
+    alloc = np.zeros_like(demands)
+    unfrozen = routes.any(axis=1)
+    while unfrozen.any():
+        members = routes & unfrozen[:, None]
+        fills = np.full(routes.shape, np.inf)
+        for index in np.flatnonzero(members.any(axis=0)):
+            rows, spare = members[:, index], float(residual[index])
+            # A link its frozen sessions fill (up to rounding) has no more.
+            fills[rows, index] = (
+                max_min_fair(demands[rows], spare, weights[rows]) if spare > 0 else 0.0
+            )
+        rates = fills.min(axis=1)
+        bottleneck = ~(members & (fills != rates[:, None])).any(axis=0)
+        settled = (members & bottleneck).any(axis=1)
+        alloc[settled] = rates[settled]
+        unfrozen &= ~settled
+        residual -= np.where(routes & settled[:, None], rates[:, None], 0.0).sum(0)
     return alloc
 
 
@@ -195,10 +211,6 @@ def low_lapsley(
     capacities: np.ndarray,
     routes: np.ndarray,
     weights: np.ndarray,
-    *,
-    gamma: float = 1.5,
-    tol: float = 1e-6,
-    max_iters: int = 200,
 ) -> np.ndarray:
     """Primal-dual optimization flow control (Low & Lapsley).
 
@@ -215,14 +227,15 @@ def low_lapsley(
     otherwise both would rise together and a miss path would take every
     step twice.  Rows without a route receive 0.
 
-    **Step rule.**  ``p_l ← max(0, p_l + gamma · (y_l − c_l) / H_l)`` with
+    **Step rule.**  ``p_l ← max(0, p_l + γ · (y_l − c_l) / H_l)`` with
     ``y_l`` the link's arrival rate and ``H_l = Σ_{s∋l} L_s · x_s² / w_s``:
     ``x_s² / w_s`` is session *s*'s curvature ``−dx_s/dq_s``, ``L_s`` the
     number of priced links on its route.  ``H_l`` is the row sum of the
     dual Hessian ``Rᵀ diag(x²/w) R``, so it bounds that Hessian link by
-    link; Low & Lapsley's step condition ``gamma < 2 / (ᾱ·L̄·S̄)`` is the
+    link; Low & Lapsley's step condition ``γ < 2 / (ᾱ·L̄·S̄)`` is the
     same bound with the largest curvature, path length and session count
-    in place of each link's own, and the link-wise form keeps ``gamma < 2``.
+    in place of each link's own, and the link-wise form keeps ``γ < 2``
+    (:data:`LOW_LAPSLEY_GAMMA`).
     A session capped at its demand does not answer a falling price, so it
     counts in ``H_l`` only while the link is overloaded, with the curvature
     it would have at its cap; a link with no session left to answer a
@@ -231,8 +244,9 @@ def low_lapsley(
 
     **Stopping rule.**  Iteration stops once the KKT residual — overload
     ``(y_l − c_l) / c_l`` on every link, and slack ``(c_l − y_l) / c_l`` on
-    every priced link — is at most ``tol``, or after ``max_iters`` steps (a
-    *cap hit*, counted under ``allocator.low_lapsley.cap_hits``).  A final
+    every priced link — is at most :data:`LOW_LAPSLEY_TOL`, or after
+    :data:`LOW_LAPSLEY_MAX_ITERS` steps (a *cap hit*, counted under
+    ``allocator.low_lapsley.cap_hits``).  A final
     feasibility projection scales each session by the worst overload ratio
     on its route, so the result never exceeds any capacity.
 
@@ -240,16 +254,14 @@ def low_lapsley(
     them), which keeps the dense route matrix at the size of the slot's
     traffic.
     """
-    rates, _, iterations, converged = _dual_ascent(
-        demands, capacities, routes, weights, gamma, tol, max_iters
-    )
+    rates, _, iterations, converged = _dual_ascent(demands, capacities, routes, weights)
     if obs.enabled():
         obs.counter_add("allocator.low_lapsley.iterations", iterations)
         obs.counter_add("allocator.low_lapsley.cap_hits", int(not converged))
     return rates
 
 
-def _dual_ascent(demands, capacities, routes, weights, gamma, tol, max_iters):
+def _dual_ascent(demands, capacities, routes, weights):
     """:func:`low_lapsley`'s iteration: ``(rates, prices, iterations, converged)``.
 
     ``prices`` has one entry per link (0 on links that were never priced);
@@ -280,21 +292,22 @@ def _dual_ascent(demands, capacities, routes, weights, gamma, tol, max_iters):
     # a link with nothing left to answer a falling price gets H = 0, and
     # fmax maps its -inf (or 0/0) step to price 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for iterations in range(max_iters + 1):
+        for iterations in range(LOW_LAPSLEY_MAX_ITERS + 1):
             rates = np.minimum(demands, weights / (matrix @ price))
             arrivals = matrix.T @ rates
             excess = arrivals - caps
             relative = excess / caps
-            if np.where(price > 0.0, np.abs(relative), relative).max() <= tol:
+            residual = np.where(price > 0.0, np.abs(relative), relative).max()
+            if residual <= LOW_LAPSLEY_TOL:
                 converged = True
                 break
-            if iterations == max_iters:
+            if iterations == LOW_LAPSLEY_MAX_ITERS:
                 break
             curvature = rates * rates * curvature_scale
             hessian_all = matrix.T @ curvature
             hessian_free = matrix.T @ np.where(rates < demands, curvature, 0.0)
             hessian = np.where(excess > 0.0, hessian_all, hessian_free)
-            price = np.fmax(0.0, price + gamma * excess / hessian)
+            price = np.fmax(0.0, price + LOW_LAPSLEY_GAMMA * excess / hessian)
     prices[links] = price
     link_scale = np.where(arrivals > caps, caps / arrivals, 1.0)
     session_scale = np.where(matrix > 0.0, link_scale, 1.0).min(axis=1)
@@ -323,12 +336,13 @@ def allocate_step(
     When ``usage_out`` is given, one :class:`LinkUsageSample` per link (idle
     links included) is appended.
 
-    On flat topologies running ``max_min_fair`` this is the historical
-    independent per-link water-fill, bit for bit.  Multi-tier topologies
-    (or ``topology.allocator == "low_lapsley"``) route through the
-    path-aware allocators: ``full_path`` marks the sessions whose download
-    misses the edge cache this slot and therefore traverses the edge link's
-    whole uplink chain (``None`` → every session takes its full path).
+    The rows go to :func:`low_lapsley` when ``topology.allocator ==
+    "low_lapsley"`` and to :func:`path_water_fill` otherwise, with
+    ``weights=None`` meaning weight 1 for every session.  ``full_path``
+    marks the sessions whose download misses the edge cache this slot and
+    therefore traverses the edge link's whole uplink chain (``None`` →
+    every session takes its full path; on a flat topology every route is
+    its edge link alone).
     """
     capacities = topology.capacities_at(step)
     demands = np.asarray(demands, dtype=float)
@@ -338,7 +352,7 @@ def allocate_step(
     if not np.all(np.isfinite(link_demands)) or np.any(link_demands < 0):
         raise ValueError("demands must be finite and non-negative")
     if weights is None:
-        link_weights = None
+        link_weights = np.ones_like(link_demands)
     else:
         link_weights = np.asarray(weights, dtype=float)[rows]
         if not np.all(np.isfinite(link_weights)) or np.any(link_weights <= 0):
@@ -348,27 +362,11 @@ def allocate_step(
         np.asarray(link_index)[rows],
         None if full_path is None else np.asarray(full_path)[rows],
     )
-    path_aware = topology.has_tiers or topology.allocator != "max_min_fair"
     with obs.span("allocator.water_fill"):
-        if not path_aware:  # one link per route
-            served = np.zeros_like(link_demands)
-            for index in range(topology.num_links):
-                members = routes[:, index]
-                if members.any():
-                    served[members] = max_min_fair(
-                        link_demands[members],
-                        float(capacities[index]),
-                        None if link_weights is None else link_weights[members],
-                    )
+        if topology.allocator == "low_lapsley":
+            served = low_lapsley(link_demands, capacities, routes, link_weights)
         else:
-            if link_weights is None:
-                link_weights = np.ones_like(link_demands)
-            if topology.allocator == "low_lapsley":
-                served = low_lapsley(link_demands, capacities, routes, link_weights)
-            else:
-                served = path_water_fill(
-                    link_demands, capacities, routes, link_weights
-                )
+            served = path_water_fill(link_demands, capacities, routes, link_weights)
         allocations[rows] = served
         congested = 0
         for index, link in enumerate(topology.links):

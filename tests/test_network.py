@@ -879,28 +879,79 @@ class TestMultiTierTopology:
 
 class TestPathAwareAllocators:
     def test_single_link_paths_match_classic_water_fill(self):
+        # disjoint one-link routes over several links, some rows routeless:
+        # each link's sessions get max_min_fair's own answer, bit for bit
         rng = np.random.default_rng(5)
-        demands = rng.uniform(100.0, 4000.0, size=16)
-        weights = rng.uniform(0.5, 2.0, size=16)
-        capacities = np.asarray([8000.0])
-        routes = np.ones((16, 1), dtype=bool)
-        np.testing.assert_array_equal(
-            path_water_fill(demands, capacities, routes, weights),
-            max_min_fair(demands, 8000.0, weights),
-        )
+        for _ in range(20):
+            sessions, links = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            demands = rng.uniform(100.0, 4000.0, size=sessions)
+            weights = rng.uniform(0.5, 2.0, size=sessions)
+            capacities = rng.uniform(1000.0, 20_000.0, size=links)
+            link_of = rng.integers(-1, links, size=sessions)  # -1: no route
+            routes = link_of[:, None] == np.arange(links)
+            expected = np.zeros(sessions)
+            for index in range(links):
+                rows = link_of == index
+                if rows.any():
+                    expected[rows] = max_min_fair(
+                        demands[rows], float(capacities[index]), weights[rows]
+                    )
+            np.testing.assert_array_equal(
+                path_water_fill(demands, capacities, routes, weights), expected
+            )
 
-    def test_rate_bounded_by_every_path_link(self):
-        # one session through a narrow origin: its rate is the min of the
-        # links' shares even though the edge has plenty of room
-        demands = np.asarray([5000.0, 5000.0])
-        weights = np.ones(2)
-        capacities = np.asarray([9000.0, 3000.0])  # edge, origin
-        routes = np.asarray([[True, True], [True, False]])
+    @pytest.mark.parametrize(
+        "demands, expected",
+        [([5000.0, 5000.0], [3000.0, 5000.0]), ([5000.0, 8000.0], [3000.0, 6000.0])],
+        ids=["hit_at_its_demand", "hit_takes_the_edge_rest"],
+    )
+    def test_rate_bounded_by_every_path_link(self, demands, expected):
+        # a miss through a narrow peer/origin pair and a hit on the same
+        # edge: the miss is held to 3000 and the edge capacity it leaves
+        # goes to the hit, up to the hit's own demand
+        capacities = np.asarray([9000.0, 3000.0, 3000.0])  # edge, peer, origin
+        routes = np.asarray([[True, True, True], [True, False, False]])
+        allocation = path_water_fill(
+            np.asarray(demands), capacities, routes, np.ones(2)
+        )
+        np.testing.assert_array_equal(allocation, expected)
+
+    def test_exhausted_link_gives_zero_and_bad_capacity_raises(self):
+        # session 0 freezes at 0.1 on link 1, which rounds to all of link 0
+        # as well: session 2 is left a residual of exactly 0, not an error
+        demands = np.asarray([5.0, 1e-300, 1e-17])
+        capacities = np.asarray([0.1, 0.1])
+        routes = np.asarray([[True, True], [True, True], [True, False]])
+        weights = np.asarray([1.0, 1.0 / 3.0, 1.0])
         allocation = path_water_fill(demands, capacities, routes, weights)
-        assert allocation[0] <= 3000.0 + 1e-9  # origin-bound
-        # the freed edge capacity goes to the edge-only session
-        assert allocation[1] > allocation[0]
-        assert allocation.sum() <= 9000.0 + 1e-9
+        np.testing.assert_array_equal(allocation, [0.1, 1e-300, 0.0])
+        for capacity in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match="capacity"):
+                path_water_fill(demands, np.asarray([0.1, capacity]), routes, weights)
+
+    def test_allocate_step_flat_multi_link_matches_per_link_fill(self):
+        # weights=None on a flat topology: every link's active sessions get
+        # max_min_fair's unweighted answer, bit for bit
+        rng = np.random.default_rng(11)
+        capacities = (10_000.0, 20_000.0, 40_000.0, 80_000.0)
+        topology = NetworkTopology(
+            name="flat4",
+            links=tuple(EdgeLink(f"l{i}", c) for i, c in enumerate(capacities)),
+        )
+        congested = 0
+        for step in range(10):
+            link_index = rng.integers(0, len(capacities), size=60)
+            demands = rng.uniform(0.0, 4000.0, size=60)
+            active = rng.random(60) < 0.8
+            allocation = allocate_step(topology, step, link_index, demands, active)
+            expected = np.zeros(60)
+            for index, capacity in enumerate(capacities):
+                rows = active & (link_index == index)
+                if rows.any():
+                    expected[rows] = max_min_fair(demands[rows], capacity)
+                    congested += demands[rows].sum() > capacity
+            np.testing.assert_array_equal(allocation, expected)
+        assert 0 < congested < 40  # both congested and roomy links occur
 
     def test_feasibility_on_random_tiered_instances(self):
         rng = np.random.default_rng(9)
