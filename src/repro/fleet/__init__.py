@@ -13,9 +13,9 @@ platform simulator:
   every LingXi controller builds them, and this package re-exports them.
 * :mod:`repro.fleet.scenarios` — the workload registry (steady state, flash
   crowd, regional degradation, device mix, plus user-registered ones).
-* :mod:`repro.fleet.pool` — persistent shared-memory worker pool:
-  long-lived forked workers, shard tasks shipped by reference through a
-  worker-side object cache, zero-copy columnar results in shared-memory arenas.
+* :mod:`repro.fleet.pool` — persistent worker pool: long-lived forked
+  workers, shard tasks shipped by reference through a worker-side object
+  cache, each pickled ``ShardOutput`` sent back on the worker's pipe.
 * :mod:`repro.fleet.telemetry` — JSONL event writer and per-event codec;
   :mod:`repro.obs.telemetry_reader` replays the files losslessly.
 * :mod:`repro.fleet.checkpoint` — per-user controller-state checkpointing for

@@ -5,7 +5,7 @@ simulator: a :class:`~repro.users.population.UserPopulation` is split into
 ``num_shards`` deterministic shards, each shard simulates all of its users'
 sessions for one simulated day (scenario-shaped traffic, per-user ABR state,
 per-user exit behaviour), and the shards run concurrently on the persistent
-shared-memory worker pool of :mod:`repro.fleet.pool`.  Results come back in
+worker pool of :mod:`repro.fleet.pool`.  Results come back in
 shard order, so fleet metrics are identical for a given ``(seed,
 num_shards)`` no matter how many worker processes execute the shards —
 including zero (inline execution).
@@ -254,8 +254,8 @@ class ShardOutput:
     #: with ``profile=True``; the orchestrator grafts it into its own tree.
     obs: dict | None = None
     #: Pre-encoded telemetry JSONL for this shard (pooled runs only): the
-    #: worker writes its encoded events into its arena right after this
-    #: output's pickle, the parent sets this field from those bytes, and
+    #: worker sends its encoded events as a raw frame right after this
+    #: output's pickle, the parent sets this field from that frame, and
     #: :func:`write_fleet_telemetry` streams the blob to disk verbatim.
     telemetry_blob: bytes | None = None
 
@@ -568,7 +568,7 @@ class FleetOrchestrator:
     """Shard a population, fan the shards out on a pool, merge the results.
 
     Parallel runs (``num_workers > 1``) execute on the persistent
-    shared-memory :class:`~repro.fleet.pool.WorkerPool` — by default the
+    :class:`~repro.fleet.pool.WorkerPool` — by default the
     process-global pool of :func:`~repro.fleet.pool.shared_pool`, reused
     across runs; pass ``pool=`` to pin a specific pool (a longitudinal
     campaign holds one across all of its days).  ``num_workers`` of 0/1 keeps
@@ -789,7 +789,7 @@ def write_fleet_telemetry(result: FleetResult, path: str | Path) -> Path:
         for output in result.shard_outputs:
             if output.telemetry_blob is not None:
                 # Pooled shard: the worker already encoded these exact events
-                # into its shared-memory arena — stream the bytes verbatim.
+                # and sent them as one frame — stream the bytes verbatim.
                 writer.write_raw(output.telemetry_blob)
             else:
                 writer.emit_many(iter_shard_events(result.run_id, output))

@@ -49,7 +49,6 @@ from repro.obs.report import (
     find_span,
     format_report,
     load_report,
-    normalize_report,
     peak_rss_bytes,
     span_coverage,
     span_names,
@@ -82,7 +81,6 @@ __all__ = [
     "live_run",
     "load_report",
     "merge_shard_snapshot",
-    "normalize_report",
     "observe",
     "peak_rss_bytes",
     "span",

@@ -23,9 +23,8 @@ from repro.obs.core import Collector, active
 
 #: Report documents carry a schema version so downstream tooling (the CI
 #: artifact diffing, the pretty printer) can evolve without guessing.
-#: v2 adds the ``live`` section (heartbeat/straggler/ETA summary from
-#: :mod:`repro.obs.live`); v1 documents stay readable — accessors and the
-#: pretty printer normalise them via :func:`normalize_report`.
+#: v2 added the ``live`` section (heartbeat/straggler/ETA summary from
+#: :mod:`repro.obs.live`); :func:`load_report` rejects any other version.
 REPORT_VERSION = 2
 
 
@@ -150,42 +149,9 @@ def build_run_report(
         # v2: wall-clock heartbeat/straggler/ETA summary (None when the run
         # executed without a LiveRun attached).
         "live": live,
+        "per_shard": per_shard or [],
     }
-    if per_shard is not None:
-        report["per_shard"] = per_shard
     return report
-
-
-#: Defaults that make any report document — v1, v2, or a hand-built partial
-#: one — render and replay uniformly.
-_REPORT_DEFAULTS: dict = {
-    "version": 1,
-    "run_id": "run",
-    "wall_time_s": 0.0,
-    "sessions": 0,
-    "segments": 0,
-    "sessions_per_second": 0.0,
-    "segments_per_second": 0.0,
-    "fallback": {},
-    "peak_rss_bytes": None,
-    "span_coverage": 1.0,
-    "spans": {},
-    "metrics": {},
-    "per_shard": [],
-    "live": None,
-}
-
-
-def normalize_report(report: dict) -> dict:
-    """Fill schema defaults so v1 and v2 documents share one shape.
-
-    v1 reports (no ``live``, possibly no ``per_shard``) and partial
-    documents gain the missing keys with neutral defaults; existing keys are
-    never overwritten.  The input is not mutated.
-    """
-    out = dict(_REPORT_DEFAULTS)
-    out.update(report)
-    return out
 
 
 def write_report(report: dict, path: str | Path) -> Path:
@@ -211,31 +177,27 @@ def _format_seconds(value: float) -> str:
 def format_report(report: dict, max_depth: int = 6) -> str:
     """Human-readable rendering of a run health report.
 
-    Handles v1 and v2 documents, empty runs, and zero-session days: every
-    field is read through :func:`normalize_report` defaults, and the
-    per-shard / live sections render "(none)" rather than assuming rows.
+    Empty runs and zero-session days render too: an empty per-shard list
+    is skipped, and no stragglers or no spans print as such.
     """
-    report = normalize_report(report)
+    fallback = report["fallback"]
     lines = [
-        f"run health report — {report['run_id']} "
-        f"(v{report.get('version', '?')})",
+        f"run health report — {report['run_id']} (v{report['version']})",
         f"  wall time        {report['wall_time_s']:.3f} s",
         f"  sessions         {report['sessions']} "
         f"({report['sessions_per_second']:.1f}/s)",
         f"  segments         {report['segments']} "
         f"({report['segments_per_second']:.1f}/s)",
-    ]
-    fallback = report.get("fallback", {})
-    lines.append(
         "  fallback         "
-        f"{fallback.get('total_fallback_sessions', 0)} of "
-        f"{fallback.get('total_batch_sessions', 0)} batched sessions"
-    )
-    rss = report.get("peak_rss_bytes")
+        f"{fallback['total_fallback_sessions']} of "
+        f"{fallback['total_batch_sessions']} batched sessions",
+    ]
+    rss = report["peak_rss_bytes"]
     if rss is not None:
         lines.append(f"  peak RSS         {rss / (1024 * 1024):.1f} MiB")
-    lines.append(f"  span coverage    {report.get('span_coverage', 0.0) * 100:.1f}%")
-    counters = report.get("metrics", {}).get("counters", {})
+    lines.append(f"  span coverage    {report['span_coverage'] * 100:.1f}%")
+    metrics = report["metrics"]
+    counters = metrics["counters"]
     if "allocator.low_lapsley.iterations" in counters:
         lines.append(
             "  low-lapsley      "
@@ -243,36 +205,33 @@ def format_report(report: dict, max_depth: int = 6) -> str:
             f"{counters.get('allocator.low_lapsley.cap_hits', 0)} cap hits"
         )
 
-    per_shard = report.get("per_shard") or []
-    if per_shard:
+    if report["per_shard"]:
         lines.append("  per-shard (sessions / segments / wall / fallback):")
-        for row in per_shard:
+        for row in report["per_shard"]:
             lines.append(
-                f"    shard {row.get('shard', '?'):>3}  "
-                f"{row.get('sessions', row.get('num_sessions', 0)):>7} / "
-                f"{row.get('segments', row.get('num_segments', 0)):>8} / "
-                f"{_format_seconds(row.get('wall_time_s', 0.0))} / "
-                f"{row.get('fallback_sessions', 0)}"
+                f"    shard {row['shard']:>3}  "
+                f"{row['sessions']:>7} / "
+                f"{row['segments']:>8} / "
+                f"{_format_seconds(row['wall_time_s'])} / "
+                f"{row['fallback_sessions']}"
             )
 
-    live = report.get("live")
+    live = report["live"]
     if live:
-        throughput = live.get("throughput_sps")
+        throughput = live["throughput_sps"]
         lines.append(
             "  live monitor     "
-            f"interval {live.get('heartbeat_interval_s', 0.0):g}s, "
-            f"{live.get('sessions_done', 0)} sessions heartbeated"
+            f"interval {live['heartbeat_interval_s']:g}s, "
+            f"{live['sessions_done']} sessions heartbeated"
             + (f", {throughput:.1f}/s" if throughput else "")
         )
-        stragglers = live.get("stragglers") or []
-        if stragglers:
-            for item in stragglers:
-                lines.append(
-                    f"    straggler shard {item.get('shard', '?')} — no progress for "
-                    f"{item.get('stalled_intervals', '?')} heartbeat intervals "
-                    f"(day {item.get('day', '?')}, phase {item.get('phase', '?')})"
-                )
-        else:
+        for item in live["stragglers"]:
+            lines.append(
+                f"    straggler shard {item['shard']} — no progress for "
+                f"{item['stalled_intervals']} heartbeat intervals "
+                f"(day {item['day']}, phase {item['phase']})"
+            )
+        if not live["stragglers"]:
             lines.append("    stragglers: (none)")
 
     lines.append("  spans (total / self / count):")
@@ -280,32 +239,31 @@ def format_report(report: dict, max_depth: int = 6) -> str:
     def walk(node: dict, depth: int) -> None:
         if depth > max_depth:
             return
-        children = node.get("children", [])
-        self_s = node.get("total_s", 0.0) - sum(c.get("total_s", 0.0) for c in children)
+        children = node["children"]
+        self_s = node["total_s"] - sum(c["total_s"] for c in children)
         lines.append(
-            f"  {'  ' * depth}{node.get('name', '?'):<{max(32 - 2 * depth, 8)}} "
-            f"{_format_seconds(node.get('total_s', 0.0))} {_format_seconds(self_s)} "
-            f"x{node.get('count', 0)}"
+            f"  {'  ' * depth}{node['name']:<{max(32 - 2 * depth, 8)}} "
+            f"{_format_seconds(node['total_s'])} {_format_seconds(self_s)} "
+            f"x{node['count']}"
         )
         for child in children:
             walk(child, depth + 1)
 
-    span_children = report.get("spans") or {}
-    for child in span_children.get("children", []):
+    for child in report["spans"]["children"]:
         walk(child, 1)
-    if not span_children.get("children"):
+    if not report["spans"]["children"]:
         lines.append("    (no spans recorded)")
 
     if counters:
         lines.append("  counters:")
         for name in sorted(counters):
             lines.append(f"    {name:<36} {counters[name]}")
-    gauges = report.get("metrics", {}).get("gauges", {})
+    gauges = metrics["gauges"]
     if gauges:
         lines.append("  gauges (high-water marks):")
         for name in sorted(gauges):
             lines.append(f"    {name:<36} {gauges[name]:g}")
-    histograms = report.get("metrics", {}).get("histograms", {})
+    histograms = metrics["histograms"]
     if histograms:
         lines.append("  histograms (count / mean / max):")
         for name in sorted(histograms):
@@ -324,7 +282,9 @@ def load_report(path: str | Path) -> dict:
     Only the first non-blank line is sniffed: when it decodes as a telemetry
     event, the file's last ``run_report`` event is streamed out (profiled
     runs embed the full report there), so a telemetry file of any size costs
-    one line of memory.  Anything else is read as one JSON document.
+    one line of memory.  Anything else is read as one JSON document.  A
+    report whose ``version`` is not :data:`REPORT_VERSION` raises a
+    ``ValueError`` that names it.
     """
     from repro.obs.telemetry_reader import iter_events, last_event  # deferred: module cycle
 
@@ -335,13 +295,20 @@ def load_report(path: str | Path) -> dict:
         first = None
     # A one-line report document decodes too, but it has no event name.
     if first is None or not first.event:
-        return json.loads(path.read_text())
-    report = last_event(path, "run_report")
-    if report is None:
-        raise SystemExit(
-            f"{path}: telemetry has no run_report event (was the run profiled?)"
+        report = json.loads(path.read_text())
+    else:
+        event = last_event(path, "run_report")
+        if event is None:
+            raise SystemExit(
+                f"{path}: telemetry has no run_report event (was the run profiled?)"
+            )
+        report = event.payload
+    if report.get("version") != REPORT_VERSION:
+        raise ValueError(
+            f"{path}: run report version {report.get('version')!r} is not "
+            f"{REPORT_VERSION}, the only version this reader accepts"
         )
-    return report.payload
+    return report
 
 
 def main(argv: list[str] | None = None) -> None:

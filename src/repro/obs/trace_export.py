@@ -25,7 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.obs.report import load_report, normalize_report
+from repro.obs.report import load_report
 
 __all__ = ["span_tree_to_events", "report_to_chrome_trace", "export_trace", "main"]
 
@@ -68,7 +68,6 @@ def span_tree_to_events(spans: dict, *, pid: int = 1, tid: int = 1) -> list[dict
 
 def report_to_chrome_trace(report: dict) -> dict:
     """Full Chrome trace document for one run health report."""
-    report = normalize_report(report)
     events: list[dict] = [
         {
             "name": "process_name",
@@ -84,17 +83,17 @@ def report_to_chrome_trace(report: dict) -> dict:
             "args": {"name": "span tree (aggregate, proportional layout)"},
         },
     ]
-    events.extend(span_tree_to_events(report.get("spans") or {}))
-    counters = (report.get("metrics") or {}).get("counters", {})
+    events.extend(span_tree_to_events(report["spans"]))
+    counters = report["metrics"]["counters"]
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
             "run_id": report["run_id"],
-            "report_version": report.get("version"),
-            "sessions": report.get("sessions"),
-            "segments": report.get("segments"),
-            "wall_time_s": report.get("wall_time_s"),
+            "report_version": report["version"],
+            "sessions": report["sessions"],
+            "segments": report["segments"],
+            "wall_time_s": report["wall_time_s"],
             "counters": {name: counters[name] for name in sorted(counters)},
             "layout": "synthetic-proportional (aggregate span tree, not a replay)",
         },

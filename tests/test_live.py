@@ -441,7 +441,10 @@ class TestLiveRunLifecycle:
 
         with live_run(tmp_path / "s.json", run_id="x", interval=0.05) as run:
             assert obs_live.active_run() is run
+            name = run.table.name
         assert obs_live.active_run() is None
+        # SHM-005: the owning LiveRun unlinks its progress table.
+        assert not os.path.exists("/dev/shm/" + name.lstrip("/"))
         run.close()  # second close: no-op
 
     def test_campaign_header_fields(self, tmp_path):

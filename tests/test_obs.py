@@ -334,56 +334,55 @@ class TestLongitudinalProfile:
 
 
 class TestReportVersions:
-    """v1/v2 schema compatibility, empty-run rendering, flexible loading."""
+    """Schema version, empty-run rendering, flexible loading."""
 
-    def _v1_report(self):
-        # the shape build_run_report produced before the `live` section
+    def _empty_report(self):
+        # what build_run_report writes for a run with no sessions and no spans
         return {
-            "version": 1,
-            "run_id": "legacy",
-            "wall_time_s": 2.0,
-            "sessions": 10,
-            "segments": 400,
-            "sessions_per_second": 5.0,
-            "segments_per_second": 200.0,
-            "fallback": {"total_fallback_sessions": 0, "total_batch_sessions": 10},
+            "version": obs.REPORT_VERSION,
+            "run_id": "empty",
+            "wall_time_s": 0.0,
+            "sessions": 0,
+            "segments": 0,
+            "sessions_per_second": 0.0,
+            "segments_per_second": 0.0,
+            "fallback": {"total_fallback_sessions": 0, "total_batch_sessions": 0},
             "peak_rss_bytes": None,
             "span_coverage": 1.0,
             "spans": {"children": []},
-            "metrics": {"counters": {"fleet.sessions": 10}},
+            "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
+            "live": None,
+            "per_shard": [],
         }
 
-    def test_normalize_fills_v1_and_partial_documents(self):
-        v1 = self._v1_report()
-        normalized = obs.normalize_report(v1)
-        assert normalized["live"] is None
-        assert normalized["per_shard"] == []
-        assert normalized["sessions"] == 10  # existing keys never overwritten
-        assert "live" not in v1  # input not mutated
-        empty = obs.normalize_report({})
-        assert empty["version"] == 1
-        assert empty["spans"] == {}
+    def test_v1_document_is_rejected(self, tmp_path):
+        v1 = self._empty_report()
+        v1["version"] = 1  # v1 predates the `live` section
+        del v1["live"], v1["per_shard"]
+        path = tmp_path / "report.json"
+        obs.write_report(v1, path)
+        with pytest.raises(ValueError, match="version 1 is not 2"):
+            obs.load_report(path)
 
     def test_v2_reports_carry_live_section(self, population, library):
         result = _run_fleet(population, library, shards=2, profile=True)
         report = result.obs_report
         assert report["version"] == 2
         assert "live" in report and report["live"] is None  # no LiveRun attached
+        assert report["per_shard"]
 
-    def test_format_report_handles_v1_v2_and_empty(self, population, library):
-        v1_text = obs.format_report(self._v1_report())
-        assert "legacy" in v1_text and "(no spans recorded)" in v1_text
-        # zero-session / empty documents render rather than crash
-        empty_text = obs.format_report({})
-        assert "run health report" in empty_text
+    def test_format_report_handles_empty_and_pooled_runs(self, population, library):
+        empty_text = obs.format_report(self._empty_report())
+        assert "run health report — empty" in empty_text
         assert "(no spans recorded)" in empty_text
+        assert "per-shard" not in empty_text
         result = _run_fleet(population, library, shards=2, workers=2, profile=True)
         v2_text = obs.format_report(result.obs_report)
         assert "per-shard" in v2_text
         assert "fleet.run_day" in v2_text
 
     def test_format_report_renders_live_and_stragglers(self):
-        report = self._v1_report()
+        report = self._empty_report()
         report["live"] = {
             "heartbeat_interval_s": 0.25,
             "sessions_done": 10,

@@ -1,13 +1,13 @@
 """Persistent worker pool: bit-identity vs the inline path, lifecycle, and
-shared-memory hygiene.
+process hygiene.
 
 The pool's contract is brutal on purpose: a pooled fleet (or campaign) run
 must be **bit-identical** to the inline reference path — traces, controller
 states, link usage, replayed telemetry — across every shard/worker-count
 combination, two runs on one pool must equal two runs on fresh pools, a dead
-worker must surface as a clean error (never a hang), and a graceful shutdown
-must leave zero shared-memory segments and zero resource-tracker warnings
-behind.
+worker must surface as a clean error (never a hang), a shutdown must leave
+no worker alive, and no run may leave a shared-memory segment or a
+resource-tracker warning behind.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _fingerprint(result):
 
 def _shm_segments(*prefixes: str) -> set[str]:
     """Names of the POSIX shared-memory segments in /dev/shm that start with
-    one of ``prefixes`` (pools' ``shm_prefix``); empty without /dev/shm."""
+    one of ``prefixes``; empty without /dev/shm."""
     if not os.path.isdir("/dev/shm"):
         return set()
     return {name for name in os.listdir("/dev/shm") if name.startswith(prefixes)}
@@ -372,27 +372,22 @@ class TestPoolLifecycle:
         result = _run_fleet(population, library, shards=2, workers=2)
         assert len(result.logs) > 0
 
-    def test_shutdown_reaps_arenas_of_terminated_workers(self, population, library):
-        """SHM-005 regression: a worker that never honours "stop" gets
-        terminated by shutdown(); its finally-block unlink never runs, so
-        the parent must reap the arenas it knows about or they leak in
-        /dev/shm until interpreter exit."""
+    def test_shutdown_kills_workers_that_ignore_stop(self, population, library):
+        """Workers that cannot honour "stop" (SIGSTOPped: SIGTERM stays
+        pending too) are killed: shutdown returns promptly and leaves no
+        worker alive, so interpreter exit cannot hang joining one."""
         import signal
 
         pool = WorkerPool(2)
         _run_fleet(population, library, shards=4, workers=2, pool=pool)
-        names = sorted({name for name, _shm in pool._attachments.values()})
-        assert names, "expected parent-side arena attachments after a pooled run"
         pids = [process.pid for process in pool._processes]
         for pid in pids:
             os.kill(pid, signal.SIGSTOP)  # workers can no longer honour "stop"
         try:
+            start = time.monotonic()
             pool.shutdown(timeout=0.2)
-            if os.path.isdir("/dev/shm"):
-                leaked = [
-                    n for n in names if os.path.exists("/dev/shm/" + n.lstrip("/"))
-                ]
-                assert not leaked, f"terminated workers' arenas leaked: {leaked}"
+            assert time.monotonic() - start < 10.0
+            assert not any(process.is_alive() for process in pool._processes)
         finally:
             for pid in pids:
                 try:
@@ -401,21 +396,21 @@ class TestPoolLifecycle:
                 except ProcessLookupError:
                     pass
 
-    def test_shutdown_releases_all_shm_segments(self, population, library):
-        pool = WorkerPool(2)
-        _run_fleet(population, library, shards=4, workers=2, pool=pool)
-        if os.path.isdir("/dev/shm"):
-            assert _shm_segments(pool.shm_prefix), "arenas carry the pool's prefix"
-        pool.shutdown()
-        leaked = _shm_segments(pool.shm_prefix)
-        assert not leaked, f"segments left behind: {leaked}"
-
     def test_clean_shutdown_emits_no_resource_tracker_warnings(self, tmp_path):
-        """End-to-end in a subprocess: run pooled fleets, shut down, and
-        require stderr free of resource_tracker leak chatter at exit."""
+        """End-to-end in a subprocess: run pooled fleets, then two pooled
+        days under a live progress table created after the pool forked, shut
+        down, and require stderr free of resource_tracker leak chatter at
+        exit.  The workers attach the table by name; they must register it
+        with the parent's resource tracker (``WorkerPool`` starts it before
+        forking), or a tracker of their own unlinks it a second time."""
         script = textwrap.dedent(
-            """
-            from repro.fleet import FleetConfig, FleetOrchestrator, shutdown_shared_pools
+            f"""
+            from dataclasses import replace
+
+            from repro.fleet import (
+                FleetConfig, FleetOrchestrator, WorkerPool, shutdown_shared_pools,
+            )
+            from repro.obs.live import live_run
             from repro.sim.video import VideoLibrary
             from repro.users.population import UserPopulation
 
@@ -426,6 +421,13 @@ class TestPoolLifecycle:
             for _ in range(2):
                 FleetOrchestrator(config).run(population, library)
             shutdown_shared_pools()
+            with WorkerPool(2) as pool:  # forked before the live table exists
+                with live_run({str(tmp_path / "status.json")!r}, run_id="days",
+                              interval=0.05):
+                    for day in range(2):
+                        FleetOrchestrator(replace(config, day=day), pool=pool).run(
+                            population, library
+                        )
             print("done")
             """
         )
@@ -439,72 +441,32 @@ class TestPoolLifecycle:
         assert "resource_tracker" not in proc.stderr, proc.stderr
         assert "leaked" not in proc.stderr, proc.stderr
 
-    def test_arena_grows_for_large_results_and_is_reused(self, population, library):
+    def test_large_and_small_results_on_one_pool(self, population, library):
         with WorkerPool(1) as pool:
             small = _run_fleet(population, library, shards=2, workers=2,
                                pool=pool, trace_length=20)
+            # Result frames of several socket buffers each.
             large = _run_fleet(population, library, shards=2, workers=2,
-                               pool=pool, trace_length=160)
+                               pool=pool, trace_length=400, sessions_per_user=64)
             again = _run_fleet(population, library, shards=2, workers=2,
                                pool=pool, trace_length=20)
         assert _fingerprint(small) == _fingerprint(again)
-        assert len(large.logs) == len(small.logs)
-
-    def test_failed_arena_growth_leaves_the_pool_usable(
-        self, population, library, tmp_path, monkeypatch, capfd
-    ):
-        """SHM-005: a worker whose arena cannot grow (ENOSPC on /dev/shm)
-        reports the shard as failed, and the slot it emptied keeps no
-        unlinked arena: the next run on the same pool equals a fresh pool's,
-        and shutdown unlinks every segment without a worker traceback."""
-        import errno
-        from multiprocessing import shared_memory
-
-        from repro.fleet import pool as pool_module
-
-        full = tmp_path / "shm_full"
-
-        class FullSharedMemory(shared_memory.SharedMemory):
-            def __init__(self, name=None, create=False, size=0):
-                if create and full.exists():
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                super().__init__(name=name, create=create, size=size)
-
-        # Both patches must be in place before the pool forks its worker.
-        monkeypatch.setattr(shared_memory, "SharedMemory", FullSharedMemory)
-        monkeypatch.setattr(pool_module, "MIN_ARENA_BYTES", 4096)
-        small = dict(shards=2, workers=2, trace_length=20)
-        pool = WorkerPool(1)
-        try:
-            _run_fleet(population, library, pool=pool, **small)
-            full.touch()
-            with pytest.raises(ShardTaskError, match=r"\[Errno 28\]"):
-                _run_fleet(population, library, pool=pool,
-                           **dict(small, trace_length=160))
-            full.unlink()
-            again = _run_fleet(population, library, pool=pool, **small)
-        finally:
-            pool.shutdown()
-        with WorkerPool(1) as fresh:
-            reference = _run_fleet(population, library, pool=fresh, **small)
-        assert _fingerprint(again) == _fingerprint(reference)
-        assert not _shm_segments(pool.shm_prefix, fresh.shm_prefix)
-        assert "Traceback" not in capfd.readouterr().err
+        assert len(large.logs) == 32 * len(small.logs)
 
     def test_failed_drain_closes_the_pool(self, population, library, monkeypatch):
-        """A result the parent cannot drain leaves an unacked slot and other
+        """A result the parent cannot drain leaves its frames and other
         shards' results in the pipes; the pool must close with a PoolError
         rather than hand them to the next run, and shared_pool replaces it."""
-        drain = WorkerPool._drain_result
+        receive = WorkerPool._receive_result
         calls = []
 
-        def drain_failing_once(pool, *args):
+        def receive_failing_once(pool, *args):
             calls.append(args)
             if len(calls) == 1:
                 raise RuntimeError("injected drain failure")
-            return drain(pool, *args)
+            return receive(pool, *args)
 
-        monkeypatch.setattr(WorkerPool, "_drain_result", drain_failing_once)
+        monkeypatch.setattr(WorkerPool, "_receive_result", receive_failing_once)
         with pytest.raises(PoolError, match="draining") as raised:
             _run_fleet(population, library, shards=4, workers=2)
         assert isinstance(raised.value.__cause__, RuntimeError)
@@ -517,8 +479,52 @@ class TestPoolLifecycle:
         assert replacement is not broken
         inline = _run_fleet(population, library, shards=4, workers=0, seed=123)
         assert _fingerprint(after) == _fingerprint(inline)
-        shutdown_shared_pools()
-        assert not _shm_segments(broken.shm_prefix, replacement.shm_prefix)
+
+    def test_worker_killed_mid_result_is_a_crash(
+        self, population, library, tmp_path, monkeypatch
+    ):
+        """SIGKILL a worker after the parent has read its result header: the
+        frames end early, which is a crash (WorkerCrashError, in bounded
+        time), not a drain failure; nothing is left in /dev/shm and the next
+        shared pool equals the inline path."""
+        import signal
+
+        receive = WorkerPool._receive_result
+        killed = []
+
+        def receive_after_kill(pool, conn, *header):
+            if not killed:
+                worker = pool._conns.index(conn)
+                process = pool._processes[worker]
+                os.kill(process.pid, signal.SIGKILL)
+                process.join()
+                killed.append(worker)
+            return receive(pool, conn, *header)
+
+        def hung(signum, frame):
+            raise TimeoutError("pool hung on a worker killed mid-result")
+
+        before = _shm_segments("psm_", "rpool_")
+        monkeypatch.setattr(WorkerPool, "_receive_result", receive_after_kill)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            # Telemetry frames of 1.6-3.1 MB, several times a default socket
+            # buffer, so the killed worker cannot have sent its whole result.
+            with pytest.raises(WorkerCrashError, match="died"):
+                _run_fleet(population, library, shards=2, workers=2,
+                           trace_length=400, sessions_per_user=64,
+                           telemetry=tmp_path / "killed.jsonl")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        monkeypatch.undo()
+        assert killed
+        assert _SHARED_POOLS[2].closed
+        assert not _shm_segments("psm_", "rpool_") - before
+        after = _run_fleet(population, library, shards=2, workers=2)
+        inline = _run_fleet(population, library, shards=2, workers=0)
+        assert _fingerprint(after) == _fingerprint(inline)
 
     def test_cache_is_identity_keyed_and_bounded(self):
         from repro.fleet.pool import CACHE_CAPACITY
@@ -603,16 +609,16 @@ class TestPooledObservability:
         finally:
             obs.disable()
         counters = result.obs_report["metrics"]["counters"]
-        assert counters["pool.shm_result_bytes"] > 0
-        assert counters.get("pool.shm_telemetry_bytes", 0) == 0  # no telemetry path
+        assert counters["pool.result_bytes"] > 0
+        assert counters.get("pool.telemetry_bytes", 0) == 0  # no telemetry path
         assert counters["pool.dispatch_bytes"] < 4 * 2048
         names = obs.span_names(result.obs_report["spans"])
         assert "fleet.run_day/fleet.run_shards/shard.map/pool.dispatch" in names
         assert "fleet.run_day/fleet.run_shards/shard.map/pool.drain" in names
 
     def test_pack_time_excludes_the_shard_run(self, population, library, monkeypatch):
-        """``pool.shard_pack_seconds`` times the pickle and the arena write:
-        a shard that takes half a second to run still packs in milliseconds."""
+        """``pool.shard_pack_seconds`` times the pickle only: a shard that
+        takes half a second to run still packs in milliseconds."""
         from repro import obs
         from repro.fleet import orchestrator
 
