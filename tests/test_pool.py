@@ -453,6 +453,33 @@ class TestPoolLifecycle:
         assert _fingerprint(small) == _fingerprint(again)
         assert len(large.logs) == 32 * len(small.logs)
 
+    def test_pooled_run_creates_no_shared_memory(
+        self, population, library, tmp_path, monkeypatch
+    ):
+        """Results and telemetry come back over the worker pipes only: with
+        ``SharedMemory(create=True)`` refused in the parent and (patched
+        before the fork) in every worker, a pooled telemetry day still runs,
+        equals the inline day and leaves no segment in /dev/shm."""
+        from multiprocessing import shared_memory
+
+        real = shared_memory.SharedMemory
+
+        def refuse_create(*args, **kwargs):
+            if kwargs.get("create") or (len(args) > 1 and args[1]):
+                raise AssertionError("the pool created a shared-memory segment")
+            return real(*args, **kwargs)
+
+        before = _shm_segments("psm_", "rpool_")
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse_create)
+        with WorkerPool(2) as pool:
+            pooled = _run_fleet(population, library, shards=4, workers=2,
+                                pool=pool, telemetry=tmp_path / "pooled.jsonl")
+        monkeypatch.undo()
+        assert not _shm_segments("psm_", "rpool_") - before
+        inline = _run_fleet(population, library, shards=4, workers=0,
+                            telemetry=tmp_path / "inline.jsonl")
+        assert _fingerprint(pooled) == _fingerprint(inline)
+
     def test_failed_drain_closes_the_pool(self, population, library, monkeypatch):
         """A result the parent cannot drain leaves its frames and other
         shards' results in the pipes; the pool must close with a PoolError
