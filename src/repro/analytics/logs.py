@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.sim.session import PlaybackTrace, SegmentRecord
+from repro.sim.session import SEGMENT_DTYPE, PlaybackTrace, SegmentRecord
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,17 @@ def exit_rate_by_stall_time(
         return np.where(watched >= min_samples, exited / watched, np.nan)
 
 
+def _exit_rate_by_level(segments: np.ndarray, num_levels: int) -> tuple[np.ndarray, float]:
+    """Exit rate of ``segments`` per level below ``num_levels`` and overall."""
+    levels = segments["level"]
+    watched = np.bincount(levels, minlength=num_levels)
+    exits = np.bincount(levels, weights=segments["exited"], minlength=num_levels)
+    overall = float(exits.sum()) / levels.size if levels.size else float("nan")
+    watched, exits = watched[:num_levels], exits[:num_levels]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(watched > 0, exits / watched, np.nan), overall
+
+
 class LogCollection:
     """A corpus of :class:`SessionLog` records with §2-style aggregations.
 
@@ -176,16 +187,28 @@ class LogCollection:
             return float("nan")
         return exited / watched
 
+    def _segments(self) -> np.ndarray:
+        """Every session's segment rows, concatenated in session order."""
+        return np.concatenate(
+            [session.trace.segments for session in self._sessions]
+            + [np.empty(0, dtype=SEGMENT_DTYPE)]
+        )
+
     def exit_rate_by_level(self, num_levels: int) -> np.ndarray:
         """Exit rate per quality level (Figure 4a); ``nan`` for unwatched levels."""
-        segments = [session.trace.segments for session in self._sessions]
-        levels = np.concatenate([s["level"] for s in segments] + [np.empty(0, int)])
-        exited = np.concatenate([s["exited"] for s in segments] + [np.empty(0, bool)])
-        kept = levels < num_levels
-        watched = np.bincount(levels[kept], minlength=num_levels)
-        exits = np.bincount(levels[kept], weights=exited[kept], minlength=num_levels)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(watched > 0, exits / watched, np.nan)
+        return _exit_rate_by_level(self._segments(), num_levels)[0]
+
+    def non_stall_exit_rates(self, num_levels: int) -> tuple[np.ndarray, float]:
+        """Exit rate of the segments that did not stall (``stall_time <= 0``):
+        per quality level below ``num_levels`` (``nan`` where none was
+        watched), and over every level (``nan`` when there is none).
+
+        One ``bincount`` over the segment columns; the values equal
+        :meth:`segment_exit_rate` with the matching predicate, the same
+        integer counts divided the same way.
+        """
+        segments = self._segments()
+        return _exit_rate_by_level(segments[segments["stall_time"] <= 0], num_levels)
 
     def exit_rate_by_switch(
         self, granularities: Sequence[int], min_samples: int = 20

@@ -127,8 +127,10 @@ class ExitRatePredictor:
 class BatchedExitPredictor:
     """Vectorised view of a hybrid exit-rate predictor (Equation 4, batched).
 
-    Outputs match :meth:`ExitRatePredictor.predict` row for row (to float64
-    round-off).
+    Outputs match :meth:`ExitRatePredictor.predict` row for row: the OS
+    baseline exactly (both index the model's table), the NN term to float64
+    round-off (BLAS may take another kernel, and summation order, for one row
+    than for a batch).
     """
 
     def __init__(self, predictor: ExitRatePredictor) -> None:
@@ -138,17 +140,7 @@ class BatchedExitPredictor:
         self, levels: np.ndarray, switch_magnitudes: np.ndarray
     ) -> np.ndarray:
         """Vectorised ``OS(Quality, Smoothness)`` for ``n`` decision points."""
-        model = self.predictor.statistics_model
-        levels = np.asarray(levels, dtype=int)
-        switches = np.asarray(switch_magnitudes, dtype=int)
-        if np.any(levels < 0):
-            raise ValueError("levels must be non-negative")
-        level_rates = model.level_rates[np.minimum(levels, model.level_rates.size - 1)]
-        magnitudes = np.minimum(np.abs(switches), model.switch_offsets.size - 1)
-        offsets = model.switch_offsets[magnitudes] + np.where(
-            switches < 0, model.downward_extra, 0.0
-        )
-        return np.clip(level_rates + offsets, 0.0, 1.0)
+        return self.predictor.statistics_model.predict_many(levels, switch_magnitudes)
 
     def predict_many(
         self,
@@ -170,7 +162,7 @@ class BatchedExitPredictor:
         """
         stalled = np.asarray(stalled, dtype=bool)
         probabilities = self.baseline_many(levels, switch_magnitudes)
-        stalled_rows = np.flatnonzero(stalled)
+        stalled_rows = stalled.nonzero()[0]
         if stalled_rows.size:
             matrices = np.asarray(feature_matrices, dtype=float)
             if matrices.ndim != 3 or matrices.shape[1:] != (NUM_FEATURES, WINDOW_LENGTH):
@@ -185,7 +177,6 @@ class BatchedExitPredictor:
                 stall_probabilities = self.predictor.predict_batch(
                     matrices[stalled_rows]
                 )[:, 1]
-            probabilities = probabilities.copy()
             probabilities[stalled_rows] = np.clip(
                 probabilities[stalled_rows] + stall_probabilities, 0.0, 1.0
             )

@@ -334,9 +334,15 @@ class BatchedMonteCarloEvaluator:
         if not requests:
             return []
         rollout = _Rollout(requests, self.config, self.pruning)
+        steps = rows = 0
         for step in range(rollout.max_steps):
+            alive = rollout.alive_rows.size
             if not rollout.step(step, self.predictor):
                 break
+            steps += 1
+            rows += alive
+        obs.counter_add("mc.virtual_steps", steps)
+        obs.counter_add("mc.rollout_rows", rows)
         return rollout.results()
 
 

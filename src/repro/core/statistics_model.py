@@ -24,9 +24,24 @@ _DEFAULT_SWITCH_OFFSETS: tuple[float, ...] = (0.0, 0.009, 0.012, 0.015)
 _DEFAULT_DOWNWARD_EXTRA: float = 0.004
 
 
-@dataclass
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
 class OverallStatisticsModel:
-    """Population-level exit-rate baseline indexed by quality and switch."""
+    """Population-level exit-rate baseline indexed by quality and switch.
+
+    Frozen, with read-only arrays: :attr:`table` is built once, at
+    construction, and every prediction, scalar or batched, is a lookup in it.
+    Row ``l`` is quality level ``l``; column ``s + S`` (``S`` =
+    ``switch_offsets.size``) is signed switch ``s`` for ``s`` in ``[-S,
+    S - 1]``, so the table has a downward column even when ``S == 1``.
+    Levels past the last row read the last row, and switches past either
+    end read the end column.
+    """
 
     level_rates: np.ndarray = field(
         default_factory=lambda: np.asarray(_DEFAULT_LEVEL_RATES)
@@ -35,16 +50,32 @@ class OverallStatisticsModel:
         default_factory=lambda: np.asarray(_DEFAULT_SWITCH_OFFSETS)
     )
     downward_extra: float = _DEFAULT_DOWNWARD_EXTRA
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.level_rates = np.asarray(self.level_rates, dtype=float)
-        self.switch_offsets = np.asarray(self.switch_offsets, dtype=float)
-        if self.level_rates.ndim != 1 or self.level_rates.size == 0:
+        level_rates = _read_only(self.level_rates)
+        switch_offsets = _read_only(self.switch_offsets)
+        if level_rates.ndim != 1 or level_rates.size == 0:
             raise ValueError("level_rates must be a non-empty vector")
-        if self.switch_offsets.ndim != 1 or self.switch_offsets.size == 0:
+        if switch_offsets.ndim != 1 or switch_offsets.size == 0:
             raise ValueError("switch_offsets must be a non-empty vector")
-        if np.any(self.level_rates < 0) or np.any(self.level_rates > 1):
+        if np.any(level_rates < 0) or np.any(level_rates > 1):
             raise ValueError("level_rates must be probabilities")
+        # Equation 4's OS term: clip(level rate + switch offset, 0, 1), plus
+        # ``downward_extra`` on a downward switch.
+        switches = np.arange(-switch_offsets.size, switch_offsets.size)
+        offsets = switch_offsets[
+            np.minimum(np.abs(switches), switch_offsets.size - 1)
+        ] + np.where(switches < 0, self.downward_extra, 0.0)
+        table = np.clip(level_rates[:, None] + offsets[None, :], 0.0, 1.0)
+        table.flags.writeable = False
+        object.__setattr__(self, "level_rates", level_rates)
+        object.__setattr__(self, "switch_offsets", switch_offsets)
+        object.__setattr__(self, "table", table)
+
+    def __reduce__(self):
+        # Rebuild through ``__init__`` so a copy's arrays are read-only too.
+        return type(self), (self.level_rates, self.switch_offsets, self.downward_extra)
 
     @classmethod
     def fit(cls, logs: LogCollection, num_levels: int) -> "OverallStatisticsModel":
@@ -54,14 +85,8 @@ class OverallStatisticsModel:
         quality/smoothness baseline rather than stall effects (those belong to
         the personalised neural model).
         """
-        level_rates = np.zeros(num_levels)
-        for level in range(num_levels):
-            rate = logs.segment_exit_rate(
-                lambda r, lvl=level: r.level == lvl and r.stall_time <= 0
-            )
-            level_rates[level] = rate if np.isfinite(rate) else np.nan
+        level_rates, overall = logs.non_stall_exit_rates(num_levels)
         # Fill gaps with the overall non-stall rate.
-        overall = logs.segment_exit_rate(lambda r: r.stall_time <= 0)
         if not np.isfinite(overall):
             overall = float(np.nanmean(_DEFAULT_LEVEL_RATES))
         level_rates = np.where(np.isfinite(level_rates), level_rates, overall)
@@ -91,12 +116,22 @@ class OverallStatisticsModel:
         """Baseline exit probability for a segment at ``level`` after a switch."""
         if level < 0:
             raise ValueError("level must be non-negative")
-        level_rate = self.level_rates[min(level, self.level_rates.size - 1)]
-        magnitude = min(abs(int(switch_magnitude)), self.switch_offsets.size - 1)
-        offset = self.switch_offsets[magnitude]
-        if switch_magnitude < 0:
-            offset += self.downward_extra
-        return float(np.clip(level_rate + offset, 0.0, 1.0))
+        size = self.switch_offsets.size
+        column = min(max(int(switch_magnitude), -size), size - 1) + size
+        return float(self.table[min(level, self.level_rates.size - 1), column])
+
+    def predict_many(
+        self, levels: np.ndarray, switch_magnitudes: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`predict` for ``n`` decision points at once."""
+        levels = np.asarray(levels, dtype=int)
+        if (levels < 0).any():
+            raise ValueError("levels must be non-negative")
+        size = self.switch_offsets.size
+        # ``np.clip``'s wrapper costs several times these two ufunc calls.
+        switches = np.asarray(switch_magnitudes, dtype=int)
+        columns = np.minimum(np.maximum(switches, -size), size - 1) + size
+        return self.table[np.minimum(levels, self.level_rates.size - 1), columns]
 
     @property
     def num_levels(self) -> int:

@@ -68,12 +68,7 @@ def run(substrate: Substrate | None = None) -> Fig04Result:
 
     # Panels (a)/(b) condition on non-stalled segments so the (much larger)
     # stall effect does not confound the quality and smoothness magnitudes.
-    exit_rate_by_tier = np.asarray(
-        [
-            logs.segment_exit_rate(lambda r, lvl=level: r.level == lvl and r.stall_time <= 0)
-            for level in range(ladder.num_levels)
-        ]
-    )
+    exit_rate_by_tier, _overall = logs.non_stall_exit_rates(ladder.num_levels)
     return Fig04Result(
         tier_names=[ladder.tier_name(i) for i in range(ladder.num_levels)],
         exit_rate_by_tier=exit_rate_by_tier,

@@ -14,6 +14,29 @@ import abc
 import numpy as np
 
 
+def tap_ordered_sum(tap, kernel_size: int) -> np.ndarray:
+    """Sum ``tap(0) … tap(kernel_size - 1)``: even taps in order, odd taps in
+    order, then the two partial sums.
+
+    This is the order in which ``np.einsum("bclk,ock->bol", ...)`` sums a
+    window's taps for kernel sizes 1-7 (measured on numpy 2.4 with
+    OpenBLAS; size 8 differs), so a valid convolution written as one
+    product per tap keeps einsum's bits.
+    Every convolution of the package, in training and at inference, sums in
+    this order, so the two agree on any build.  ``tap(k)`` must return a
+    fresh array; the sum is accumulated into ``tap(0)``.
+    """
+    total = tap(0)
+    for k in range(2, kernel_size, 2):
+        total += tap(k)
+    if kernel_size > 1:
+        odd = tap(1)
+        for k in range(3, kernel_size, 2):
+            odd += tap(k)
+        total += odd
+    return total
+
+
 class Layer(abc.ABC):
     """Base class: a layer owns parameters, gradients and a cached input."""
 
@@ -102,13 +125,18 @@ class Conv1D(Layer):
         if x.shape[2] < self.kernel_size:
             raise ValueError("input length shorter than the kernel")
         self._input = x
-        batch, _, length = x.shape
-        out_length = length - self.kernel_size + 1
-        # Build sliding windows: (batch, in_channels, out_length, kernel_size)
-        windows = np.lib.stride_tricks.sliding_window_view(x, self.kernel_size, axis=2)
-        # Contract in_channels and kernel dims against the kernel.
-        output = np.einsum("bclk,ock->bol", windows, self.kernel) + self.bias[None, :, None]
-        self._windows = windows
+        out_length = x.shape[2] - self.kernel_size + 1
+        # Sliding windows (batch, in_channels, out_length, kernel_size) for backward.
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            x, self.kernel_size, axis=2
+        )
+        output = tap_ordered_sum(
+            lambda k: np.einsum(
+                "bcl,oc->bol", x[:, :, k : k + out_length], self.kernel[:, :, k]
+            ),
+            self.kernel_size,
+        )
+        output += self.bias[None, :, None]
         return output
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.layers import Conv1D, Dense, Flatten, Layer, ReLU
+from repro.nn.layers import Conv1D, Dense, Flatten, Layer, ReLU, tap_ordered_sum
 from repro.nn.losses import SoftmaxCrossEntropy, softmax
 from repro.nn.optimizers import Adam
 
@@ -105,12 +105,15 @@ class MultiBranchNetwork:
         )
         self._branch_width = branch_width
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Logits of shape (batch, num_classes)."""
+    def _check_input(self, x: np.ndarray) -> None:
         if x.ndim != 3 or x.shape[1] != self.num_features or x.shape[2] != self.length:
             raise ValueError(
                 f"expected input (batch, {self.num_features}, {self.length}), got {x.shape}"
             )
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Logits of shape (batch, num_classes); caches what backward needs."""
+        self._check_input(x)
         merged = [
             branch.forward(x[:, i : i + 1, :]) for i, branch in enumerate(self.branches)
         ]
@@ -141,13 +144,54 @@ class MultiBranchNetwork:
         grads.extend(self.head.gradients)
         return grads
 
+    def _inference_logits(self, x: np.ndarray) -> np.ndarray:  # contract: NN-INFER-014
+        """:meth:`forward`'s logits, bit for bit, without its training caches.
+
+        The branch convolutions, one per feature, run as one product per
+        kernel tap on a ``(features, channels, positions × batch)`` array,
+        summed in ``Conv1D.forward``'s order (:func:`tap_ordered_sum`).  Viewed as
+        ``(features × channels × positions, batch)``, its rows are the merged
+        columns of :meth:`forward`, so the head's first GEMM takes the
+        transposed view.  The kernels are read from the live layers on every
+        call: Adam updates them in place.
+        """
+        self._check_input(x)
+        convs = [branch.layers[0] for branch in self.branches]
+        channels, _, kernel_size = convs[0].kernel.shape
+        batch = x.shape[0]
+        out_length = self.length - kernel_size + 1
+        kernels = np.concatenate([conv.kernel for conv in convs]).reshape(
+            self.num_features, channels, kernel_size, 1
+        )
+        # (features, 1, length × batch): position-major, batch-minor columns.
+        columns = np.ascontiguousarray(x.transpose(1, 2, 0)).reshape(
+            self.num_features, 1, -1
+        )
+        activations = tap_ordered_sum(
+            lambda k: kernels[:, :, k]
+            * columns[:, :, k * batch : (k + out_length) * batch],
+            kernel_size,
+        )
+        activations += np.concatenate([conv.bias for conv in convs]).reshape(
+            self.num_features, channels, 1
+        )
+        np.maximum(activations, 0.0, out=activations)
+        first, last = self.head.layers[0], self.head.layers[-1]
+        merged = activations.reshape(first.weights.shape[0], batch).T
+        hidden = merged @ first.weights
+        hidden += first.bias
+        np.maximum(hidden, 0.0, out=hidden)
+        logits = hidden @ last.weights
+        logits += last.bias
+        return logits
+
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Softmax class probabilities."""
-        return softmax(self.forward(x))
+        """Softmax class probabilities (inference: no training cache)."""
+        return softmax(self._inference_logits(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Argmax class predictions."""
-        return np.argmax(self.forward(x), axis=1)
+        """Argmax class predictions (inference: no training cache)."""
+        return np.argmax(self._inference_logits(x), axis=1)
 
     def fit(
         self,

@@ -123,6 +123,25 @@ class TestLogCollection:
         np.testing.assert_array_equal(small_logs.exit_rate_by_level(5), reference)
         np.testing.assert_array_equal(small_logs.exit_rate_by_level(2), reference[:2])
 
+    def test_non_stall_exit_rates_equal_the_predicate_scan(self, small_logs):
+        # The OS model's level table and Figure 4a read these columns; the
+        # values must be the per-record scan's, bit for bit.
+        assert any(r.stall_time > 0 for s in small_logs for r in s.records)
+        by_level, overall = small_logs.non_stall_exit_rates(5)
+        reference = [
+            small_logs.segment_exit_rate(
+                lambda r, lvl=level: r.level == lvl and r.stall_time <= 0
+            )
+            for level in range(5)
+        ]
+        assert np.isnan(reference[-1])
+        np.testing.assert_array_equal(by_level, reference)
+        assert overall == small_logs.segment_exit_rate(lambda r: r.stall_time <= 0)
+        # Levels past ``num_levels`` still count in the overall rate.
+        short, short_overall = small_logs.non_stall_exit_rates(2)
+        np.testing.assert_array_equal(short, reference[:2])
+        assert short_overall == overall
+
     def test_exit_rate_by_stall_respects_min_samples(self, small_logs):
         rates = small_logs.exit_rate_by_stall_time([0, 1000.0], min_samples=10**9)
         assert np.isnan(rates).all()
@@ -157,6 +176,9 @@ class TestLogCollection:
         assert empty.days() == []
         assert np.isnan(empty.segment_exit_rate())
         assert np.all(np.isnan(empty.exit_rate_by_level(4)))
+        by_level, overall = empty.non_stall_exit_rates(4)
+        assert by_level.shape == (4,) and np.all(np.isnan(by_level))
+        assert np.isnan(overall)
         assert empty.daily_stall_counts() == {}
         assert aggregate_daily_metrics(empty.sessions, group="empty") == []
 

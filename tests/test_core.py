@@ -1,6 +1,10 @@
 """Tests for the LingXi core: state, OS model, predictor, parameter space,
 triggers, Monte-Carlo evaluator, controller and persistence."""
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -124,6 +128,71 @@ class TestOverallStatisticsModel:
             OverallStatisticsModel(level_rates=np.asarray([1.5]))
         with pytest.raises(ValueError):
             OverallStatisticsModel(level_rates=np.asarray([]))
+        with pytest.raises(ValueError):
+            OverallStatisticsModel().predict(-1, 0)
+        with pytest.raises(ValueError):
+            OverallStatisticsModel().predict_many([0, -1], [0, 0])
+
+    @staticmethod
+    def _formula(model, level, switch):
+        """Equation 4's OS term, written out the long way."""
+        rate = model.level_rates[min(level, model.level_rates.size - 1)]
+        offset = model.switch_offsets[min(abs(switch), model.switch_offsets.size - 1)]
+        if switch < 0:
+            offset += model.downward_extra
+        return float(np.clip(rate + offset, 0.0, 1.0))
+
+    def test_table_lookup_equals_the_formula_everywhere(self):
+        # Levels past the last row, |switch| past the last offset with both
+        # signs, and single-offset models, whose table still needs a
+        # downward column.
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            num_levels = int(rng.integers(1, 6))
+            num_offsets = 1 if trial % 4 == 0 else int(rng.integers(1, 6))
+            model = OverallStatisticsModel(
+                level_rates=rng.uniform(0.0, 1.0, num_levels),
+                switch_offsets=rng.uniform(-0.2, 0.6, num_offsets),
+                downward_extra=float(rng.uniform(0.0, 0.3)),
+            )
+            levels, switches = np.meshgrid(
+                np.arange(num_levels + 3),
+                np.arange(-num_offsets - 3, num_offsets + 4),
+                indexing="ij",
+            )
+            expected = np.asarray(
+                [
+                    self._formula(model, int(l), int(s))
+                    for l, s in zip(levels.ravel(), switches.ravel())
+                ]
+            )
+            scalar = [
+                model.predict(int(l), int(s))
+                for l, s in zip(levels.ravel(), switches.ravel())
+            ]
+            np.testing.assert_array_equal(scalar, expected)
+            np.testing.assert_array_equal(
+                model.predict_many(levels.ravel(), switches.ravel()), expected
+            )
+
+    def test_model_is_frozen_with_read_only_arrays(self):
+        model = OverallStatisticsModel()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.downward_extra = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.level_rates = np.zeros(4)
+        for array in (model.level_rates, model.switch_offsets, model.table):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        # The caller's arrays are copied, not frozen in place.
+        rates = np.asarray([0.1, 0.2])
+        OverallStatisticsModel(level_rates=rates)
+        rates[0] = 0.3
+        # Copies rebuild the table and stay read-only.
+        for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            np.testing.assert_array_equal(clone.table, model.table)
+            assert not clone.table.flags.writeable
+            assert not clone.level_rates.flags.writeable
 
 
 class TestExitRatePredictor:

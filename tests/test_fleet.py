@@ -211,15 +211,13 @@ class TestBatchedPredictor:
 
     def test_baseline_many_matches_statistics_model(self, predictor):
         batched = BatchedExitPredictor(predictor)
-        levels = np.asarray([0, 1, 2, 3, 3])
-        switches = np.asarray([0, 1, -1, 3, -3])
+        levels = np.asarray([0, 1, 2, 3, 3, 7, 0])
+        switches = np.asarray([0, 1, -1, 3, -3, 9, -9])
         expected = [
             predictor.statistics_model.predict(int(l), int(s))
             for l, s in zip(levels, switches)
         ]
-        np.testing.assert_allclose(
-            batched.baseline_many(levels, switches), expected, atol=1e-12
-        )
+        np.testing.assert_array_equal(batched.baseline_many(levels, switches), expected)
 
     def test_predict_many_rejects_bad_shapes(self, predictor):
         batched = BatchedExitPredictor(predictor)

@@ -1,8 +1,11 @@
 """Tests for the numpy neural-network framework."""
 
+import copy
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.nn import (
     Adam,
@@ -202,6 +205,71 @@ class TestNetworks:
     def test_multibranch_kernel_validation(self):
         with pytest.raises(ValueError):
             MultiBranchNetwork(length=3, kernel_size=4)
+
+
+@functools.lru_cache(maxsize=1)  # each parametrized case reuses one pair
+def _inference_networks(channels: int, hidden: int, kernel_size: int):
+    """A fresh network and a copy of it after one epoch of ``fit``."""
+    fresh = MultiBranchNetwork(
+        channels=channels, hidden=hidden, kernel_size=kernel_size, seed=kernel_size
+    )
+    trained = copy.deepcopy(fresh)
+    rng = np.random.default_rng(kernel_size)
+    trained.fit(
+        rng.normal(size=(96, 5, 8)), rng.integers(0, 2, 96), epochs=1, batch_size=32
+    )
+    return fresh, trained
+
+
+class TestInferenceIdentity:
+    """NN-INFER-014: inference is ``forward``'s arithmetic without its caches."""
+
+    @pytest.mark.parametrize("kernel_size", range(1, 9))
+    @pytest.mark.parametrize("channels,hidden", [(8, 16), (64, 64)])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        batch=st.integers(1, 256),
+        scale=st.sampled_from([1e-3, 1.0, 40.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(batch=1, scale=1.0, seed=0)
+    @example(batch=256, scale=1.0, seed=1)
+    def test_predict_is_forward_bit_for_bit(
+        self, channels, hidden, kernel_size, batch, scale, seed
+    ):
+        x = scale * np.random.default_rng(seed).normal(size=(batch, 5, 8))
+        for net in _inference_networks(channels, hidden, kernel_size):
+            logits = net.forward(x)
+            np.testing.assert_array_equal(net.predict_proba(x), softmax(logits))
+            np.testing.assert_array_equal(net.predict(x), np.argmax(logits, axis=1))
+
+    def test_inference_leaves_training_caches_alone(self):
+        rng = np.random.default_rng(3)
+        net = MultiBranchNetwork(channels=8, hidden=16, seed=3)
+        x = rng.normal(size=(6, 5, 8))
+        other = rng.normal(size=(9, 5, 8))
+        grad = rng.normal(size=(6, 2))
+        net.forward(x)
+        net.backward(grad)
+        expected = [g.copy() for g in net.gradients]
+        net.forward(x)
+        net.predict_proba(other)
+        net.predict(other)
+        net.backward(grad)
+        for got, want in zip(net.gradients, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_inference_reads_the_live_kernels(self):
+        # Adam updates parameters in place; a cached copy would go stale.
+        rng = np.random.default_rng(4)
+        net = MultiBranchNetwork(channels=8, hidden=16, seed=4)
+        x = rng.normal(size=(5, 5, 8))
+        before = net.predict_proba(x)
+        for param in net.parameters:
+            param += rng.normal(scale=0.1, size=param.shape)
+        after = net.predict_proba(x)
+        assert not np.array_equal(before, after)
+        np.testing.assert_array_equal(after, softmax(net.forward(x)))
 
 
 class TestMetrics:

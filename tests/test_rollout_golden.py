@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.abr.base import QoEParameters
 from repro.abr.bba import BBA
 from repro.abr.bola import BOLA
@@ -223,3 +224,15 @@ def test_rollouts_match_golden(case, regen_golden):
 
 def test_golden_file_is_complete():
     assert set(_load()) == set(CASES)
+
+
+@pytest.mark.parametrize("case", ["hyb_mixed", "pensieve_mixed", "robust_mpc_grid"])
+def test_rollout_counters_match_golden_call_pattern(case):
+    """One ``mc.virtual_steps`` per ``predict_many`` call, and
+    ``mc.rollout_rows`` the rows those calls scored."""
+    calls = _load()[case]["predict_many"]
+    with obs.collect() as collector:
+        _run_case(case)
+    counters = collector.snapshot()["metrics"]["counters"]
+    assert counters["mc.virtual_steps"] == len(calls)
+    assert counters["mc.rollout_rows"] == sum(rows for rows, _stalled in calls)
