@@ -92,8 +92,8 @@ def main() -> None:
         default=None,
         metavar="PATH",
         help=(
-            "publish live heartbeats: write a status file here and attach a "
-            "watchable shared-memory progress table (monitor the run with "
+            "publish live heartbeats: rewrite a status file here on every "
+            "watchdog tick (monitor the run with "
             "`python -m repro.obs.monitor PATH`)"
         ),
     )

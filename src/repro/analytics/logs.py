@@ -97,19 +97,30 @@ def segment_exit_rate(sessions: Iterable[SessionLog]) -> float:
 
 
 def exit_rate_by_stall_time(
-    sessions: Iterable[SessionLog], bins: Sequence[float], min_samples: int = 20
+    sessions: Iterable[SessionLog],
+    bins: Sequence[float],
+    min_samples: int = 20,
+    segment_filter: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Exit rate per cumulative-stall-time bin of any session stream (live or replayed)."""
+    """Exit rate per cumulative-stall-time bin of any session stream (live or replayed).
+
+    ``segment_filter`` maps a session's structured ``trace.segments`` array
+    to a bool mask of the segments to count (``None`` counts them all).
+    """
     edges = np.asarray(bins, dtype=float)
     watched = np.zeros(edges.size)
     exited = np.zeros(edges.size)
     for session in sessions:
-        cumulative = session.trace.cumulative_stall_times
-        if cumulative.size == 0:
+        segments = session.trace.segments
+        if segment_filter is not None:
+            segments = segments[segment_filter(segments)]
+        if segments.size == 0:
             continue
-        indices = np.maximum(np.searchsorted(edges, cumulative, side="right") - 1, 0)
+        indices = np.maximum(
+            np.searchsorted(edges, segments["cumulative_stall_time"], side="right") - 1, 0
+        )
         np.add.at(watched, indices, 1.0)
-        np.add.at(exited, indices, session.trace.exited_flags)
+        np.add.at(exited, indices, segments["exited"].astype(float))
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(watched >= min_samples, exited / watched, np.nan)
 
@@ -235,7 +246,7 @@ class LogCollection:
     def exit_rate_by_stall_time(
         self,
         bins: Sequence[float],
-        record_filter: Callable[[SegmentRecord], bool] | None = None,
+        segment_filter: Callable[[np.ndarray], np.ndarray] | None = None,
         min_samples: int = 20,
     ) -> np.ndarray:
         """Exit rate per cumulative-stall-time bin (Figures 4c/4d).
@@ -243,24 +254,12 @@ class LogCollection:
         ``bins`` are the left edges (seconds); segment ``i`` falls into the
         last bin whose edge does not exceed its cumulative stall time.  Bins
         with fewer than ``min_samples`` segments report ``nan``.
+        ``segment_filter`` is a column expression over a session's
+        ``trace.segments`` (e.g. ``lambda s: s["stall_count"] >= 2``).
         """
-        if record_filter is None:
-            return exit_rate_by_stall_time(self._sessions, bins, min_samples=min_samples)
-        edges = np.asarray(bins, dtype=float)
-        watched = np.zeros(edges.size)
-        exited = np.zeros(edges.size)
-        for session in self._sessions:
-            for record in session.records:
-                if not record_filter(record):
-                    continue
-                index = int(
-                    np.searchsorted(edges, record.cumulative_stall_time, side="right") - 1
-                )
-                index = max(index, 0)
-                watched[index] += 1
-                exited[index] += int(record.exited)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(watched >= min_samples, exited / watched, np.nan)
+        return exit_rate_by_stall_time(
+            self._sessions, bins, min_samples=min_samples, segment_filter=segment_filter
+        )
 
     # ------------------------------------------------------------------ #
     # Session-level aggregations (watch time, stall counts, tolerances)

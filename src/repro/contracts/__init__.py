@@ -1,8 +1,8 @@
 """Machine-checked determinism contracts.
 
 The repo's headline guarantees — bit-exact scalar==vector traces,
-shard/worker-count invariance, trace-neutral observability, leak-free
-shared memory, versioned checkpoints — are architectural *contracts*,
+shard/worker-count invariance, trace-neutral observability, no shared
+memory, versioned checkpoints — are architectural *contracts*,
 not accidents of the current code.  This package keeps them honest:
 
 - ``CONTRACTS.md`` (repo root) is the ledger: every invariant gets a

@@ -46,6 +46,8 @@ class Finding:
     line: int
     col: int
     message: str
+    #: False for a finding that no ``exempt(...)`` comment can waive.
+    waivable: bool = True
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
@@ -473,16 +475,17 @@ def check_obs_neutrality(path: str, source: str, tree: ast.AST) -> Iterator[Find
 
 
 # ---------------------------------------------------------------------------
-# SHM-005 — every SharedMemory(create=True) documents its unlink path
+# SHM-005 — src/ creates no shared memory
 # ---------------------------------------------------------------------------
 
 
 def check_shared_memory(path: str, source: str, tree: ast.AST) -> Iterator[Finding]:
-    """SHM-005: a created segment outlives the process unless someone
-    unlinks it.  Every ``SharedMemory(create=True)`` call site must
-    carry a ``# contract: SHM-005 exempt(<who unlinks, when>)`` waiver
-    naming its registered unlink path — an unannotated create is a
-    potential /dev/shm leak."""
+    """SHM-005: shard results, telemetry and heartbeats travel over the
+    worker pipes, so ``src/`` creates no shared memory at all: any
+    ``SharedMemory(create=True)`` there is a finding that no waiver
+    exempts.  A test may create a segment when a ``# contract: SHM-005
+    exempt(<who unlinks, when>)`` waiver names its unlink path — an
+    unannotated create is a potential /dev/shm leak."""
     if _in_packages(path, ("repro/contracts",)):
         return
     for node in ast.walk(tree):
@@ -497,7 +500,14 @@ def check_shared_memory(path: str, source: str, tree: ast.AST) -> Iterator[Findi
             and kw.value.value is True
             for kw in node.keywords
         )
-        if creates:
+        if creates and not _is_test_path(path):
+            yield Finding(
+                "SHM-005", path, node.lineno, node.col_offset,
+                "SharedMemory(create=True) under src/: the system creates no "
+                "shared memory (send the data over the worker pipe instead)",
+                waivable=False,
+            )
+        elif creates:
             yield Finding(
                 "SHM-005", path, node.lineno, node.col_offset,
                 "SharedMemory(create=True) without a registered unlink path; "
@@ -885,7 +895,7 @@ def lint_source(path: str, source: str) -> FileLint:
         raw.extend(rule(path, source, tree))
     raw.sort(key=lambda f: (f.line, f.col, f.rule_id))
     for finding in raw:
-        if _waived(finding, waivers):
+        if finding.waivable and _waived(finding, waivers):
             reason = next(
                 (
                     a.reason or ""

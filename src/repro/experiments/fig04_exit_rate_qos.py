@@ -77,12 +77,12 @@ def run(substrate: Substrate | None = None) -> Fig04Result:
         stall_bins_s=list(STALL_BINS),
         exit_rate_by_stall=logs.exit_rate_by_stall_time(STALL_BINS),
         exit_rate_by_stall_engaged=logs.exit_rate_by_stall_time(
-            STALL_BINS, record_filter=lambda r: r.watch_time > 20.0
+            STALL_BINS, segment_filter=lambda s: s["watch_time"] > 20.0
         ),
         exit_rate_by_stall_top_tier=logs.exit_rate_by_stall_time(
-            STALL_BINS, record_filter=lambda r, lvl=top_level: r.level == lvl
+            STALL_BINS, segment_filter=lambda s: s["level"] == top_level
         ),
         exit_rate_by_stall_multiple=logs.exit_rate_by_stall_time(
-            STALL_BINS, record_filter=lambda r: r.stall_count >= 2
+            STALL_BINS, segment_filter=lambda s: s["stall_count"] >= 2
         ),
     )

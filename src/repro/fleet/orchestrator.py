@@ -694,7 +694,7 @@ class FleetOrchestrator:
                     outputs = pool.run(
                         [pool.by_ref(task) for task in tasks],
                         telemetry=telemetry_path is not None,
-                        heartbeat=live.worker_token() if live is not None else None,
+                        live=live,
                     )
             outputs.sort(key=lambda output: output.shard_index)
             for output in outputs:

@@ -33,6 +33,12 @@ four-worker pool to beat the inline path instead.
   only after it has read that worker's whole result, so a worker blocked
   sending a result is never also sent a task it cannot read.
 
+Heartbeats use the same pipe.  Under a live run (:mod:`repro.obs.live`) a
+worker sends its shard's rate-limited ``("beat", shard, beat)`` messages
+ahead of the result; the drain loop folds them into the parent's
+:class:`~repro.obs.live.LiveRun` and keeps waiting on that worker.  Only a
+``"result"`` or ``"error"`` frees it.
+
 Determinism: a worker swaps each token back for its cached object and calls
 the same ``_run_shard`` on a task equal to the one the inline path runs, so
 pooled fleet and longitudinal results are bit-identical to inline runs —
@@ -47,7 +53,7 @@ import time
 import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass, fields, replace
-from multiprocessing import connection, get_context, resource_tracker
+from multiprocessing import connection, get_context
 from typing import Sequence
 
 from repro import obs
@@ -93,12 +99,12 @@ def _resolve_refs(task, cache: dict):
     )
 
 
-def _worker_main(parent_conn, conn) -> None:
-    """Worker loop: resolve tasks, run shards, send each result back as
-    frames on the pipe; exits on ``"stop"`` or when the parent closes it."""
+def _worker_main(parent_conn, conn) -> None:  # contract: SHM-005
+    """Worker loop: resolve tasks, run shards, send heartbeats and each
+    result back as frames on the pipe; exits on ``"stop"`` or when the
+    parent closes it."""
     parent_conn.close()
     obs.disable()  # a fork may inherit an enabled parent collector
-    obs_live.reset_after_fork()  # ...and an inherited LiveRun/publisher
     from repro.fleet.orchestrator import _run_shard
     from repro.fleet.telemetry import encode_shard_events
 
@@ -115,11 +121,8 @@ def _worker_main(parent_conn, conn) -> None:
                 cache.pop(message[1], None)
             elif kind == "run":
                 _, task, encode_telemetry, heartbeat = message
+                obs_live.publish_to_pipe(conn, heartbeat)
                 try:
-                    if heartbeat is not None:
-                        # Lazy re-attach: the run's progress table was created
-                        # after this worker forked, so it arrives by name.
-                        obs_live.attach_worker(*heartbeat)
                     output = _run_shard(_resolve_refs(task, cache))
                     telemetry = (
                         encode_shard_events(task.run_id, output)
@@ -162,13 +165,6 @@ class WorkerPool:
     def __init__(self, num_workers: int) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        # A worker attaches the run's live progress table by name
-        # (repro.obs.live), and attaching registers the segment with a
-        # resource tracker.  Start the parent's tracker before forking so
-        # workers register with it, where the owning LiveRun's unlink
-        # balances the entry; a worker-started tracker would "clean up" the
-        # already unlinked table at exit and warn about a leak.
-        resource_tracker.ensure_running()
         self.num_workers = num_workers
         self.closed = False
         self._context = get_context("fork")
@@ -234,19 +230,17 @@ class WorkerPool:
         tasks: Sequence,
         *,
         telemetry: bool = False,
-        heartbeat: tuple | None = None,
+        live: obs_live.LiveRun | None = None,
     ) -> list:
         """Execute wire-form tasks (:meth:`by_ref`) across the workers;
         outputs in shard order.
 
         ``telemetry`` makes every worker pre-encode its shard's telemetry
         events and send them after the output, so the parent streams them
-        to disk without re-serialising.  ``heartbeat`` is the
-        ``(shm_name, interval_s)`` token of the parent's
-        :class:`repro.obs.live.LiveRun` progress table, or ``None``; workers
-        attach lazily by name (they were forked before the run existed) and
-        publish wall-clock heartbeats only, so pooled results stay
-        bit-identical.
+        to disk without re-serialising.  ``live`` is the parent's
+        :class:`repro.obs.live.LiveRun`, or ``None``: the workers heartbeat
+        at its interval over their pipes and the drain folds the beats into
+        it.  Beats are wall-clock only, so pooled results stay bit-identical.
 
         Emits the ``pool.dispatch``/``pool.drain`` spans and the
         ``pool.*_bytes`` counters.  Raises :class:`ShardTaskError` when a
@@ -256,6 +250,7 @@ class WorkerPool:
         replaces it).
         """
         self._ensure_open()
+        heartbeat = live.interval if live is not None else None
         queues: list[deque] = [deque() for _ in range(self.num_workers)]
         for index, task in enumerate(tasks):
             queues[index % self.num_workers].append(
@@ -278,7 +273,7 @@ class WorkerPool:
 
         with obs.span("pool.drain"):
             try:
-                outputs, failures = self._drain(queues, busy)
+                outputs, failures = self._drain(queues, busy, live)
             except BaseException as exc:
                 # Results left in the pipes would leak into the next run, so
                 # a pool that cannot finish draining closes.
@@ -299,11 +294,14 @@ class WorkerPool:
         return outputs
 
     def _drain(
-        self, queues: list[deque], busy: dict[connection.Connection, int]
+        self,
+        queues: list[deque],
+        busy: dict[connection.Connection, int],
+        live: obs_live.LiveRun | None,
     ) -> tuple[list, list]:
-        """Read every busy worker's reply, topping a worker up from its
-        queue once its whole result is read, until the first shard failure;
-        ``(outputs, failures)``."""
+        """Read every busy worker's messages, folding heartbeats into
+        ``live`` and topping a worker up from its queue once its whole result
+        is read, until the first shard failure; ``(outputs, failures)``."""
         outputs = []
         failures: list[tuple[int, str]] = []
         while busy:
@@ -312,13 +310,17 @@ class WorkerPool:
                 self._check_alive()
                 continue
             for conn in ready:
-                worker = busy.pop(conn)
+                worker = busy[conn]
                 try:
                     message = conn.recv()
+                    if message[0] == "beat":
+                        live.apply_beat(*message[1:])
+                        continue
                     if message[0] == "result":
                         outputs.append(self._receive_result(conn, *message[1:]))
                 except (EOFError, OSError):
                     self._reap_crash(worker)
+                del busy[conn]
                 if message[0] == "error":
                     failures.append(message[1:])
                 if not failures and queues[worker]:

@@ -292,5 +292,5 @@ def encode_events(events: Iterable[TelemetryEvent]) -> bytes:
 
 
 def encode_shard_events(run_id: str, output) -> bytes:
-    """One shard's telemetry as a raw JSONL blob (the pool's shm payload)."""
+    """One shard's telemetry as a raw JSONL blob (the pool's second result frame)."""
     return encode_events(iter_shard_events(run_id, output))

@@ -10,9 +10,11 @@ snapshots back with their results for the orchestrator to merge.
 All helpers are trace-neutral by construction: they never touch simulation
 state or RNG streams, so golden traces stay bit-exact with obs on or off.
 
-Live, in-flight observability lives in :mod:`repro.obs.live` (shared-memory
-heartbeats, straggler watchdog — re-exported here) and its companions
-:mod:`repro.obs.monitor` (``python -m repro.obs.monitor``),
+Live, in-flight observability lives in :mod:`repro.obs.live` (shard
+heartbeats into an in-parent table, straggler watchdog, a status file
+rewritten on every tick — re-exported here) and its companions
+:mod:`repro.obs.monitor` (``python -m repro.obs.monitor``, which reads only
+that file),
 :mod:`repro.obs.telemetry_reader` (the one telemetry file reader), and
 :mod:`repro.obs.trace_export` (Chrome/Perfetto span timelines).  The latter
 three import the fleet/analytics layers, so they are deliberately *not*
@@ -36,7 +38,6 @@ from repro.obs.core import (
 from repro.obs.live import (
     HeartbeatPublisher,
     LiveRun,
-    ProgressTable,
     RunStatus,
     ShardStatus,
     active_run,
@@ -62,7 +63,6 @@ __all__ = [
     "Histogram",
     "LiveRun",
     "MetricsRegistry",
-    "ProgressTable",
     "REPORT_VERSION",
     "RunStatus",
     "ShardStatus",

@@ -1,4 +1,4 @@
-"""Attach to a running fleet/campaign and render live health.
+"""Render live health of a running fleet/campaign from its status file.
 
 Usage::
 
@@ -8,74 +8,54 @@ Usage::
 
 The status file is written by :class:`repro.obs.live.LiveRun` (see the
 ``--live-status`` flag on ``examples/fleet_day.py``, ``examples/
-longitudinal.py`` and ``repro.experiments.runner``).  It names the
-shared-memory progress table to attach to; once the run finishes, the owner
-rewrites the file with an embedded ``final`` snapshot so the monitor still
-renders a post-mortem view after the shared memory is unlinked.
+longitudinal.py`` and ``repro.experiments.runner``).  The owning process
+rewrites it atomically on every watchdog tick, on every run-header change
+and at close, always with the whole :meth:`repro.obs.live.RunStatus.
+as_payload`; the last write is the post-mortem view.  The monitor only
+reads that file.
 
-The monitor is strictly read-only: it attaches to the table as a foreign
-process (detached from its own resource tracker so exiting never unlinks a
-live run's memory) and performs seqlock-consistent reads.
+A file that still says ``running`` after its owner's process is gone (the
+run was killed and never closed it) reads as ``vanished``: a terminal state,
+so a monitor following a killed run returns instead of waiting forever.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-from repro.obs.live import ProgressTable, RunStatus
-
-TERMINAL_STATES = ("done", "failed")
+TERMINAL_STATES = ("done", "failed", "vanished")
 
 
 def load_status_file(path: str | Path) -> dict:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") != "repro-live-status":
+    if doc.get("kind") != "live-status":
         raise ValueError(f"{path}: not a repro live status file")
     return doc
 
 
-def attach(doc: dict) -> ProgressTable | None:
-    """Attach to the table named by a status file; None if already gone."""
+def _process_exists(pid: int) -> bool:
     try:
-        return ProgressTable.attach(doc["shm_name"], foreign=True)
-    except (FileNotFoundError, ValueError, KeyError, OSError):
-        return None
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # alive, owned by another user
+    return True
 
 
 def snapshot(status_path: str | Path) -> dict:
-    """One JSON-ready health snapshot (live table or embedded final state)."""
-    doc = load_status_file(status_path)
-    table = attach(doc)
-    if table is not None:
-        try:
-            payload = table.status().as_payload()
-        finally:
-            table.close()
-        # A run can finish between our attach and read: prefer the status
-        # file's terminal state so scripted pollers see convergence.
-        if doc.get("state") in TERMINAL_STATES and payload["state"] == "running":
-            payload["state"] = doc["state"]
-        payload["source"] = "shared-memory"
-        return payload
-    final = doc.get("final")
-    if final is not None:
-        payload = dict(final)
-        payload["source"] = "status-file"
-        return payload
-    return {
-        "kind": "live-status",
-        "state": doc.get("state", "unknown"),
-        "run_id": doc.get("run_id"),
-        "source": "status-file",
-        "totals": {"sessions_done": 0, "segments_done": 0, "shards_done": 0},
-        "shards": [],
-        "stragglers": [],
-        "last_error": None,
-    }
+    """One JSON-ready health snapshot: the status file's payload, with a
+    ``running`` state whose owning process no longer exists reported as
+    ``vanished``."""
+    payload = load_status_file(status_path)
+    if payload["state"] == "running" and not _process_exists(payload["pid"]):
+        payload["state"] = "vanished"
+    return payload
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,40 @@ class TestLogCollection:
         np.testing.assert_array_equal(short, reference[:2])
         assert short_overall == overall
 
+    @pytest.mark.parametrize(
+        "column_filter, record_filter",
+        [
+            (None, lambda r: True),
+            (lambda s: s["watch_time"] > 20.0, lambda r: r.watch_time > 20.0),
+            (lambda s: s["level"] == 3, lambda r: r.level == 3),
+            (lambda s: s["stall_count"] >= 2, lambda r: r.stall_count >= 2),
+        ],
+        ids=["all", "engaged", "top_tier", "multi_stall"],
+    )
+    def test_exit_rate_by_stall_equals_the_per_record_scan(
+        self, small_logs, column_filter, record_filter
+    ):
+        # Figure 4c/4d's filters as column masks give the per-record
+        # reference's counts and division, bit for bit.
+        bins = [0.0, 1.0, 2.0, 4.0, 8.0]
+        edges = np.asarray(bins)
+        watched = np.zeros(edges.size)
+        exited = np.zeros(edges.size)
+        for session in small_logs:
+            for record in session.records:
+                if record_filter(record):
+                    index = int(np.searchsorted(edges, record.cumulative_stall_time,
+                                                side="right") - 1)
+                    watched[max(index, 0)] += 1
+                    exited[max(index, 0)] += int(record.exited)
+        assert watched.sum() > 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            reference = np.where(watched >= 1, exited / watched, np.nan)
+        rates = small_logs.exit_rate_by_stall_time(
+            bins, segment_filter=column_filter, min_samples=1
+        )
+        np.testing.assert_array_equal(rates, reference)
+
     def test_exit_rate_by_stall_respects_min_samples(self, small_logs):
         rates = small_logs.exit_rate_by_stall_time([0, 1000.0], min_samples=10**9)
         assert np.isnan(rates).all()

@@ -219,9 +219,14 @@ def test_shm_rule_requires_annotation():
             return seg, ok, attach
         """
     )
-    lint = lint_source("src/repro/fleet/planted_shm.py", source)
+    # tests/: an annotated create names its unlink path and is waived.
+    lint = lint_source("tests/planted_shm.py", source)
     assert [(f.rule_id, f.line) for f in lint.findings] == [("SHM-005", 5)]
     assert [(f.rule_id, f.line) for f, _reason in lint.waived] == [("SHM-005", 6)]
+    # src/: the system creates no shared memory, and no waiver exempts it.
+    lint = lint_source("src/repro/fleet/planted_shm.py", source)
+    assert [(f.rule_id, f.line) for f in lint.findings] == [("SHM-005", 5), ("SHM-005", 6)]
+    assert lint.waived == []
 
 
 def test_ckpt_rule_flags_handrolled_payloads():

@@ -1,12 +1,13 @@
 """Live fleet monitor: heartbeats, watchdog/stragglers, and trace neutrality.
 
 The live layer's contract mirrors ``repro.obs``'s: it must be *provably
-inert*.  Heartbeats read only wall-clock time and write only to shared
-memory, so every simulated byte must be bit-exact with monitoring on or off,
+inert*.  Heartbeats read only wall-clock time and travel only to the
+parent's shard table (directly inline, over the worker pipe when pooled), so
+every simulated byte must be bit-exact with monitoring on or off,
 inline or pooled — and the heartbeat rows themselves must look the same
 regardless of execution mode.  On top of that the watchdog must actually
 catch a stalled shard (straggler injection) and surface it through every
-channel: the shared-memory flags, the monitor snapshot, the run report's
+channel: the table's flags, the monitor snapshot, the run report's
 ``live`` section, and the ``pool.straggler.*`` metrics.
 """
 
@@ -14,6 +15,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
@@ -26,7 +30,6 @@ from repro.obs.live import (
     STATE_RUNNING,
     HeartbeatPublisher,
     LiveRun,
-    ProgressTable,
     live_run,
 )
 from repro.sim.video import VideoLibrary
@@ -85,129 +88,142 @@ def _session_map(result):
     }
 
 
-class TestProgressTable:
-    def test_header_and_row_roundtrip(self):
-        table = ProgressTable.create(4, interval=0.5, run_id="rt")
+def _row(run, shard):
+    """``shard``'s row in a live run's table, with its straggler flags."""
+    return {row.shard: row for row in run.status().shards}[shard]
+
+
+class TestShardTable:
+    def test_publisher_lifecycle_with_cumulative_days(self):
+        run = LiveRun(interval=0.01, run_id="pub", watchdog=False)
+        publisher = HeartbeatPublisher(run.apply_beat, interval=0.01)
+        publisher.begin_shard(1, day=0)
+        assert _row(run, 1).state == "running"
+        publisher.set_total(8)
+        publisher.add_sessions(3, 30)
+        time.sleep(0.02)
+        publisher.maybe_publish()
+        row = _row(run, 1)
+        assert row.state == "running" and row.pid == os.getpid()
+        assert (row.day_sessions, row.day_total, row.segments_done) == (3, 8, 30)
+        assert row.sessions_done == 3 and row.shards_done == 0
+        publisher.finish_shard(8, 80)
+        row = _row(run, 1)
+        assert row.state == "done" and row.phase == "done"
+        assert (row.sessions_done, row.segments_done, row.shards_done) == (8, 80, 1)
+
+        # day 2 on the same shard: the table carries the cumulative counters
+        publisher.begin_shard(1, day=1)
+        row = _row(run, 1)
+        assert row.state == "running" and row.day == 1 and row.day_sessions == 0
+        assert (row.sessions_done, row.segments_done, row.shards_done) == (8, 80, 1)
+        publisher.finish_shard(2, 20)
+        row = _row(run, 1)
+        assert (row.sessions_done, row.segments_done, row.shards_done) == (10, 100, 2)
+
+        # a failing day keeps its partial counts and names the error
+        publisher.begin_shard(1, day=2)
+        publisher.add_sessions(1, 5)
+        publisher.fail_shard("ValueError: boom")
+        row = _row(run, 1)
+        assert (row.state, row.phase, row.error) == ("failed", "failed", "ValueError: boom")
+        assert (row.sessions_done, row.segments_done, row.shards_done) == (11, 105, 2)
+        publisher.add_sessions(1)  # no shard open: nothing is published
+        publisher.finish_shard()
+        assert _row(run, 1).state == "failed"
+
+        status = run.status()
+        assert [s.shard for s in status.shards] == [1]
+        assert status.sessions_done == 11
+        payload = status.as_payload()
+        assert payload["kind"] == "live-status"
+        assert payload["totals"]["sessions_done"] == 11
+        assert payload["totals"]["shards_done"] == 2
+        json.dumps(payload)  # payloads must be JSON-serialisable
+
+    def test_concurrent_beats_and_watchdog_lose_no_update(self, tmp_path):
+        """Inline shards on several threads beat into one table while the
+        watchdog ticks and rewrites the status file: every day's counts
+        land, and the last write agrees with the table."""
+        status = tmp_path / "status.json"
+        run = LiveRun(status, interval=0.001, stall_intervals=10**6, run_id="stress")
+        days, shards = 20, 6
+
+        def shard_days(shard):
+            publisher = HeartbeatPublisher(run.apply_beat, interval=0.0)
+            for day in range(days):
+                publisher.begin_shard(shard, day)
+                for _ in range(5):
+                    publisher.add_sessions(1, 10)
+                publisher.finish_shard(5, 50)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            table.write_header(state=STATE_RUNNING, day=3, num_shards=4,
-                               dau=120, roster=150)
-            header = table.read_header()
-            assert header["run_id"] == "rt"
-            assert header["state"] == STATE_RUNNING
-            assert header["day"] == 3
-            assert header["dau"] == 120
-            assert header["pid"] == os.getpid()
-
-            table.write_row(
-                2, state=STATE_RUNNING, pid=os.getpid(), shard=2, day=3,
-                shards_done=1, sessions_done=42, day_sessions=10,
-                day_total=20, segments_done=400, rss_bytes=1 << 20,
-                started_at=100.0, updated_at=101.0, phase="run_batch",
-                span="vector.step", error="",
-            )
-            row = table.read_row(2)
-            assert (row.shard, row.state, row.sessions_done) == (2, "running", 42)
-            assert row.day_sessions == 10 and row.day_total == 20
-            assert row.phase == "run_batch" and row.span == "vector.step"
-            assert not row.flagged
-
-            # ETA: 10 of 20 sessions in 1s -> 1s remaining
-            assert row.eta_s(now=101.0) == pytest.approx(1.0, rel=1e-6)
-
-            status = table.status()
-            assert [s.shard for s in status.shards] == [2]
-            assert status.sessions_done == 42
-            payload = status.as_payload()
-            assert payload["kind"] == "live-status"
-            assert payload["totals"]["sessions_done"] == 42
-            json.dumps(payload)  # payloads must be JSON-serialisable
+            threads = [threading.Thread(target=shard_days, args=(shard,))
+                       for shard in range(shards)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
         finally:
-            table.close()
+            sys.setswitchinterval(switch)
+            run.close()
+        rows = run.status().shards
+        assert [(r.shard, r.shards_done, r.sessions_done, r.segments_done)
+                for r in rows] == [(i, days, 5 * days, 50 * days) for i in range(shards)]
+        payload = monitor.snapshot(status)
+        assert payload["state"] == "done"
+        assert payload["totals"]["sessions_done"] == shards * days * 5
+        assert payload["totals"]["shards_done"] == shards * days
 
-    def test_attach_validates_and_long_strings_truncate(self):
-        table = ProgressTable.create(2, interval=0.1, run_id="x" * 200)
-        try:
-            assert len(table.read_header()["run_id"]) == 63  # 64-byte field
-            attached = ProgressTable.attach(table.name)
-            try:
-                assert attached.rows == 2
-                assert attached.read_header()["run_id"] == table.read_header()["run_id"]
-            finally:
-                attached.close()
-            table.write_row(
-                0, state=STATE_RUNNING, pid=1, shard=0, day=0, shards_done=0,
-                sessions_done=0, day_sessions=0, day_total=-1, segments_done=0,
-                rss_bytes=0, started_at=0.0, updated_at=0.0,
-                phase="p" * 100, span="s" * 100, error="e" * 500,
-            )
-            row = table.read_row(0)
-            assert row.phase == "p" * 47
-            assert row.span == "s" * 63
-            assert row.error == "e" * 159
-        finally:
-            table.close()
+    def test_eta_extrapolates_day_progress(self):
+        run = LiveRun(interval=0.01, run_id="eta", watchdog=False)
+        run.apply_beat(0, _beat(updated_at=101.0, started_at=100.0))
+        # ETA: 4 of 10 sessions in 1s -> 1.5s remaining
+        assert _row(run, 0).eta_s(now=101.0) == pytest.approx(1.5, rel=1e-6)
 
-    def test_attach_rejects_foreign_segment(self):
-        from multiprocessing import shared_memory
+    def test_shard_index_past_64_is_reported(self, tmp_path):
+        status = tmp_path / "status.json"
+        with live_run(status, run_id="wide", interval=0.05, watchdog=False) as run:
+            run.begin_fleet_run(run_id="wide", num_shards=71, day=0)
+            publisher = HeartbeatPublisher(run.apply_beat, interval=0.05)
+            publisher.begin_shard(70, day=0)
+            publisher.finish_shard(5, 50)
+            summary = run.summary()
+        assert [s["shard"] for s in summary["shards"]] == [70]
+        assert summary["sessions_done"] == 5
+        payload = monitor.snapshot(status)
+        assert [s["shard"] for s in payload["shards"]] == [70]
+        assert payload["totals"]["sessions_done"] == 5
 
-        shm = shared_memory.SharedMemory(create=True, size=1024)  # contract: SHM-005 exempt(test-local segment; unlinked in the finally below)
-        try:
-            with pytest.raises(ValueError, match="not a repro live progress table"):
-                ProgressTable.attach(shm.name)
-        finally:
-            shm.close()
-            shm.unlink()
 
-    def test_publisher_row_lifecycle(self):
-        table = ProgressTable.create(2, interval=0.01, run_id="pub")
-        try:
-            publisher = HeartbeatPublisher(table, interval=0.01)
-            publisher.begin_shard(1, day=0)
-            publisher.set_total(8)
-            publisher.add_sessions(3, 30)
-            time.sleep(0.02)
-            publisher.maybe_publish()
-            row = table.read_row(1)
-            assert row.state == "running"
-            assert (row.day_sessions, row.day_total, row.segments_done) == (3, 8, 30)
-            publisher.finish_shard(8, 80)
-            row = table.read_row(1)
-            assert row.state == "done" and row.shards_done == 1
-            assert (row.sessions_done, row.segments_done) == (8, 80)
-
-            # day 2 on the same row: cumulative counters carry over
-            publisher.begin_shard(1, day=1)
-            publisher.finish_shard(2, 20)
-            row = table.read_row(1)
-            assert (row.sessions_done, row.segments_done, row.shards_done) == (10, 100, 2)
-
-            publisher.begin_shard(99, day=0)  # out of range: silently off
-            publisher.add_sessions(1)
-            publisher.finish_shard()
-        finally:
-            table.close()
+def _beat(*, updated_at, started_at=None, state=STATE_RUNNING, error=""):
+    return {
+        "state": state, "pid": os.getpid(), "day": 0, "day_sessions": 4,
+        "day_total": 10, "day_segments": 40, "rss_bytes": 0,
+        "started_at": updated_at - 1.0 if started_at is None else started_at,
+        "updated_at": updated_at, "phase": "run_batch", "span": "",
+        "error": error,
+    }
 
 
 class TestWatchdog:
-    def _running_row(self, table, shard, updated_at):
-        table.write_row(
-            shard, state=STATE_RUNNING, pid=os.getpid(), shard=shard, day=0,
-            shards_done=0, sessions_done=0, day_sessions=4, day_total=10,
-            segments_done=40, rss_bytes=0, started_at=updated_at - 1.0,
-            updated_at=updated_at, phase="run_batch", span="", error="",
-        )
+    def _running_row(self, run, shard, updated_at):
+        run.apply_beat(shard, _beat(updated_at=updated_at))
 
     def test_flags_after_k_frozen_intervals_and_stays_sticky(self):
-        run = LiveRun(rows=4, interval=0.01, stall_intervals=3,
+        run = LiveRun(interval=0.01, stall_intervals=3,
                       run_id="wd", watchdog=False)
         try:
-            self._running_row(run.table, 0, updated_at=1000.0)
+            self._running_row(run, 0, updated_at=1000.0)
             assert run.watchdog_tick() == []  # records the baseline key
             assert run.watchdog_tick() == []  # stalls=1
             assert run.watchdog_tick() == []  # stalls=2
             assert run.watchdog_tick() == [0]  # stalls=3 == stall_intervals
             assert run.watchdog_tick() == []  # already flagged, not re-reported
-            row = run.table.read_row(0)
+            row = _row(run, 0)
             assert row.flagged and row.stalled_intervals >= 3
             stragglers = run.stragglers()
             assert [s["shard"] for s in stragglers] == [0]
@@ -216,34 +232,33 @@ class TestWatchdog:
             assert run.summary()["stragglers"] == stragglers
 
             # progress resumes: the stall counter resets, the flag is sticky
-            self._running_row(run.table, 0, updated_at=1001.0)
+            self._running_row(run, 0, updated_at=1001.0)
             run.watchdog_tick()
-            row = run.table.read_row(0)
+            row = _row(run, 0)
             assert row.flagged and row.stalled_intervals == 0
         finally:
             run.close()
 
     def test_progressing_row_never_flags(self):
-        run = LiveRun(rows=2, interval=0.01, stall_intervals=2,
+        run = LiveRun(interval=0.01, stall_intervals=2,
                       run_id="wd2", watchdog=False)
         try:
             for i in range(8):
-                self._running_row(run.table, 0, updated_at=1000.0 + i)
+                self._running_row(run, 0, updated_at=1000.0 + i)
                 assert run.watchdog_tick() == []
-            assert not run.table.read_row(0).flagged
+            assert not _row(run, 0).flagged
         finally:
             run.close()
 
     def test_failed_row_error_surfaces_in_header(self):
-        run = LiveRun(rows=2, interval=0.01, stall_intervals=2,
+        run = LiveRun(interval=0.01, stall_intervals=2,
                       run_id="wd3", watchdog=False)
         try:
-            publisher = HeartbeatPublisher(run.table, interval=0.01)
+            publisher = HeartbeatPublisher(run.apply_beat, interval=0.01)
             publisher.begin_shard(1, day=0)
             publisher.fail_shard("ValueError: boom")
             run.watchdog_tick()
-            header = run.table.read_header()
-            assert header["last_error"] == "shard 1: ValueError: boom"
+            assert run.status().last_error == "shard 1: ValueError: boom"
         finally:
             run.close()
 
@@ -360,32 +375,44 @@ class TestStragglerInjection:
 
 
 class TestMonitor:
-    def test_snapshot_sources_and_terminal_fallbacks(self, population, library,
-                                                     tmp_path):
+    def test_snapshot_reads_the_status_file(self, tmp_path):
         status = tmp_path / "status.json"
         with live_run(status, run_id="snap", interval=0.05) as run:
             run.begin_fleet_run(run_id="snap", num_shards=2, day=0)
             payload = monitor.snapshot(status)
-            assert payload["source"] == "shared-memory"
             assert payload["state"] == "running"
-        # after close: shared memory is gone, the embedded final payload serves
-        payload = monitor.snapshot(status)
-        assert payload["source"] == "status-file"
-        assert payload["state"] == "done"
-        assert payload["stragglers_detail"] == []
-
-        # a status file with neither live table nor final snapshot still renders
-        doc = json.loads(status.read_text())
-        del doc["final"]
-        status.write_text(json.dumps(doc))
+            assert payload["num_shards"] == 2
+        # after close the last write is the post-mortem view
         payload = monitor.snapshot(status)
         assert payload["state"] == "done"
-        assert payload["shards"] == []
+        assert payload["shards"] == [] and payload["stragglers"] == []
+        assert "shm_name" not in payload
 
         with pytest.raises(ValueError, match="not a repro live status"):
             bogus = tmp_path / "bogus.json"
             bogus.write_text("{}")
             monitor.load_status_file(bogus)
+
+    def test_killed_run_reads_as_vanished(self, tmp_path, capsys):
+        """A run killed before its close leaves ``running`` in the file; once
+        its process is gone the monitor reports ``vanished`` and returns."""
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: the pid no longer exists
+        status = tmp_path / "status.json"
+        LiveRun(status, run_id="killed", watchdog=False)
+        doc = json.loads(status.read_text())
+        assert doc["state"] == "running"
+        doc["pid"] = child.pid
+        status.write_text(json.dumps(doc))
+
+        assert monitor.snapshot(status)["state"] == "vanished"
+        assert monitor.main([str(status), "--interval", "0.01"]) == 0
+        assert "[vanished]" in capsys.readouterr().out
+        assert monitor.main([str(status), "--json", "--samples", "3",
+                             "--interval", "0.01"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+        assert len(lines) == 1
+        assert json.loads(lines[0])["state"] == "vanished"
 
     def test_main_json_mode(self, population, library, tmp_path, capsys):
         status = tmp_path / "status.json"
@@ -441,11 +468,11 @@ class TestLiveRunLifecycle:
 
         with live_run(tmp_path / "s.json", run_id="x", interval=0.05) as run:
             assert obs_live.active_run() is run
-            name = run.table.name
+            assert obs_live._PUBLISHER is not None
         assert obs_live.active_run() is None
-        # SHM-005: the owning LiveRun unlinks its progress table.
-        assert not os.path.exists("/dev/shm/" + name.lstrip("/"))
+        assert obs_live._PUBLISHER is None
         run.close()  # second close: no-op
+        assert monitor.snapshot(tmp_path / "s.json")["state"] == "done"
 
     def test_campaign_header_fields(self, tmp_path):
         status = tmp_path / "status.json"

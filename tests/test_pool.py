@@ -19,6 +19,9 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import deque
+from multiprocessing import Pipe
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,6 +47,8 @@ from repro.fleet.orchestrator import HybFleetFactory, LingXiFleetFactory, ShardT
 from repro.fleet.pool import _SHARED_POOLS, CacheRef, _resolve_refs
 from repro.fleet.scenarios import get_scenario
 from repro.net.topology import CacheModel, EdgeLink, NetworkTopology, get_topology
+from repro.obs import monitor
+from repro.obs.live import HeartbeatPublisher, LiveRun, live_run
 from repro.obs.telemetry_reader import iter_events, read_run_summary, replay_log_collection
 from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
@@ -398,11 +403,8 @@ class TestPoolLifecycle:
 
     def test_clean_shutdown_emits_no_resource_tracker_warnings(self, tmp_path):
         """End-to-end in a subprocess: run pooled fleets, then two pooled
-        days under a live progress table created after the pool forked, shut
-        down, and require stderr free of resource_tracker leak chatter at
-        exit.  The workers attach the table by name; they must register it
-        with the parent's resource tracker (``WorkerPool`` starts it before
-        forking), or a tracker of their own unlinks it a second time."""
+        days under a live run opened after the pool forked, shut down, and
+        require stderr free of resource_tracker leak chatter at exit."""
         script = textwrap.dedent(
             f"""
             from dataclasses import replace
@@ -421,7 +423,7 @@ class TestPoolLifecycle:
             for _ in range(2):
                 FleetOrchestrator(config).run(population, library)
             shutdown_shared_pools()
-            with WorkerPool(2) as pool:  # forked before the live table exists
+            with WorkerPool(2) as pool:  # forked before the live run exists
                 with live_run({str(tmp_path / "status.json")!r}, run_id="days",
                               interval=0.05):
                     for day in range(2):
@@ -456,10 +458,11 @@ class TestPoolLifecycle:
     def test_pooled_run_creates_no_shared_memory(
         self, population, library, tmp_path, monkeypatch
     ):
-        """Results and telemetry come back over the worker pipes only: with
-        ``SharedMemory(create=True)`` refused in the parent and (patched
-        before the fork) in every worker, a pooled telemetry day still runs,
-        equals the inline day and leaves no segment in /dev/shm."""
+        """Results, telemetry and heartbeats come back over the worker pipes
+        only: with ``SharedMemory(create=True)`` refused in the parent and
+        (patched before the fork) in every worker, a pooled telemetry day
+        under a live run still runs, the monitor counts every session, the
+        day equals the inline day and leaves no segment in /dev/shm."""
         from multiprocessing import shared_memory
 
         real = shared_memory.SharedMemory
@@ -471,14 +474,61 @@ class TestPoolLifecycle:
 
         before = _shm_segments("psm_", "rpool_")
         monkeypatch.setattr(shared_memory, "SharedMemory", refuse_create)
+        status = tmp_path / "status.json"
         with WorkerPool(2) as pool:
-            pooled = _run_fleet(population, library, shards=4, workers=2,
-                                pool=pool, telemetry=tmp_path / "pooled.jsonl")
+            with live_run(status, run_id="no-shm", interval=0.05):
+                pooled = _run_fleet(population, library, shards=4, workers=2,
+                                    pool=pool, telemetry=tmp_path / "pooled.jsonl")
         monkeypatch.undo()
         assert not _shm_segments("psm_", "rpool_") - before
+        payload = monitor.snapshot(status)
+        assert payload["state"] == "done"
+        assert payload["totals"]["sessions_done"] == len(pooled.logs)
+        assert payload["totals"]["shards_done"] == len(pooled.shard_outputs)
         inline = _run_fleet(population, library, shards=4, workers=0,
                             telemetry=tmp_path / "inline.jsonl")
         assert _fingerprint(pooled) == _fingerprint(inline)
+
+    def test_beats_before_result_and_error_leave_drain_unchanged(self):
+        """Heartbeats interleaved ahead of a ``"result"`` and of an
+        ``"error"`` are folded into the live run and change neither the
+        drained outputs nor the failures."""
+
+        def drain(live):
+            pool = WorkerPool.__new__(WorkerPool)  # no workers: scripted pipes
+            pool._processes = []
+            ends = [Pipe(duplex=True) for _ in range(2)]
+            for worker, (_, child) in enumerate(ends):
+                if live is not None:
+                    publisher = HeartbeatPublisher(
+                        lambda shard, beat, child=child: child.send(("beat", shard, beat)),
+                        interval=60.0,
+                    )
+                    publisher.begin_shard(worker, day=0)
+                    publisher.add_sessions(2, 20)
+                    if worker == 0:
+                        publisher.finish_shard(3, 30)
+                    else:
+                        publisher.fail_shard("ValueError: boom")
+            _, result_end = ends[0]
+            result_end.send(("result", True, 0.5))
+            result_end.send_bytes(pickle.dumps(SimpleNamespace(shard_index=0, sessions=3)))
+            result_end.send_bytes(b"telemetry")
+            ends[1][1].send(("error", 1, "Traceback: boom"))
+            busy = {parent: worker for worker, (parent, _) in enumerate(ends)}
+            return pool._drain([deque(), deque()], busy, live)
+
+        plain_outputs, plain_failures = drain(None)
+        live = LiveRun(run_id="drain", watchdog=False)
+        outputs, failures = drain(live)
+        assert outputs == plain_outputs
+        assert outputs == [SimpleNamespace(shard_index=0, sessions=3,
+                                           telemetry_blob=b"telemetry")]
+        assert failures == plain_failures == [(1, "Traceback: boom")]
+        rows = {row.shard: row for row in live.status().shards}
+        assert (rows[0].state, rows[0].sessions_done, rows[0].shards_done) == ("done", 3, 1)
+        assert (rows[1].state, rows[1].sessions_done, rows[1].error) == (
+            "failed", 2, "ValueError: boom")
 
     def test_failed_drain_closes_the_pool(self, population, library, monkeypatch):
         """A result the parent cannot drain leaves its frames and other
