@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.sim.session import ABRContext
+from repro.sim.vector import row_prefixes
 
 
 class BBA(ABRAlgorithm):
@@ -52,13 +53,15 @@ class BBA(ABRAlgorithm):
         """
         reservoir = np.asarray([p.reservoir_s for p in policies], dtype=float)
         cushion = np.asarray([p.cushion_s for p in policies], dtype=float)
+        prefix = row_prefixes(reservoir, cushion)
 
         def kernel(context) -> np.ndarray:
             num_levels = context.bitrates.size
             buffer = context.buffer
-            fraction = (buffer - reservoir) / cushion
+            low, span = prefix(buffer.size)
+            fraction = (buffer - low) / span
             levels = np.clip((fraction * num_levels).astype(int), 0, num_levels - 1)
-            levels = np.where(buffer <= reservoir, 0, levels)
-            return np.where(buffer >= reservoir + cushion, num_levels - 1, levels)
+            levels = np.where(buffer <= low, 0, levels)
+            return np.where(buffer >= low + span, num_levels - 1, levels)
 
         return kernel

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.sim.session import ABRContext
+from repro.sim.vector import row_prefixes
 
 
 class BOLA(ABRAlgorithm):
@@ -67,17 +68,20 @@ class BOLA(ABRAlgorithm):
             [p.buffer_target_fraction for p in policies], dtype=float
         )
 
+        prefix = row_prefixes(gamma_p, target_fraction)
+
         def kernel(context) -> np.ndarray:
             sizes = context.segment_sizes  # (N, L)
+            gamma, fraction = prefix(sizes.shape[0])
             utilities = np.log(sizes / sizes[:, :1])
-            buffer_target = target_fraction * context.buffer_cap
+            buffer_target = fraction * context.buffer_cap
             v = np.maximum(
                 (buffer_target - context.segment_duration)
-                / (utilities[:, -1] + gamma_p),
+                / (utilities[:, -1] + gamma),
                 1e-6,
             )
             scores = (
-                v[:, None] * (utilities + gamma_p[:, None]) - context.buffer[:, None]
+                v[:, None] * (utilities + gamma[:, None]) - context.buffer[:, None]
             ) / sizes
             best = np.argmax(scores, axis=1)
             return np.where(scores[np.arange(best.size), best] < 0, 0, best)

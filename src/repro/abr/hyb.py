@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.sim.session import ABRContext
+from repro.sim.vector import row_prefixes
 
 
 class HYB(ABRAlgorithm):
@@ -58,18 +59,29 @@ class HYB(ABRAlgorithm):
         startup level before any throughput has been observed.  ``beta`` is
         read from each policy's live :class:`~repro.abr.base.QoEParameters`
         at every call, so runtime objective adjustments (LingXi) take effect
-        mid-batch exactly as they would in the scalar loop.
+        mid-batch exactly as they would in the scalar loop; it is read once
+        per distinct policy object (a user's sessions share one HYB) and
+        indexed back to the rows.
         """
         window = np.asarray([p.throughput_window for p in policies], dtype=int)
         startup = np.asarray([p.startup_level for p in policies], dtype=int)
+        position: dict[int, int] = {}
+        distinct: list[HYB] = []
+        for p in policies:
+            if id(p) not in position:
+                position[id(p)] = len(distinct)
+                distinct.append(p)
+        owner = np.asarray([position[id(p)] for p in policies], dtype=int)
+        prefix = row_prefixes(startup, window, owner)
 
         def kernel(context) -> np.ndarray:
             num_levels = context.bitrates.size
+            row_startup, row_window, row_owner = prefix(context.buffer.size)
             if context.k == 0:
-                return np.minimum(startup, num_levels - 1)
-            beta = np.asarray([p.parameters.beta for p in policies], dtype=float)
-            throughput = context.harmonic_throughput(window)
-            budget = beta * np.maximum(context.buffer, 0.0)
+                return np.minimum(row_startup, num_levels - 1)
+            betas = np.asarray([p.parameters.beta for p in distinct], dtype=float)
+            throughput = context.harmonic_throughput(row_window)
+            budget = betas[row_owner] * np.maximum(context.buffer, 0.0)
             download_times = context.segment_sizes / np.maximum(throughput, 1e-9)[:, None]
             feasible = download_times < budget[:, None]
             highest = num_levels - 1 - feasible[:, ::-1].argmax(axis=1)

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.sim.session import ABRContext
+from repro.sim.vector import row_prefixes
 
 
 class RobustMPC(ABRAlgorithm):
@@ -119,46 +120,56 @@ class RobustMPC(ABRAlgorithm):
         """
         horizons = np.asarray([p.horizon for p in policies], dtype=int)
         windows = np.asarray([p.throughput_window for p in policies], dtype=int)
-        num_rows = len(policies)
-        max_window = int(windows.max()) if num_rows else 0
-        # Rolling per-row error history: one (N,) column appended per step
-        # from k=2 on, trimmed to the longest policy window.
+        max_window = int(windows.max()) if policies else 0
+        # Rolling per-row error history: one column appended per step from
+        # k=2 on, trimmed to the longest policy window.  A context of the
+        # first m rows appends an (m,) column; m never grows, so every
+        # stored column covers the current rows.
         error_columns: list[np.ndarray] = []
-        last_prediction = np.full(num_rows, np.nan)
+        last_prediction = np.full(len(policies), np.nan)
+        prefix = row_prefixes(horizons, windows, last_prediction)
 
         def kernel(context) -> np.ndarray:
+            num_rows = context.buffer.size
             if context.k == 0:
                 return np.zeros(num_rows, dtype=int)
+            row_horizons, row_windows, predicted = prefix(num_rows)
             # --- _robust_throughput, batched ---------------------------------
             # Every row records its first error at the same step (the first
             # call with a previous prediction, k == 2), so the shared column
             # list is uniform: row i's scalar ``_past_errors`` is exactly the
             # last ``min(window_i, len(error_columns))`` column entries.
             actual = context.throughput_window[:, -1]
-            if num_rows and not np.isnan(last_prediction[0]):
-                error = np.abs(last_prediction - actual) / np.maximum(actual, 1e-9)
+            if num_rows and not np.isnan(predicted[0]):
+                error = np.abs(predicted - actual) / np.maximum(actual, 1e-9)
                 error_columns.append(error)
                 if len(error_columns) > max_window:
                     del error_columns[: len(error_columns) - max_window]
-            estimate = context.harmonic_throughput(windows)
+            estimate = context.harmonic_throughput(row_windows)
             max_error = np.zeros(num_rows)
             if error_columns:
-                stacked = np.stack(error_columns, axis=1)  # (N, history)
+                stacked = np.stack(
+                    [column[:num_rows] for column in error_columns], axis=1
+                )  # (m, history)
                 history = stacked.shape[1]
-                for window in np.unique(windows):
-                    rows = windows == window
+                for window in np.unique(row_windows):
+                    rows = row_windows == window
                     effective = min(int(window), history)
                     max_error[rows] = stacked[rows][:, history - effective :].max(
                         axis=1
                     )
             robust = estimate / (1.0 + max_error)
-            last_prediction[:] = estimate
+            predicted[:] = estimate
             throughput = np.maximum(robust, 1e-6)
 
             # --- horizon enumeration as a prefix tree ------------------------
             qualities = context.bitrates / 1000.0  # == ladder.qualities()
-            mu = np.asarray([p.parameters.stall_penalty for p in policies])
-            switch = np.asarray([p.parameters.switch_penalty for p in policies])
+            mu = np.asarray(
+                [p.parameters.stall_penalty for p in policies[:num_rows]]
+            )
+            switch = np.asarray(
+                [p.parameters.switch_penalty for p in policies[:num_rows]]
+            )
             sizes = context.segment_sizes  # (N, L)
             num_levels = qualities.size
             download = sizes / throughput[:, None]  # (N, L)
@@ -169,8 +180,8 @@ class RobustMPC(ABRAlgorithm):
             )
 
             result = np.zeros(num_rows, dtype=int)
-            for horizon in np.unique(horizons):
-                rows = np.flatnonzero(horizons == horizon)
+            for horizon in np.unique(row_horizons):
+                rows = np.flatnonzero(row_horizons == horizon)
                 buffer = context.buffer[rows][None, :]  # (P, n)
                 previous_quality = last_quality[rows][None, :]
                 score = np.zeros((1, rows.size))

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.sim.session import ABRContext
+from repro.sim.vector import row_prefixes
 
 
 class ThroughputRule(ABRAlgorithm):
@@ -63,15 +64,19 @@ class ThroughputRule(ABRAlgorithm):
         window = np.asarray([p.window for p in policies], dtype=int)
         gradual = np.asarray([p.gradual for p in policies], dtype=bool)
 
+        prefix = row_prefixes(safety, window, gradual)
+
         def kernel(context) -> np.ndarray:
+            rows = context.buffer.size
             if context.k == 0:
-                return np.zeros(safety.size, dtype=int)
-            estimate = safety * context.harmonic_throughput(window)
+                return np.zeros(rows, dtype=int)
+            row_safety, row_window, row_gradual = prefix(rows)
+            estimate = row_safety * context.harmonic_throughput(row_window)
             target = np.maximum(
                 np.searchsorted(context.bitrates, estimate, side="right") - 1, 0
             )
             stepped = context.last_level + np.sign(target - context.last_level)
             # No previous level (-1): the scalar rule jumps to the target.
-            return np.where(gradual & (context.last_level >= 0), stepped, target)
+            return np.where(row_gradual & (context.last_level >= 0), stepped, target)
 
         return kernel

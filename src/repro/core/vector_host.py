@@ -42,6 +42,7 @@ from repro.core.controller import run_activations
 from repro.core.state import PlayerSnapshot
 from repro.datasets.stall_dataset import WINDOW_LENGTH
 from repro.sim.bandwidth import BandwidthModel
+from repro.sim.vector import row_prefixes
 
 
 class VectorControllerHost:
@@ -84,8 +85,9 @@ class VectorControllerHost:
         self.cumulative_cols: list[np.ndarray] = []
         self.since_stall_cols: list[np.ndarray] = []
         # --- long-term layer (seeded from each controller's restored state) --
+        # float arrays: ``observe_step`` writes their rows in place.
         self.since_stall_exit = np.asarray(
-            [c.user_state.segments_since_stall_exit for c in controllers]
+            [c.user_state.segments_since_stall_exit for c in controllers], dtype=float
         )
         self.lifetime_stall_events = np.asarray(
             [c.user_state.lifetime_stall_events for c in controllers], dtype=int
@@ -97,10 +99,26 @@ class VectorControllerHost:
             [c.user_state.lifetime_segments for c in controllers], dtype=int
         )
         self.stall_exit_time_sum = np.asarray(
-            [c.user_state.stall_exit_time_sum for c in controllers]
+            [c.user_state.stall_exit_time_sum for c in controllers], dtype=float
         )
         self.max_survived_stall_time = np.asarray(
-            [c.user_state.max_survived_stall_time for c in controllers]
+            [c.user_state.max_survived_stall_time for c in controllers], dtype=float
+        )
+        # Views of the first m rows of the state :meth:`observe_step` updates.
+        self.prefix = row_prefixes(
+            self.session_stall_count,
+            self.session_stall_time,
+            self.since_stall,
+            self.session_watch_time,
+            self.lifetime_segments,
+            self.lifetime_stall_events,
+            self.since_stall_exit,
+            self.lifetime_stall_exits,
+            self.stall_exit_time_sum,
+            self.max_survived_stall_time,
+            self.stalls_since,
+            self.count,
+            self.thresholds,
         )
 
     def observe_step(
@@ -118,56 +136,68 @@ class VectorControllerHost:
         Mirrors :meth:`repro.core.controller.LingXiABR.observe` — bandwidth
         window, ``UserState.observe_segment`` (same float operation order),
         trigger counter — as whole-cohort array updates, then batches all
-        triggered sessions' optimizations.
+        triggered sessions' optimizations.  The arguments may cover only the
+        first ``m`` rows (the cohort's live prefix): then only those rows'
+        state is updated, and this step's history columns hold ``m`` entries
+        (a row's columns all cover it, since ``m`` never grows).
         """
+        (
+            session_stall_count,
+            session_stall_time,
+            since_stall,
+            session_watch_time,
+            lifetime_segments,
+            lifetime_stall_events,
+            since_stall_exit,
+            lifetime_stall_exits,
+            stall_exit_time_sum,
+            max_survived_stall_time,
+            stalls_since,
+            count,
+            thresholds,
+        ) = self.prefix(active.size)
         # ``UserState.observe_segment`` distinguishes stall > 0 (user-state
         # bookkeeping) from the trigger counter's stall > 1e-12.
         stalled = active & (stall > 0.0)
         exited = active & exits
         survived = active & ~exits
 
-        self.session_stall_count += stalled
-        self.session_stall_time = np.where(
-            stalled, self.session_stall_time + stall, self.session_stall_time
+        session_stall_count += stalled
+        session_stall_time[:] = np.where(
+            stalled, session_stall_time + stall, session_stall_time
         )
-        self.since_stall = np.where(
+        since_stall[:] = np.where(
             active,
-            np.where(stalled, 0.0, self.since_stall + 1.0),
-            self.since_stall,
+            np.where(stalled, 0.0, since_stall + 1.0),
+            since_stall,
         )
-        self.session_watch_time = np.where(
-            active,
-            self.session_watch_time + self.segment_duration,
-            self.session_watch_time,
+        session_watch_time[:] = np.where(
+            active, session_watch_time + self.segment_duration, session_watch_time
         )
-        self.lifetime_segments += active
-        self.lifetime_stall_events += stalled
-        self.since_stall_exit = np.where(
-            active, self.since_stall_exit + 1.0, self.since_stall_exit
-        )
+        lifetime_segments += active
+        lifetime_stall_events += stalled
+        since_stall_exit[:] = np.where(active, since_stall_exit + 1.0, since_stall_exit)
         stall_exit = exited & stalled
-        self.lifetime_stall_exits += stall_exit
-        self.stall_exit_time_sum = np.where(
-            stall_exit,
-            self.stall_exit_time_sum + self.session_stall_time,
-            self.stall_exit_time_sum,
+        lifetime_stall_exits += stall_exit
+        stall_exit_time_sum[:] = np.where(
+            stall_exit, stall_exit_time_sum + session_stall_time, stall_exit_time_sum
         )
-        self.since_stall_exit = np.where(stall_exit, 0.0, self.since_stall_exit)
-        self.max_survived_stall_time = np.where(
+        since_stall_exit[:] = np.where(stall_exit, 0.0, since_stall_exit)
+        max_survived_stall_time[:] = np.where(
             survived,
-            np.maximum(self.max_survived_stall_time, self.session_stall_time),
-            self.max_survived_stall_time,
+            np.maximum(max_survived_stall_time, session_stall_time),
+            max_survived_stall_time,
         )
-        self.stalls_since += active & (stall > 1e-12)
-        self.count += active
+        stalls_since += active & (stall > 1e-12)
+        count += active
 
         self.bitrate_cols.append(bitrates[levels])
         self.throughput_cols.append(np.array(throughput))
         self.stall_cols.append(np.array(stall))
-        self.cumulative_cols.append(np.array(self.session_stall_time))
-        self.since_stall_cols.append(np.array(self.since_stall))
+        self.cumulative_cols.append(session_stall_time.copy())
+        self.since_stall_cols.append(since_stall.copy())
 
-        candidates = active & (self.stalls_since > self.thresholds)
+        candidates = active & (stalls_since > thresholds)
         if not candidates.any():
             return
         triggered: list[int] = []

@@ -156,12 +156,23 @@ class CacheModel:
         )
 
     def miss_profile(self, user_id: str, num_segments: int) -> np.ndarray:
-        """Boolean miss mask for a user's first ``num_segments`` segments."""
-        return np.fromiter(
-            (self.is_miss(user_id, k) for k in range(num_segments)),
-            dtype=bool,
-            count=num_segments,
-        )
+        """Boolean miss mask for a user's first ``num_segments`` segments.
+
+        The draws of :meth:`is_miss`, with the digest state of the common
+        ``"{salt}:{user_id}:"`` prefix computed once per user, and the
+        fraction read from the digest's first 4 bytes (the value of its
+        first 8 hex digits).
+        """
+        prefix = hashlib.md5(f"{self.salt}:{user_id}:".encode(), usedforsecurity=False)
+
+        def draws():
+            for k in range(num_segments):
+                digest = prefix.copy()
+                digest.update(str(k).encode())
+                fraction = int.from_bytes(digest.digest()[:4], "big") / float(0x100000000)
+                yield fraction >= self.hit_ratio
+
+        return np.fromiter(draws(), dtype=bool, count=num_segments)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ Two roles are covered here:
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -128,7 +130,9 @@ class BandwidthTrace:
     def __post_init__(self) -> None:
         if not self.values_kbps:
             raise ValueError("a trace needs at least one sample")
-        if any(v <= 0 for v in self.values_kbps):
+        # ``0.0 < v`` is False for NaN as well as for v <= 0; ``operator.lt``
+        # falls back to the sample's own comparison for non-float numbers.
+        if not all(map(operator.lt, itertools.repeat(0.0), self.values_kbps)):
             raise ValueError("bandwidth samples must be positive")
 
     def __len__(self) -> int:
@@ -171,7 +175,7 @@ class StationaryTraceGenerator:
         """Generate a trace of ``length`` samples."""
         values = rng.normal(self.mean_kbps, self.std_kbps, size=length)
         values = np.maximum(values, _MIN_BANDWIDTH_KBPS)
-        return BandwidthTrace(tuple(float(v) for v in values), name=name or f"stationary_{self.mean_kbps:.0f}")
+        return BandwidthTrace(tuple(values.tolist()), name=name or f"stationary_{self.mean_kbps:.0f}")
 
 
 class MarkovTraceGenerator:
@@ -210,7 +214,7 @@ class MarkovTraceGenerator:
                 values[i] = rng.normal(self.bad_mean_kbps, self.bad_std_kbps)
                 good = rng.random() < self.p_bad_to_good
         values = np.maximum(values, _MIN_BANDWIDTH_KBPS)
-        return BandwidthTrace(tuple(float(v) for v in values), name=name or "markov")
+        return BandwidthTrace(tuple(values.tolist()), name=name or "markov")
 
 
 class LowBandwidthTraceGenerator:
@@ -231,7 +235,7 @@ class LowBandwidthTraceGenerator:
         fades = rng.random(length) < self.dropout_prob
         values[fades] *= 0.2
         values = np.maximum(values, _MIN_BANDWIDTH_KBPS)
-        return BandwidthTrace(tuple(float(v) for v in values), name=name or "low_bandwidth")
+        return BandwidthTrace(tuple(values.tolist()), name=name or "low_bandwidth")
 
 
 class MixedTraceGenerator:

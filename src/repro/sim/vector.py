@@ -44,6 +44,8 @@ the backend counts them (``last_fallback_sessions`` /
 ``total_fallback_sessions``) so fleets can assert they stayed on the fast
 path.  In networked mode the same split is cohort-level: lockstep cohorts
 and event-ordered reference sessions share one ``allocate_step`` per slot.
+Either way a cohort steps only its live prefix, the rows whose video still
+has the current segment (:class:`_Cohort`).
 """
 
 from __future__ import annotations
@@ -83,6 +85,12 @@ class VectorStepContext:
     The vector twin of :class:`~repro.sim.session.ABRContext`: same
     quantities, arrays instead of scalars.  ``last_level`` uses ``-1`` where
     the scalar context would carry ``None`` (before the first segment).
+
+    A context may cover only the first ``m`` rows of the ``n`` a kernel was
+    built over (the cohort's live prefix, see :class:`_Cohort`): every array
+    then has ``m`` rows, and the kernel reads and updates only its first
+    ``m`` rows of per-row parameters and state and returns ``m`` levels.
+    Within a session ``m`` never grows.
     """
 
     k: int
@@ -130,6 +138,25 @@ class VectorStepContext:
                 values = self.throughput_window[rows][:, available - width :]
                 out[rows] = width / np.add.reduce(1.0 / values, axis=1)
         return out
+
+
+def row_prefixes(*columns: np.ndarray):
+    """``prefix(m)``: the tuple of each column's first ``m`` rows.
+
+    A vector kernel keeps per-row parameters and state for the ``n`` rows it
+    was built over and may be called with a context of only the first ``m``
+    (the cohort's live prefix).  ``m`` changes only when the prefix shrinks,
+    so the views of the last ``m`` are kept: most calls cost one comparison,
+    not a slice per column.
+    """
+    last = [-1, ()]
+
+    def prefix(m: int) -> tuple:
+        if m != last[0]:
+            last[:] = m, tuple(column[:m] for column in columns)
+        return last[1]
+
+    return prefix
 
 
 def has_vector_kernel(abr) -> bool:
@@ -197,7 +224,10 @@ class ExitStepView:
     The vector twin of :class:`~repro.sim.session.ExitObservation` (plus the
     ``active``/``stalled`` masks kernels need for masked scalar fallbacks).
     ``watch_time`` is a scalar: in lockstep every session is at the same
-    segment index.  ``previous_level`` uses ``-1`` for ``None``.
+    segment index.  ``previous_level`` uses ``-1`` for ``None``.  Like
+    :class:`VectorStepContext`, a view may cover only the first ``m`` rows of
+    the ``n`` an exit kernel was built over; the kernel then returns ``m``
+    probabilities from its first ``m`` rows of parameters.
     """
 
     k: int
@@ -223,12 +253,20 @@ class _Cohort:
     kernels and window reductions apply unchanged.  :meth:`step` is the
     vector engine's only per-segment rule; independent batches feed it the
     trace column, networked batches the shared allocator's answer.
+
+    Rows are sorted stably by descending segment limit ``max_seg``
+    (``indices`` maps them back to batch positions), so the rows whose video
+    still has local segment ``j`` form the *live prefix* ``[:live[j]]``.
+    :meth:`step` advances only that prefix, through views of the state
+    arrays: a row past its video's end is never stepped again, and the
+    kernels it calls read and update only their first ``m`` rows.  Rows that
+    exited early stay inside the prefix, masked by ``active``.
     """
 
     indices: np.ndarray  # batch positions of the cohort's sessions
     specs: list
     start: int
-    max_seg: np.ndarray
+    max_seg: np.ndarray  # per-row segment limit, non-increasing
     max_steps: int
     segment_duration: float
     bitrates: np.ndarray
@@ -261,6 +299,30 @@ class _Cohort:
         self.observed = np.zeros((n, self.max_steps))
         # The recorded segments: step j writes column j, never reads it.
         self.segments = np.zeros((n, self.max_steps), dtype=SEGMENT_DTYPE)
+        # live[j]: rows with max_seg > j, a prefix because max_seg descends.
+        self.live = np.searchsorted(
+            -self.max_seg, -np.arange(self.max_steps), side="left"
+        ).tolist()
+        # The state :meth:`step` updates in place, and the batch positions.
+        self.prefix = row_prefixes(
+            self.buffer,
+            self.last_level,
+            self.cumulative_stall,
+            self.stall_count,
+            self.steps_taken,
+            self.exited_early,
+            self.alive,
+            np.arange(n),
+            self.indices,
+        )
+
+    def active(self, j: int) -> np.ndarray:
+        """Alive mask over local step ``j``'s live prefix (a copy)."""
+        return self.alive[: self.live[j]].copy()
+
+    def positions(self, m: int) -> np.ndarray:
+        """Batch positions of the first ``m`` rows."""
+        return self.prefix(m)[-1]
 
     def step(  # contract: SIM-STEP-007
         self,
@@ -269,30 +331,43 @@ class _Cohort:
         allocated: np.ndarray,
         config: SessionConfig,
     ) -> None:
-        """Advance the cohort one local step at throughputs ``allocated``.
+        """Advance the live prefix one local step at throughputs ``allocated``.
 
-        Equation 3 as array math in the scalar player's operation order, then
-        the exit draw, then the controller host's ``observe`` step.  The
-        bandwidth-window statistics read from the cohort's *observed*
-        throughput history — exactly what the scalar player's
-        :class:`~repro.sim.bandwidth.BandwidthModel` accumulates.
+        ``active`` is :meth:`active` ``(j)`` and ``allocated`` holds one
+        throughput per prefix row.  Equation 3 as array math in the scalar
+        player's operation order, then the exit draw, then the controller
+        host's ``observe`` step.  The bandwidth-window statistics read from
+        the cohort's *observed* throughput history — exactly what the scalar
+        player's :class:`~repro.sim.bandwidth.BandwidthModel` accumulates.
         """
-        n = len(self.specs)
-        row_index = np.arange(n)
-        # Rows that are done or exited must stay finite through the shared
-        # array expressions; their values are never recorded.
+        m = active.size
+        obs.counter_add("vector.rows_stepped", m)
+        (
+            buffer,
+            last_level,
+            cumulative_stall,
+            stall_count,
+            steps_taken,
+            exited_early,
+            alive,
+            row_index,
+            _,
+        ) = self.prefix(m)
+        sizes = self.sizes[:m, j, :]
+        # Rows that exited must stay finite through the shared array
+        # expressions; their values are never recorded.
         alloc = np.where(active, allocated, 1.0)
 
-        window = self.observed[:, max(0, j - _WINDOW) : j]
+        window = self.observed[:m, max(0, j - _WINDOW) : j]
         mean, std = window_stats(window)
         buffer_cap = dynamic_buffer_cap(mean, std, base_cap=config.base_buffer_cap)
 
         context = VectorStepContext(
             k=j,
-            buffer=self.buffer,
+            buffer=buffer,
             buffer_cap=buffer_cap,
-            last_level=self.last_level,
-            segment_sizes=self.sizes[:, j, :],
+            last_level=last_level,
+            segment_sizes=sizes,
             throughput_window=window,
             bandwidth_mean=mean,
             bandwidth_std=std,
@@ -308,28 +383,26 @@ class _Cohort:
             )
         levels = np.where(active, levels, 0)
 
-        size = self.sizes[:, j, :][row_index, levels]
+        size = sizes[row_index, levels]
         download = size / alloc
         stall, overflow, buffer_after = playback_step(
-            self.buffer, download, buffer_cap, self.segment_duration, startup=j == 0
+            buffer, download, buffer_cap, self.segment_duration, startup=j == 0
         )
         wait = overflow + config.rtt
 
         stalled = stall > 1e-12
-        record = self.segments[:, j]
-        self.cumulative_stall = np.where(
-            active, self.cumulative_stall + stall, self.cumulative_stall
-        )
-        self.stall_count = self.stall_count + (active & stalled)
+        record = self.segments[:m, j]
+        np.add(cumulative_stall, stall, out=cumulative_stall, where=active)
+        stall_count += active & stalled
 
         if self.exit_kernel is not None:
             view = ExitStepView(
                 k=j,
                 level=levels,
-                previous_level=self.last_level,
+                previous_level=last_level,
                 stall_time=stall,
-                cumulative_stall_time=self.cumulative_stall,
-                stall_count=self.stall_count,
+                cumulative_stall_time=cumulative_stall,
+                stall_count=stall_count,
                 watch_time=(j + 1) * self.segment_duration,
                 buffer=buffer_after,
                 throughput=alloc,
@@ -343,21 +416,21 @@ class _Cohort:
                 active & ~((probabilities >= 0.0) & (probabilities <= 1.0))
             ):
                 raise ValueError("exit probability must be in [0, 1]")
-            exits = active & (self.uniforms[:, j] < probabilities)
+            exits = active & (self.uniforms[:m, j] < probabilities)
             record["exit_probability"] = probabilities
         else:
-            exits = np.zeros(n, dtype=bool)
+            exits = np.zeros(m, dtype=bool)
 
         record["level"] = levels
         record["size_kbit"] = size
         record["download_time"] = download
         record["stall_time"] = stall
         record["wait_time"] = wait
-        record["buffer_before"] = self.buffer
+        record["buffer_before"] = buffer
         record["buffer_after"] = buffer_after
-        record["cumulative_stall_time"] = self.cumulative_stall
-        record["stall_count"] = self.stall_count
-        self.observed[:, j] = alloc
+        record["cumulative_stall_time"] = cumulative_stall
+        record["stall_count"] = stall_count
+        self.observed[:m, j] = alloc
 
         if self.host is not None:
             # Same point in the segment lifecycle as the scalar engine's
@@ -373,11 +446,11 @@ class _Cohort:
                 bitrates=self.bitrates,
             )
 
-        self.steps_taken[active] = j + 1
-        self.exited_early |= exits
-        self.alive &= ~exits
-        self.buffer = np.where(active, buffer_after, self.buffer)
-        self.last_level = np.where(active, levels, self.last_level)
+        steps_taken[active] = j + 1
+        exited_early |= exits
+        alive &= ~exits
+        np.copyto(buffer, buffer_after, where=active)
+        np.copyto(last_level, levels, where=active)
 
     def traces(self) -> list[PlaybackTrace]:
         """Finalize the controller host; fill the columns :meth:`step` leaves
@@ -506,7 +579,8 @@ class VectorBackend(SimBackend):
         self._record_fallback(len(fallback), len(specs))
 
         for key, indices in sorted(groups.items(), key=lambda item: item[0][0]):  # contract: DET-ITER-003
-            for index, trace in zip(indices, self._run_group(indices, specs, config)):
+            cohort = self._run_group(indices, specs, config)
+            for index, trace in zip(cohort.indices.tolist(), cohort.traces()):
                 results[index] = trace
             obs_live.add_sessions(len(indices))
 
@@ -609,22 +683,21 @@ class VectorBackend(SimBackend):
             spec.abr.reset()
         return kernel, host
 
-    def _run_group(
-        self, indices: list[int], specs, config: SessionConfig
-    ) -> list[PlaybackTrace]:
-        """Advance one independent cohort, feeding its trace column to each step."""
+    def _run_group(self, indices: list[int], specs, config: SessionConfig) -> _Cohort:
+        """Advance one independent cohort, feeding its trace column to each
+        step; returns the finished cohort, whose rows are in its own order."""
         obs.counter_add("vector.cohorts")
         obs.observe("vector.cohort_sessions", len(indices))
         with obs.span("vector.run_group"):
             cohort = self._build_cohort(indices, specs, config)
             for k in range(cohort.max_steps):
-                active = cohort.alive & (k < cohort.max_seg)
+                active = cohort.active(k)
                 if not active.any():
                     break
                 obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
                 with obs.span("vector.step"):
-                    cohort.step(k, active, cohort.bandwidth[:, k], config)
-            return cohort.traces()
+                    cohort.step(k, active, cohort.bandwidth[: active.size, k], config)
+            return cohort
 
     def _run_networked(
         self, specs, config: SessionConfig, network, link_usage, scalar_indices=()
@@ -726,7 +799,7 @@ class VectorBackend(SimBackend):
             active_global[:] = False
             if tiered:
                 full_path[:] = False
-            stepping: list[tuple[_Cohort, int, np.ndarray]] = []
+            stepping: list[tuple[_Cohort, int, np.ndarray, np.ndarray]] = []
             runnable_any = False
             for group in groups:
                 j = k - group.start
@@ -738,16 +811,15 @@ class VectorBackend(SimBackend):
                     continue
                 if j >= group.max_steps:
                     continue
-                active = group.alive & (j < group.max_seg)
+                active = group.active(j)
                 if active.any():
                     runnable_any = True
-                    stepping.append((group, j, active))
-                    demand[group.indices] = np.where(
-                        active, group.bandwidth[:, j], 0.0
-                    )
-                    active_global[group.indices] = active
+                    rows = group.positions(active.size)
+                    stepping.append((group, j, active, rows))
+                    demand[rows] = np.where(active, group.bandwidth[: active.size, j], 0.0)
+                    active_global[rows] = active
                     if tiered:
-                        full_path[group.indices] = active & group.miss[:, j]
+                        full_path[rows] = active & group.miss[: active.size, j]
             live_stepping: list[int] = []
             for index in scalar_order:
                 if not live_alive[index] or k >= live_ends[index]:
@@ -774,8 +846,8 @@ class VectorBackend(SimBackend):
             )
             if stepping:
                 with obs.span("vector.step"):
-                    for group, j, active in stepping:
-                        group.step(j, active, allocations[group.indices], config)
+                    for group, j, active, rows in stepping:
+                        group.step(j, active, allocations[rows], config)
             if live_stepping:
                 with obs.span("networked.session_step"):
                     for index in live_stepping:
@@ -793,19 +865,20 @@ class VectorBackend(SimBackend):
     def _build_cohort(
         self, indices: list[int], specs, config: SessionConfig
     ) -> _Cohort:
-        """Inputs and fresh lockstep state for the specs at batch ``indices``."""
+        """Inputs and fresh lockstep state for the specs at batch ``indices``,
+        their rows sorted stably by descending segment limit (the order the
+        cohort's live prefix needs)."""
+        limits = [specs[i].video.num_segments for i in indices]
+        if config.max_segments is not None:
+            limits = [min(limit, config.max_segments) for limit in limits]
+        order = np.argsort(-np.asarray(limits), kind="stable")
+        indices = [indices[i] for i in order.tolist()]
+        max_seg = np.asarray(limits, dtype=int)[order]
         members = [specs[i] for i in indices]
         first_video = members[0].video
         bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
         n = len(members)
-
-        max_seg = np.empty(n, dtype=int)
-        for i, spec in enumerate(members):
-            limit = spec.video.num_segments
-            if config.max_segments is not None:
-                limit = min(limit, config.max_segments)
-            max_seg[i] = limit
-        max_steps = int(max_seg.max())
+        max_steps = int(max_seg[0])
 
         # Cyclic bandwidth rows and the (n, max_steps, L) segment-size tensor
         # (videos and traces repeat across sessions of the same user, so both

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sim.session import ExitObservation
+from repro.sim.vector import row_prefixes
 from repro.users.perception import StallSensitivityProfile
 
 #: Universal exit-rate offsets per quality tier (index = ladder level, lowest
@@ -79,10 +80,12 @@ class BaselineExitModel:
         base = np.asarray([m.base_hazard for m in models], dtype=float)
         floor = np.asarray([m.floor_hazard for m in models], dtype=float)
         decay_time = np.asarray([m.decay_time_s for m in models], dtype=float)
+        prefix = row_prefixes(base, floor, decay_time)
 
         def kernel(view) -> np.ndarray:
-            decay = np.exp(-view.watch_time / decay_time)
-            return floor + (base - floor) * decay
+            row_base, row_floor, row_decay_time = prefix(view.level.size)
+            decay = np.exp(-view.watch_time / row_decay_time)
+            return row_floor + (row_base - row_floor) * decay
 
         return kernel
 
@@ -161,20 +164,39 @@ class QoSAwareExitModel:
         offsets = np.zeros((len(models), int(num_offsets.max())))
         for row, model in enumerate(models):
             offsets[row, : len(model.quality_offsets)] = model.quality_offsets
-        rows_index = np.arange(len(models))
+        prefix = row_prefixes(
+            base,
+            floor,
+            decay_time,
+            switch_penalty,
+            downward_extra,
+            num_offsets,
+            offsets,
+            np.arange(len(models)),
+        )
 
         def kernel(view) -> np.ndarray:
-            decay = np.exp(-view.watch_time / decay_time)
-            probability = floor + (base - floor) * decay
-            level = np.minimum(view.level, num_offsets - 1)
-            probability = probability + offsets[rows_index, level]
+            (
+                row_base,
+                row_floor,
+                row_decay_time,
+                row_switch_penalty,
+                row_downward_extra,
+                row_num_offsets,
+                row_offsets,
+                rows_index,
+            ) = prefix(view.level.size)
+            decay = np.exp(-view.watch_time / row_decay_time)
+            probability = row_floor + (row_base - row_floor) * decay
+            level = np.minimum(view.level, row_num_offsets - 1)
+            probability = probability + row_offsets[rows_index, level]
             switch = np.where(
                 view.previous_level < 0, 0, view.level - view.previous_level
             )
             probability = probability + np.where(
-                switch != 0, switch_penalty * np.minimum(np.abs(switch), 3), 0.0
+                switch != 0, row_switch_penalty * np.minimum(np.abs(switch), 3), 0.0
             )
-            probability = probability + np.where(switch < 0, downward_extra, 0.0)
+            probability = probability + np.where(switch < 0, row_downward_extra, 0.0)
             for row in np.flatnonzero(view.active & view.stalled):
                 model = models[row]
                 stall_probability = model.profile.stall_exit_probability(
@@ -232,9 +254,12 @@ class RuleBasedUser:
             [m.stall_count_threshold for m in models], dtype=int
         )
 
+        prefix = row_prefixes(time_threshold, count_threshold)
+
         def kernel(view) -> np.ndarray:
-            crossed = (view.cumulative_stall_time >= time_threshold) | (
-                view.stall_count >= count_threshold
+            row_time, row_count = prefix(view.level.size)
+            crossed = (view.cumulative_stall_time >= row_time) | (
+                view.stall_count >= row_count
             )
             return np.where(crossed, 1.0, 0.0)
 

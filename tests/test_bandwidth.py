@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim import bandwidth as bandwidth_module
 from repro.sim.bandwidth import (
     BandwidthModel,
     BandwidthTrace,
@@ -69,6 +70,57 @@ class TestTraces:
             BandwidthTrace(values_kbps=(1000.0, -5.0))
         with pytest.raises(ValueError):
             BandwidthTrace(values_kbps=())
+
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), 0.0, -0.0, -5.0], ids=["nan", "zero", "neg_zero", "negative"]
+    )
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_trace_rejects_every_sample_that_is_not_positive(self, bad, position):
+        values = [1000.0, 2000.0, 3000.0]
+        values[position] = bad
+        with pytest.raises(ValueError, match="positive"):
+            BandwidthTrace(values_kbps=tuple(values))
+
+    def test_leading_nan_does_not_hide_a_later_negative(self):
+        with pytest.raises(ValueError):
+            BandwidthTrace(values_kbps=(float("nan"), -5.0, 1000.0))
+
+    def test_trace_accepts_infinite_and_non_float_samples(self):
+        assert BandwidthTrace(values_kbps=(float("inf"), 1000.0)).bandwidth_at(0) == float("inf")
+        assert len(BandwidthTrace(values_kbps=(np.int64(3), 2, np.float32(1.5)))) == 3
+        with pytest.raises(ValueError):
+            BandwidthTrace(values_kbps=(np.int64(0), 2))
+
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            StationaryTraceGenerator(3000.0, 2500.0),
+            MarkovTraceGenerator(),
+            LowBandwidthTraceGenerator(),
+        ],
+        ids=["stationary", "markov", "low_bandwidth"],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_generated_samples_equal_the_per_element_float_form(
+        self, generator, seed, monkeypatch
+    ):
+        """The trace holds exactly ``tuple(float(v) for v in values)`` of the
+        array the generator clipped last, type and bits alike."""
+        clipped = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def maximum(self, *args, **kwargs):
+                clipped.append(np.maximum(*args, **kwargs))
+                return clipped[-1]
+
+        monkeypatch.setattr(bandwidth_module, "np", RecordingNumpy())
+        trace = generator.generate(120, np.random.default_rng(seed))
+        expected = tuple(float(v) for v in clipped[-1])
+        assert trace.values_kbps == expected
+        assert all(type(v) is float for v in trace.values_kbps)
 
     def test_trace_wraps(self):
         trace = BandwidthTrace(values_kbps=(100.0, 200.0))

@@ -533,7 +533,8 @@ class TestBackendSeam:
 
             @classmethod
             def vector_exit_kernel(cls, models):
-                return lambda view: np.full(len(models), np.nan)
+                # one probability per row of the view: its first m models
+                return lambda view: np.full(view.level.size, np.nan)
 
         video = Video(num_segments=10, seed=0)
         trace = StationaryTraceGenerator(3000.0).generate(10, np.random.default_rng(0))
@@ -560,18 +561,22 @@ class TestBackendSeam:
             @classmethod
             def vector_kernel(cls, policies):
                 def kernel(context):
-                    levels = np.zeros(len(policies))
+                    # one level per row of the context: its first m policies
+                    levels = np.zeros(context.buffer.size)
                     if context.k == 3:
                         levels[0] = bad_level
                     return levels
 
                 return kernel
 
-        video = Video(num_segments=10, seed=0)
+        # Videos of different lengths: at step 3 the cohort steps only the
+        # two sessions whose video still has segment 3.
         trace = StationaryTraceGenerator(3000.0).generate(10, np.random.default_rng(0))
         specs = [
-            SessionSpec(abr=BrokenABR(), video=video, trace=trace, seed=i)
-            for i in range(3)
+            SessionSpec(
+                abr=BrokenABR(), video=Video(num_segments=length, seed=0), trace=trace, seed=i
+            )
+            for i, length in enumerate((3, 10, 6))
         ]
         assert VectorBackend._vectorizable(specs[0])
         network = _fat_link() if networked else None
