@@ -150,17 +150,15 @@ def build_exit_dataset(
         max_survived_stall = 0.0
         prior_stall_events = 0
         for session in ordered:
-            bitrates: list[float] = []
-            throughputs: list[float] = []
-            cumulative_stalls: list[float] = []
+            columns = session.trace.segments
+            bitrates = columns["bitrate_kbps"].tolist()
+            throughputs = columns["bandwidth_kbps"].tolist()
+            cumulative_stalls = columns["cumulative_stall_time"].tolist()
+            exited = columns["exited"].tolist()
             since_stall: list[float] = []
             segments_since_stall = float(WINDOW_LENGTH)
-            records = session.records
-            for index, record in enumerate(records):
-                bitrates.append(record.bitrate_kbps)
-                throughputs.append(record.bandwidth_kbps)
-                cumulative_stalls.append(record.cumulative_stall_time)
-                is_stall = record.stall_time > 0
+            for index, stall_time in enumerate(columns["stall_time"].tolist()):
+                is_stall = stall_time > 0
                 if is_stall:
                     segments_since_stall = 0.0
                 else:
@@ -171,32 +169,31 @@ def build_exit_dataset(
                 tolerance = estimate_tolerance(
                     stall_exit_time_sum, stall_exit_count, max_survived_stall
                 )
-                if is_stall and record.exited:
-                    stall_exit_time_sum += record.cumulative_stall_time
+                if is_stall and exited[index]:
+                    stall_exit_time_sum += cumulative_stalls[index]
                     stall_exit_count += 1
-                elif not record.exited:
+                elif not exited[index]:
                     max_survived_stall = max(
-                        max_survived_stall, record.cumulative_stall_time
+                        max_survived_stall, cumulative_stalls[index]
                     )
 
-                is_switch = (
-                    len(bitrates) >= 2 and bitrates[-1] != bitrates[-2]
-                )
+                is_switch = index >= 1 and bitrates[index] != bitrates[index - 1]
                 if composition is DatasetComposition.STALL and not is_stall:
                     continue
                 if composition is DatasetComposition.EVENT and not (is_stall or is_switch):
                     continue
 
                 # Exit attribution: this segment or the immediately next one.
-                exited_soon = record.exited or (
-                    index + 1 < len(records) and records[index + 1].exited
+                exited_soon = exited[index] or (
+                    index + 1 < len(exited) and exited[index + 1]
                 )
+                window = slice(max(0, index + 1 - WINDOW_LENGTH), index + 1)
                 sample = np.vstack(
                     [
-                        _history(bitrates, _BITRATE_SCALE),
-                        _history(throughputs, _THROUGHPUT_SCALE),
-                        _history(cumulative_stalls, _STALL_CUMULATIVE_SCALE),
-                        _history(since_stall, _RECENCY_SCALE),
+                        _history(bitrates[window], _BITRATE_SCALE),
+                        _history(throughputs[window], _THROUGHPUT_SCALE),
+                        _history(cumulative_stalls[window], _STALL_CUMULATIVE_SCALE),
+                        _history(since_stall[window], _RECENCY_SCALE),
                         np.full(WINDOW_LENGTH, tolerance / _STALL_CUMULATIVE_SCALE),
                     ]
                 )

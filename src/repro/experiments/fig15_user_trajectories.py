@@ -84,9 +84,11 @@ def _trajectory(user_id: str, profile, abr, logs) -> UserTrajectory:
     user_sessions = [s for s in logs if s.user_id == user_id]
     total_stalls_seen = 0
     for session in sorted(user_sessions, key=lambda s: (s.day, s.session_index)):
-        for record in session.records:
-            if record.stall_time <= 0:
-                continue
+        segments = session.trace.segments
+        stalled = segments[segments["stall_time"] > 0]
+        for stall_time, exited in zip(
+            stalled["stall_time"].tolist(), stalled["exited"].tolist()
+        ):
             total_stalls_seen += 1
             # Advance the activation cursor proportionally to observed stalls.
             while (
@@ -98,8 +100,8 @@ def _trajectory(user_id: str, profile, abr, logs) -> UserTrajectory:
             trajectory.events.append(
                 StallEvent(
                     index=event_index,
-                    stall_time=record.stall_time,
-                    exited=record.exited,
+                    stall_time=stall_time,
+                    exited=exited,
                     parameter_after=float(current_parameter),
                 )
             )

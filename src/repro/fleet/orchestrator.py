@@ -499,12 +499,9 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
                     )
                 controllers[profile.user_id] = controller
             exit_model = profile.exit_model()
-            scenario_profile = (
-                replace(profile, sessions_per_day=task.sessions_per_user)
-                if task.sessions_per_user is not None
-                else profile
+            num_sessions = task.scenario.sessions_for(
+                task.sessions_per_user or profile.sessions_per_day, rng
             )
-            num_sessions = task.scenario.sessions_for(scenario_profile, rng)
             trace = task.scenario.trace_for(profile, rng, task.trace_length)
             session_seeds = user_seq.spawn(num_sessions)
             link = (
@@ -515,7 +512,7 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
             for session_index in range(num_sessions):
                 video = task.scenario.video_for(profile, task.library, rng)
                 start_step = (
-                    task.scenario.start_for(scenario_profile, session_index, rng)
+                    task.scenario.start_for(profile, session_index, rng)
                     if task.network is not None
                     else 0
                 )

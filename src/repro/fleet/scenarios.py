@@ -83,9 +83,10 @@ class Scenario:
     name = "steady_state"
     description = "every user plays their profile's sessions on their own network"
 
-    def sessions_for(self, profile: UserProfile, rng: np.random.Generator) -> int:
-        """Number of sessions this user plays today."""
-        return profile.sessions_per_day
+    def sessions_for(self, sessions_per_day: int, rng: np.random.Generator) -> int:
+        """Number of sessions a user whose base count is ``sessions_per_day``
+        (their profile's, or the run's override) plays today."""
+        return sessions_per_day
 
     def trace_for(
         self, profile: UserProfile, rng: np.random.Generator, length: int
@@ -137,8 +138,8 @@ class FlashCrowdScenario(Scenario):
         self.session_multiplier = session_multiplier
         self.congestion_factor = congestion_factor
 
-    def sessions_for(self, profile: UserProfile, rng: np.random.Generator) -> int:
-        return max(1, int(round(profile.sessions_per_day * self.session_multiplier)))
+    def sessions_for(self, sessions_per_day: int, rng: np.random.Generator) -> int:
+        return max(1, int(round(sessions_per_day * self.session_multiplier)))
 
     def trace_for(
         self, profile: UserProfile, rng: np.random.Generator, length: int
@@ -280,8 +281,8 @@ class FlashCrowdSharedScenario(Scenario):
         self.surge_width = surge_width
         self.surge_fraction = surge_fraction
 
-    def sessions_for(self, profile: UserProfile, rng: np.random.Generator) -> int:
-        return max(1, int(round(profile.sessions_per_day * self.session_multiplier)))
+    def sessions_for(self, sessions_per_day: int, rng: np.random.Generator) -> int:
+        return max(1, int(round(sessions_per_day * self.session_multiplier)))
 
     def start_for(
         self, profile: UserProfile, session_index: int, rng: np.random.Generator
@@ -436,8 +437,8 @@ class CacheStormScenario(Scenario):
         salt = topology.cache.salt if topology.cache is not None else "cdn-cache"
         return replace(topology, cache=CacheModel(self.hit_ratio, salt=salt))
 
-    def sessions_for(self, profile: UserProfile, rng: np.random.Generator) -> int:
-        return max(1, int(round(profile.sessions_per_day * self.session_multiplier)))
+    def sessions_for(self, sessions_per_day: int, rng: np.random.Generator) -> int:
+        return max(1, int(round(sessions_per_day * self.session_multiplier)))
 
     def start_for(
         self, profile: UserProfile, session_index: int, rng: np.random.Generator

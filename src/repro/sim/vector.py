@@ -42,10 +42,12 @@ exit model still has no vector kernel (Pensieve, custom classes) fall back
 to the scalar engine behind the same ``run_batch`` interface, in spec order;
 the backend counts them (``last_fallback_sessions`` /
 ``total_fallback_sessions``) so fleets can assert they stayed on the fast
-path.  In networked mode the same split is cohort-level: lockstep cohorts
-and event-ordered reference sessions share one ``allocate_step`` per slot.
-Either way a cohort steps only its live prefix, the rows whose video still
-has the current segment (:class:`_Cohort`).
+path.  A networked batch couples every session at every slot, so it cannot
+split that way: it runs lockstep when every spec is vectorizable and no
+stateful ABR instance is shared, and otherwise runs whole on the
+event-ordered reference engine (:mod:`repro.sim.networked`), every session
+counted as a fallback.  A cohort steps only its live prefix, the rows whose
+video still has the current segment (:class:`_Cohort`).
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from repro.sim.backend import (
 from repro.sim.bandwidth import BandwidthModel
 from repro.sim.networked import resolve_link_indices, run_networked_scalar
 from repro.sim.player import dynamic_buffer_cap
-from repro.sim.session import SEGMENT_DTYPE, LiveSession, PlaybackTrace, SessionConfig
+from repro.sim.session import SEGMENT_DTYPE, PlaybackTrace, SessionConfig
 
 #: Sliding-window length of the player's bandwidth model (and of the
 #: throughput history handed to ABR contexts) — both are 8 in the scalar
@@ -526,24 +528,16 @@ class VectorBackend(SimBackend):
         if network is not None:
             # Allocation couples every session at every slot, so a networked
             # batch cannot split into per-session fallbacks the way an
-            # independent batch can — but it *can* split into cohorts:
-            # vectorizable cohorts stay lockstep, truly scalar cohorts run as
-            # event-ordered reference sessions, and both sides meet at the
-            # same shared per-slot ``allocate_step`` call.
+            # independent batch can: it runs lockstep whole, or whole on the
+            # event-ordered reference engine.
             shared_stateful = self._shared_stateful_abr_ids(specs)
-            scalar_indices = [
-                index
-                for index, spec in enumerate(specs)
-                if not self._vectorizable(spec) or id(spec.abr) in shared_stateful
-            ]
-            self._record_fallback(len(scalar_indices), len(specs))
-            if len(scalar_indices) == len(specs):
-                return run_networked_scalar(
-                    specs, network, config, link_usage=link_usage
-                )
-            return self._run_networked(
-                specs, config, network, link_usage, scalar_indices
+            lockstep = bool(specs) and not shared_stateful and all(
+                self._vectorizable(spec) for spec in specs
             )
+            self._record_fallback(0 if lockstep else len(specs), len(specs))
+            if lockstep:
+                return self._run_networked(specs, config, network, link_usage)
+            return run_networked_scalar(specs, network, config, link_usage=link_usage)
         results: list[PlaybackTrace | None] = [None] * len(specs)
 
         groups: dict[tuple, list[int]] = {}
@@ -599,8 +593,8 @@ class VectorBackend(SimBackend):
         In the event-ordered reference engine concurrent sessions sharing one
         *stateful* ABR instance deterministically share its internal state
         ("one user, one ABR brain"); lockstep cohorts keep per-row state and
-        cannot reproduce that interleaving, so those specs must route to the
-        scalar side of a networked batch.  A class is stateful when it
+        cannot reproduce that interleaving, so a networked batch holding such
+        specs runs on the reference engine.  A class is stateful when it
         overrides :meth:`~repro.abr.base.ABRAlgorithm.reset` (detected by the
         resolved method's qualname to avoid importing :mod:`repro.abr` from
         this lower layer; duck-typed policies outside the base hierarchy are
@@ -700,37 +694,28 @@ class VectorBackend(SimBackend):
             return cohort
 
     def _run_networked(
-        self, specs, config: SessionConfig, network, link_usage, scalar_indices=()
+        self, specs, config: SessionConfig, network, link_usage
     ) -> list[PlaybackTrace]:
         """Coupled lockstep execution: cohorts advance, links fair-share.
 
-        The batch is partitioned into :class:`_Cohort` cohorts (same ABR /
-        exit types, ladder, segment duration and ``start_step``) that each
-        stay internally lockstep; every slot gathers all cohorts' access-link
+        Every spec is vectorizable and no stateful ABR instance is shared
+        (``run_batch`` sends any other networked batch whole to
+        :func:`~repro.sim.networked.run_networked_scalar`).  The batch is
+        partitioned into :class:`_Cohort` cohorts (same ABR / exit types,
+        ladder, segment duration and ``start_step``) that each stay
+        internally lockstep; every slot gathers all cohorts' access-link
         demands into one batch-order vector, fair-shares each link through
         the same :func:`~repro.net.allocator.allocate_step` the scalar
         reference engine calls, and feeds the allocations back as the step's
         observed throughput — Equation 3, the ABR kernels' windows and the
         exit kernels all see congestion, which is what closes the feedback
         loop between load and quality.
-
-        ``scalar_indices`` names the batch positions whose specs cannot run
-        lockstep (no vector kernels, or a stateful ABR instance shared across
-        concurrent sessions).  Those run as event-ordered
-        :class:`~repro.sim.session.LiveSession` reference sessions *inside
-        the same slot loop*: their demands join the cohort demands in the one
-        ``allocate_step`` call per slot, so coupling between the fast and
-        slow cohorts still flows solely through the shared allocator and the
-        combined result is identical to the all-scalar reference engine.
         """
         num_sessions = len(specs)
         link_index = resolve_link_indices(network, specs)
         weights = np.asarray([spec.weight for spec in specs], dtype=float)
-        scalar_set = set(scalar_indices)
-        vector_indices = [i for i in range(num_sessions) if i not in scalar_set]
         grouped: dict[tuple, list[int]] = {}
-        for index in vector_indices:
-            spec = specs[index]
+        for index, spec in enumerate(specs):
             key = (
                 type(spec.abr),
                 type(spec.abr.inner) if self._controller_wrapped(spec.abr) else None,
@@ -744,32 +729,7 @@ class VectorBackend(SimBackend):
             self._build_cohort(indices, specs, config) for indices in grouped.values()
         ]
 
-        # Scalar cohort: reference sessions, reset up front exactly like
-        # run_networked_scalar (shared instances keep "one brain" semantics).
-        scalar_order = sorted(scalar_set)  # contract: DET-ITER-003
-        live: dict[int, LiveSession] = {
-            index: LiveSession.from_spec(
-                specs[index], session_rng(specs[index].seed), config
-            )
-            for index in scalar_order
-        }
-        for policy in {id(specs[i].abr): specs[i].abr for i in scalar_order}.values():
-            policy.reset()
-        for model in {
-            id(specs[i].exit_model): specs[i].exit_model
-            for i in scalar_order
-            if specs[i].exit_model is not None
-        }.values():
-            model.reset()
-        live_alive = {index: True for index in scalar_order}
-        live_ends = {
-            index: live[index].start + live[index].limit for index in scalar_order
-        }
-
-        horizon = max(
-            [group.start + group.max_steps for group in groups]
-            + [live_ends[index] for index in scalar_order],
-        )
+        horizon = max(group.start + group.max_steps for group in groups)
         demand = np.zeros(num_sessions)
         active_global = np.zeros(num_sessions, dtype=bool)
 
@@ -778,20 +738,16 @@ class VectorBackend(SimBackend):
         # (``CacheModel`` draws keyed by (user_id, local segment index)).
         tiered = network.has_tiers
         full_path: np.ndarray | None = None
-        live_miss: dict[int, np.ndarray] = {}
         if tiered:
             full_path = np.zeros(num_sessions, dtype=bool)
             miss_rows = iter(
                 network.miss_rows(
-                    [spec.user_id for group in groups for spec in group.specs]
-                    + [specs[index].user_id for index in scalar_order],
-                    [group.max_steps for group in groups for _ in group.specs]
-                    + [live[index].limit for index in scalar_order],
+                    [spec.user_id for group in groups for spec in group.specs],
+                    [group.max_steps for group in groups for _ in group.specs],
                 )
             )
             for group in groups:
                 group.miss = np.stack([next(miss_rows) for _ in group.specs])
-            live_miss = {index: next(miss_rows) for index in scalar_order}
 
         for k in range(horizon):
             obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
@@ -820,17 +776,6 @@ class VectorBackend(SimBackend):
                     active_global[rows] = active
                     if tiered:
                         full_path[rows] = active & group.miss[: active.size, j]
-            live_stepping: list[int] = []
-            for index in scalar_order:
-                if not live_alive[index] or k >= live_ends[index]:
-                    continue
-                runnable_any = True
-                if live[index].start <= k:
-                    live_stepping.append(index)
-                    demand[index] = live[index].demand_at(k)
-                    active_global[index] = True
-                    if tiered:
-                        full_path[index] = live_miss[index][k - live[index].start]
             if not runnable_any:
                 break
             obs.counter_add("vector.net_slots")
@@ -848,15 +793,8 @@ class VectorBackend(SimBackend):
                 with obs.span("vector.step"):
                     for group, j, active, rows in stepping:
                         group.step(j, active, allocations[rows], config)
-            if live_stepping:
-                with obs.span("networked.session_step"):
-                    for index in live_stepping:
-                        if not live[index].step(k, float(allocations[index])):
-                            live_alive[index] = False
 
         results: list[PlaybackTrace | None] = [None] * num_sessions
-        for index in scalar_order:
-            results[index] = live[index].playback
         for group in groups:
             for index, trace in zip(group.indices, group.traces()):
                 results[int(index)] = trace

@@ -1,5 +1,8 @@
 """Tests for synthetic log generation and the exit-predictor datasets."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,30 @@ from repro.datasets.stall_dataset import (
 )
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
+
+
+#: sha256 digests of ``build_exit_dataset(corpus, composition)`` per
+#: composition: any change to a sample, label or its metadata shows here.
+_DATASET_DIGESTS = {
+    "all": {
+        "features": "23b8ffdfe0ffe9c2f7011cf9d027fcb56b8df8f8c55f78168d6154ea4addd839",
+        "labels": "797e089233861192df59af26af0eb11010b2d5900ec10c56acb6daab07f9f456",
+        "user_ids": "f794f2516a516e834a1d5bd6c8ba1491e4471728ce507f4b2946fd685d5da26a",
+        "stall_ordinals": "1dcf5cfd23ede31762459bac7411e519798a7a7017c6cb8db890cc73368d7e4f",
+    },
+    "event": {
+        "features": "7f209c3381277905aa67c88c8de14807e78fb5ea07511fdc3f1fa6efb4b44d4e",
+        "labels": "8a9d6a63251f15ad9e1428e6876b7252b3dbd8556dca82fe8490a2a58a3b5d84",
+        "user_ids": "48f2a13656bd55576d1eca1422d6a962262c4479bef5f6672b17bb77c9672c80",
+        "stall_ordinals": "20bc669bc55dd45e07d271ce3e213fb78cb1f25bb460c081af62fb2ca2de4b0c",
+    },
+    "stall": {
+        "features": "2aa46fba86b1a99f8b7419fd48d0a211db1e36c3d397a41f840c0a490c245f58",
+        "labels": "8af74f881e9b97f4a296d181996b3270e37ac638ba4481c82ff8d8cfec4986eb",
+        "user_ids": "2886b300c22dabca28b6008296e2e8dbc1983dff7e4341ad246ba73e29c01bcb",
+        "stall_ordinals": "6160cef64c22077cb422d7a8bfd54834c196e0fe35d1df9bdbc5ea1901fe6003",
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +149,25 @@ class TestExitDataset:
         assert len(subset) == len(indices)
         np.testing.assert_array_equal(subset.labels, dataset.labels[indices])
         assert subset.user_ids[0] == dataset.user_ids[indices[0]]
+
+    @pytest.mark.parametrize("composition", list(DatasetComposition))
+    def test_dataset_is_pinned_bit_for_bit(self, corpus, composition):
+        """The samples of every composition, pinned to sha256 digests (the
+        features as little-endian float64, the integer columns as int64)."""
+        dataset = build_exit_dataset(corpus, composition)
+
+        def sha(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        digests = {
+            "features": sha(np.ascontiguousarray(dataset.features, "<f8").tobytes()),
+            "labels": sha(np.ascontiguousarray(dataset.labels, "<i8").tobytes()),
+            "user_ids": sha(json.dumps(list(dataset.user_ids)).encode()),
+            "stall_ordinals": sha(
+                np.ascontiguousarray(dataset.stall_ordinals, "<i8").tobytes()
+            ),
+        }
+        assert digests == _DATASET_DIGESTS[composition.value]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -350,7 +350,8 @@ class TestScenarios:
         steady = SteadyStateScenario()
         crowd = FlashCrowdScenario(session_multiplier=3.0, congestion_factor=0.5)
         profile = fleet_population[0]
-        assert crowd.sessions_for(profile, rng) == 3 * steady.sessions_for(profile, rng)
+        base = profile.sessions_per_day
+        assert crowd.sessions_for(base, rng) == 3 * steady.sessions_for(base, rng)
         steady_trace = steady.trace_for(profile, np.random.default_rng(0), 80)
         crowd_trace = crowd.trace_for(profile, np.random.default_rng(0), 80)
         assert crowd_trace.mean < steady_trace.mean

@@ -10,6 +10,8 @@ churn loop depends on.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ from repro.fleet import (
     write_fleet_telemetry,
 )
 from repro.fleet.longitudinal import _decision_rng, _day_seed
-from repro.net import EdgeLink, NetworkTopology
+from repro.net import EdgeLink, NetworkTopology, get_topology
 from repro.obs.telemetry_reader import iter_events, replay_log_collection
 from repro.net.topology import CrossTraffic
 from repro.sim.video import VideoLibrary
@@ -278,7 +280,47 @@ class TestABCampaignBitIdentity:
                         == day.result.logs.segment_exit_rate()
                     )
 
-    def test_networked_campaign_matches_across_backends(self, population, library):
+    @pytest.mark.parametrize("case", ["dual_isp", "cdn_3tier_evening_peak", "lingxi_users"])
+    def test_networked_campaign_matches_across_backends(self, population, library, case):
+        """Networked campaigns are bit-identical across backends.
+
+        ``dual_isp``: the plain HYB campaign.  ``cdn_3tier_evening_peak``:
+        HYB on the tiered CDN, its capacities sized for this population so
+        the evening arrivals congest it (scattered starts, cache misses,
+        path water-fill); every vector day runs lockstep with no fallback.
+        ``lingxi_users``: a quarter of the users run LingXi, whose one
+        controller instance spans a user's concurrent sessions, so every
+        vector day with such a user runs whole on the reference engine.
+        """
+        kwargs = {}
+        treated: set[str] = set()
+        if case == "dual_isp":
+            network = "dual_isp"
+        else:
+            # The builtin suits about 1,000 users; scaled to this population
+            # it keeps its congestion (one uplink tree, so one shard).
+            builtin = get_topology("cdn_3tier")
+            network = dataclasses.replace(
+                builtin,
+                links=tuple(
+                    dataclasses.replace(
+                        link, capacity_kbps=link.capacity_kbps * len(population) / 1000.0
+                    )
+                    for link in builtin.links
+                ),
+            )
+            kwargs["scenario"] = "evening_peak"
+        if case == "lingxi_users":
+            treated = {profile.user_id for profile in list(population)[::4]}
+            lingxi = LingXiFleetFactory(
+                ExitRatePredictor(channels=8, hidden=16, seed=0),
+                monte_carlo=MonteCarloConfig(num_samples=2, seed=0),
+            )
+            hyb = HybFleetFactory()
+            kwargs["abr_factory"] = lambda profile, seed: (
+                lingxi if profile.user_id in treated else hyb
+            )(profile, seed)
+
         def run(backend):
             config = LongitudinalConfig(
                 days=2,
@@ -288,15 +330,30 @@ class TestABCampaignBitIdentity:
                 sessions_per_user=2,
                 trace_length=40,
                 backend=backend,
-                network="dual_isp",
+                network=network,
             )
-            return LongitudinalCampaign(config).run(population, library)
+            return LongitudinalCampaign(config).run(population, library, **kwargs)
 
         scalar, vector = run("scalar"), run("vector")
         assert _session_map(scalar) == _session_map(vector)
         assert _decision_map(scalar) == _decision_map(vector)
         for a, b in zip(scalar.days, vector.days):
             assert a.result.link_usage == b.result.link_usage
+        if case == "cdn_3tier_evening_peak":
+            for day in vector.days:
+                usage = day.result.link_usage
+                assert day.result.total_batch_sessions > 0
+                assert day.result.total_fallback_sessions == 0
+                assert any(s.demand_kbps > s.allocated_kbps for s in usage)
+                assert any(s.tier == "origin" and s.active_sessions for s in usage)
+        if case == "lingxi_users":
+            assert scalar.controller_states == vector.controller_states
+            assert treated <= set(vector.days[0].active_user_ids)
+            for day in vector.days:
+                played = treated & set(day.active_user_ids)
+                assert day.result.total_fallback_sessions == (
+                    day.result.total_batch_sessions if played else 0
+                )
 
     def test_arm_split_is_stable_and_partitions(self, population):
         arms = assign_arms(population, ["a", "b"])

@@ -81,9 +81,9 @@ def _spec_batch(
         MarkovTraceGenerator() if bursty else StationaryTraceGenerator(1800.0, 500.0)
     )
     seeds = spawn_session_seeds(seed, num_sessions)
-    # One ABR instance per spec: concurrent networked sessions sharing a
-    # *stateful* instance (RobustMPC) deliberately route to the scalar cohort
-    # ("one brain" semantics), which is covered by its own test below.
+    # One ABR instance per spec: a networked batch in which concurrent
+    # sessions share a *stateful* instance (RobustMPC) runs whole on the
+    # reference engine ("one brain" semantics), covered by its own test below.
     return [
         SessionSpec(
             abr=_ABR_FACTORIES[abr_name](),
@@ -422,14 +422,14 @@ class TestNetworkedEquivalenceGate:
             get_backend("vector").run_batch(specs, config, network=topology),
         )
 
-    def test_cohort_routing_mixes_lockstep_and_reference_sessions(self):
-        """Only truly scalar specs leave the fast path of a networked batch.
+    def test_networked_batch_with_a_kernelless_spec_runs_whole_on_reference(self):
+        """One kernel-less spec sends the whole networked batch to the reference.
 
-        A batch mixing kernel-equipped ABRs with a kernel-less subclass must
-        stay lockstep for the former, run the latter as event-ordered
-        reference sessions, and still reproduce the all-scalar reference
-        engine exactly — traces *and* the per-slot link-usage stream —
-        because both cohorts meet at the same shared allocator call.
+        Allocation couples every session at every slot, so a batch mixing
+        kernel-equipped ABRs with a kernel-less subclass runs entirely on the
+        event-ordered reference engine: traces *and* the per-slot link-usage
+        stream equal the scalar backend's, and every session is counted as a
+        fallback.
         """
         from repro.sim import VectorBackend
 
@@ -461,8 +461,8 @@ class TestNetworkedEquivalenceGate:
             backend.run_batch(specs, network=topology, link_usage=vector_usage),
         )
         assert scalar_usage == vector_usage
-        # exactly the kernel-less third fell back, not the whole batch
-        assert backend.last_fallback_sessions == 3
+        # the kernel-less third takes the whole batch to the reference engine
+        assert backend.last_fallback_sessions == 9
         assert backend.last_batch_sessions == 9
 
     def test_stateful_abr_instances_survive_interleaving(self):
