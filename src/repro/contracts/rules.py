@@ -224,7 +224,7 @@ _STDLIB_RANDOM_FNS = {
 
 #: Legacy global-state functions on ``numpy.random`` (the module-level
 #: ``RandomState`` singleton).  ``default_rng``/``Generator``/``Philox``/
-#: ``SeedSequence`` are the sanctioned, explicitly-seeded API.
+#: ``SeedSequence`` are the sanctioned API once given a seed.
 _NUMPY_GLOBAL_FNS = {
     "random", "rand", "randn", "random_sample", "ranf", "sample",
     "randint", "random_integers", "choice", "uniform", "normal",
@@ -232,6 +232,13 @@ _NUMPY_GLOBAL_FNS = {
     "poisson", "exponential", "binomial", "geometric", "laplace",
     "lognormal", "pareto", "rayleigh", "triangular", "vonmises",
     "weibull", "zipf", "bytes", "get_state", "set_state",
+}
+
+#: ``numpy.random`` constructors that draw OS entropy when called without
+#: a seed.
+_NUMPY_ENTROPY_CTORS = {
+    "default_rng", "SeedSequence", "Philox", "PCG64", "PCG64DXSM",
+    "MT19937", "SFC64",
 }
 
 
@@ -258,6 +265,12 @@ def check_global_rng(path: str, source: str, tree: ast.AST) -> Iterator[Finding]
         local: name
         for (module, name), locals_ in imports.from_names.items()
         if module == "numpy.random" and name in _NUMPY_GLOBAL_FNS
+        for local in locals_
+    }
+    from_np_ctors = {
+        local: name
+        for (module, name), locals_ in imports.from_names.items()
+        if module == "numpy.random" and name in _NUMPY_ENTROPY_CTORS
         for local in locals_
     }
 
@@ -288,14 +301,20 @@ def check_global_rng(path: str, source: str, tree: ast.AST) -> Iterator[Finding]
                 f"call to numpy's global-state `np.random.{fn}()`; use a "
                 "passed-in Generator seeded from a SeedSequence",
             )
-        # unseeded default_rng()
+        # unseeded default_rng() / SeedSequence() / Philox() / ...
         elif (
-            (head in numpy_aliases and tail == ["random", "default_rng"])
-            or (head in npr_aliases and tail == ["default_rng"])
+            (
+                head in numpy_aliases
+                and len(tail) == 2
+                and tail[0] == "random"
+                and tail[1] in _NUMPY_ENTROPY_CTORS
+            )
+            or (head in npr_aliases and len(tail) == 1 and tail[0] in _NUMPY_ENTROPY_CTORS)
+            or (len(chain) == 1 and chain[0] in from_np_ctors)
         ) and not node.args and not node.keywords:
             yield Finding(
                 "DET-RNG-001", path, node.lineno, node.col_offset,
-                "`default_rng()` without a seed draws OS entropy; thread an "
+                f"`{chain[-1]}()` without a seed draws OS entropy; thread an "
                 "explicit seed or SeedSequence through instead",
             )
         # bare from-imports: random() / shuffle(...)

@@ -21,7 +21,7 @@ from repro.abr.base import ABRAlgorithm
 from repro.abr.hyb import HYB
 from repro.analytics.logs import LogCollection, SessionLog
 from repro.net.topology import NetworkTopology, get_topology
-from repro.sim.backend import SessionSpec, get_backend
+from repro.sim.backend import SessionSpec, derive_substreams, get_backend
 from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation, UserProfile
@@ -82,20 +82,27 @@ def generate_production_logs(
     rng = np.random.default_rng(config.seed)
     backend = get_backend(config.backend)
     network = get_topology(config.network)
-    seed_root = np.random.SeedSequence(config.seed)
+    spawned = 0
     sessions: list[SessionLog] = []
     day_population = population
     for day in range(config.days):
         specs: list[SessionSpec] = []
         metas: list[tuple[str, int, int, float]] = []
-        for profile in day_population:
+        counts = [
+            config.sessions_per_user_per_day
+            if config.sessions_per_user_per_day is not None
+            else profile.sessions_per_day
+            for profile in day_population
+        ]
+        # The run's session j is child j of `SeedSequence(config.seed)`.
+        count = sum(counts)
+        seeds = iter(
+            derive_substreams(config.seed, np.arange(spawned, spawned + count)[:, None])
+        )
+        spawned += count
+        for profile, num_sessions in zip(day_population, counts):
             abr = abr_factory(profile)
             exit_model = profile.exit_model()
-            num_sessions = (
-                config.sessions_per_user_per_day
-                if config.sessions_per_user_per_day is not None
-                else profile.sessions_per_day
-            )
             trace = profile.bandwidth_trace(config.trace_length, rng)
             for session_index in range(num_sessions):
                 video = library.sample(rng)
@@ -105,7 +112,7 @@ def generate_production_logs(
                         video=video,
                         trace=trace,
                         exit_model=exit_model,
-                        seed=seed_root.spawn(1)[0],
+                        seed=next(seeds),
                         user_id=profile.user_id,
                     )
                 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm
 from repro.analytics.logs import LogCollection, SessionLog
-from repro.sim.backend import SessionSpec, get_backend
+from repro.sim.backend import SessionSpec, derive_substreams, get_backend
 from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation, UserProfile
@@ -77,9 +77,9 @@ def run_campaign(
     parameter_getter = parameter_getter or (lambda abr: abr.parameters.beta)
     rng = np.random.default_rng(config.seed)
     sim_backend = get_backend(backend)
-    seed_root = np.random.SeedSequence(config.seed)
     abrs = abrs if abrs is not None else {}
 
+    spawned = 0
     sessions: list[SessionLog] = []
     daily_parameters: dict[tuple[str, int], float] = {}
     day_population = population
@@ -87,6 +87,12 @@ def run_campaign(
         day = config.start_day + day_offset
         specs: list[SessionSpec] = []
         metas: list[tuple[str, int, int, float]] = []
+        # The campaign's session j is child j of `SeedSequence(config.seed)`.
+        count = len(day_population) * config.sessions_per_user_per_day
+        seeds = iter(
+            derive_substreams(config.seed, np.arange(spawned, spawned + count)[:, None])
+        )
+        spawned += count
         for profile in day_population:
             abr = abrs.get(profile.user_id)
             if abr is None:
@@ -102,7 +108,7 @@ def run_campaign(
                         video=video,
                         trace=trace,
                         exit_model=exit_model,
-                        seed=seed_root.spawn(1)[0],
+                        seed=next(seeds),
                         user_id=profile.user_id,
                     )
                 )

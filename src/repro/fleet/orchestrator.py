@@ -15,10 +15,14 @@ Determinism contract
 * Sharding is round-robin by population index, or by uplink component for
   networked runs — decided in one place, :func:`shard_members`.
 * Every user draws all of their randomness — ABR/controller seed, scenario
-  draws, per-session `Philox` exit substreams — from a `SeedSequence` keyed
-  by ``(seed, md5(user_id))``, never from a shard-level stream.  A user's
-  traffic is therefore a function of the user and the seed only: every
-  session is identical across shard counts, worker counts and backends.
+  draws, per-session `Philox` exit substreams — from the children of a
+  `SeedSequence` keyed by ``(seed, md5(user_id))``, never from a
+  shard-level stream: child 0 seeds the user's `PCG64` generator, children
+  1..n the user's n sessions.  A shard derives all of these in two batches
+  (:func:`~repro.sim.backend.derive_substreams`), bit-equal to numpy's own
+  `SeedSequence`.  A user's traffic is therefore a function of the user and
+  the seed only: every session is identical across shard counts, worker
+  counts and backends.
 * Shard outputs merge in shard order, so float aggregates are identical for
   a given ``(seed, num_shards)``; across shard counts they may differ in
   the last ulp (summation order), never in any session.
@@ -67,7 +71,7 @@ from repro.net.topology import (
     get_topology,
     stable_user_key,
 )
-from repro.sim.backend import SessionSpec, get_backend
+from repro.sim.backend import SessionSpec, derive_substreams, get_backend
 from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation, UserProfile
@@ -219,9 +223,10 @@ class ShardTask:
     #: Restored LingXi state of this shard's own users only.
     controller_states: dict[str, dict] = field(default_factory=dict)
     backend: str = "scalar"
-    #: Root fleet seed; per-user `SeedSequence` substreams are keyed by
-    #: ``(seed, md5(user_id))`` — the property that makes fleet runs
-    #: invariant to shard and worker counts.
+    #: Root fleet seed; every user's substreams are the children of
+    #: ``SeedSequence(seed, spawn_key=md5(user_id) words)`` — child 0 for
+    #: the user's draws, children 1..n for the sessions — the property that
+    #: makes fleet runs invariant to shard and worker counts.
     seed: int = 0
     #: Full (scenario-shaped) topology for networked runs, or ``None`` for
     #: the classic uncoupled mode.  User→link attachment must happen on the
@@ -463,8 +468,13 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
 
     All of a user's randomness — ABR seed, scenario draws (session counts,
     traces, videos, start slots) and the per-session `Philox` exit
-    substreams — flows from a `SeedSequence` keyed by ``(fleet seed,
-    md5(user_id))`` via :func:`~repro.net.topology.stable_user_key`.  Keying
+    substreams — flows from the children of a `SeedSequence` keyed by
+    ``(fleet seed, md5(user_id))`` via
+    :func:`~repro.net.topology.stable_user_key`: child 0 seeds the user's
+    generator, children 1..n the sessions.  Both sets come from
+    :func:`~repro.sim.backend.derive_substreams`, one call for all users
+    before the spec loop and one for all sessions after it, so no
+    `SeedSequence` is hashed per user or per session.  Keying
     by user *identity* rather than shard position makes every user's traffic
     independent of how the population is sharded, so fleet aggregates are
     invariant to shard and worker counts (networked runs included: links
@@ -474,7 +484,6 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
     """
     start = time.perf_counter()  # contract: DET-CLOCK-002 exempt(wall-time telemetry only; excluded from bit-exact comparison)
     backend = get_backend(task.backend)
-    specs: list[SessionSpec] = []
     metas: list[tuple[str, int, int, float]] = []
     controllers: dict[str, object] = {}
 
@@ -483,12 +492,21 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
         profiles, link_ids = shard_members(
             task.population, task.network, task.num_shards
         )[task.shard_index]
-        for profile in profiles:
+        # Child 0 of each user's `SeedSequence(seed, spawn_key=user key)`
+        # seeds the user's draws, children 1..n the sessions' exit streams;
+        # both derive in one batch each.
+        user_keys = np.array(
+            [stable_user_key(profile.user_id) for profile in profiles], dtype=np.uint32
+        ).reshape(-1, 2)
+        user_streams = derive_substreams(
+            task.seed, np.column_stack([user_keys, np.zeros(len(profiles), np.uint32)])
+        )
+        # Spec fields but the seed, in spec order.
+        unseeded: list[tuple] = []
+        counts: list[int] = []
+        for profile, stream in zip(profiles, user_streams):
             obs_live.pulse()
-            user_seq = np.random.SeedSequence(
-                task.seed, spawn_key=stable_user_key(profile.user_id)
-            )
-            rng = np.random.default_rng(user_seq.spawn(1)[0])
+            rng = np.random.Generator(np.random.PCG64(stream))
             abr_seed = int(rng.integers(2**31 - 1))
             abr = task.abr_factory(profile, abr_seed)
             controller = getattr(abr, "controller", None)
@@ -502,8 +520,8 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
             num_sessions = task.scenario.sessions_for(
                 task.sessions_per_user or profile.sessions_per_day, rng
             )
+            counts.append(num_sessions)
             trace = task.scenario.trace_for(profile, rng, task.trace_length)
-            session_seeds = user_seq.spawn(num_sessions)
             link = (
                 task.network.link_for(profile.user_id).link_id
                 if task.network is not None
@@ -516,21 +534,32 @@ def _run_shard_batched(task: ShardTask) -> ShardOutput:
                     if task.network is not None
                     else 0
                 )
-                specs.append(
-                    SessionSpec(
-                        abr=abr,
-                        video=video,
-                        trace=trace,
-                        exit_model=exit_model,
-                        seed=session_seeds[session_index],
-                        user_id=profile.user_id,
-                        link=link,
-                        start_step=start_step,
-                    )
+                unseeded.append(
+                    (abr, video, trace, exit_model, profile.user_id, link, start_step)
                 )
                 metas.append(
                     (profile.user_id, task.day, session_index, profile.mean_bandwidth_kbps)
                 )
+        # A user's session i is child i + 1 of the user's key.
+        children = [session_index + 1 for _, _, session_index, _ in metas]
+        session_seeds = derive_substreams(
+            task.seed, np.column_stack([np.repeat(user_keys, counts, axis=0), children])
+        )
+        specs = [
+            SessionSpec(
+                abr=abr,
+                video=video,
+                trace=trace,
+                exit_model=exit_model,
+                seed=seed,
+                user_id=user_id,
+                link=link,
+                start_step=start_step,
+            )
+            for (abr, video, trace, exit_model, user_id, link, start_step), seed in zip(
+                unseeded, session_seeds
+            )
+        ]
 
     run_network = (
         task.network.restrict(link_ids) if task.network is not None else None

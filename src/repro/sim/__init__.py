@@ -45,7 +45,9 @@ from repro.sim.backend import (
     ScalarBackend,
     SessionSpec,
     SimBackend,
+    Substream,
     available_backends,
+    derive_substreams,
     get_backend,
     register_backend,
     run_sessions,
@@ -61,7 +63,9 @@ __all__ = [
     "ScalarBackend",
     "SessionSpec",
     "SimBackend",
+    "Substream",
     "available_backends",
+    "derive_substreams",
     "get_backend",
     "register_backend",
     "run_sessions",

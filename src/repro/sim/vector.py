@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from repro import obs
 from repro.net.allocator import allocate_step
@@ -522,7 +523,7 @@ class VectorBackend(SimBackend):
         # regrouping, so unseeded specs get the same position-derived
         # substream the scalar backend would assign them.
         specs = [
-            spec if isinstance(spec.seed, np.random.SeedSequence) else replace(spec, seed=seed)
+            spec if isinstance(spec.seed, ISeedSequence) else replace(spec, seed=seed)
             for spec, seed in zip(specs, resolve_session_seeds(specs))
         ]
         if network is not None:

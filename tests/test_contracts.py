@@ -105,6 +105,38 @@ def test_rng_rule_flags_planted_global_rng():
     ]
 
 
+def test_rng_rule_flags_unseeded_bit_generators():
+    source = textwrap.dedent(
+        """\
+        import numpy as np
+        import numpy.random as npr
+        from numpy.random import MT19937, SeedSequence as Seq
+
+
+        def streams(seed):
+            a = np.random.SeedSequence()
+            b = np.random.Philox()
+            c = npr.PCG64()
+            d = np.random.PCG64DXSM()
+            e = MT19937()
+            f = np.random.SFC64()
+            g = Seq()
+            ok = np.random.Philox(np.random.SeedSequence(seed))
+            return a, b, c, d, e, f, g, ok, npr.PCG64(seed), Seq(seed)
+        """
+    )
+    lint = lint_source("src/repro/fleet/planted.py", source)
+    assert [(f.rule_id, f.line, f.col) for f in lint.findings] == [
+        ("DET-RNG-001", 7, 8),
+        ("DET-RNG-001", 8, 8),
+        ("DET-RNG-001", 9, 8),
+        ("DET-RNG-001", 10, 8),
+        ("DET-RNG-001", 11, 8),
+        ("DET-RNG-001", 12, 8),
+        ("DET-RNG-001", 13, 8),
+    ]
+
+
 def test_rng_rule_flags_from_imports_and_aliases():
     source = textwrap.dedent(
         """\
