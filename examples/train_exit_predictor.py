@@ -31,7 +31,7 @@ def main() -> None:
         population,
         library,
         LogGenerationConfig(days=3, sessions_per_user_per_day=5, seed=2),
-    )
+    ).logs
     print(f"generated {len(logs)} playback sessions")
 
     statistics_model = OverallStatisticsModel.fit(logs, library.ladder.num_levels)

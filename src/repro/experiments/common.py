@@ -23,7 +23,6 @@ from repro.datasets import (
     generate_production_logs,
 )
 from repro.net.topology import get_topology
-from repro.sim.backend import get_backend
 from repro.sim.video import VideoLibrary
 from repro.users.population import UserPopulation
 
@@ -46,12 +45,6 @@ class SubstrateConfig:
     training_oversample_days: int = 8
     training_oversample_threshold_kbps: float = 4500.0
     seed: int = 0
-    #: Simulation backend for substrate log generation and (via the figure
-    #: drivers' defaults) the fig10/fig12 campaign batches: ``"scalar"``
-    #: (the reference engine) or ``"vector"`` (the struct-of-arrays
-    #: engine).  Every session runs from its own RNG substream, so both
-    #: give the same numbers.
-    backend: str = "scalar"
     #: Shared-bottleneck topology name for substrate log generation: the
     #: synthetic corpus is produced by sessions fair-sharing edge-link
     #: capacity, so its stalls and exits carry emergent congestion.
@@ -63,8 +56,7 @@ class SubstrateConfig:
             raise ValueError("num_users and days must be positive")
         if self.training_oversample_days < 0:
             raise ValueError("training_oversample_days must be non-negative")
-        get_backend(self.backend)  # fail fast on unknown backend names
-        get_topology(self.network)  # ... and unknown topology names
+        get_topology(self.network)  # fail fast on unknown topology names
 
 
 @dataclass
@@ -101,10 +93,9 @@ def build_substrate(config: SubstrateConfig | None = None, train_epochs: int = 1
             days=config.days,
             sessions_per_user_per_day=config.sessions_per_user_per_day,
             seed=config.seed + 2,
-            backend=config.backend,
             network=config.network,
         ),
-    )
+    ).logs
     # Stall events are rare platform-wide, so the predictor's training corpus
     # additionally oversamples the bandwidth-constrained long tail (the same
     # users the paper's 100k stall-event entries inevitably come from).
@@ -118,10 +109,9 @@ def build_substrate(config: SubstrateConfig | None = None, train_epochs: int = 1
                 days=config.training_oversample_days,
                 sessions_per_user_per_day=config.sessions_per_user_per_day,
                 seed=config.seed + 3,
-                backend=config.backend,
                 network=config.network,
             ),
-        )
+        ).logs
         training_logs = logs.extend(extra_logs)
     statistics_model = OverallStatisticsModel.fit(logs, library.ladder.num_levels)
     dataset = build_exit_dataset(training_logs, DatasetComposition.STALL)

@@ -79,7 +79,7 @@ def run(
             abr_factory=lambda _profile, p=parameters: RobustMPC(
                 parameters=p, horizon=mpc_horizon
             ),
-        )
+        ).logs
         per_algorithm[name] = aggregate_daily_metrics(logs.sessions, group=name)
 
     reference = per_algorithm["Alg2"]

@@ -37,13 +37,6 @@ class Fig08Result:
     history_counts: list[int]
     recall_by_history: list[float]
 
-    @property
-    def recall_step_one_to_two(self) -> float:
-        """Recall improvement going from one to two accumulated stall events."""
-        if len(self.recall_by_history) < 2:
-            return 0.0
-        return self.recall_by_history[1] - self.recall_by_history[0]
-
 
 def run(
     substrate: Substrate | None = None,

@@ -8,6 +8,11 @@ stall time and stall count) and data-driven per-user exit models fitted from
 engagement histories.  The expected shape: fixed parameters barely move the
 completion rate, ``L(F)`` beats the best fixed setting, ``L(B)`` beats
 ``L(F)``.
+
+Every batch runs on :class:`~repro.sim.vector.VectorBackend`: RobustMPC and
+HYB sessions (LingXi-wrapped ones included) advance in lockstep, and
+Pensieve sessions, which have no vector kernel, play on the scalar
+reference engine.
 """
 
 from __future__ import annotations
@@ -28,10 +33,11 @@ from repro.core.parameter_space import ParameterSpace
 from repro.core.triggers import TriggerPolicy
 from repro.experiments.common import Substrate, SubstrateConfig, build_substrate
 from repro.net.topology import stable_user_key
-from repro.sim.backend import ScalarBackend, SessionSpec, get_backend
+from repro.sim.backend import SessionSpec
 from repro.sim.bandwidth import BandwidthTrace
 from repro.sim.session import ExitModel, SessionConfig
 from repro.sim.traces import generate_trace_set
+from repro.sim.vector import VectorBackend
 from repro.sim.video import Video
 from repro.users.engagement import (
     DataDrivenUser,
@@ -90,10 +96,10 @@ def _data_driven_users(
 ) -> dict[str, ExitModel]:
     """Fit per-user logistic exit models from two weeks of simulated engagement.
 
-    Each user's six engagement sessions run as one scalar-backend batch whose
-    per-session RNG substreams are keyed by ``(seed, md5(user_id))``.
+    Each user's six engagement sessions run as one batch whose per-session
+    RNG substreams are keyed by ``(seed, md5(user_id))``.
     """
-    engine = ScalarBackend()
+    engine = VectorBackend()
     users: dict[str, ExitModel] = {}
     # Active users: prefer those with moderate bandwidth so stalls occur.
     sorted_profiles = sorted(
@@ -164,13 +170,10 @@ def _completion_rate(
     exit_model: ExitModel,
     rng: np.random.Generator,
     repeats: int,
-    backend: str = "scalar",
 ) -> float:
     """Completion rate of ``abr`` over ``repeats`` passes of ``traces``.
 
-    The whole sweep runs as one backend batch (vectorized for
-    HYB/BBA/throughput sessions, sequential fallback for
-    MPC/Pensieve/LingXi-wrapped ones); each (repeat, trace) session gets its
+    The whole sweep runs as one batch; each (repeat, trace) session gets its
     own RNG substream derived from the driver RNG.
     """
     seeds = np.random.SeedSequence(int(rng.integers(2**31 - 1))).spawn(
@@ -186,7 +189,7 @@ def _completion_rate(
         )
         for index in range(repeats * len(traces))
     ]
-    playbacks = get_backend(backend).run_batch(specs, SessionConfig())
+    playbacks = VectorBackend().run_batch(specs, SessionConfig())
     return float(np.mean([float(playback.completed) for playback in playbacks]))
 
 
@@ -206,20 +209,16 @@ def run(
     include_lingxi_bayesian: bool = True,
     pensieve_training_iterations: int = 15,
     seed: int = 0,
-    backend: str | None = None,
 ) -> Fig10Result:
     """Run the pre-deployment simulation study (scaled-down defaults).
 
     The paper sweeps stall parameters 1–20, switch parameters 0–4, and 64
     rule-based engagement rules; the defaults here keep the same structure on
     a laptop-sized grid.  Pass larger sequences to approach the paper's scale.
-    ``backend`` selects the completion-sweep simulation backend (defaults to
-    the substrate's configured backend).
     """
     if user_modeling not in ("rule", "data"):
         raise ValueError("user_modeling must be 'rule' or 'data'")
     substrate = substrate or build_substrate(SubstrateConfig())
-    backend = backend or getattr(substrate.config, "backend", "scalar")
     rng = np.random.default_rng(seed)
     # Low-bandwidth-heavy trace set: completion is limited by stall-driven exits.
     traces = generate_trace_set(
@@ -271,7 +270,6 @@ def run(
                     exit_model,
                     rng,
                     repeats,
-                    backend=backend,
                 )
                 for exit_model in users.values()
             ]
@@ -293,9 +291,7 @@ def run(
             )
             wrapped = LingXiABR(baseline_factory(QoEParameters()), controller)
             completions.append(
-                _completion_rate(
-                    wrapped, video, traces, exit_model, rng, repeats, backend=backend
-                )
+                _completion_rate(wrapped, video, traces, exit_model, rng, repeats)
             )
             tracked_field = space.names[0]
             if controller.history:

@@ -24,15 +24,6 @@ class Fig11Result:
     #: baseline name -> matrix indexed [time_threshold_index, count_threshold_index]
     heatmaps: dict[str, np.ndarray]
 
-    def tolerance_gradient(self, baseline: str) -> float:
-        """Chosen stall parameter at the least-tolerant corner minus the most-tolerant one.
-
-        Positive values mean LingXi assigns larger stall penalties to users who
-        exit quickly — the paper's expected direction.
-        """
-        matrix = self.heatmaps[baseline]
-        return float(matrix[0, 0] - matrix[-1, -1])
-
 
 def run(
     substrate: Substrate | None = None,

@@ -22,7 +22,7 @@ from repro.core.controller import ControllerConfig, LingXiABR, LingXiController
 from repro.core.monte_carlo import MonteCarloConfig
 from repro.core.parameter_space import ParameterSpace
 from repro.core.triggers import TriggerPolicy
-from repro.experiments.campaign import CampaignConfig, CampaignResult, run_campaign
+from repro.datasets import GeneratedLogs, LogGenerationConfig, generate_production_logs
 from repro.experiments.common import Substrate, SubstrateConfig, build_substrate
 from repro.users.population import UserPopulation, UserProfile
 
@@ -37,8 +37,8 @@ class Fig12Result:
     bitrate: ABTestResult
     stall_time: ABTestResult
     #: Campaign artefacts of the AB (post-intervention) phase, for Figures 13–15.
-    treatment_post: CampaignResult
-    control_post: CampaignResult
+    treatment_post: GeneratedLogs
+    control_post: GeneratedLogs
     treatment_population: UserPopulation
     control_population: UserPopulation
     days_pre: int
@@ -82,34 +82,32 @@ def run(
     trace_length: int = 120,
     split_fraction: float = 0.5,
     seed: int = 21,
-    backend: str | None = None,
 ) -> Fig12Result:
     """Run the AA/AB campaign and the difference-in-differences analysis.
 
-    ``backend`` selects the campaign simulation backend (defaults to the
-    substrate's configured backend; the AA phases and the control group are
-    plain HYB and fully vectorizable under ``"vector"``).
+    Each phase of each group is one
+    :func:`~repro.datasets.synthetic_logs.generate_production_logs` call:
+    every user keeps one ABR for the phase, and the AB phase starts on day
+    ``days_pre``.  The AA phases and the control group are plain HYB, which
+    the vector engine runs in lockstep.
     """
     substrate = substrate or build_substrate(SubstrateConfig())
-    backend = backend or getattr(substrate.config, "backend", "scalar")
     treatment_population, control_population = substrate.population.split(
         split_fraction, seed=seed
     )
 
-    def campaign(population: UserPopulation, factory, start_day: int, days: int, abrs=None):
-        return run_campaign(
+    def campaign(population: UserPopulation, factory, start_day: int, days: int):
+        return generate_production_logs(
             population,
             substrate.library,
-            factory,
-            CampaignConfig(
+            LogGenerationConfig(
                 days=days,
                 sessions_per_user_per_day=sessions_per_user_per_day,
                 trace_length=trace_length,
                 seed=seed + start_day,
                 start_day=start_day,
             ),
-            abrs=abrs,
-            backend=backend,
+            abr_factory=factory,
         )
 
     hyb_factory = lambda _profile: HYB(parameters=_baseline_parameters())  # noqa: E731

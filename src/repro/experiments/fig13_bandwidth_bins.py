@@ -35,12 +35,6 @@ class Fig13Result:
         """Stall-time change (%) in the lowest bandwidth bin."""
         return self.stall_change_percent[0]
 
-    @property
-    def beta_monotonic_increase(self) -> bool:
-        """True when the learned beta does not decrease with bandwidth."""
-        values = [v for v in self.mean_beta if np.isfinite(v)]
-        return all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
-
 
 def run(
     substrate: Substrate | None = None,

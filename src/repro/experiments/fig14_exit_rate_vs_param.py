@@ -39,12 +39,6 @@ class Fig14Result:
         """Pearson correlation per day."""
         return [d.correlation for d in self.daily]
 
-    @property
-    def all_negative(self) -> bool:
-        """True when every day with enough data shows a negative correlation."""
-        defined = [c for c in self.correlations if c == c]
-        return bool(defined) and all(c < 0 for c in defined)
-
 
 def run(
     substrate: Substrate | None = None,

@@ -63,17 +63,16 @@ def run(
     trace_length: int = 100,
     influx_per_day: int = 4,
     seed: int = 33,
-    backend: str | None = None,
     network: str | None = None,
 ) -> Fig16Result:
     """Run the compounding A/B campaign on the substrate's population.
 
     The treatment arm runs per-user LingXi(HYB) controllers whose long-term
     state carries across days through the checkpoint layer; the control arm
-    runs static HYB at the production beta.
+    runs static HYB at the production beta.  Both arms run on the vector
+    engine.
     """
     substrate = substrate or build_substrate(SubstrateConfig())
-    backend = backend or getattr(substrate.config, "backend", "scalar")
     profiles = substrate.population.profiles[:num_users]
     population = UserPopulation(profiles)
 
@@ -95,7 +94,7 @@ def run(
         num_workers=0,
         sessions_per_user=sessions_per_user,
         trace_length=trace_length,
-        backend=backend,
+        backend="vector",
         network=network,
         drift=DriftConfig(influx_per_day=influx_per_day),
     )

@@ -39,7 +39,6 @@ from repro.experiments import (
 )
 from repro.experiments.common import SubstrateConfig, build_substrate
 from repro.net.topology import available_topologies
-from repro.sim.backend import available_backends
 
 #: Figure ids in execution order.  Figures 13–15 reuse the AA/AB campaign of
 #: Figure 12, so selecting any of them pulls ``fig12`` in as a dependency.
@@ -154,15 +153,6 @@ def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
         help="suppress per-figure timing and summary output",
     )
     parser.add_argument(
-        "--backend",
-        default="scalar",
-        choices=available_backends(),
-        help=(
-            "simulation backend for substrate log generation and the "
-            "fig10/fig12 campaign loops (default: scalar)"
-        ),
-    )
-    parser.add_argument(
         "--network",
         default=None,
         choices=available_topologies(),
@@ -221,9 +211,7 @@ def main(argv: list[str] | None = None) -> dict[str, object]:
                 )
                 print(f"live status: python -m repro.obs.monitor {args.live_status}")
             results = run_all(
-                substrate_config=SubstrateConfig(
-                    backend=args.backend, network=args.network
-                ),
+                substrate_config=SubstrateConfig(network=args.network),
                 verbose=not args.quiet,
                 figures=figures,
             )

@@ -36,7 +36,6 @@ of the Figure 12 difference-in-differences protocol.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -59,7 +58,6 @@ from repro.fleet.orchestrator import (
     FleetResult,
     write_fleet_telemetry,
 )
-from repro.fleet.pool import shared_pool
 from repro.obs import live as obs_live
 from repro.obs.telemetry_reader import iter_events
 from repro.fleet.scenarios import DeviceMixScenario, Scenario, get_scenario
@@ -70,6 +68,7 @@ from repro.net.topology import (
     stable_fraction,
     stable_user_key,
 )
+from repro.sim.backend import derive_substreams
 from repro.sim.bandwidth import MixedTraceGenerator
 from repro.sim.session import SessionConfig
 from repro.sim.video import VideoLibrary
@@ -108,21 +107,28 @@ __all__ = [
 _DECISION_KEYS = {"retention": 101, "drift": 102, "influx": 103, "day-seed": 104}
 
 
-def _decision_rng(
-    seed: int, kind: str, day: int, user_id: str = ""
-) -> np.random.Generator:
-    """Philox stream for one campaign decision, keyed by identity.
+def _user_decision_rngs(
+    seed: int, kind: str, day: int, user_ids: Sequence[str]
+) -> list[np.random.Generator]:
+    """One Philox stream per user for one kind of decision on one day.
 
-    Keying by ``(seed, kind, day, md5(user_id))`` — never by roster position —
-    makes every decision invariant to sharding, backend and roster
-    composition (influx appends cannot shift anyone else's draws).
+    Row ``i`` is keyed ``(seed, kind, day, md5(user_ids[i]))`` — never by
+    roster position — which makes every decision invariant to sharding,
+    backend and roster composition (influx appends cannot shift anyone
+    else's draws).  The day's keys hash in one :func:`derive_substreams`
+    call, bit-equal to one ``SeedSequence`` per user.
     """
-    key: tuple[int, ...] = (_DECISION_KEYS[kind], day)
-    if user_id:
-        key = key + stable_user_key(user_id, salt=kind)
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=key))
-    )
+    keys = np.array(
+        [
+            (_DECISION_KEYS[kind], day, *stable_user_key(uid, salt=kind))
+            for uid in user_ids
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 4)
+    return [
+        np.random.Generator(np.random.Philox(substream))
+        for substream in derive_substreams(seed, keys)
+    ]
 
 
 def _day_seed(seed: int, day: int) -> int:
@@ -533,16 +539,6 @@ class LongitudinalCampaign:
         base_topology = get_topology(config.network)
         drift = config.drift
 
-        # One persistent pool for the whole campaign (the shared pool also
-        # outlives it, so back-to-back campaigns — e.g. both arms of an A/B —
-        # reuse the same workers and cached library/factory objects).  Day
-        # populations and controller states still travel per day: they are
-        # genuinely new data.
-        workers = config.num_workers
-        if workers is None:
-            workers = min(config.num_shards, os.cpu_count() or 1)
-        fleet_pool = shared_pool(workers) if workers > 1 and config.num_shards > 1 else None
-
         writer: TelemetryWriter | None = None
         if telemetry_dir is not None:
             # A resumed campaign appends: the pre-crash retention/day_summary
@@ -593,7 +589,10 @@ class LongitudinalCampaign:
                     with obs.span("campaign.retention"):
                         decisions: dict[str, RetentionDecision] = {}
                         arrivals: list[UserProfile] = []
-                        for profile in roster:
+                        retention_rngs = _user_decision_rngs(
+                            config.seed, "retention", day, [p.user_id for p in roster]
+                        )
+                        for profile, retention_rng in zip(roster, retention_rngs):
                             uid = profile.user_id
                             if first_day[uid] == day:
                                 decision = RetentionDecision(
@@ -609,9 +608,7 @@ class LongitudinalCampaign:
                                         f"retention probability {probability} for {uid!r} "
                                         "outside [0, 1]"
                                     )
-                                draw = float(
-                                    _decision_rng(config.seed, "retention", day, uid).random()
-                                )
+                                draw = float(retention_rng.random())
                                 decision = RetentionDecision(
                                     uid,
                                     day,
@@ -632,7 +629,7 @@ class LongitudinalCampaign:
                         else None
                     )
                     if arrivals:
-                        result = FleetOrchestrator(fleet_config, pool=fleet_pool).run(
+                        result = FleetOrchestrator(fleet_config).run(
                             UserPopulation(arrivals),
                             library,
                             scenario=scen,
@@ -732,9 +729,11 @@ class LongitudinalCampaign:
                     prev_summaries = summaries
                     with obs.span("campaign.drift"):
                         if drift.profile_drift:
+                            drift_rngs = _user_decision_rngs(
+                                config.seed, "drift", day, [p.user_id for p in roster]
+                            )
                             roster = [
-                                p.next_day(_decision_rng(config.seed, "drift", day, p.user_id))
-                                for p in roster
+                                p.next_day(rng) for p, rng in zip(roster, drift_rngs)
                             ]
                         if drift.influx_per_day > 0:
                             new_profiles = _influx_profiles(config.seed, day, drift)
@@ -788,7 +787,11 @@ class LongitudinalCampaign:
 
 def _influx_profiles(seed: int, day: int, drift: DriftConfig) -> list[UserProfile]:
     """Draw the day's new-user cohort (ids are prefix + day + index)."""
-    rng = _decision_rng(seed, "influx", day)
+    rng = np.random.Generator(
+        np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=(_DECISION_KEYS["influx"], day))
+        )
+    )
     mixture = MixedTraceGenerator(
         median_kbps=drift.influx_bandwidth_median_kbps,
         sigma_log=drift.influx_sigma_log,

@@ -596,8 +596,8 @@ class FleetOrchestrator:
     Parallel runs (``num_workers > 1``) execute on the persistent
     :class:`~repro.fleet.pool.WorkerPool` — by default the
     process-global pool of :func:`~repro.fleet.pool.shared_pool`, reused
-    across runs; pass ``pool=`` to pin a specific pool (a longitudinal
-    campaign holds one across all of its days).  ``num_workers`` of 0/1 keeps
+    across runs, so every day of a longitudinal campaign finds the same
+    workers; pass ``pool=`` to pin a specific pool.  ``num_workers`` of 0/1 keeps
     the inline reference path, which the pooled path must match bit-for-bit.
     """
 

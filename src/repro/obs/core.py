@@ -53,10 +53,6 @@ class SpanNode:
             self.children[name] = node
         return node
 
-    def self_time_s(self) -> float:
-        """Wall time not attributed to any child span."""
-        return self.total_s - sum(c.total_s for c in self.children.values())
-
     def as_payload(self, pending: "dict[int, float] | None" = None) -> dict:
         """JSON form; children sorted by name for cross-process determinism.
 

@@ -50,7 +50,6 @@ from repro.sim.backend import (
     derive_substreams,
     get_backend,
     register_backend,
-    run_sessions,
     session_rng,
     spawn_session_seeds,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "derive_substreams",
     "get_backend",
     "register_backend",
-    "run_sessions",
     "session_rng",
     "spawn_session_seeds",
     "ExitStepView",

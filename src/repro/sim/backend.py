@@ -379,17 +379,4 @@ def get_backend(backend: str | SimBackend | None) -> SimBackend:
     return factory()
 
 
-def run_sessions(
-    specs: Sequence[SessionSpec],
-    config: SessionConfig | None = None,
-    backend: str | SimBackend | None = "scalar",
-    network=None,
-    link_usage=None,
-) -> list[PlaybackTrace]:
-    """One-call helper: resolve ``backend`` and run ``specs`` through it."""
-    return get_backend(backend).run_batch(
-        specs, config, network=network, link_usage=link_usage
-    )
-
-
 register_backend("scalar", ScalarBackend)

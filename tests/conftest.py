@@ -7,6 +7,9 @@ real code paths.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,36 @@ def contracts_tripwire():
         return
     with strict_tripwire():
         yield
+
+
+def _log_digests(result) -> dict[str, str]:
+    """sha256 pins of a :class:`~repro.datasets.GeneratedLogs`.
+
+    ``segments`` hashes each session's identity and its segment columns in
+    log order (column by column: the structured array's padding bytes carry
+    no data), ``daily_parameters`` the sorted ``[user, day, beta]`` rows.
+    """
+    segments = hashlib.sha256()
+    for log in result.logs:
+        segments.update(
+            json.dumps(
+                [log.user_id, log.day, log.session_index, log.trace.exited_early]
+            ).encode()
+        )
+        columns = log.trace.segments
+        for name in columns.dtype.names:
+            segments.update(np.ascontiguousarray(columns[name]).tobytes())
+    rows = sorted([user, day, beta] for (user, day), beta in result.daily_parameters.items())
+    return {
+        "segments": segments.hexdigest(),
+        "daily_parameters": hashlib.sha256(json.dumps(rows).encode()).hexdigest(),
+    }
+
+
+@pytest.fixture(scope="session")
+def log_digests():
+    """The sha256 pin function for generated logs (see :func:`_log_digests`)."""
+    return _log_digests
 
 
 @pytest.fixture

@@ -56,7 +56,7 @@ def corpus():
         population,
         library,
         LogGenerationConfig(days=2, sessions_per_user_per_day=3, seed=4),
-    )
+    ).logs
 
 
 class TestLogGeneration:
@@ -77,33 +77,34 @@ class TestLogGeneration:
             LogGenerationConfig(days=1, sessions_per_user_per_day=1),
             abr_factory=lambda _profile: BBA(),
         )
-        assert len(logs) == 3
+        assert len(logs.logs) == 3
+        assert set(logs.abrs) == {profile.user_id for profile in population}
 
-    def test_scalar_and_vector_backends_produce_identical_corpora(self):
+    def test_dual_isp_corpus_is_pinned(self, log_digests):
+        """A networked corpus, pinned to the digest of the scalar and vector
+        engines before the generator ran on one engine."""
         population = UserPopulation.generate(12, seed=3, bandwidth_median_kbps=2000)
         library = VideoLibrary(num_videos=3, seed=2)
-
-        def corpus(backend):
-            logs = generate_production_logs(
-                population,
-                library,
-                LogGenerationConfig(
-                    days=2, sessions_per_user_per_day=2, trace_length=60,
-                    seed=5, backend=backend,
-                ),
-            )
-            return [
-                (log.user_id, log.day, log.session_index, tuple(log.records))
-                for log in logs
-            ]
-
-        assert corpus("scalar") == corpus("vector")
+        result = generate_production_logs(
+            population,
+            library,
+            LogGenerationConfig(
+                days=2, sessions_per_user_per_day=2, trace_length=60, seed=5,
+                network="dual_isp",
+            ),
+        )
+        assert len(result.logs) == 48
+        assert log_digests(result)["segments"] == (
+            "d8ff7d3ffdb652dfb9fb187ae588acd99206eb5315bd7cf1536a31a24b6c618b"
+        )
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             LogGenerationConfig(days=0)
         with pytest.raises(ValueError):
             LogGenerationConfig(sessions_per_user_per_day=0)
+        with pytest.raises(ValueError):
+            LogGenerationConfig(start_day=-1)
 
 
 class TestEstimateTolerance:

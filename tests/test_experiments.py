@@ -18,45 +18,63 @@ from repro.experiments import (
     fig14_exit_rate_vs_param,
     fig15_user_trajectories,
 )
-from repro.experiments.campaign import CampaignConfig, run_campaign
+from repro.datasets import LogGenerationConfig, generate_production_logs
 from repro.experiments.common import format_table
 from repro.sim.traces import generate_trace_set
 from repro.sim.video import Video
 from repro.abr.hyb import HYB
 
 
+#: sha256 pins of a Figure 12 AB phase on the tiny substrate (days 1-2,
+#: seed 22), per arm: the LingXi-wrapped HYB treatment and the HYB control.
+#: Recorded from the scalar and vector engines (which agreed) when the
+#: campaign still had its own day loop.
+_AB_PHASE_DIGESTS = {
+    "lingxi": {
+        "segments": "d7e0ee5eae1a757830c9cf5debbd91cec7a43968b0fbdb5db017ac806ee8dca8",
+        "daily_parameters": "602381221c3b68e8648f3af85af611ceb49546cae5b5690a5dbf5253dbe90891",
+    },
+    "hyb": {
+        "segments": "805f9164a798cd6907e47fc663aa44c31dae45111940b8ddb262ce4b6227ef26",
+        "daily_parameters": "24d159b667f43a489ae8951c661b180e3d53cb19560857d6f4796f80d9cc0759",
+    },
+}
+
+
 class TestCampaign:
     def test_campaign_produces_logs_and_parameters(self, tiny_substrate):
-        result = run_campaign(
+        result = generate_production_logs(
             tiny_substrate.population,
             tiny_substrate.library,
-            lambda _profile: HYB(),
-            CampaignConfig(days=1, sessions_per_user_per_day=1, trace_length=40, seed=0),
+            LogGenerationConfig(days=1, sessions_per_user_per_day=1, trace_length=40, seed=0),
+            abr_factory=lambda _profile: HYB(),
         )
         assert len(result.logs) == len(tiny_substrate.population)
         assert len(result.daily_parameters) == len(tiny_substrate.population)
         assert all(v == pytest.approx(0.9) for v in result.daily_parameters.values())
 
-    def test_scalar_and_vector_backends_produce_identical_campaigns(
-        self, tiny_substrate
-    ):
-        def campaign(backend):
-            result = run_campaign(
-                tiny_substrate.population,
-                tiny_substrate.library,
-                lambda _profile: HYB(),
-                CampaignConfig(
-                    days=2, sessions_per_user_per_day=2, trace_length=40, seed=3
-                ),
-                backend=backend,
+    @pytest.mark.parametrize("arm", ["lingxi", "hyb"])
+    def test_ab_phase_is_pinned(self, tiny_substrate, log_digests, arm):
+        treatment, control = tiny_substrate.population.split(0.5, seed=21)
+        if arm == "lingxi":
+            population = treatment
+            factory = fig12_ab_test._lingxi_hyb_factory(tiny_substrate, 21)
+        else:
+            population = control
+            factory = lambda _profile: HYB(  # noqa: E731
+                parameters=fig12_ab_test._baseline_parameters()
             )
-            sessions = [
-                (log.user_id, log.day, log.session_index, tuple(log.records))
-                for log in result.logs
-            ]
-            return sessions, result.daily_parameters
-
-        assert campaign("scalar") == campaign("vector")
+        result = generate_production_logs(
+            population,
+            tiny_substrate.library,
+            LogGenerationConfig(
+                days=2, sessions_per_user_per_day=2, trace_length=60, seed=22, start_day=1
+            ),
+            abr_factory=factory,
+        )
+        assert {log.day for log in result.logs} == {1, 2}
+        assert len(result.abrs) == len(population)
+        assert log_digests(result) == _AB_PHASE_DIGESTS[arm]
 
 
 class TestAnalysisFigures:
@@ -132,7 +150,7 @@ class TestSimulationFigures:
         self, tiny_substrate, monkeypatch
     ):
         playbacks, fitted = [], []
-        run_batch = fig10_simulation.ScalarBackend.run_batch
+        run_batch = fig10_simulation.VectorBackend.run_batch
         fit = fig10_simulation.fit_data_driven_user
 
         def recording_run_batch(self, specs, config=None, **kwargs):
@@ -145,7 +163,7 @@ class TestSimulationFigures:
             return fit(features, labels)
 
         monkeypatch.setattr(
-            fig10_simulation.ScalarBackend, "run_batch", recording_run_batch
+            fig10_simulation.VectorBackend, "run_batch", recording_run_batch
         )
         monkeypatch.setattr(fig10_simulation, "fit_data_driven_user", recording_fit)
         traces = generate_trace_set(num_traces=3, length=80, low_bandwidth_fraction=0.7)

@@ -39,7 +39,7 @@ from repro.fleet import (
     shifting_device_mix,
     write_fleet_telemetry,
 )
-from repro.fleet.longitudinal import _decision_rng, _day_seed
+from repro.fleet.longitudinal import _day_seed, _user_decision_rngs
 from repro.net import EdgeLink, NetworkTopology, get_topology
 from repro.obs.telemetry_reader import iter_events, replay_log_collection
 from repro.net.topology import CrossTraffic
@@ -661,11 +661,13 @@ class TestDriftAndInflux:
         assert schedule(50).mobile_fraction <= 0.95  # clamped
 
     def test_decision_rng_is_identity_keyed(self):
-        a = _decision_rng(1, "retention", 2, "u00001").random()
-        b = _decision_rng(1, "retention", 2, "u00001").random()
-        c = _decision_rng(1, "retention", 2, "u00002").random()
-        d = _decision_rng(1, "retention", 3, "u00001").random()
-        assert a == b
+        def draws(day, user_ids):
+            return [r.random() for r in _user_decision_rngs(1, "retention", day, user_ids)]
+
+        a, c = draws(2, ["u00001", "u00002"])
+        assert draws(2, ["u00002", "u00001"]) == [c, a]  # not roster position
+        assert draws(2, ["u00001"]) == [a]  # not roster composition
+        (d,) = draws(3, ["u00001"])
         assert a != c and a != d
         assert _day_seed(5, 0) != _day_seed(5, 1)
 

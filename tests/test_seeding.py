@@ -1,6 +1,7 @@
 """Batch-derived seeds (:func:`repro.sim.backend.derive_substreams`) equal
-numpy's ``SeedSequence`` word for word, and the fleet's seeds equal the
-per-user ``SeedSequence`` chain they replace."""
+numpy's ``SeedSequence`` word for word, and the fleet's and the
+longitudinal campaign's seeds equal the per-user ``SeedSequence`` chains
+they replace."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from numpy.random import SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 from repro.fleet import FleetConfig, FleetOrchestrator, HybFleetFactory
+from repro.fleet import longitudinal
 from repro.fleet import orchestrator as orchestrator_module
 from repro.fleet.scenarios import Scenario
 from repro.net.topology import stable_user_key
@@ -182,3 +184,19 @@ def test_fleet_seeds_equal_the_per_user_seed_sequence_chain(monkeypatch):
                 np.testing.assert_array_equal(
                     spec.seed.generate_state(8, dtype), child.generate_state(8, dtype)
                 )
+
+
+@pytest.mark.parametrize("kind", ["retention", "drift"])
+def test_campaign_decision_streams_equal_the_per_decision_chain(kind):
+    """A day's batch of retention or drift streams draws exactly what
+    ``Philox(SeedSequence(seed, spawn_key=(kind key, day, md5(uid))))``,
+    built once per decision, draws."""
+    user_ids = [p.user_id for p in UserPopulation.generate(6, seed=3)] + ["new-d003-0001"]
+    for seed, day in ((0, 0), (17, 3), (2**40, 2**32 - 1)):
+        rngs = longitudinal._user_decision_rngs(seed, kind, day, user_ids)
+        for uid, rng in zip(user_ids, rngs, strict=True):
+            key = (longitudinal._DECISION_KEYS[kind], day, *stable_user_key(uid, salt=kind))
+            old = np.random.Generator(np.random.Philox(SeedSequence(seed, spawn_key=key)))
+            np.testing.assert_array_equal(rng.random(16), old.random(16))
+            np.testing.assert_array_equal(rng.normal(size=4), old.normal(size=4))
+    assert longitudinal._user_decision_rngs(0, kind, 0, []) == []

@@ -52,7 +52,6 @@ from repro.sim import (
     VectorBackend,
     available_backends,
     get_backend,
-    run_sessions,
     session_rng,
     spawn_session_seeds,
 )
@@ -500,13 +499,13 @@ class TestBackendSeam:
         with pytest.raises(KeyError):
             get_backend("not_a_backend")
 
-    def test_run_sessions_helper_and_single_run(self):
+    def test_batch_and_single_run_agree(self):
         video = Video(num_segments=10, seed=0)
         trace = StationaryTraceGenerator(3000.0).generate(10, np.random.default_rng(0))
         spec = SessionSpec(abr=HYB(), video=video, trace=trace, seed=1)
-        helper_traces = run_sessions([spec], backend="vector")
+        batch_traces = get_backend("vector").run_batch([spec])
         single = get_backend("vector").run(spec)
-        assert helper_traces[0].records == single.records
+        assert batch_traces[0].records == single.records
 
     def test_unseeded_specs_draw_independently_and_match_across_backends(self):
         video = Video(num_segments=40, seed=4)
