@@ -5,7 +5,7 @@ import numpy as np
 from repro.experiments import fig02_opportunities
 
 
-def test_fig02_opportunities(benchmark, substrate):
+def test_fig02_opportunities(benchmark, substrate, takeaway):
     result = benchmark.pedantic(
         lambda: fig02_opportunities.run(substrate=substrate), rounds=1, iterations=1
     )
@@ -18,6 +18,12 @@ def test_fig02_opportunities(benchmark, substrate):
         index = int(quantile * (result.bandwidth_mbps_sorted.size - 1))
         print(f"  bandwidth p{int(quantile * 100)}: {result.bandwidth_mbps_sorted[index]:.1f} Mbps")
     # Long tail exists but is a minority, as in Figure 2(a).
-    assert 0.02 <= result.fraction_below_max_bitrate <= 0.5
-    assert result.fraction_at_most_two_stalls >= result.fraction_stall_free
+    takeaway("fig02 users below max bitrate", result.fraction_below_max_bitrate, ">=", 0.02)
+    takeaway("fig02 users below max bitrate", result.fraction_below_max_bitrate, "<=", 0.5)
+    takeaway(
+        "fig02 user-days with <=2 stalls >= stall-free",
+        result.fraction_at_most_two_stalls,
+        ">=",
+        result.fraction_stall_free,
+    )
     assert np.all(np.diff(result.bandwidth_cdf) >= 0)

@@ -5,7 +5,7 @@ import numpy as np
 from repro.experiments import fig03_watchtime_qos
 
 
-def test_fig03_watchtime_qos(benchmark, substrate):
+def test_fig03_watchtime_qos(benchmark, substrate, takeaway):
     result = benchmark.pedantic(
         lambda: fig03_watchtime_qos.run(substrate=substrate), rounds=1, iterations=1
     )
@@ -19,4 +19,9 @@ def test_fig03_watchtime_qos(benchmark, substrate):
     # Heavier stalling sessions watch less than stall-free ones.
     stall_series = result.watch_time_by_stall
     finite_stall = stall_series[np.isfinite(stall_series)]
-    assert finite_stall[-1] <= finite_stall[0] + 1e-9
+    takeaway(
+        "fig03 watch time, top stall bin <= stall-free",
+        finite_stall[-1],
+        "<=",
+        finite_stall[0] + 1e-9,
+    )

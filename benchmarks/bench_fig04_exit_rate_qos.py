@@ -5,7 +5,7 @@ import numpy as np
 from repro.experiments import fig04_exit_rate_qos
 
 
-def test_fig04_exit_rate_qos(benchmark, substrate):
+def test_fig04_exit_rate_qos(benchmark, substrate, takeaway):
     result = benchmark.pedantic(
         lambda: fig04_exit_rate_qos.run(substrate=substrate), rounds=1, iterations=1
     )
@@ -22,9 +22,16 @@ def test_fig04_exit_rate_qos(benchmark, substrate):
         f"stall: {result.stall_magnitude:.4f}"
     )
     # Takeaway 1: hierarchical influence magnitudes (stall >> smoothness >= quality).
-    assert result.stall_magnitude > result.smoothness_magnitude
-    assert result.stall_magnitude > result.quality_magnitude
+    takeaway(
+        "fig04 stall > smoothness magnitude",
+        result.stall_magnitude,
+        ">",
+        result.smoothness_magnitude,
+    )
+    takeaway(
+        "fig04 stall > quality magnitude", result.stall_magnitude, ">", result.quality_magnitude
+    )
     # Stall exit rates rise with cumulative stall time.
     stall_series = result.exit_rate_by_stall
     finite = stall_series[np.isfinite(stall_series)]
-    assert finite[-1] > finite[0]
+    takeaway("fig04 exit rate, top stall bin > stall-free", finite[-1], ">", finite[0])

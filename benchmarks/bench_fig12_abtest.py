@@ -1,7 +1,7 @@
 """Figure 12 benchmark: 10-day difference-in-differences A/B campaign."""
 
 
-def test_fig12_ab_test(benchmark, ab_result):
+def test_fig12_ab_test(benchmark, ab_result, takeaway):
     result = benchmark.pedantic(lambda: ab_result, rounds=1, iterations=1)
     print("\nFigure 12 — difference-in-differences A/B test")
     print("  day  group      watch_time  bitrate  stall_s_per_h")
@@ -19,4 +19,4 @@ def test_fig12_ab_test(benchmark, ab_result):
     print("  " + result.stall_time.summary())
     assert len(result.control_daily) == result.days_pre + result.days_post
     # Watch time (the optimization target) should not regress after deployment.
-    assert result.watch_time.effect > -0.05
+    takeaway("fig12 watch-time effect", result.watch_time.effect, ">", -0.05)

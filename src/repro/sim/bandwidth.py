@@ -179,7 +179,15 @@ class StationaryTraceGenerator:
 
 
 class MarkovTraceGenerator:
-    """Two-state (good/bad) Markov-modulated bandwidth, cellular-like bursts."""
+    """Two-state (good/bad) Markov-modulated bandwidth, cellular-like bursts.
+
+    A trace of ``n`` samples takes two blocks from ``rng``: first
+    ``z = rng.standard_normal(n)``, then ``u = rng.random(n)``.  The chain
+    starts good; sample ``i`` is ``mean + std * z[i]`` of its state's regime,
+    and ``u[i]`` picks the state of sample ``i + 1``: a good state stays good
+    when ``u[i] >= p_good_to_bad``, a bad state turns good when
+    ``u[i] < p_bad_to_good``.
+    """
 
     def __init__(
         self,
@@ -195,6 +203,9 @@ class MarkovTraceGenerator:
                 raise ValueError("transition probabilities must be in [0, 1]")
         if good_mean_kbps <= 0 or bad_mean_kbps <= 0:
             raise ValueError("means must be positive")
+        # ``>= 0`` is False for NaN too.
+        if not (good_std_kbps >= 0 and bad_std_kbps >= 0):
+            raise ValueError("standard deviations must be non-negative")
         self.good_mean_kbps = good_mean_kbps
         self.bad_mean_kbps = bad_mean_kbps
         self.good_std_kbps = good_std_kbps
@@ -204,15 +215,27 @@ class MarkovTraceGenerator:
 
     def generate(self, length: int, rng: np.random.Generator, name: str | None = None) -> BandwidthTrace:
         """Generate a trace of ``length`` samples."""
-        values = np.empty(length)
-        good = True
-        for i in range(length):
-            if good:
-                values[i] = rng.normal(self.good_mean_kbps, self.good_std_kbps)
-                good = rng.random() >= self.p_good_to_bad
-            else:
-                values[i] = rng.normal(self.bad_mean_kbps, self.bad_std_kbps)
-                good = rng.random() < self.p_bad_to_good
+        z = rng.standard_normal(length)
+        u = rng.random(length)[:-1]
+        # Entry i maps the state of sample i - 1 to that of sample i: a good
+        # state goes to ``stay[i]``, a bad one to ``turn[i]``.  Where the two
+        # agree the entry resets the state to that value (entry 0 resets to
+        # the good start); otherwise it keeps the state or flips it.
+        stay = np.ones(length, dtype=bool)
+        turn = np.ones(length, dtype=bool)
+        stay[1:] = u >= self.p_good_to_bad
+        turn[1:] = u < self.p_bad_to_good
+        reset = stay == turn
+        flips = np.cumsum(turn > stay)
+        # Each sample takes the value of the last reset at or before it,
+        # flipped by the parity of the flips since that reset.
+        last = np.flatnonzero(reset)[np.cumsum(reset) - 1]
+        good = stay[last] != ((flips - flips[last]) % 2 == 1)
+        values = np.where(
+            good,
+            self.good_mean_kbps + self.good_std_kbps * z,
+            self.bad_mean_kbps + self.bad_std_kbps * z,
+        )
         values = np.maximum(values, _MIN_BANDWIDTH_KBPS)
         return BandwidthTrace(tuple(values.tolist()), name=name or "markov")
 

@@ -162,6 +162,76 @@ class TestTraces:
         with pytest.raises(ValueError):
             LowBandwidthTraceGenerator(dropout_prob=1.0)
 
+    @pytest.mark.parametrize("field", ["good_std_kbps", "bad_std_kbps"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_markov_generator_rejects_bad_std(self, field, value):
+        with pytest.raises(ValueError, match="standard deviation"):
+            MarkovTraceGenerator(**{field: value})
+
+    def test_empty_markov_trace_is_a_value_error(self, rng):
+        with pytest.raises(ValueError, match="at least one sample"):
+            MarkovTraceGenerator().generate(0, rng)
+
+
+def _per_sample_markov(generator, length, rng):
+    """The chain one sample at a time, over the generator's two blocks."""
+    z = rng.standard_normal(length)
+    u = rng.random(length)
+    values = []
+    good = True
+    for i in range(length):
+        if good:
+            values.append(generator.good_mean_kbps + generator.good_std_kbps * z[i])
+            good = u[i] >= generator.p_good_to_bad
+        else:
+            values.append(generator.bad_mean_kbps + generator.bad_std_kbps * z[i])
+            good = u[i] < generator.p_bad_to_good
+    return tuple(np.maximum(values, 10.0).tolist())
+
+
+class TestMarkovChain:
+    @pytest.mark.parametrize(
+        "p_good_to_bad,p_bad_to_good",
+        [(0.1, 0.3), (0.25, 0.2), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1.0, 1.0), (0.5, 0.5)],
+    )
+    def test_chain_equals_the_per_sample_loop(self, p_good_to_bad, p_bad_to_good):
+        """The array chain gives the per-sample loop's trace, bit for bit, and
+        leaves the stream where the two blocks end."""
+        generator = MarkovTraceGenerator(
+            p_good_to_bad=p_good_to_bad, p_bad_to_good=p_bad_to_good
+        )
+        for seed in range(200):
+            for length in (1, 2, 7, 120):
+                rng = np.random.default_rng(seed)
+                reference_rng = np.random.default_rng(seed)
+                trace = generator.generate(length, rng)
+                assert trace.values_kbps == _per_sample_markov(
+                    generator, length, reference_rng
+                ), (seed, length)
+                assert rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize(
+        "p_good_to_bad,p_bad_to_good", [(0.1, 0.3), (0.25, 0.2), (0.5, 0.5)]
+    )
+    def test_long_run_good_share(self, p_good_to_bad, p_bad_to_good):
+        """The share of good samples is the chain's stationary share, within
+        five standard deviations of a binomial widened by the chain's lag-1
+        correlation ``1 - p_good_to_bad - p_bad_to_good``."""
+        generator = MarkovTraceGenerator(
+            good_std_kbps=0.0,
+            bad_std_kbps=0.0,
+            p_good_to_bad=p_good_to_bad,
+            p_bad_to_good=p_bad_to_good,
+        )
+        length = 100_000
+        trace = generator.generate(length, np.random.default_rng(3))
+        share = np.mean(np.asarray(trace.values_kbps) == generator.good_mean_kbps)
+        stationary = p_bad_to_good / (p_good_to_bad + p_bad_to_good)
+        correlation = 1.0 - p_good_to_bad - p_bad_to_good
+        variance = stationary * (1 - stationary) / length
+        variance *= (1 + correlation) / (1 - correlation)
+        assert abs(share - stationary) <= 5 * np.sqrt(variance)
+
     def test_generate_trace_set_and_roundtrip(self, tmp_path, rng):
         traces = generate_trace_set(num_traces=6, length=30, low_bandwidth_fraction=0.5, seed=1)
         assert len(traces) == 6

@@ -28,22 +28,22 @@ from repro.users.population import UserPopulation
 #: composition: any change to a sample, label or its metadata shows here.
 _DATASET_DIGESTS = {
     "all": {
-        "features": "23b8ffdfe0ffe9c2f7011cf9d027fcb56b8df8f8c55f78168d6154ea4addd839",
-        "labels": "797e089233861192df59af26af0eb11010b2d5900ec10c56acb6daab07f9f456",
-        "user_ids": "f794f2516a516e834a1d5bd6c8ba1491e4471728ce507f4b2946fd685d5da26a",
-        "stall_ordinals": "1dcf5cfd23ede31762459bac7411e519798a7a7017c6cb8db890cc73368d7e4f",
+        "features": "cf1a0c5df1300e00ed2a6e484cb55786d30d4fdf49e32d699db0eb11a3b499ed",
+        "labels": "9b7c6695b455dd8a7fd295e87b363750930cf8e812c6898dbbe74b4452c476cb",
+        "user_ids": "14f88080459b83e08b258c3359817e15b0c3cc0f1609f02eb15cbd4a35a69001",
+        "stall_ordinals": "5711bff38388648d4cea14e9b28c6bd27bf70ed6c3c26ae5249a27473ce8f770",
     },
     "event": {
-        "features": "7f209c3381277905aa67c88c8de14807e78fb5ea07511fdc3f1fa6efb4b44d4e",
-        "labels": "8a9d6a63251f15ad9e1428e6876b7252b3dbd8556dca82fe8490a2a58a3b5d84",
-        "user_ids": "48f2a13656bd55576d1eca1422d6a962262c4479bef5f6672b17bb77c9672c80",
-        "stall_ordinals": "20bc669bc55dd45e07d271ce3e213fb78cb1f25bb460c081af62fb2ca2de4b0c",
+        "features": "fcdc628694bdf91353a844906973304e31dd89a128a680d6078e7cbcc6951194",
+        "labels": "749e2aca3f75041e52222bd41589dd0d67be65b0d5463eddd5a56c0ee294db87",
+        "user_ids": "55e608c5177e01d6afda5474569fddbc07b8cec5605e6a0cc7249ea3fa247727",
+        "stall_ordinals": "ed5d32c74b0d16772b38358e2f90e77ae7640e8dd20f4eaec4a2e367bc9aa37f",
     },
     "stall": {
-        "features": "2aa46fba86b1a99f8b7419fd48d0a211db1e36c3d397a41f840c0a490c245f58",
-        "labels": "8af74f881e9b97f4a296d181996b3270e37ac638ba4481c82ff8d8cfec4986eb",
-        "user_ids": "2886b300c22dabca28b6008296e2e8dbc1983dff7e4341ad246ba73e29c01bcb",
-        "stall_ordinals": "6160cef64c22077cb422d7a8bfd54834c196e0fe35d1df9bdbc5ea1901fe6003",
+        "features": "19e45bf2a17a0f6db5afe45b0c783abcecb03e8e48dfa74fff73d79356aae45c",
+        "labels": "5f150f81580d7a0d601af49434e9abdc407394d09ea16bbc8f8448aa2da71a24",
+        "user_ids": "b6a17743fad6171876846c0034b673f8726543d8283562e55e6318746294ac8d",
+        "stall_ordinals": "e5caccaace403605cb4629bd5d51b34478b90ad132b147ad0aae23921a44afe7",
     },
 }
 
@@ -82,7 +82,7 @@ class TestLogGeneration:
 
     def test_dual_isp_corpus_is_pinned(self, log_digests):
         """A networked corpus, pinned to the digest of the scalar and vector
-        engines before the generator ran on one engine."""
+        engines (which agreed) with the Markov traces drawn as two blocks."""
         population = UserPopulation.generate(12, seed=3, bandwidth_median_kbps=2000)
         library = VideoLibrary(num_videos=3, seed=2)
         result = generate_production_logs(
@@ -95,7 +95,7 @@ class TestLogGeneration:
         )
         assert len(result.logs) == 48
         assert log_digests(result)["segments"] == (
-            "d8ff7d3ffdb652dfb9fb187ae588acd99206eb5315bd7cf1536a31a24b6c618b"
+            "cfd3c972ad0166500afb628bd15a42621276d0f1f7a42f2037feee6b6909b859"
         )
 
     def test_invalid_config(self):

@@ -27,15 +27,15 @@ from repro.abr.hyb import HYB
 
 #: sha256 pins of a Figure 12 AB phase on the tiny substrate (days 1-2,
 #: seed 22), per arm: the LingXi-wrapped HYB treatment and the HYB control.
-#: Recorded from the scalar and vector engines (which agreed) when the
-#: campaign still had its own day loop.
+#: Recorded from the scalar and vector engines (which agreed) with the
+#: Markov traces drawn as a normal block and then a uniform block.
 _AB_PHASE_DIGESTS = {
     "lingxi": {
-        "segments": "d7e0ee5eae1a757830c9cf5debbd91cec7a43968b0fbdb5db017ac806ee8dca8",
-        "daily_parameters": "602381221c3b68e8648f3af85af611ceb49546cae5b5690a5dbf5253dbe90891",
+        "segments": "b55e212cb3a80d96e4910950076451d63411f303cbfaa969bbe4bd7c60dd2a4b",
+        "daily_parameters": "3744e6a9ea8068ccfcaba79c7791eae3923e714de7905f57a582d2a14e45e7c2",
     },
     "hyb": {
-        "segments": "805f9164a798cd6907e47fc663aa44c31dae45111940b8ddb262ce4b6227ef26",
+        "segments": "6380cbd8c34f221fbe1072386a8ec6b2231ce22a3d43087f0c25d337d3a501cc",
         "daily_parameters": "24d159b667f43a489ae8951c661b180e3d53cb19560857d6f4796f80d9cc0759",
     },
 }
