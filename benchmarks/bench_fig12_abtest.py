@@ -18,5 +18,6 @@ def test_fig12_ab_test(benchmark, ab_result, takeaway):
     print("  " + result.bitrate.summary())
     print("  " + result.stall_time.summary())
     assert len(result.control_daily) == result.days_pre + result.days_post
-    # Watch time (the optimization target) should not regress after deployment.
-    takeaway("fig12 watch-time effect", result.watch_time.effect, ">", -0.05)
+    # Watch time (the optimization target) rises after deployment, the
+    # direction Figure 12 reports.
+    takeaway("fig12 watch-time effect", result.watch_time.effect, ">", 0.0)

@@ -88,9 +88,9 @@ def segment_exit_rate(sessions: Iterable[SessionLog]) -> float:
     watched = 0
     exited = 0
     for session in sessions:
-        exited_flags = session.trace.exited_flags
+        exited_flags = session.trace.segments["exited"]
         watched += exited_flags.size
-        exited += int(exited_flags.sum())
+        exited += int(np.count_nonzero(exited_flags))
     if watched == 0:
         return float("nan")
     return exited / watched

@@ -29,10 +29,8 @@ from repro.core.exit_predictor import BatchedExitPredictor
 from repro.core.monte_carlo import BatchedMonteCarloEvaluator
 from repro.fleet.checkpoint import (
     FleetCheckpoint,
-    checkpoint_controllers,
     load_fleet_checkpoint,
     register_checkpoint_migration,
-    restore_controllers,
     save_checkpoint_states,
     save_fleet_checkpoint,
 )
@@ -104,10 +102,8 @@ __all__ = [
     "BatchedExitPredictor",
     "BatchedMonteCarloEvaluator",
     "FleetCheckpoint",
-    "checkpoint_controllers",
     "load_fleet_checkpoint",
     "register_checkpoint_migration",
-    "restore_controllers",
     "save_checkpoint_states",
     "save_fleet_checkpoint",
     "CampaignResumeState",

@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.core.controller import LingXiController
-from repro.core.persistence import controller_state_payload, restore_controller_state
 from repro.fleet.orchestrator import FleetResult
 
 #: Schema version of the checkpoint file.
@@ -126,23 +124,3 @@ def load_fleet_checkpoint(path: str | Path) -> FleetCheckpoint:
         version=version,
     )
 
-
-def checkpoint_controllers(controllers: dict[str, LingXiController]) -> dict[str, dict]:
-    """Payload mapping for a dict of live controllers (e.g. from a campaign)."""
-    return {
-        user_id: controller_state_payload(controller)
-        for user_id, controller in controllers.items()
-    }
-
-
-def restore_controllers(
-    controllers: dict[str, LingXiController], checkpoint: FleetCheckpoint
-) -> int:
-    """Restore every matching controller in place; returns how many matched."""
-    restored = 0
-    for user_id, controller in controllers.items():
-        payload = checkpoint.states.get(user_id)
-        if payload is not None:
-            restore_controller_state(controller, payload)
-            restored += 1
-    return restored

@@ -368,13 +368,14 @@ def fleet_metrics(logs: Iterable[SessionLog]) -> FleetMetrics:
     bitrate_sum = 0.0
     for session in logs:
         trace = session.trace
+        segments = trace.segments
         num_sessions += 1
         num_segments += len(trace)
-        segment_exits += int(trace.exited_flags.sum())
+        segment_exits += int(np.count_nonzero(segments["exited"]))
         exited_sessions += int(trace.exited_early)
         watch_time += trace.watch_time
         stall_time += trace.total_stall_time
-        bitrate_sum += float(trace.bitrates_kbps.sum())
+        bitrate_sum += float(segments["bitrate_kbps"].sum())
     return FleetMetrics(
         num_sessions=num_sessions,
         num_segments=num_segments,

@@ -1,19 +1,17 @@
-"""The telemetry reader: exactness against the live run, index, bounded memory.
+"""The telemetry reader: exactness against the live run, bounded memory.
 
 Everything the one reader gives back from a telemetry file — sessions,
 aggregates, link samples, the run summary and the run report — must equal
 what the live run itself holds (``result.logs``, ``result.metrics``,
 ``result.link_utilization()``, ``result.obs_report``), bit for bit, while a
-streamed aggregate holds one session at a time.  The sidecar index must skip
-chunks correctly, survive round-trips, and rebuild itself when the
-telemetry file changes underneath it.  Peak memory must stay flat as the
-file grows 10x, and a torn line must be reported with its file and offset.
+streamed aggregate holds one session at a time.  Peak memory must stay flat
+as the file grows 10x, and a torn line must be reported by every streaming
+reader with its file and offset.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 import tracemalloc
 
@@ -25,12 +23,9 @@ from repro.fleet import FleetConfig, FleetOrchestrator, fleet_metrics
 from repro.fleet.telemetry import session_from_payload, session_payload
 from repro.obs.report import load_report
 from repro.obs.telemetry_reader import (
-    TelemetryIndex,
-    default_index_path,
     iter_events,
     iter_session_logs,
     last_event,
-    load_or_build_index,
     read_run_summary,
     replay_link_utilization,
     replay_log_collection,
@@ -75,13 +70,6 @@ class TestReaderMatchesLiveRun:
         # the live metrics come from the same accumulator over result.logs
         assert fleet_metrics(result.logs).as_dict() == result.metrics.as_dict()
 
-    def test_fleet_metrics_with_index_match_live_run(self, telemetry):
-        path, result = telemetry
-        index = TelemetryIndex.build(path, events_per_chunk=7)
-        assert stream_fleet_metrics(path, index=index).as_dict() == (
-            result.metrics.as_dict()
-        )
-
     def test_segment_exit_rate_matches_live_run(self, telemetry):
         path, result = telemetry
         assert segment_exit_rate(iter_session_logs(path)) == (
@@ -111,10 +99,8 @@ class TestReaderMatchesLiveRun:
 
     def test_run_summary_and_report_match_live_run(self, telemetry):
         path, result = telemetry
-        index = load_or_build_index(path, save=False)
         for summary in (
             read_run_summary(path),
-            read_run_summary(path, index=index),
             read_run_summary(path, run_id=result.run_id),
         ):
             assert {key: summary[key] for key in result.metrics.as_dict()} == (
@@ -122,7 +108,7 @@ class TestReaderMatchesLiveRun:
             )
             assert summary["total_batch_sessions"] == result.total_batch_sessions
         expected_report = json.loads(json.dumps(result.obs_report))
-        assert last_event(path, "run_report", index=index).payload == expected_report
+        assert last_event(path, "run_report").payload == expected_report
         assert load_report(path) == expected_report
 
     def test_run_id_selects_the_run(self, telemetry):
@@ -177,122 +163,25 @@ class TestTornLine:
         last_line = data.splitlines(keepends=True)[-1]
         offset = len(data) - len(last_line)
         torn = tmp_path / "torn.jsonl"
-        torn.write_bytes(data)
-        # an index built while the file was whole still points at the line
-        index = TelemetryIndex.build(torn, events_per_chunk=4)
         torn.write_bytes(data[: offset + len(last_line) // 2])
         message = re.escape(f"{torn}: unreadable telemetry line at byte offset {offset} ")
 
         with pytest.raises(ValueError, match=message):
             list(iter_events(torn))
         with pytest.raises(ValueError, match=message):
-            list(iter_events(torn, event="run_end", index=index))
+            list(iter_session_logs(torn))
         with pytest.raises(ValueError, match=message):
-            TelemetryIndex.build(torn)
+            stream_fleet_metrics(torn)
         with pytest.raises(ValueError, match=message):
-            load_or_build_index(torn, save=False)
+            last_event(torn, "run_end")
         with pytest.raises(ValueError, match=message):
             read_run_summary(torn)
         with pytest.raises(ValueError, match=message):
+            replay_log_collection(torn)
+        with pytest.raises(ValueError, match=message):
+            replay_link_utilization(torn)
+        with pytest.raises(ValueError, match=message):
             load_report(torn)
-
-
-class TestIndex:
-    def test_chunks_cover_file_and_counts_sum(self, telemetry):
-        path, _ = telemetry
-        index = TelemetryIndex.build(path, events_per_chunk=5)
-        assert index.num_events == sum(c.num_events for c in index.chunks)
-        assert all(c.num_events <= 5 for c in index.chunks)
-        for event, total in index.event_counts.items():
-            assert total == sum(c.counts.get(event, 0) for c in index.chunks)
-        # every event is reachable through its chunks
-        assert index.count("session") == sum(
-            1 for _ in iter_events(path, event="session")
-        )
-        assert index.count("run_end") == 1
-
-    def test_chunk_skipping_filter_equals_full_scan(self, telemetry):
-        path, _ = telemetry
-        index = TelemetryIndex.build(path, events_per_chunk=4)
-        for event in index.event_counts:
-            with_index = [e.payload for e in iter_events(path, event=event, index=index)]
-            without = [e.payload for e in iter_events(path, event=event)]
-            assert with_index == without
-        # the rare event's filter reads only the chunks that contain it
-        rare_chunks = list(index.chunks_with("run_end"))
-        assert len(rare_chunks) < len(index.chunks)
-
-    def test_last_event_uses_index(self, telemetry):
-        path, result = telemetry
-        index = TelemetryIndex.build(path, events_per_chunk=4)
-        plain = last_event(path, "session")
-        indexed = last_event(path, "session", index=index)
-        assert plain is not None and indexed is not None
-        assert plain.payload == indexed.payload
-        assert plain.user_id == result.logs[len(result.logs) - 1].user_id
-        assert last_event(path, "no_such_event", index=index) is None
-
-    def test_save_load_roundtrip(self, telemetry, tmp_path):
-        path, _ = telemetry
-        index = TelemetryIndex.build(path, events_per_chunk=8)
-        saved = index.save(tmp_path / "t.idx.json")
-        loaded = TelemetryIndex.load(saved)
-        assert loaded == index
-
-    def test_load_rejects_foreign_documents(self, tmp_path):
-        bogus = tmp_path / "x.idx.json"
-        bogus.write_text(json.dumps({"kind": "something-else"}))
-        with pytest.raises(ValueError, match="not a telemetry index"):
-            TelemetryIndex.load(bogus)
-        bogus.write_text(json.dumps({"kind": "repro-telemetry-index", "version": 99}))
-        with pytest.raises(ValueError, match="version 99"):
-            TelemetryIndex.load(bogus)
-
-    def test_load_or_build_rebuilds_on_staleness(self, telemetry, tmp_path):
-        path, _ = telemetry
-        copy = tmp_path / "telemetry.jsonl"
-        copy.write_bytes(path.read_bytes())
-        first = load_or_build_index(copy)
-        assert default_index_path(copy).exists()
-        # fresh index: loading hits the sidecar, no rebuild
-        assert load_or_build_index(copy) == first
-        # the file grows: the sidecar is stale and must be rebuilt
-        with copy.open("a") as handle:
-            handle.write(json.dumps({"event": "extra", "payload": {}}) + "\n")
-        rebuilt = load_or_build_index(copy)
-        assert rebuilt != first
-        assert rebuilt.count("extra") == 1
-        # corrupt sidecar: silently rebuilt too
-        default_index_path(copy).write_text("not json")
-        assert load_or_build_index(copy).count("extra") == 1
-
-    def test_same_length_rewrite_triggers_rebuild(self, tmp_path):
-        """A same-byte-count rewrite must not serve the stale sidecar.
-
-        Size-only freshness misses in-place rewrites (same byte count,
-        different content) — the index must also key on mtime_ns.
-        """
-        path = tmp_path / "telemetry.jsonl"
-        path.write_text(
-            "".join(
-                json.dumps({"event": "aaa", "payload": {"i": i}}) + "\n"
-                for i in range(5)
-            )
-        )
-        first = load_or_build_index(path)
-        assert first.count("aaa") == 5
-        # rewrite every event name in place: identical st_size, new content
-        rewritten = path.read_bytes().replace(b'"aaa"', b'"bbb"')
-        assert len(rewritten) == path.stat().st_size
-        path.write_bytes(rewritten)
-        # force a distinct mtime_ns: coarse filesystem timestamp granularity
-        # could otherwise make the rewrite look instantaneous
-        stat = path.stat()
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
-        rebuilt = load_or_build_index(path)
-        assert rebuilt.file_mtime_ns != first.file_mtime_ns
-        assert rebuilt.count("aaa") == 0
-        assert rebuilt.count("bbb") == 5
 
 
 class TestBoundedMemory:
@@ -377,8 +266,6 @@ class TestBoundedMemory:
             enlarged = self._enlarge(path, tmp_path / f"x{factor}.jsonl", factor)
             replayed = replay(enlarged).as_dict()
             assert stream_fleet_metrics(enlarged).as_dict() == replayed
-            index = load_or_build_index(enlarged)
-            assert stream_fleet_metrics(enlarged, index=index).as_dict() == replayed
 
     def test_enlarged_file_still_aggregates_exactly(self, telemetry, tmp_path):
         path, result = telemetry
