@@ -4,9 +4,10 @@ Everything the one reader gives back from a telemetry file — sessions,
 aggregates, link samples, the run summary and the run report — must equal
 what the live run itself holds (``result.logs``, ``result.metrics``,
 ``result.link_utilization()``, ``result.obs_report``), bit for bit, while a
-streamed aggregate holds one session at a time.  Peak memory must stay flat
-as the file grows 10x, and a torn line must be reported by every streaming
-reader with its file and offset.
+streamed aggregate holds one session at a time.  Every read scans the file
+as it is now, so appends and rewrites show at once.  Peak memory must stay
+flat as the file grows 10x, and a torn line must be reported by every
+streaming reader with its file and offset.
 """
 
 from __future__ import annotations
@@ -182,6 +183,105 @@ class TestTornLine:
             replay_link_utilization(torn)
         with pytest.raises(ValueError, match=message):
             load_report(torn)
+
+
+def _write_events(path, events):
+    path.write_text(
+        "".join(json.dumps({"event": event, "payload": payload}) + "\n" for event, payload in events)
+    )
+    return path
+
+
+class TestFullScan:
+    """Every read scans the file as it is now: no cached state, exact offsets."""
+
+    def test_event_filter_equals_filtered_full_scan(self, telemetry):
+        path, _ = telemetry
+        everything = list(iter_events(path))
+        kinds = {parsed.event for parsed in everything}
+        assert {"session", "run_end", "run_report", "link_utilization"} <= kinds
+        for kind in kinds:
+            filtered = [parsed.payload for parsed in iter_events(path, event=kind)]
+            assert filtered == [p.payload for p in everything if p.event == kind]
+        assert list(iter_events(path, event="no_such_event")) == []
+
+    def test_event_counts_match_live_run(self, telemetry):
+        path, result = telemetry
+        assert sum(1 for _ in iter_events(path, event="session")) == len(result.logs)
+        assert sum(1 for _ in iter_events(path, event="run_end")) == 1
+        assert sum(1 for _ in iter_events(path, event="run_report")) == 1
+
+    def test_last_event_is_the_last_of_its_type(self, telemetry):
+        path, result = telemetry
+        last = last_event(path, "session")
+        assert last is not None
+        assert last.payload == list(iter_events(path, event="session"))[-1].payload
+        assert last.user_id == result.logs[len(result.logs) - 1].user_id
+        assert last_event(path, "no_such_event") is None
+
+    def test_appended_event_is_read_on_next_scan(self, telemetry, tmp_path):
+        path, _ = telemetry
+        copy = tmp_path / "telemetry.jsonl"
+        copy.write_bytes(path.read_bytes())
+        before = sum(1 for _ in iter_events(copy))
+        assert last_event(copy, "extra") is None
+        with copy.open("a") as handle:
+            handle.write(json.dumps({"event": "extra", "payload": {"i": 1}}) + "\n")
+        assert sum(1 for _ in iter_events(copy)) == before + 1
+        assert last_event(copy, "extra").payload == {"i": 1}
+
+    def test_same_length_rewrite_is_read_fresh(self, tmp_path):
+        path = _write_events(tmp_path / "telemetry.jsonl", [("aaa", {"i": i}) for i in range(5)])
+        assert [p.payload["i"] for p in iter_events(path, event="aaa")] == list(range(5))
+        rewritten = path.read_bytes().replace(b'"aaa"', b'"bbb"')
+        assert len(rewritten) == path.stat().st_size
+        path.write_bytes(rewritten)
+        assert list(iter_events(path, event="aaa")) == []
+        assert [p.payload["i"] for p in iter_events(path, event="bbb")] == list(range(5))
+
+    def test_blank_lines_are_skipped_and_counted_in_offsets(self, telemetry, tmp_path):
+        path, _ = telemetry
+        lines = path.read_bytes().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_bytes(b"\n" + b"\n  \n".join(lines))
+        assert [p.payload for p in iter_events(spaced)] == [
+            p.payload for p in iter_events(path)
+        ]
+        data = spaced.read_bytes()
+        offset = data.rindex(b"\n  \n") + len(b"\n  \n")
+        spaced.write_bytes(data[: offset + len(lines[-1]) // 2])
+        message = re.escape(f"{spaced}: unreadable telemetry line at byte offset {offset} ")
+        with pytest.raises(ValueError, match=message):
+            list(iter_events(spaced))
+
+    def test_corrupt_middle_line_stops_the_scan_at_its_offset(self, tmp_path):
+        path = _write_events(tmp_path / "telemetry.jsonl", [("a", {"i": i}) for i in range(3)])
+        data = path.read_bytes()
+        first_two = sum(len(line) for line in data.splitlines(keepends=True)[:2])
+        for corrupt in (b"{not json\n", b"[1, 2]\n", b'"text"\n'):
+            path.write_bytes(data[:first_two] + corrupt + data[first_two:])
+            events = iter_events(path)
+            assert [next(events).payload["i"] for _ in range(2)] == [0, 1]
+            message = re.escape(
+                f"{path}: unreadable telemetry line at byte offset {first_two} "
+            )
+            with pytest.raises(ValueError, match=message):
+                next(events)
+
+    def test_run_events_only_file_replays_an_empty_collection(self, tmp_path):
+        path = _write_events(
+            tmp_path / "day.jsonl", [("run_start", {}), ("run_end", {"num_sessions": 0})]
+        )
+        assert list(replay_log_collection(path)) == []
+        assert read_run_summary(path) == {"num_sessions": 0}
+        assert stream_fleet_metrics(path).num_sessions == 0
+
+    def test_link_replay_needs_link_samples(self, tmp_path):
+        path = _write_events(
+            tmp_path / "day.jsonl", [("run_start", {}), ("run_end", {"num_sessions": 0})]
+        )
+        with pytest.raises(ValueError, match="no link_utilization events"):
+            replay_link_utilization(path)
 
 
 class TestBoundedMemory:
