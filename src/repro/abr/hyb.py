@@ -56,12 +56,12 @@ class HYB(ABRAlgorithm):
         Returns ``kernel(context) -> levels`` matching the scalar rule
         bit-for-bit: the highest rung whose expected download time stays
         strictly below ``beta * buffer`` (0 if none qualifies), with the
-        startup level before any throughput has been observed.  ``beta`` is
-        read from each policy's live :class:`~repro.abr.base.QoEParameters`
-        at every call, so runtime objective adjustments (LingXi) take effect
-        mid-batch exactly as they would in the scalar loop; it is read once
-        per distinct policy object (a user's sessions share one HYB) and
-        indexed back to the rows.
+        startup level on rows that have observed no throughput yet
+        (``context.k == 0``).  ``beta`` is read from each policy's live
+        :class:`~repro.abr.base.QoEParameters` at every call, so runtime
+        objective adjustments (LingXi) take effect mid-batch exactly as they
+        would in the scalar loop; it is read once per distinct policy object
+        (a user's sessions share one HYB) and indexed back to the rows.
         """
         window = np.asarray([p.throughput_window for p in policies], dtype=int)
         startup = np.asarray([p.startup_level for p in policies], dtype=int)
@@ -77,7 +77,8 @@ class HYB(ABRAlgorithm):
         def kernel(context) -> np.ndarray:
             num_levels = context.bitrates.size
             row_startup, row_window, row_owner = prefix(context.buffer.size)
-            if context.k == 0:
+            startup = context.k == 0
+            if startup.all():
                 return np.minimum(row_startup, num_levels - 1)
             betas = np.asarray([p.parameters.beta for p in distinct], dtype=float)
             throughput = context.harmonic_throughput(row_window)
@@ -85,6 +86,10 @@ class HYB(ABRAlgorithm):
             download_times = context.segment_sizes / np.maximum(throughput, 1e-9)[:, None]
             feasible = download_times < budget[:, None]
             highest = num_levels - 1 - feasible[:, ::-1].argmax(axis=1)
-            return np.where(np.logical_or.reduce(feasible, axis=1), highest, 0)
+            levels = np.where(np.logical_or.reduce(feasible, axis=1), highest, 0)
+            if startup.any():
+                first = np.minimum(row_startup, num_levels - 1)
+                levels = np.where(startup, first, levels)
+            return levels
 
         return kernel

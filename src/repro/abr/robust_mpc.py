@@ -105,7 +105,10 @@ class RobustMPC(ABRAlgorithm):
         post-:meth:`reset` state, so every row behaves exactly like a freshly
         reset scalar instance advanced call by call — including when several
         rows share one policy object (the scalar engine resets it before each
-        sequential session anyway).
+        sequential session anyway).  A row's state moves only on calls where
+        it has throughput history (``context.k > 0``): rows at different
+        segment indices, or not started yet (``k < 0``), keep their own
+        count of errors.
 
         The horizon enumeration is evaluated as a prefix tree: level
         sequences in ``itertools.product`` order share their prefix sums, so
@@ -121,45 +124,43 @@ class RobustMPC(ABRAlgorithm):
         horizons = np.asarray([p.horizon for p in policies], dtype=int)
         windows = np.asarray([p.throughput_window for p in policies], dtype=int)
         max_window = int(windows.max()) if policies else 0
-        # Rolling per-row error history: one column appended per step from
-        # k=2 on, trimmed to the longest policy window.  A context of the
-        # first m rows appends an (m,) column; m never grows, so every
-        # stored column covers the current rows.
-        error_columns: list[np.ndarray] = []
+        # Each row's last ``max_window`` prediction errors, oldest first and
+        # right-aligned, and how many it has recorded: row i's scalar
+        # ``_past_errors`` is its last ``min(window_i, count_i)`` entries.
+        errors = np.zeros((len(policies), max_window))
+        error_counts = np.zeros(len(policies), dtype=int)
+        columns = np.arange(max_window)
         last_prediction = np.full(len(policies), np.nan)
-        prefix = row_prefixes(horizons, windows, last_prediction)
+        prefix = row_prefixes(
+            horizons, windows, last_prediction, errors, error_counts
+        )
 
         def kernel(context) -> np.ndarray:
             num_rows = context.buffer.size
-            if context.k == 0:
+            started = context.k > 0
+            if not started.any():
                 return np.zeros(num_rows, dtype=int)
-            row_horizons, row_windows, predicted = prefix(num_rows)
+            row_horizons, row_windows, predicted, row_errors, counts = prefix(
+                num_rows
+            )
             # --- _robust_throughput, batched ---------------------------------
-            # Every row records its first error at the same step (the first
-            # call with a previous prediction, k == 2), so the shared column
-            # list is uniform: row i's scalar ``_past_errors`` is exactly the
-            # last ``min(window_i, len(error_columns))`` column entries.
-            actual = context.throughput_window[:, -1]
-            if num_rows and not np.isnan(predicted[0]):
+            # A row records an error on each call after its first with
+            # history (a previous prediction exists).
+            recording = started & ~np.isnan(predicted)
+            if recording.any():
+                actual = context.throughput_window[:, -1]
                 error = np.abs(predicted - actual) / np.maximum(actual, 1e-9)
-                error_columns.append(error)
-                if len(error_columns) > max_window:
-                    del error_columns[: len(error_columns) - max_window]
+                shifted = np.concatenate((row_errors[:, 1:], error[:, None]), axis=1)
+                np.copyto(row_errors, shifted, where=recording[:, None])
+                counts += recording
             estimate = context.harmonic_throughput(row_windows)
-            max_error = np.zeros(num_rows)
-            if error_columns:
-                stacked = np.stack(
-                    [column[:num_rows] for column in error_columns], axis=1
-                )  # (m, history)
-                history = stacked.shape[1]
-                for window in np.unique(row_windows):
-                    rows = row_windows == window
-                    effective = min(int(window), history)
-                    max_error[rows] = stacked[rows][:, history - effective :].max(
-                        axis=1
-                    )
+            held = np.minimum(row_windows, counts)
+            max_error = np.where(
+                columns >= max_window - held[:, None], row_errors, -np.inf
+            ).max(axis=1)
+            max_error = np.where(held > 0, max_error, 0.0)
             robust = estimate / (1.0 + max_error)
-            predicted[:] = estimate
+            np.copyto(predicted, estimate, where=started)
             throughput = np.maximum(robust, 1e-6)
 
             # --- horizon enumeration as a prefix tree ------------------------
@@ -207,6 +208,6 @@ class RobustMPC(ABRAlgorithm):
                     ).reshape(paths, rows.size)
                 best_leaf = np.argmax(score, axis=0)
                 result[rows] = best_leaf // num_levels ** (int(horizon) - 1)
-            return result
+            return result if started.all() else np.where(started, result, 0)
 
         return kernel

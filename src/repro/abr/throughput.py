@@ -58,7 +58,8 @@ class ThroughputRule(ABRAlgorithm):
         policy.  The kernel reproduces the scalar decision bit-for-bit: the
         same harmonic-mean estimate, the same ``level_for_bitrate`` threshold
         semantics (via ``searchsorted(side="right")``), the same one-rung
-        gradual switching.
+        gradual switching, and level 0 on rows that have observed no
+        throughput yet (``context.k == 0``).
         """
         safety = np.asarray([p.safety for p in policies], dtype=float)
         window = np.asarray([p.window for p in policies], dtype=int)
@@ -68,7 +69,8 @@ class ThroughputRule(ABRAlgorithm):
 
         def kernel(context) -> np.ndarray:
             rows = context.buffer.size
-            if context.k == 0:
+            startup = context.k == 0
+            if startup.all():
                 return np.zeros(rows, dtype=int)
             row_safety, row_window, row_gradual = prefix(rows)
             estimate = row_safety * context.harmonic_throughput(row_window)
@@ -77,6 +79,9 @@ class ThroughputRule(ABRAlgorithm):
             )
             stepped = context.last_level + np.sign(target - context.last_level)
             # No previous level (-1): the scalar rule jumps to the target.
-            return np.where(row_gradual & (context.last_level >= 0), stepped, target)
+            levels = np.where(row_gradual & (context.last_level >= 0), stepped, target)
+            if startup.any():
+                levels = np.where(startup, 0, levels)
+            return levels
 
         return kernel

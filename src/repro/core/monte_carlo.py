@@ -413,11 +413,11 @@ class _ContextAdapter:
 
 class _LevelGroup:
     """Rows that share one level chooser: same ABR class, ladder and segment
-    duration, and all with or all without throughput history at the start.
+    duration.
 
-    The last split keeps ``context.k == 0`` ("no throughput history yet")
-    true for all of a group's rows or for none, so stateful kernels
-    (RobustMPC) stay in step across the group's rows.
+    A row's segment index in the chooser's context is the number of
+    throughput samples it holds, so rows that start with and without
+    history share a group: the kernels act on each row's own index.
     """
 
     def __init__(
@@ -431,7 +431,6 @@ class _LevelGroup:
         self.mean = mean
         self.std = std
         self.samples = samples  # throughput samples each row starts with
-        # 0 only in a group whose rows all start without history.
         self.fewest_samples = int(samples.min())
         if has_vector_kernel(policies[0]):
             kernel = type(policies[0]).vector_kernel(policies)
@@ -449,7 +448,7 @@ class _LevelGroup:
         return VectorStepContext(
             # ``k == 0`` means "no throughput history yet" to the kernels, and
             # a rollout starts with the session's history.
-            k=self.fewest_samples + step,
+            k=self.samples + step,
             buffer=buffer[rows],
             buffer_cap=buffer_cap[rows],
             last_level=last_level[rows],
@@ -622,11 +621,10 @@ class _Rollout:  # contract: CORE-MC-010
                 type(request.abr),
                 request.snapshot.ladder,
                 float(request.snapshot.segment_duration),
-                not request.user_state.throughputs_kbps,
             )
             for request in requests
         ]
-        for (_abr, ladder, duration, _empty), members, rows in _partition(keys, counts):
+        for (_abr, ladder, duration), members, rows in _partition(keys, counts):
             policies: list[ABRAlgorithm] = []
             tables = []
             group_steps = np.arange(max(steps[r] for r in members))

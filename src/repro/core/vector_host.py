@@ -75,6 +75,10 @@ class VectorControllerHost:
         self.initial_samples = [list(abr.bandwidth_model._samples) for abr in self.abrs]
         # --- short-term user-state layer (fresh per session/cohort) ----------
         self.count = np.zeros(n, dtype=int)  # observed segments per row
+        # History column of each row's first observed segment: rows of a
+        # staggered cohort start at different steps, and a row's segments
+        # fill consecutive columns from there.
+        self.first = np.zeros(n, dtype=int)
         self.session_stall_time = np.zeros(n)
         self.session_stall_count = np.zeros(n, dtype=int)
         self.session_watch_time = np.zeros(n)
@@ -118,6 +122,7 @@ class VectorControllerHost:
             self.max_survived_stall_time,
             self.stalls_since,
             self.count,
+            self.first,
             self.thresholds,
         )
 
@@ -139,7 +144,8 @@ class VectorControllerHost:
         triggered sessions' optimizations.  The arguments may cover only the
         first ``m`` rows (the cohort's live prefix): then only those rows'
         state is updated, and this step's history columns hold ``m`` entries
-        (a row's columns all cover it, since ``m`` never grows).
+        (a row's columns all cover it, since ``m`` never grows).  Rows that
+        are not ``active`` (not started, exited or ended) keep their state.
         """
         (
             session_stall_count,
@@ -154,8 +160,12 @@ class VectorControllerHost:
             max_survived_stall_time,
             stalls_since,
             count,
+            first,
             thresholds,
         ) = self.prefix(active.size)
+        fresh = active & (count == 0)
+        if fresh.any():
+            first[fresh] = len(self.bitrate_cols)
         # ``UserState.observe_segment`` distinguishes stall > 0 (user-state
         # bookkeeping) from the trigger counter's stall > 1e-12.
         stalled = active & (stall > 0.0)
@@ -227,11 +237,13 @@ class VectorControllerHost:
         keeps firing into the pruning rule must not pay for its whole
         history each time.
         """
-        count = int(self.count[i])
+        first, count = int(self.first[i]), int(self.count[i])
         model = self.abrs[i].bandwidth_model
         observed = [
             float(col[i])
-            for col in self.throughput_cols[max(0, count - model.window) : count]
+            for col in self.throughput_cols[
+                first + max(0, count - model.window) : first + count
+            ]
         ]
         model._samples = (self.initial_samples[i] + observed)[-model.window :]
         model._cached_mean = None
@@ -241,17 +253,17 @@ class VectorControllerHost:
         """Materialise row ``i``'s full ``UserState`` into its controller."""
         controller = self.abrs[i].controller
         state = controller.user_state
-        count = int(self.count[i])
-        state.bitrates_kbps = [float(col[i]) for col in self.bitrate_cols[:count]]
+        played = slice(int(self.first[i]), int(self.first[i] + self.count[i]))
+        state.bitrates_kbps = [float(col[i]) for col in self.bitrate_cols[played]]
         state.throughputs_kbps = [
-            float(col[i]) for col in self.throughput_cols[:count]
+            float(col[i]) for col in self.throughput_cols[played]
         ]
-        state.stall_times = [float(col[i]) for col in self.stall_cols[:count]]
+        state.stall_times = [float(col[i]) for col in self.stall_cols[played]]
         state.cumulative_stall_history = [
-            float(col[i]) for col in self.cumulative_cols[:count]
+            float(col[i]) for col in self.cumulative_cols[played]
         ]
         state.segments_since_stall_history = [
-            float(col[i]) for col in self.since_stall_cols[:count]
+            float(col[i]) for col in self.since_stall_cols[played]
         ]
         state.session_stall_count = int(self.session_stall_count[i])
         state.session_stall_time = float(self.session_stall_time[i])

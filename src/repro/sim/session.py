@@ -240,11 +240,6 @@ class PlaybackTrace:
         """Per-segment cumulative stall time vector."""
         return self.segments["cumulative_stall_time"].copy()
 
-    @property
-    def exited_flags(self) -> np.ndarray:
-        """Per-segment exit indicator vector (0/1 floats)."""
-        return self.segments["exited"].astype(float)
-
 
 @dataclass(frozen=True)
 class SessionConfig:

@@ -46,15 +46,19 @@ path.  A networked batch couples every session at every slot, so it cannot
 split that way: it runs lockstep when every spec is vectorizable and no
 stateful ABR instance is shared, and otherwise runs whole on the
 event-ordered reference engine (:mod:`repro.sim.networked`), every session
-counted as a fallback.  A cohort steps only its live prefix, the rows whose
-video still has the current segment (:class:`_Cohort`).
+counted as a fallback.  A networked batch holds one cohort per kernel key
+whatever its sessions' start slots: every row plays its own local segment,
+and a cohort steps only its live prefix, the rows whose end slot is after
+the current slot (:class:`_Cohort`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random.bit_generator import ISeedSequence
 
 from repro import obs
@@ -88,6 +92,10 @@ class VectorStepContext:
     The vector twin of :class:`~repro.sim.session.ABRContext`: same
     quantities, arrays instead of scalars.  ``last_level`` uses ``-1`` where
     the scalar context would carry ``None`` (before the first segment).
+    ``k`` holds each row's own segment index: ``0`` means the row has no
+    throughput history yet, and a negative index marks a row that has not
+    started (its level is masked, and a stateful kernel must leave its state
+    alone).
 
     A context may cover only the first ``m`` rows of the ``n`` a kernel was
     built over (the cohort's live prefix, see :class:`_Cohort`): every array
@@ -96,7 +104,7 @@ class VectorStepContext:
     Within a session ``m`` never grows.
     """
 
-    k: int
+    k: np.ndarray
     buffer: np.ndarray
     buffer_cap: np.ndarray
     last_level: np.ndarray
@@ -108,8 +116,9 @@ class VectorStepContext:
     segment_duration: float
     #: Per-row number of valid samples at the right end of
     #: ``throughput_window``; ``None`` when every row holds all ``W`` columns
-    #: (the engine's cohorts).  Monte-Carlo rollouts mix rows whose
-    #: histories have different lengths.
+    #: (rows at one segment index).  Rows at different segment indices, in
+    #: a staggered cohort or a Monte-Carlo rollout, hold histories of
+    #: different lengths.
     history: np.ndarray | None = None
 
     def harmonic_throughput(self, windows: np.ndarray) -> np.ndarray:
@@ -197,22 +206,46 @@ def window_stats(
     return mean, np.maximum(np.sqrt(variance), 1e-6)
 
 
+def window_stats_by_count(
+    window: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`window_stats` where row ``i`` holds only its last ``counts[i]``
+    columns of ``window`` (``0 <= counts[i] <= W``).
+
+    Rows are grouped by sample count and each group reduces its own
+    ``(rows, count)`` slice, the shape the one-count call sees, so every row
+    gets the model's bits; a zero-padded sum over all ``W`` columns would
+    add in another order.
+    """
+    width = window.shape[1]
+    first = int(counts[0]) if counts.size else width
+    if not np.count_nonzero(counts != first):
+        return window_stats(window[:, width - first :])
+    mean = np.empty(counts.size)
+    std = np.empty(counts.size)
+    for count in np.unique(counts).tolist():
+        rows = counts == count
+        mean[rows], std[rows] = window_stats(window[rows][:, width - count :])
+    return mean, std
+
+
 def playback_step(
     buffer: np.ndarray,
     download: np.ndarray,
     buffer_cap: np.ndarray,
     segment_duration,
-    startup: bool,
+    startup,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Equation 3 over arrays: ``(stall, overflow, buffer_after)``.
 
     The scalar player's operation order, elementwise.  ``startup`` marks a
     session's first download, which stalls nothing while the buffer is still
-    empty (it is startup delay).  ``overflow + rtt`` is the waiting time.
+    empty (it is startup delay): one bool for every row, or a per-row mask.
+    ``overflow + rtt`` is the waiting time.
     """
     stall = np.maximum(download - buffer, 0.0)
-    if startup:
-        stall = np.where(buffer == 0.0, 0.0, stall)
+    if startup is not False:
+        stall = np.where((buffer == 0.0) & startup, 0.0, stall)
     drained = np.maximum(buffer - download, 0.0)
     unclipped = drained + segment_duration
     overflow = np.maximum(unclipped - buffer_cap, 0.0)
@@ -226,55 +259,82 @@ class ExitStepView:
 
     The vector twin of :class:`~repro.sim.session.ExitObservation` (plus the
     ``active``/``stalled`` masks kernels need for masked scalar fallbacks).
-    ``watch_time`` is a scalar: in lockstep every session is at the same
-    segment index.  ``previous_level`` uses ``-1`` for ``None``.  Like
-    :class:`VectorStepContext`, a view may cover only the first ``m`` rows of
-    the ``n`` an exit kernel was built over; the kernel then returns ``m``
-    probabilities from its first ``m`` rows of parameters.
+    ``k`` and ``watch_time`` are per row: rows of a staggered cohort sit at
+    different segment indices.  ``previous_level`` uses ``-1`` for ``None``.
+    Like :class:`VectorStepContext`, a view may cover only the first ``m``
+    rows of the ``n`` an exit kernel was built over; the kernel then returns
+    ``m`` probabilities from its first ``m`` rows of parameters.
     """
 
-    k: int
+    k: np.ndarray
     level: np.ndarray
     previous_level: np.ndarray
     stall_time: np.ndarray
     cumulative_stall_time: np.ndarray
     stall_count: np.ndarray
-    watch_time: float
+    watch_time: np.ndarray
     buffer: np.ndarray
     throughput: np.ndarray
     active: np.ndarray
     stalled: np.ndarray
 
 
+class _Slot(NamedTuple):
+    """Where a cohort's live prefix stands at one cohort slot ``t``.
+
+    ``j`` is the local segment index: one int when every prefix row started
+    at the same slot (then ``cell`` is ``None`` and the step reads its
+    columns as slices), otherwise one index per row, negative for rows that
+    have not started.  ``column`` is then ``max(j, 0)`` and ``cell`` each
+    row's entry in the flattened ``(n, max_steps)`` arrays; a row that has
+    not started points at its column 0, which its own first step rewrites
+    before anything reads it.
+    """
+
+    t: int
+    m: int
+    j: int | np.ndarray
+    cell: np.ndarray | None = None
+    column: np.ndarray | None = None
+
+
 @dataclass
 class _Cohort:
     """One internally-lockstep cohort of a batch.
 
-    Sessions are grouped by (ABR type, exit type, ladder, segment duration,
-    and ``start_step`` in networked batches): within a cohort every session
-    sits at the same *local* segment index at every step, so the vector
-    kernels and window reductions apply unchanged.  :meth:`step` is the
-    vector engine's only per-segment rule; independent batches feed it the
-    trace column, networked batches the shared allocator's answer.
+    Sessions are grouped by ABR type, exit type, ladder and segment
+    duration, so the vector kernels and window reductions apply to every
+    row.  :meth:`step` is the vector engine's only per-segment rule;
+    independent batches feed it the trace column, networked batches the
+    shared allocator's answer.  Rows keep per-row, local-step storage:
+    column ``j`` of a row is its ``j``-th segment.
 
-    Rows are sorted stably by descending segment limit ``max_seg``
-    (``indices`` maps them back to batch positions), so the rows whose video
-    still has local segment ``j`` form the *live prefix* ``[:live[j]]``.
-    :meth:`step` advances only that prefix, through views of the state
-    arrays: a row past its video's end is never stepped again, and the
-    kernels it calls read and update only their first ``m`` rows.  Rows that
-    exited early stay inside the prefix, masked by ``active``.
+    In a networked batch the rows start at their own slots: a row that
+    starts ``offset`` slots after the cohort's first (``start``) plays local
+    segment ``j = t - offset`` at cohort slot ``t``.  Rows are sorted stably
+    by descending end slot ``offset + max_seg`` (``indices`` maps them back
+    to batch positions), so the rows whose end slot is after ``t`` form the
+    *live prefix* ``[:live[t]]``.  :meth:`step` advances only that prefix,
+    through views of the state arrays: a row past its video's end is never
+    stepped again, and the kernels it calls read and update only their
+    first ``m`` rows.  Rows that exited early and rows that have not
+    started yet stay inside the prefix, masked by ``active``.  An
+    independent batch's rows all start at slot 0, so ``t`` is every row's
+    segment index and the step reads its columns as slices.
     """
 
     indices: np.ndarray  # batch positions of the cohort's sessions
     specs: list
-    start: int
-    max_seg: np.ndarray  # per-row segment limit, non-increasing
+    start: int  # batch slot of the cohort's slot 0
+    offset: np.ndarray  # per-row start slot relative to ``start``
+    max_seg: np.ndarray  # per-row segment limit
     max_steps: int
     segment_duration: float
     bitrates: np.ndarray
     bandwidth: np.ndarray  # (n, max_steps) trace rows (access-link demand)
     sizes: np.ndarray  # (n, max_steps, L)
+    # The recorded segments, zeroed: step j writes column j, never reads it.
+    segments: np.ndarray
     abr_kernel: object
     exit_kernel: object | None
     uniforms: np.ndarray | None
@@ -288,7 +348,10 @@ class _Cohort:
     alive: np.ndarray = field(init=False)
     exited_early: np.ndarray = field(init=False)
     steps_taken: np.ndarray = field(init=False)
-    observed: np.ndarray = field(init=False)  # throughput seen per local step
+    # Throughput seen per local step: column ``_WINDOW + j`` holds step j,
+    # behind ``_WINDOW`` zero columns, so every row's window is one
+    # ``_WINDOW``-wide read.
+    observed: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.specs)
@@ -299,13 +362,27 @@ class _Cohort:
         self.alive = np.ones(n, dtype=bool)
         self.exited_early = np.zeros(n, dtype=bool)
         self.steps_taken = np.zeros(n, dtype=int)
-        self.observed = np.zeros((n, self.max_steps))
-        # The recorded segments: step j writes column j, never reads it.
-        self.segments = np.zeros((n, self.max_steps), dtype=SEGMENT_DTYPE)
-        # live[j]: rows with max_seg > j, a prefix because max_seg descends.
-        self.live = np.searchsorted(
-            -self.max_seg, -np.arange(self.max_steps), side="left"
-        ).tolist()
+        self.observed = np.zeros((n, _WINDOW + self.max_steps))
+        # live[t]: rows whose end slot is after t, a prefix because the end
+        # slots descend.  lead[t]: the prefix's shared local step, or None
+        # when its rows started at different slots.
+        ends = self.offset + self.max_seg
+        self.horizon = int(ends[0])
+        live = np.searchsorted(-ends, -np.arange(self.horizon), side="left")
+        last = live - 1
+        shared = (
+            np.minimum.accumulate(self.offset)[last]
+            == np.maximum.accumulate(self.offset)[last]
+        )
+        first = int(self.offset[0])
+        self.live = live.tolist()
+        self.lead = [
+            t - first if one else None for t, one in enumerate(shared.tolist())
+        ]
+        rows = np.arange(n)
+        self.cell_base = rows * self.max_steps
+        # windows[i, j]: row i's throughput window before its step j.
+        self.windows = sliding_window_view(self.observed, _WINDOW, axis=1)
         # The state :meth:`step` updates in place, and the batch positions.
         self.prefix = row_prefixes(
             self.buffer,
@@ -315,13 +392,33 @@ class _Cohort:
             self.steps_taken,
             self.exited_early,
             self.alive,
-            np.arange(n),
+            rows,
             self.indices,
         )
 
-    def active(self, j: int) -> np.ndarray:
-        """Alive mask over local step ``j``'s live prefix (a copy)."""
-        return self.alive[: self.live[j]].copy()
+    def slot(self, t: int) -> _Slot:
+        """The live prefix and each row's local step at cohort slot ``t``."""
+        m = self.live[t]
+        j = self.lead[t]
+        if j is not None:
+            return _Slot(t, m, j)
+        j = t - self.offset[:m]
+        column = np.maximum(j, 0)
+        return _Slot(t, m, j, self.cell_base[:m] + column, column)
+
+    def active(self, slot: _Slot) -> np.ndarray:
+        """Rows of the slot's prefix that have started and not exited."""
+        if slot.cell is not None:
+            return self.alive[: slot.m] & (slot.j >= 0)
+        if slot.j < 0:
+            return np.zeros(slot.m, dtype=bool)
+        return self.alive[: slot.m].copy()
+
+    def column(self, values: np.ndarray, slot: _Slot) -> np.ndarray:
+        """Each prefix row's entry of an ``(n, max_steps)`` array at the slot."""
+        if slot.cell is None:
+            return values[: slot.m, slot.j]
+        return values.reshape(-1)[slot.cell]
 
     def positions(self, m: int) -> np.ndarray:
         """Batch positions of the first ``m`` rows."""
@@ -329,18 +426,18 @@ class _Cohort:
 
     def step(  # contract: SIM-STEP-007
         self,
-        j: int,
+        slot: _Slot,
         active: np.ndarray,
         allocated: np.ndarray,
         config: SessionConfig,
     ) -> None:
-        """Advance the live prefix one local step at throughputs ``allocated``.
+        """Advance the live prefix one slot at throughputs ``allocated``.
 
-        ``active`` is :meth:`active` ``(j)`` and ``allocated`` holds one
+        ``active`` is :meth:`active` ``(slot)`` and ``allocated`` holds one
         throughput per prefix row.  Equation 3 as array math in the scalar
         player's operation order, then the exit draw, then the controller
         host's ``observe`` step.  The bandwidth-window statistics read from
-        the cohort's *observed* throughput history — exactly what the scalar
+        each row's *observed* throughput history — exactly what the scalar
         player's :class:`~repro.sim.bandwidth.BandwidthModel` accumulates.
         """
         m = active.size
@@ -356,17 +453,31 @@ class _Cohort:
             row_index,
             _,
         ) = self.prefix(m)
-        sizes = self.sizes[:m, j, :]
-        # Rows that exited must stay finite through the shared array
-        # expressions; their values are never recorded.
+        j = slot.j
+        staggered = slot.cell is not None
+        # Rows that exited or have not started must stay finite through the
+        # shared array expressions; their values are never recorded.
         alloc = np.where(active, allocated, 1.0)
 
-        window = self.observed[:m, max(0, j - _WINDOW) : j]
-        mean, std = window_stats(window)
+        if staggered:
+            k = j
+            sizes = self.sizes.reshape(-1, self.bitrates.size)[slot.cell]
+            # Masked rows count no samples: the cohort skips slots in which
+            # only rows yet to start remain, and an exited row's window can
+            # span such never-written (zero) columns.
+            history = np.where(active, np.minimum(j, _WINDOW), 0)
+            window = self.windows[row_index, slot.column]
+            mean, std = window_stats_by_count(window, history)
+        else:
+            k = np.full(m, j)
+            sizes = self.sizes[:m, j, :]
+            history = None
+            window = self.observed[:m, _WINDOW + max(0, j - _WINDOW) : _WINDOW + j]
+            mean, std = window_stats(window)
         buffer_cap = dynamic_buffer_cap(mean, std, base_cap=config.base_buffer_cap)
 
         context = VectorStepContext(
-            k=j,
+            k=k,
             buffer=buffer,
             buffer_cap=buffer_cap,
             last_level=last_level,
@@ -376,13 +487,14 @@ class _Cohort:
             bandwidth_std=std,
             bitrates=self.bitrates,
             segment_duration=self.segment_duration,
+            history=history,
         )
         levels = np.asarray(self.abr_kernel(context), dtype=int)
         num_levels = self.bitrates.size
         if np.any(active & ((levels < 0) | (levels >= num_levels))):
             raise ValueError(
                 f"vector ABR kernel returned levels outside "
-                f"[0, {num_levels}) at step {j}"
+                f"[0, {num_levels}) at slot {slot.t}"
             )
         levels = np.where(active, levels, 0)
 
@@ -394,19 +506,25 @@ class _Cohort:
         wait = overflow + config.rtt
 
         stalled = stall > 1e-12
-        record = self.segments[:m, j]
+        if staggered:
+            fields = self.segments.reshape(-1)
+
+            def record(name, values, cell=slot.cell):
+                fields[name][cell] = values
+        else:
+            record = self.segments[:m, j].__setitem__
         np.add(cumulative_stall, stall, out=cumulative_stall, where=active)
         stall_count += active & stalled
 
         if self.exit_kernel is not None:
             view = ExitStepView(
-                k=j,
+                k=k,
                 level=levels,
                 previous_level=last_level,
                 stall_time=stall,
                 cumulative_stall_time=cumulative_stall,
                 stall_count=stall_count,
-                watch_time=(j + 1) * self.segment_duration,
+                watch_time=(k + 1) * self.segment_duration,
                 buffer=buffer_after,
                 throughput=alloc,
                 active=active,
@@ -419,21 +537,24 @@ class _Cohort:
                 active & ~((probabilities >= 0.0) & (probabilities <= 1.0))
             ):
                 raise ValueError("exit probability must be in [0, 1]")
-            exits = active & (self.uniforms[:m, j] < probabilities)
-            record["exit_probability"] = probabilities
+            exits = active & (self.column(self.uniforms, slot) < probabilities)
+            record("exit_probability", probabilities)
         else:
             exits = np.zeros(m, dtype=bool)
 
-        record["level"] = levels
-        record["size_kbit"] = size
-        record["download_time"] = download
-        record["stall_time"] = stall
-        record["wait_time"] = wait
-        record["buffer_before"] = buffer
-        record["buffer_after"] = buffer_after
-        record["cumulative_stall_time"] = cumulative_stall
-        record["stall_count"] = stall_count
-        self.observed[:m, j] = alloc
+        record("level", levels)
+        record("size_kbit", size)
+        record("download_time", download)
+        record("stall_time", stall)
+        record("wait_time", wait)
+        record("buffer_before", buffer)
+        record("buffer_after", buffer_after)
+        record("cumulative_stall_time", cumulative_stall)
+        record("stall_count", stall_count)
+        if staggered:
+            self.observed[row_index, _WINDOW + slot.column] = alloc
+        else:
+            self.observed[:m, _WINDOW + j] = alloc
 
         if self.host is not None:
             # Same point in the segment lifecycle as the scalar engine's
@@ -449,7 +570,7 @@ class _Cohort:
                 bitrates=self.bitrates,
             )
 
-        steps_taken[active] = j + 1
+        np.copyto(steps_taken, k + 1, where=active)
         exited_early |= exits
         alive &= ~exits
         np.copyto(buffer, buffer_after, where=active)
@@ -464,7 +585,7 @@ class _Cohort:
         steps = np.arange(self.max_steps)
         segments["segment_index"] = steps
         segments["bitrate_kbps"] = self.bitrates[segments["level"]]
-        segments["bandwidth_kbps"] = self.observed
+        segments["bandwidth_kbps"] = self.observed[:, _WINDOW:]
         segments["watch_time"] = (steps + 1) * self.segment_duration
         exited = np.flatnonzero(self.exited_early & (self.steps_taken > 0))
         segments["exited"][exited, self.steps_taken[exited] - 1] = True
@@ -685,13 +806,15 @@ class VectorBackend(SimBackend):
         obs.observe("vector.cohort_sessions", len(indices))
         with obs.span("vector.run_group"):
             cohort = self._build_cohort(indices, specs, config)
-            for k in range(cohort.max_steps):
-                active = cohort.active(k)
+            for k in range(cohort.horizon):
+                slot = cohort.slot(k)
+                active = cohort.active(slot)
                 if not active.any():
                     break
                 obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
                 with obs.span("vector.step"):
-                    cohort.step(k, active, cohort.bandwidth[: active.size, k], config)
+                    trace_column = cohort.column(cohort.bandwidth, slot)
+                    cohort.step(slot, active, trace_column, config)
             return cohort
 
     def _run_networked(
@@ -702,15 +825,16 @@ class VectorBackend(SimBackend):
         Every spec is vectorizable and no stateful ABR instance is shared
         (``run_batch`` sends any other networked batch whole to
         :func:`~repro.sim.networked.run_networked_scalar`).  The batch is
-        partitioned into :class:`_Cohort` cohorts (same ABR / exit types,
-        ladder, segment duration and ``start_step``) that each stay
-        internally lockstep; every slot gathers all cohorts' access-link
-        demands into one batch-order vector, fair-shares each link through
-        the same :func:`~repro.net.allocator.allocate_step` the scalar
-        reference engine calls, and feeds the allocations back as the step's
-        observed throughput — Equation 3, the ABR kernels' windows and the
-        exit kernels all see congestion, which is what closes the feedback
-        loop between load and quality.
+        partitioned into one :class:`_Cohort` per kernel key (ABR / exit
+        types, ladder, segment duration) whatever the sessions' start slots:
+        at every slot each cohort's started rows play their own local
+        segment.  Every slot gathers all cohorts' access-link demands into
+        one batch-order vector, fair-shares each link through the same
+        :func:`~repro.net.allocator.allocate_step` the scalar reference
+        engine calls, and feeds the allocations back as the step's observed
+        throughput — Equation 3, the ABR kernels' windows and the exit
+        kernels all see congestion, which is what closes the feedback loop
+        between load and quality.
         """
         num_sessions = len(specs)
         link_index = resolve_link_indices(network, specs)
@@ -723,14 +847,14 @@ class VectorBackend(SimBackend):
                 None if spec.exit_model is None else type(spec.exit_model),
                 spec.video.ladder.bitrates_kbps,
                 spec.video.segment_duration,
-                spec.start_step,
             )
             grouped.setdefault(key, []).append(index)
         groups = [
-            self._build_cohort(indices, specs, config) for indices in grouped.values()
+            self._build_cohort(indices, specs, config, staggered=True)
+            for indices in grouped.values()
         ]
 
-        horizon = max(group.start + group.max_steps for group in groups)
+        horizon = max(group.start + group.horizon for group in groups)
         demand = np.zeros(num_sessions)
         active_global = np.zeros(num_sessions, dtype=bool)
 
@@ -756,27 +880,33 @@ class VectorBackend(SimBackend):
             active_global[:] = False
             if tiered:
                 full_path[:] = False
-            stepping: list[tuple[_Cohort, int, np.ndarray, np.ndarray]] = []
+            stepping: list[tuple[_Cohort, _Slot, np.ndarray, np.ndarray]] = []
             runnable_any = False
             for group in groups:
-                j = k - group.start
-                if j < 0:
+                t = k - group.start
+                if t < 0:
                     # Not started: the cohort still counts as runnable (the
                     # scalar engine keeps emitting idle-slot usage samples
                     # while any future session exists), but takes no capacity.
-                    runnable_any = runnable_any or bool(group.alive.any())
+                    runnable_any = True
                     continue
-                if j >= group.max_steps:
+                if t >= group.horizon:
                     continue
-                active = group.active(j)
+                slot = group.slot(t)
+                active = group.active(slot)
                 if active.any():
                     runnable_any = True
-                    rows = group.positions(active.size)
-                    stepping.append((group, j, active, rows))
-                    demand[rows] = np.where(active, group.bandwidth[: active.size, j], 0.0)
+                    rows = group.positions(slot.m)
+                    stepping.append((group, slot, active, rows))
+                    demand[rows] = np.where(
+                        active, group.column(group.bandwidth, slot), 0.0
+                    )
                     active_global[rows] = active
                     if tiered:
-                        full_path[rows] = active & group.miss[: active.size, j]
+                        full_path[rows] = active & group.column(group.miss, slot)
+                elif not runnable_any:
+                    # Rows yet to start count as runnable too.
+                    runnable_any = bool(group.alive[: slot.m].any())
             if not runnable_any:
                 break
             obs.counter_add("vector.net_slots")
@@ -792,8 +922,8 @@ class VectorBackend(SimBackend):
             )
             if stepping:
                 with obs.span("vector.step"):
-                    for group, j, active, rows in stepping:
-                        group.step(j, active, allocations[rows], config)
+                    for group, slot, active, rows in stepping:
+                        group.step(slot, active, allocations[rows], config)
 
         results: list[PlaybackTrace | None] = [None] * num_sessions
         for group in groups:
@@ -802,47 +932,61 @@ class VectorBackend(SimBackend):
         return results
 
     def _build_cohort(
-        self, indices: list[int], specs, config: SessionConfig
+        self, indices: list[int], specs, config: SessionConfig, staggered: bool = False
     ) -> _Cohort:
-        """Inputs and fresh lockstep state for the specs at batch ``indices``,
-        their rows sorted stably by descending segment limit (the order the
-        cohort's live prefix needs)."""
+        """Inputs and fresh lockstep state for the specs at batch ``indices``.
+
+        With ``staggered`` (networked batches) each row starts at its spec's
+        ``start_step``; otherwise every row starts at slot 0.  Rows are
+        sorted stably by descending end slot, the order the cohort's live
+        prefix needs.
+        """
         limits = [specs[i].video.num_segments for i in indices]
         if config.max_segments is not None:
             limits = [min(limit, config.max_segments) for limit in limits]
-        order = np.argsort(-np.asarray(limits), kind="stable")
+        starts = np.asarray(
+            [specs[i].start_step for i in indices] if staggered else [0] * len(indices),
+            dtype=int,
+        )
+        start = int(starts.min())
+        order = np.argsort(-(starts + limits), kind="stable")
         indices = [indices[i] for i in order.tolist()]
         max_seg = np.asarray(limits, dtype=int)[order]
         members = [specs[i] for i in indices]
         first_video = members[0].video
         bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
         n = len(members)
-        max_steps = int(max_seg[0])
+        max_steps = int(max_seg.max())
+        # The largest array first, so that it takes the heap's largest free
+        # block before the smaller ones below split it: allocated last, it
+        # grew a fleet day's peak RSS by its whole size (24 MB on
+        # ``fleet_plain``) once freed blocks of earlier days were reused.
+        segments = np.zeros((n, max_steps), dtype=SEGMENT_DTYPE)
 
         # Cyclic bandwidth rows and the (n, max_steps, L) segment-size tensor
-        # (videos and traces repeat across sessions of the same user, so both
-        # are cached by identity).
+        # (videos and traces repeat across sessions of the same user, so a
+        # repeat copies the first row built from the same object).
         bandwidth = np.empty((n, max_steps))
-        trace_rows: dict[int, np.ndarray] = {}
+        trace_rows: dict[int, int] = {}
         for i, spec in enumerate(members):
-            row = trace_rows.get(id(spec.trace))
-            if row is None:
-                row = np.resize(
+            first = trace_rows.setdefault(id(spec.trace), i)
+            if first == i:
+                bandwidth[i] = np.resize(
                     np.asarray(spec.trace.values_kbps, dtype=float), max_steps
                 )
-                trace_rows[id(spec.trace)] = row
-            bandwidth[i] = row
+            else:
+                bandwidth[i] = bandwidth[first]
         sizes = np.empty((n, max_steps, bitrates.size))
-        video_rows: dict[int, np.ndarray] = {}
+        video_rows: dict[int, int] = {}
         step_index = np.arange(max_steps)
         for i, spec in enumerate(members):
-            block = video_rows.get(id(spec.video))
-            if block is None:
-                block = spec.video.segment_sizes_kbit[
+            first = video_rows.setdefault(id(spec.video), i)
+            if first == i:
+                sizes[i] = spec.video.segment_sizes_kbit[
                     step_index % spec.video.num_segments
                 ]
-                video_rows[id(spec.video)] = block
-            sizes[i] = block
+            else:
+                sizes[i] = sizes[first]
 
         abr_kernel, host = self._build_abr_kernel(members, first_video.ladder)
         if members[0].exit_model is not None:
@@ -862,13 +1006,15 @@ class VectorBackend(SimBackend):
         cohort = _Cohort(
             indices=np.asarray(indices, dtype=int),
             specs=members,
-            start=members[0].start_step,
+            start=start,
+            offset=starts[order] - start,
             max_seg=max_seg,
             max_steps=max_steps,
             segment_duration=float(first_video.segment_duration),
             bitrates=bitrates,
             bandwidth=bandwidth,
             sizes=sizes,
+            segments=segments,
             abr_kernel=abr_kernel,
             exit_kernel=exit_kernel,
             uniforms=uniforms,

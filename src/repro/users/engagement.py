@@ -203,7 +203,7 @@ class QoSAwareExitModel:
                     float(view.cumulative_stall_time[row]),
                     int(view.stall_count[row]),
                 )
-                if view.watch_time > model.engagement_time_s:
+                if view.watch_time[row] > model.engagement_time_s:
                     stall_probability *= model.engagement_stall_discount
                 if view.level[row] >= len(model.quality_offsets) - 1:
                     stall_probability *= 1.15

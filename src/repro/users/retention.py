@@ -120,7 +120,7 @@ def summarize_sessions(sessions: Iterable) -> EngagementSummary:
             trace.watch_time / duration if duration > 0 else 0.0
         )
         if len(trace):
-            bitrates.append(float(trace.bitrates_kbps.sum()))
+            bitrates.append(float(trace.segments["bitrate_kbps"].sum()))
             num_segments += len(trace)
         exits += int(trace.exited_early)
         stall_time += trace.total_stall_time

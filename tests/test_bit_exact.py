@@ -35,7 +35,7 @@ from repro.fleet.telemetry import (
 from repro.net.allocator import LinkUsageSample
 from repro.sim.bandwidth import BandwidthModel
 from repro.sim.session import SEGMENT_DTYPE, PlaybackTrace, SegmentRecord
-from repro.sim.vector import window_stats
+from repro.sim.vector import window_stats, window_stats_by_count
 
 _FINITE = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -75,6 +75,30 @@ def test_window_stats_match_bandwidth_model_bitwise(samples, rows, offset):
     mean, std = window_stats(wide[:, offset : offset + len(samples)])
     assert _same_bits(mean, np.full(rows, model.mean))
     assert _same_bits(std, np.full(rows, model.std))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    windows=st.lists(
+        st.lists(st.floats(10.0, 50_000.0), min_size=0, max_size=8),
+        min_size=1,
+        max_size=12,
+    ),
+    noise=st.floats(1.0, 9.0),
+)
+def test_window_stats_by_count_match_bandwidth_model_bitwise(windows, noise):
+    """Rows holding 0 to 8 samples each, right-aligned in one 8-wide array
+    (the rest noise): every row's mean and std are the model's bits."""
+    window = np.full((len(windows), 8), noise)
+    for row, samples in enumerate(windows):
+        window[row, 8 - len(samples) :] = samples
+    counts = np.asarray([len(samples) for samples in windows])
+    mean, std = window_stats_by_count(window, counts)
+    for row, samples in enumerate(windows):
+        model = BandwidthModel(window=8)
+        model.extend(samples)
+        assert _same_bits(mean[row], model.mean)
+        assert _same_bits(std[row], model.std)
 
 
 @settings(max_examples=300, deadline=None)

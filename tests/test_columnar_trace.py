@@ -117,7 +117,6 @@ def test_empty_trace_aggregates():
         (empty.levels, int),
         (empty.stall_times, float),
         (empty.cumulative_stall_times, float),
-        (empty.exited_flags, float),
     ]:
         assert vector.shape == (0,) and vector.dtype == dtype
 

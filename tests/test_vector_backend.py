@@ -562,7 +562,7 @@ class TestBackendSeam:
                 def kernel(context):
                     # one level per row of the context: its first m policies
                     levels = np.zeros(context.buffer.size)
-                    if context.k == 3:
+                    if context.k[0] == 3:  # a per-row segment index
                         levels[0] = bad_level
                     return levels
 

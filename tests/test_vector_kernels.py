@@ -9,6 +9,13 @@ call on the first ``m`` rows equals the first ``m`` rows of the full-``n``
 call.  Each case below draws seeded random policies and contexts, runs a
 full-``n`` kernel and a prefix kernel side by side over several steps with a
 shrinking ``m``, and compares them; a failing case replays from its seed.
+
+A networked cohort also holds rows that started at different slots, so the
+rows of one context sit at their own segment indices ``k`` (negative for a
+row that has not started).  The staggered cases below check that a kernel
+answers each row of such a context what the row gets in a cohort of its
+own, and that the networked engine builds one cohort per kernel key and
+still matches the scalar reference engine.
 """
 
 from __future__ import annotations
@@ -29,10 +36,17 @@ from repro.net import EdgeLink, NetworkTopology
 from repro.sim import SessionSpec, get_backend
 from repro.sim.bandwidth import StationaryTraceGenerator
 from repro.sim.session import ABRContext
-from repro.sim.vector import ExitStepView, VectorStepContext, window_stats
+from repro.sim.vector import (
+    ExitStepView,
+    VectorBackend,
+    VectorStepContext,
+    window_stats,
+    window_stats_by_count,
+)
 from repro.sim.video import BitrateLadder, Video
 from repro.users.engagement import BaselineExitModel, QoSAwareExitModel, RuleBasedUser
 from repro.users.perception import SensitivityArchetype, StallSensitivityProfile
+from repro.users.population import UserPopulation
 
 NUM_CASES = 12
 STEPS = 6
@@ -108,7 +122,7 @@ def _context(k: int, n: int, rng: np.random.Generator) -> VectorStepContext:
     mean, std = window_stats(window)
     buffer = np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 30.0, n))
     return VectorStepContext(
-        k=k,
+        k=np.full(n, k),
         buffer=buffer,
         buffer_cap=rng.uniform(10.0, 60.0, n),
         last_level=rng.integers(-1 if k == 0 else 0, BITRATES.size, n),
@@ -124,13 +138,13 @@ def _context(k: int, n: int, rng: np.random.Generator) -> VectorStepContext:
 def _view(k: int, n: int, rng: np.random.Generator) -> ExitStepView:
     stall = np.where(rng.random(n) < 0.4, rng.uniform(0.0, 5.0, n), 0.0)
     return ExitStepView(
-        k=k,
+        k=np.full(n, k),
         level=rng.integers(0, BITRATES.size, n),
         previous_level=rng.integers(-1, BITRATES.size, n),
         stall_time=stall,
         cumulative_stall_time=stall + rng.uniform(0.0, 10.0, n),
         stall_count=rng.integers(0, 7, n),
-        watch_time=(k + 1) * SEGMENT_DURATION,
+        watch_time=np.full(n, (k + 1) * SEGMENT_DURATION),
         buffer=rng.uniform(0.0, 30.0, n),
         throughput=rng.uniform(150.0, 9000.0, n),
         active=rng.random(n) < 0.8,
@@ -193,7 +207,7 @@ def _scalar_levels(policies, context: VectorStepContext) -> list[int]:
         levels.append(
             policy.select_level(
                 ABRContext(
-                    segment_index=context.k,
+                    segment_index=int(context.k[i]),
                     buffer=float(context.buffer[i]),
                     buffer_cap=float(context.buffer_cap[i]),
                     last_level=None if last_level < 0 else last_level,
@@ -220,7 +234,7 @@ def test_hyb_kernel_sees_a_shared_policy_change_between_calls():
     window = np.full((3, 5), 3000.0)
     mean, std = window_stats(window)
     context = VectorStepContext(
-        k=5,
+        k=np.full(3, 5),
         buffer=np.full(3, 10.0),
         buffer_cap=np.full(3, 30.0),
         last_level=np.zeros(3, dtype=int),
@@ -256,3 +270,224 @@ def test_rows_stepped_counts_each_session_up_to_its_video_end(networked):
     assert counters["vector.rows_stepped"] == sum(lengths)
     # traces come back in batch order although the cohort sorted its rows
     assert [len(trace_.segments) for trace_ in traces] == lengths
+
+
+# --------------------------------------------------------------------------- #
+# Staggered rows: each row at its own segment index
+# --------------------------------------------------------------------------- #
+STAGGERED_STEPS = 12
+MAX_OFFSET = 5
+
+
+class _Staggered:
+    """Rows that start ``offset`` slots apart (0 to ``MAX_OFFSET``), each with
+    its own throughput series, buffers and sizes; at slot ``t`` row ``i``
+    sits at segment index ``t - offset[i]``."""
+
+    def __init__(self, n: int, rng: np.random.Generator) -> None:
+        self.n = n
+        self.rng = rng
+        self.offset = rng.integers(0, MAX_OFFSET + 1, n)
+        self.series = rng.uniform(150.0, 9000.0, (n, STAGGERED_STEPS))
+
+    def rows(self, t: int) -> dict:
+        """Per-row draws of slot ``t``, shared by the mixed and the one-row
+        contexts."""
+        n, rng = self.n, self.rng
+        k = t - self.offset
+        return dict(
+            k=k,
+            buffer=np.where(rng.random(n) < 0.1, 0.0, rng.uniform(0.0, 30.0, n)),
+            buffer_cap=rng.uniform(10.0, 60.0, n),
+            last_level=np.where(k > 0, rng.integers(0, BITRATES.size, n), -1),
+            segment_sizes=BITRATES * SEGMENT_DURATION * rng.uniform(0.6, 1.4, (n, 1)),
+        )
+
+    def samples(self, i: int, k: int) -> np.ndarray:
+        """Row ``i``'s throughput window at segment ``k``, oldest first."""
+        return self.series[i, max(0, k - WINDOW) : max(k, 0)]
+
+    def mixed_context(self, draws: dict) -> VectorStepContext:
+        """One context over every row: valid samples right-aligned in a
+        ``WINDOW``-wide array whose other entries are noise."""
+        k = draws["k"]
+        window = self.rng.uniform(1.0, 5.0, (self.n, WINDOW))
+        for i in range(self.n):
+            samples = self.samples(i, int(k[i]))
+            window[i, WINDOW - samples.size :] = samples
+        history = np.clip(k, 0, WINDOW)
+        mean, std = window_stats_by_count(window, history)
+        return VectorStepContext(
+            throughput_window=window,
+            bandwidth_mean=mean,
+            bandwidth_std=std,
+            bitrates=BITRATES,
+            segment_duration=SEGMENT_DURATION,
+            history=history,
+            **draws,
+        )
+
+    def own_context(self, draws: dict, i: int) -> VectorStepContext:
+        """Row ``i`` alone, as a cohort of its own sees it."""
+        window = self.samples(i, int(draws["k"][i]))[None, :]
+        mean, std = window_stats(window)
+        return VectorStepContext(
+            throughput_window=window,
+            bandwidth_mean=mean,
+            bandwidth_std=std,
+            bitrates=BITRATES,
+            segment_duration=SEGMENT_DURATION,
+            **{name: value[i : i + 1] for name, value in draws.items()},
+        )
+
+
+@pytest.mark.parametrize("case", range(NUM_CASES // 2))
+@pytest.mark.parametrize("family", sorted(_ABR_FAMILIES))
+def test_abr_kernel_at_mixed_segment_indices_equals_one_row_cohorts(family, case):
+    """Rows at their own segment indices (some at 0, some not started) get,
+    row for row, the level a one-row kernel gives them when it is called
+    only from the row's first segment on; RobustMPC carries its error
+    history through all ``STAGGERED_STEPS`` slots."""
+    rng = np.random.default_rng([case, 20 + sorted(_ABR_FAMILIES).index(family)])
+    n = int(rng.integers(4, 16))
+    policies = _share(_ABR_FAMILIES[family], n, rng)
+    cls = type(policies[0])
+    mixed = cls.vector_kernel(policies)
+    own = [cls.vector_kernel([policy]) for policy in policies]
+    rows = _Staggered(n, rng)
+    for t in range(STAGGERED_STEPS):
+        draws = rows.rows(t)
+        got = np.asarray(mixed(rows.mixed_context(draws)))
+        assert got.shape == (n,)
+        for i in np.flatnonzero(draws["k"] >= 0).tolist():
+            expected = int(np.asarray(own[i](rows.own_context(draws, i)))[0])
+            assert got[i] == expected, (t, i, int(draws["k"][i]))
+
+
+@pytest.mark.parametrize("case", range(NUM_CASES // 2))
+@pytest.mark.parametrize("family", sorted(_EXIT_FAMILIES))
+def test_exit_kernel_at_mixed_segment_indices_equals_one_row_cohorts(family, case):
+    """Each row's probability depends on its own segment index and watch
+    time only, so a view over rows at mixed indices equals the one-row
+    views."""
+    rng = np.random.default_rng([case, 30 + sorted(_EXIT_FAMILIES).index(family)])
+    n = int(rng.integers(4, 16))
+    models = _share(_EXIT_FAMILIES[family], n, rng)
+    cls = type(models[0])
+    mixed = cls.vector_exit_kernel(models)
+    offset = rng.integers(0, MAX_OFFSET + 1, n)
+    for t in range(STAGGERED_STEPS):
+        view = _view(0, n, rng)
+        view.k = t - offset
+        view.watch_time = (view.k + 1) * SEGMENT_DURATION
+        view.active = view.active & (view.k >= 0)
+        got = np.asarray(mixed(view))
+        for i in range(n):
+            one = cls.vector_exit_kernel([models[i]])
+            alone = dataclasses.replace(
+                view,
+                **{
+                    f.name: getattr(view, f.name)[i : i + 1]
+                    for f in dataclasses.fields(view)
+                },
+            )
+            np.testing.assert_array_equal(got[i : i + 1], one(alone))
+
+
+@pytest.mark.parametrize("case", range(NUM_CASES))
+def test_robust_mpc_staggered_rows_follow_their_own_scalar_instances(case):
+    """Rows whose starts differ by 0 to 5 slots, through 12 steps: each
+    started row's level equals its own scalar RobustMPC's ``select_level``
+    on its own history, so no row's error history moves before it starts."""
+    rng = np.random.default_rng([case, 40])
+    n = int(rng.integers(4, 16))
+    policies = [_ABR_FAMILIES["robust_mpc"](rng) for _ in range(n)]
+    scalar = [
+        RobustMPC(
+            QoEParameters(
+                stall_penalty=p.parameters.stall_penalty,
+                switch_penalty=p.parameters.switch_penalty,
+            ),
+            horizon=p.horizon,
+            throughput_window=p.throughput_window,
+        )
+        for p in policies
+    ]
+    kernel = RobustMPC.vector_kernel(policies)
+    rows = _Staggered(n, rng)
+    assert STAGGERED_STEPS == 12 and rows.offset.max() <= 5
+    for t in range(STAGGERED_STEPS):
+        draws = rows.rows(t)
+        context = rows.mixed_context(draws)
+        got = np.asarray(kernel(context))
+        for i in np.flatnonzero(draws["k"] >= 0).tolist():
+            expected = _scalar_levels([scalar[i]], rows.own_context(draws, i))[0]
+            assert got[i] == expected, (t, i, int(draws["k"][i]))
+
+
+def test_staggered_networked_batch_is_one_cohort_per_kernel_and_matches_reference(
+    monkeypatch,
+):
+    """Every ABR kernel on one tight link, sessions starting at slots 0 to
+    30, one session that starts after every other has ended and one that
+    starts at the last slot another still plays: the vector engine builds
+    one cohort per kernel key and matches the scalar reference engine trace
+    for trace, link-usage sample for sample."""
+    from test_network import assert_traces_equal
+
+    built: list[int] = []
+    build = VectorBackend._build_cohort
+
+    def counting_build(self, indices, specs, config, staggered=False):
+        built.append(len(indices))
+        return build(self, indices, specs, config, staggered)
+
+    monkeypatch.setattr(VectorBackend, "_build_cohort", counting_build)
+
+    rng = np.random.default_rng(5)
+    population = UserPopulation.generate(32, seed=3, bandwidth_median_kbps=2500.0)
+    profiles = list(population)
+    generator = StationaryTraceGenerator(2200.0, 700.0)
+    families = sorted(_ABR_FAMILIES)
+
+    def spec(i: int, family: str, length: int, start: int) -> SessionSpec:
+        return SessionSpec(
+            abr=_ABR_FAMILIES[family](rng),
+            video=Video(num_segments=length, seed=i),
+            trace=generator.generate(40, rng),
+            exit_model=profiles[i].exit_model(),
+            seed=1000 + i,
+            user_id=profiles[i].user_id,
+            start_step=start,
+        )
+
+    starts = [0, 30] + rng.integers(0, 31, 28).tolist()
+    specs = [
+        spec(i, families[i % len(families)], int(rng.integers(4, 14)), start)
+        for i, start in enumerate(starts)
+    ]
+    last_slot = max(s.start_step + s.video.num_segments for s in specs) - 1
+    specs.append(spec(30, "bola", 5, last_slot))  # at the last slot
+    specs.append(spec(31, "hyb", 6, last_slot + 7))  # after every other ended
+    topology = NetworkTopology(name="tight", links=(EdgeLink("tight", 9000.0),))
+
+    scalar_usage, vector_usage = [], []
+    reference = get_backend("scalar").run_batch(
+        specs, network=topology, link_usage=scalar_usage
+    )
+    backend = VectorBackend()
+    traces = backend.run_batch(specs, network=topology, link_usage=vector_usage)
+    assert backend.last_fallback_sessions == 0
+    assert sorted(built) == sorted(
+        sum(type(s.abr).__name__ == name for s in specs)
+        for name in {type(s.abr).__name__ for s in specs}
+    )
+    assert len(built) == len(families)
+    assert_traces_equal(reference, traces)
+    assert scalar_usage == vector_usage
+    # the link was congested: some session got less than its own demand
+    assert any(
+        record.bandwidth_kbps < spec.trace.bandwidth_at(record.segment_index)
+        for spec, trace in zip(specs, traces)
+        for record in trace.records
+    )
