@@ -730,23 +730,69 @@ def check_monte_carlo_path(
 # FLEET-TELEMETRY-011 — one telemetry encoder
 # ---------------------------------------------------------------------------
 
-#: The telemetry codec's module and the name of its one shared encoder.
+#: The telemetry codec's module, the name of its one shared encoder and
+#: the name of its one column formatter.
 TELEMETRY_MODULE = "repro/fleet/telemetry.py"
 SHARED_ENCODER = "_ENCODER"
+COLUMN_FORMATTER = "_json_texts"
+
+
+def _value_formatting(node: ast.AST, quoters: set[str]) -> str | None:
+    """What ``node`` formats a value with, if it is one of the primitives
+    the column formatter owns: ``float.__repr__``, ``repr(`` or json's
+    ``encode_basestring_ascii``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr == "__repr__"
+        and getattr(node.value, "id", None) == "float"
+    ):
+        return "float.__repr__"
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "repr"
+    ):
+        return "repr("
+    if (isinstance(node, ast.Name) and node.id in quoters) or (
+        isinstance(node, ast.Attribute) and node.attr == "encode_basestring_ascii"
+    ):
+        return "encode_basestring_ascii"
+    return None
 
 
 def check_telemetry_encoder(
     path: str, source: str, tree: ast.AST
 ) -> Iterator[Finding]:
     """FLEET-TELEMETRY-011: every telemetry line is encoded by the module's
-    one shared ``json.JSONEncoder``, so inline and pooled shards write the
-    same bytes.  In ``repro/fleet/telemetry.py`` no code deep-copies
-    records with ``dataclasses.asdict``, calls ``json.dumps``/``json.dump``
-    or builds a ``JSONEncoder`` other than the module-level
-    ``_ENCODER``."""
+    one shared ``json.JSONEncoder`` or, for a shard's session events, by
+    its one column formatter, so inline and pooled shards write the same
+    bytes.  In ``repro/fleet/telemetry.py`` no code deep-copies records
+    with ``dataclasses.asdict``, calls ``json.dumps``/``json.dump`` or
+    builds a ``JSONEncoder`` other than the module-level ``_ENCODER``, and
+    nothing outside the module-level ``_json_texts`` formats a value with
+    ``float.__repr__``, ``repr(`` or ``encode_basestring_ascii``."""
     if _module_path(path) != TELEMETRY_MODULE:
         return
     imports = _collect_imports(tree)
+    quoters = {"encode_basestring_ascii"} | {
+        local
+        for module in ("json", "json.encoder")
+        for local in imports.from_names.get((module, "encode_basestring_ascii"), ())
+    }
+    formatter = {
+        id(inner)
+        for node in ast.iter_child_nodes(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == COLUMN_FORMATTER
+        for inner in ast.walk(node)
+    }
+    for node in ast.walk(tree):
+        primitive = _value_formatting(node, quoters)
+        if primitive is not None and id(node) not in formatter:
+            yield Finding(
+                "FLEET-TELEMETRY-011", path, node.lineno, node.col_offset,
+                f"{primitive} outside {COLUMN_FORMATTER} in the telemetry "
+                f"codec; take value texts from the one column formatter",
+            )
     json_aliases = imports.aliases("json")
     from_json = {
         local: name

@@ -90,6 +90,7 @@ from repro.fleet.telemetry import (
     TelemetryWriter,
     encode_events,
     encode_shard_events,
+    iter_shard_chunks,
     iter_shard_events,
     link_utilization_event,
     session_event,
@@ -129,6 +130,7 @@ __all__ = [
     "shutdown_shared_pools",
     "encode_events",
     "encode_shard_events",
+    "iter_shard_chunks",
     "iter_shard_events",
     "shard_summary_event",
     "FleetConfig",

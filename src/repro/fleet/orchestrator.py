@@ -62,7 +62,7 @@ from repro.fleet.scenarios import Scenario, get_scenario
 from repro.fleet.telemetry import (
     TelemetryEvent,
     TelemetryWriter,
-    iter_shard_events,
+    iter_shard_chunks,
 )
 from repro.net.allocator import LinkUsageSample
 from repro.net.topology import (
@@ -819,7 +819,9 @@ def write_fleet_telemetry(result: FleetResult, path: str | Path) -> Path:
                 # and sent them as one frame — stream the bytes verbatim.
                 writer.write_raw(output.telemetry_blob)
             else:
-                writer.emit_many(iter_shard_events(result.run_id, output))
+                with obs.span("fleet.telemetry.encode"):
+                    for chunk in iter_shard_chunks(result.run_id, output):
+                        writer.write_raw(chunk)
         if result.obs_report is not None:
             writer.emit(
                 TelemetryEvent(

@@ -124,11 +124,15 @@ def _worker_main(parent_conn, conn) -> None:  # contract: SHM-005
                 obs_live.publish_to_pipe(conn, heartbeat)
                 try:
                     output = _run_shard(_resolve_refs(task, cache))
-                    telemetry = (
-                        encode_shard_events(task.run_id, output)
-                        if encode_telemetry
-                        else None
-                    )
+                    telemetry = None
+                    if encode_telemetry:
+                        # A profiled shard's snapshot gains the encode span.
+                        with obs.collect() as collector:
+                            if output.obs is not None:
+                                collector.merge_snapshot(output.obs)
+                            telemetry = encode_shard_events(task.run_id, output)
+                        if output.obs is not None:
+                            output.obs = collector.snapshot()
                     # The pack: the pickle, nothing else.
                     start = time.perf_counter()  # contract: DET-CLOCK-002 exempt(pack-time telemetry only; excluded from bit-exact comparison)
                     result = pickle.dumps(output, protocol=5)

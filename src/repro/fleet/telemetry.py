@@ -32,13 +32,20 @@ run.  Event types emitted by the orchestrator:
     fallback counters (``last/total_fallback_sessions``,
     ``total_batch_sessions``).
 
-Every line is encoded by one shared :class:`json.JSONEncoder`
-(:data:`_ENCODER`) and reaches the file as bytes through
-:meth:`TelemetryWriter.write_raw`: inline shards, pooled shard blobs and
-single run-level events take the same path, so the two fleet modes write
+A shard's events are encoded by :func:`iter_shard_chunks`, which both fleet
+modes run: an inline run writes each chunk as it is made, a pool worker
+joins them into one blob (:func:`encode_shard_events`).  Its session events
+are written column by column, a few hundred segment rows at a time, and
+every segment and session value takes its JSON text from one formatter
+(:func:`_json_texts`), which formats each distinct value of a chunk's
+columns once, exactly as ``json.dumps`` writes it.  Every other line (link samples, shard
+summaries, run-level events and the per-event path of
+:meth:`TelemetryWriter.emit`) is encoded by one shared
+:class:`json.JSONEncoder` (:data:`_ENCODER`).  All bytes reach the file
+through :meth:`TelemetryWriter.write_raw`, so the two fleet modes write
 identical files on every platform.
 
-This module is the write side and the per-event codec only.  Reading a
+This module is the write side and the codec only.  Reading a
 file — splitting it into lines, decoding them, filtering and replaying the
 events into the analytics layer — is :mod:`repro.obs.telemetry_reader`'s
 job, so every §2-style aggregation works on a telemetry file exactly as it
@@ -50,11 +57,13 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from repro import obs
 from repro.analytics.logs import SessionLog
 from repro.net.allocator import LinkUsageSample
 from repro.sim.session import SEGMENT_DTYPE, SEGMENT_FIELDS, PlaybackTrace
@@ -125,8 +134,8 @@ class TelemetryWriter:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Binary mode: no locale encoding and no newline translation, so the
-        # file holds exactly the bytes of :func:`encode_events` — the bytes
-        # the pool's blobs and the reader's byte offsets assume.
+        # file holds exactly the encoded bytes — the bytes the pool's blobs
+        # and the reader's byte offsets assume.
         self._handle = self.path.open("ab" if append else "wb")
         self.events_written = 0
 
@@ -137,8 +146,9 @@ class TelemetryWriter:
     def emit_many(self, events: Iterable[TelemetryEvent]) -> None:
         """Write several events in order, as ``encode_events(events)``.
 
-        One event at a time: a shard's whole blob held in memory would
-        raise peak RSS by about twice its size, and it encodes no faster.
+        The per-event path, one event at a time, for any events.  A shard's
+        events are written faster by :func:`iter_shard_chunks`, with the
+        same bytes.
         """
         for event in events:
             self.emit(event)
@@ -147,10 +157,12 @@ class TelemetryWriter:
         """Append pre-encoded JSONL bytes (newline-terminated lines).
 
         Every event reaches the file here.  :meth:`emit` and
-        :meth:`emit_many` encode with :func:`encode_events`; a pool worker
-        encodes its shard's events once (:func:`encode_shard_events`) and
-        the parent hands the blob over as is, so both fleet modes write the
-        same bytes and replay readers cannot tell them apart.
+        :meth:`emit_many` encode with :func:`encode_events`; an inline
+        shard writes each chunk of :func:`iter_shard_chunks` as it is made,
+        and a pool worker joins the same chunks into one blob
+        (:func:`encode_shard_events`) that the parent hands over as is, so
+        both fleet modes write the same bytes and replay readers cannot
+        tell them apart.
         """
         if not data:
             return
@@ -269,10 +281,9 @@ def iter_shard_events(run_id: str, output) -> Iterator[TelemetryEvent]:
     """All telemetry events of one shard output, in canonical order.
 
     ``output`` is a :class:`~repro.fleet.orchestrator.ShardOutput` (duck
-    typed to avoid a module cycle).  Both telemetry paths run through this
-    generator — the orchestrator writing inline results, and pool workers
-    pre-encoding their shard's blob — which is what makes pooled telemetry
-    byte-identical to inline telemetry.
+    typed to avoid a module cycle).  This is the per-event form of a
+    shard's telemetry: :func:`iter_shard_chunks`, which both fleet modes
+    run, writes the bytes of ``encode_events`` over these events.
     """
     for log in output.sessions:
         yield session_event(run_id, output.shard_index, log)
@@ -284,13 +295,168 @@ def iter_shard_events(run_id: str, output) -> Iterator[TelemetryEvent]:
 def encode_events(events: Iterable[TelemetryEvent]) -> bytes:
     """The JSONL bytes of ``events``, one newline-terminated line each.
 
-    The one encoding step of every telemetry path: :class:`TelemetryWriter`
-    writes exactly these bytes, whether it encodes the events itself or a
-    pool worker did.
+    The per-event encoding step: :meth:`TelemetryWriter.emit` and
+    :meth:`~TelemetryWriter.emit_many` write exactly these bytes, and
+    :func:`iter_shard_chunks` writes a shard's link samples and summary
+    through it.
     """
     return "".join(event.to_json() + "\n" for event in events).encode("utf-8")
 
 
+# --------------------------------------------------------------------------- #
+# Column encoder: a shard's events, chunk by chunk
+# --------------------------------------------------------------------------- #
+#: Segment rows per chunk of session events.  A chunk holds whole sessions
+#: and closes once it reaches this many rows.  Its working set, about
+#: 1.2 kB a row (pieces, distinct value texts, joined text), adds to an
+#: inline run's peak RSS: 256 rows add about 0.3 MB, 1,024 rows encode a
+#: shard about 10% faster but add about 1.2 MB.
+_CHUNK_ROWS = 256
+
+_BOOL_TEXTS = np.array(["false", "true"], dtype=object)
+
+
+# contract: FLEET-TELEMETRY-011
+def _json_texts(values: np.ndarray) -> np.ndarray:
+    """The JSON text of every value in ``values``, as an object array of
+    its shape: the one place that formats a session event's values.
+
+    Float, int and bool arrays take the texts ``json.dumps`` writes for
+    the Python values of their items; each distinct float bit pattern or
+    int is formatted once, so ``-0.0`` and ``0.0`` (and any two NaNs) are
+    looked up apart.  An object array holds strings, each escaped to
+    ASCII as ``json.dumps`` escapes it.
+    """
+    kind = values.dtype.kind
+    if kind == "O":
+        texts = list(map(encode_basestring_ascii, values.ravel().tolist()))
+        return np.array(texts, dtype=object).reshape(values.shape)
+    if kind == "b":
+        return _BOOL_TEXTS[values.astype(np.intp)]
+    if kind == "f":
+        distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        floats = distinct.view(np.float64)
+        # float.__repr__ is what json's C encoder writes for a finite float.
+        texts = list(map(float.__repr__, floats.tolist()))
+        for index in np.flatnonzero(~np.isfinite(floats)).tolist():
+            texts[index] = _ENCODER.encode(float(floats[index]))
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        texts = list(map(str, distinct.tolist()))
+    return np.array(texts, dtype=object)[inverse.reshape(values.shape)]
+
+
+#: One segment row's text pieces: each field's key, then a slot for its value.
+_ROW_KEYS = [
+    ("{" if index == 0 else ", ") + f'"{name}": '
+    for index, name in enumerate(SEGMENT_FIELDS)
+]
+_ROW_WIDTH = 2 * len(SEGMENT_FIELDS) + 1
+_ROW_TEMPLATE = [piece for key in _ROW_KEYS for piece in (key, None)] + ["}, "]
+#: Segment field positions, grouped by the dtype kind they are formatted as.
+_FIELD_GROUPS = [
+    [index for index, name in enumerate(SEGMENT_FIELDS)
+     if SEGMENT_DTYPE[name].kind == kind]
+    for kind in "fib"
+]
+
+
+def _session_lines(envelope: str, logs: list[SessionLog]) -> str:
+    """The ``session`` lines of ``logs``, whose envelope text up to the
+    user id is ``envelope``: the text ``encode_events`` writes for them."""
+    traces = [log.trace for log in logs]
+    # One copy through bytes: np.concatenate re-promotes the structured
+    # dtype for every input array, which takes longer than the formatting.
+    rows = np.frombuffer(
+        b"".join([trace.segments.tobytes() for trace in traces]), SEGMENT_DTYPE
+    )
+    stops = np.cumsum([len(trace.segments) for trace in traces]).tolist()
+    obs.counter_add("telemetry.session_rows", len(rows))
+
+    parts = _ROW_TEMPLATE * len(rows)
+    for group in _FIELD_GROUPS:
+        columns = np.stack([rows[SEGMENT_FIELDS[index]] for index in group])
+        for index, texts in zip(group, _json_texts(columns).tolist()):
+            parts[2 * index + 1 :: _ROW_WIDTH] = texts
+
+    users = _json_texts(np.array([log.user_id for log in logs], dtype=object))
+    names = _json_texts(
+        np.array([str(trace.trace_name) for trace in traces], dtype=object)
+    )
+    counters = _json_texts(
+        np.array([(int(log.day), int(log.session_index)) for log in logs],
+                 dtype=np.int64)
+    )
+    floats = _json_texts(
+        np.array(
+            [
+                (float(log.mean_bandwidth_kbps), float(trace.video_duration),
+                 float(trace.segment_duration))
+                for log, trace in zip(logs, traces)
+            ],
+            dtype=np.float64,
+        )
+    )
+    exited = _json_texts(np.array([bool(trace.exited_early) for trace in traces]))
+
+    # Each session's head goes in front of its first row's opening brace
+    # (with any row-less sessions before it), and its last row closes it.
+    pending: list[str] = []
+    start = 0
+    for user, (day, index), (mean, video, segment), name, early, stop in zip(
+        users.tolist(), counters.tolist(), floats.tolist(), names.tolist(),
+        exited.tolist(), stops,
+    ):
+        pending.append(
+            f'{envelope}{user}, "event": "session", "payload": {{"day": {day}, '
+            f'"session_index": {index}, "mean_bandwidth_kbps": {mean}, '
+            f'"video_duration": {video}, "segment_duration": {segment}, '
+            f'"trace_name": {name}, "exited_early": {early}, "records": ['
+        )
+        if stop == start:
+            pending.append("]}}\n")
+            continue
+        pending.append(parts[start * _ROW_WIDTH])
+        parts[start * _ROW_WIDTH] = "".join(pending)
+        parts[stop * _ROW_WIDTH - 1] = "}]}}\n"
+        pending = []
+        start = stop
+    parts += pending
+    return "".join(parts)
+
+
+def iter_shard_chunks(run_id: str, output) -> Iterator[bytes]:
+    """One shard's telemetry as newline-terminated JSONL chunks, in the
+    order of :func:`iter_shard_events` and with its bytes.
+
+    The session events come in chunks of whole sessions, each closed once
+    it holds :data:`_CHUNK_ROWS` segment rows; the link samples and the
+    shard summary follow one event per chunk, encoded by :data:`_ENCODER`.
+    """
+    header = _json_texts(np.array([run_id], dtype=object))[0]
+    shard = _json_texts(np.array([int(output.shard_index)], dtype=np.int64))[0]
+    envelope = f'{{"run_id": {header}, "shard": {shard}, "user_id": '
+    chunk: list[SessionLog] = []
+    rows = 0
+    for log in output.sessions:
+        chunk.append(log)
+        rows += len(log.trace.segments)
+        if rows >= _CHUNK_ROWS:
+            # Encoded here, once the pieces of the text have been freed.
+            yield _session_lines(envelope, chunk).encode("ascii")
+            chunk, rows = [], 0
+    if chunk:
+        yield _session_lines(envelope, chunk).encode("ascii")
+    # One event at a time, as emit_many writes them: a networked shard has
+    # a sample per link and slot, too many to hold as events at once.
+    for sample in output.link_usage:
+        yield encode_events(
+            (link_utilization_event(run_id, output.shard_index, sample),)
+        )
+    yield encode_events((shard_summary_event(run_id, output),))
+
+
 def encode_shard_events(run_id: str, output) -> bytes:
     """One shard's telemetry as a raw JSONL blob (the pool's second result frame)."""
-    return encode_events(iter_shard_events(run_id, output))
+    with obs.span("fleet.telemetry.encode"):
+        return b"".join(iter_shard_chunks(run_id, output))

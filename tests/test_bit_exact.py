@@ -24,12 +24,19 @@ from repro.bayesopt.acquisition import (
     expected_improvement,
     probability_of_improvement,
 )
-from repro.analytics.logs import SessionLog
+from repro.analytics.logs import LogCollection, SessionLog
 from repro.bayesopt.kernels import Matern52Kernel, RBFKernel
-from repro.fleet.orchestrator import ShardOutput
+from repro.fleet import telemetry
+from repro.fleet.orchestrator import (
+    FleetConfig,
+    FleetResult,
+    ShardOutput,
+    write_fleet_telemetry,
+)
 from repro.fleet.telemetry import (
     _to_builtin,
     encode_shard_events,
+    iter_shard_chunks,
     iter_shard_events,
 )
 from repro.net.allocator import LinkUsageSample
@@ -259,3 +266,88 @@ def test_telemetry_codec_matches_asdict_dumps_oracle(run_id, output):
         event.to_json() + "\n" for event in iter_shard_events(run_id, output)
     )
     assert per_event.encode("utf-8") == expected
+
+
+def _edge_session(index: int, rows: int, rng: np.random.Generator) -> SessionLog:
+    """A session of ``rows`` segment rows that holds every edge value the
+    column formatter must keep apart, with numpy scalars in its envelope."""
+    segments = np.zeros(rows, dtype=SEGMENT_DTYPE)
+    for name in SEGMENT_DTYPE.names:
+        kind = SEGMENT_DTYPE[name].kind
+        if kind == "f":
+            # Few distinct values per column, so most texts are looked up.
+            segments[name] = rng.choice(rng.normal(0.0, 1e3, 8), rows)
+        elif kind == "i":
+            segments[name] = rng.integers(-(2**62), 2**62, rows)
+        else:
+            segments[name] = rng.random(rows) < 0.5
+    nans = np.array([0x7FF8000000000001, 0xFFF0000000000F00], np.uint64)
+    edges = {
+        "stall_time": [0.0, -0.0] * 2,
+        "wait_time": [*nans.view(np.float64), np.inf, -np.inf],
+        "watch_time": [5e-324, -5e-324, 1e308, -1e308],
+    }
+    for name, values in edges.items():
+        segments[name][: len(values)] = values[:rows]
+    for name, values in (("level", [2**62, -(2**62)]), ("stall_count", [0, -1])):
+        segments[name][: len(values)] = values[:rows]
+    return SessionLog(
+        user_id=f"user-\u00e9-{index % 7}",
+        day=np.int64(index % 3 - 1),
+        session_index=index,
+        mean_bandwidth_kbps=np.float64(-0.0 if index % 2 else 0.0),
+        trace=PlaybackTrace(
+            user_id="",
+            video_duration=[np.inf, 1e308, 5e-324][index % 3],
+            segment_duration=np.float64(4.0),
+            trace_name=f"trace\t{index % 2}",
+            segments=segments,
+            exited_early=np.bool_(index % 2),
+        ),
+    )
+
+
+def test_telemetry_chunks_match_oracle_across_chunk_edges(tmp_path):
+    """A shard of several chunks encodes to the oracle's bytes, and the
+    inline file equals the pooled blob: row-less sessions first, last and
+    on both sides of a chunk edge, and a session longer than a chunk."""
+    chunk = telemetry._CHUNK_ROWS
+    rng = np.random.default_rng(11)
+    sizes = [0, 5, chunk - 6, 0, 1, 0, 3, chunk + 9, 0, chunk // 2, 1, chunk // 2]
+    sizes += [7, 0]
+    sessions = [_edge_session(i, rows, rng) for i, rows in enumerate(sizes)]
+    output = ShardOutput(
+        shard_index=3,
+        sessions=sessions,
+        controller_states={},
+        num_segments=sum(sizes),
+        wall_time_s=0.25,
+        link_usage=[LinkUsageSample(2, "edge", 1e3, 1, 5.0, -0.0, "edge")],
+        fallback_sessions=0,
+    )
+    run_id = "run-\u00e9"
+    expected = _oracle_shard_bytes(run_id, output)
+    chunks = list(iter_shard_chunks(run_id, output))
+    assert len(chunks) >= 5  # four or more of session rows, then the tail
+    assert all(part.endswith(b"\n") for part in chunks)
+    assert b"".join(chunks) == expected
+    blob = encode_shard_events(run_id, output)
+    assert blob == expected
+
+    def written(shard: ShardOutput) -> bytes:
+        result = FleetResult(
+            run_id=run_id,
+            config=FleetConfig(num_shards=1),
+            scenario_name="steady_state",
+            logs=LogCollection(shard.sessions),
+            shard_outputs=[shard],
+            controller_states={},
+            wall_time_s=0.5,
+        )
+        path = tmp_path / f"{shard.telemetry_blob is None}.jsonl"
+        return write_fleet_telemetry(result, path).read_bytes()
+
+    inline = written(output)
+    pooled = written(dataclasses.replace(output, telemetry_blob=blob))
+    assert inline == pooled
+    assert expected in inline

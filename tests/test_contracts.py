@@ -427,6 +427,41 @@ def test_telemetry_rule_flags_second_encoders():
     # The rule covers the telemetry codec's module only.
     assert lint_source("src/repro/fleet/orchestrator.py", source).findings == []
 
+    # Value formatting belongs to the one column formatter, `_json_texts`.
+    formatters = textwrap.dedent(
+        """\
+        import json.encoder
+        from json.encoder import encode_basestring_ascii
+        from json.encoder import encode_basestring_ascii as quote
+
+
+        def _json_texts(values):
+            texts = list(map(float.__repr__, values))
+            return texts + [repr(1.5), encode_basestring_ascii("a")]
+
+
+        def head(name, value):
+            first = float.__repr__(value) + repr(value)
+            second = encode_basestring_ascii(name) + quote(name)
+            return first + second + json.encoder.encode_basestring_ascii(name)
+
+
+        class Chunk:
+            def _json_texts(self, value):
+                return repr(value)
+        """
+    )
+    lint = lint_source("src/repro/fleet/telemetry.py", formatters)
+    assert [(f.rule_id, f.line, f.col) for f in lint.findings] == [
+        ("FLEET-TELEMETRY-011", 12, 12),
+        ("FLEET-TELEMETRY-011", 12, 36),
+        ("FLEET-TELEMETRY-011", 13, 13),
+        ("FLEET-TELEMETRY-011", 13, 45),
+        ("FLEET-TELEMETRY-011", 14, 28),
+        ("FLEET-TELEMETRY-011", 19, 15),
+    ]
+    assert lint_source("src/repro/fleet/pool.py", formatters).findings == []
+
 
 def test_reader_rule_flags_decoding_and_line_walks_outside_the_reader():
     source = textwrap.dedent(

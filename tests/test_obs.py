@@ -21,6 +21,7 @@ from repro.fleet import (
     FleetOrchestrator,
     LongitudinalCampaign,
     LongitudinalConfig,
+    write_fleet_telemetry,
 )
 from repro.net import CacheModel, EdgeLink, NetworkTopology
 from repro.obs.registry import Histogram
@@ -219,6 +220,39 @@ class TestFleetProfile:
         # the pooled and inline paths emit the same skeleton
         assert "fleet.run_day/fleet.run_shards/shard.spawn" in names[0]
         assert "fleet.run_day/fleet.run_shards/shard.run/shard.run_batch" in names[0]
+
+    def test_telemetry_encode_span_moves_no_byte(self, population, library, tmp_path):
+        """OBS-NEUTRAL-004 on the write side: the encode span and the
+        ``telemetry.session_rows`` counter change no telemetry byte."""
+        result = _run_fleet(population, library, shards=2)
+        off = write_fleet_telemetry(result, tmp_path / "off.jsonl").read_bytes()
+        with obs.collect() as collector:
+            on = write_fleet_telemetry(result, tmp_path / "on.jsonl").read_bytes()
+        assert on == off
+        snapshot = collector.snapshot()
+        assert obs.find_span(snapshot["spans"], "fleet.telemetry.encode")["count"] == 2
+        rows = snapshot["metrics"]["counters"]["telemetry.session_rows"]
+        assert rows == result.metrics.num_segments
+
+        # Pooled workers encode under a profiled shard's collector.
+        blobs = {}
+        for profile in (False, True):
+            pooled = _run_fleet(
+                population, library, shards=2, workers=2, profile=profile,
+                telemetry=tmp_path / f"pooled-{profile}.jsonl",
+            )
+            # Every line but the shard summary, which carries its wall time.
+            blobs[profile] = [
+                output.telemetry_blob.rsplit(b"\n", 2)[0]
+                for output in pooled.shard_outputs
+            ]
+        assert blobs[True] == blobs[False]
+        assert all(blob in off for blob in blobs[False])
+        spans = pooled.obs_report["spans"]
+        encode = "fleet.run_day/fleet.run_shards/fleet.telemetry.encode"
+        assert obs.find_span(spans, encode)["count"] == 2
+        counters = pooled.obs_report["metrics"]["counters"]
+        assert counters["telemetry.session_rows"] == rows
 
     def test_report_contents_and_coverage(self, population, library):
         result = _run_fleet(population, library, shards=2, workers=2, profile=True)
