@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -66,6 +67,41 @@ class QoEParameters:
             switch_penalty=float(values[1]),
             beta=float(values[2]),
         )
+
+
+def distinct_policies(policies: Sequence["ABRAlgorithm"]) -> tuple[list, np.ndarray]:
+    """The distinct policy objects of a kernel's rows, and each row's owner.
+
+    A user's sessions share one policy object, so a vector kernel reads live
+    :class:`QoEParameters` once per distinct object and indexes the values
+    back to the rows through ``owner``.
+    """
+    position: dict[int, int] = {}
+    distinct: list = []
+    for policy in policies:
+        if id(policy) not in position:
+            position[id(policy)] = len(distinct)
+            distinct.append(policy)
+    return distinct, np.asarray([position[id(p)] for p in policies], dtype=int)
+
+
+def row_parameters(distinct: list, owner: np.ndarray, name: str) -> np.ndarray:
+    """Each row's live :class:`QoEParameters` field ``name`` (``owner``
+    indexes ``distinct``, see :func:`distinct_policies`).
+
+    Every distinct policy is read once when they are no more than the rows;
+    otherwise (a cohort step covers a few of many users' rows) only the
+    policies that own one of the rows are read.
+    """
+    if len(distinct) <= owner.size:
+        return np.asarray([getattr(p.parameters, name) for p in distinct])[owner]
+    needed = np.zeros(len(distinct), dtype=bool)
+    needed[owner] = True
+    values = np.empty(len(distinct))
+    values[needed] = [
+        getattr(distinct[i].parameters, name) for i in np.flatnonzero(needed).tolist()
+    ]
+    return values[owner]
 
 
 class ABRAlgorithm(abc.ABC):

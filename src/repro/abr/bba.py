@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.sim.session import ABRContext
-from repro.sim.vector import row_prefixes
+from repro.sim.vector import row_columns
 
 
 class BBA(ABRAlgorithm):
@@ -53,12 +53,12 @@ class BBA(ABRAlgorithm):
         """
         reservoir = np.asarray([p.reservoir_s for p in policies], dtype=float)
         cushion = np.asarray([p.cushion_s for p in policies], dtype=float)
-        prefix = row_prefixes(reservoir, cushion)
+        at = row_columns(reservoir, cushion)
 
         def kernel(context) -> np.ndarray:
             num_levels = context.bitrates.size
             buffer = context.buffer
-            low, span = prefix(buffer.size)
+            low, span = at(context.rows, buffer.size)
             fraction = (buffer - low) / span
             levels = np.clip((fraction * num_levels).astype(int), 0, num_levels - 1)
             levels = np.where(buffer <= low, 0, levels)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.sim.session import ABRContext
-from repro.sim.vector import row_prefixes
+from repro.sim.vector import row_columns
 
 
 class BOLA(ABRAlgorithm):
@@ -68,11 +68,11 @@ class BOLA(ABRAlgorithm):
             [p.buffer_target_fraction for p in policies], dtype=float
         )
 
-        prefix = row_prefixes(gamma_p, target_fraction)
+        at = row_columns(gamma_p, target_fraction)
 
         def kernel(context) -> np.ndarray:
             sizes = context.segment_sizes  # (N, L)
-            gamma, fraction = prefix(sizes.shape[0])
+            gamma, fraction = at(context.rows, sizes.shape[0])
             utilities = np.log(sizes / sizes[:, :1])
             buffer_target = fraction * context.buffer_cap
             v = np.maximum(

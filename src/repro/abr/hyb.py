@@ -14,9 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.abr.base import ABRAlgorithm, QoEParameters
+from repro.abr.base import (
+    ABRAlgorithm,
+    QoEParameters,
+    distinct_policies,
+    row_parameters,
+)
 from repro.sim.session import ABRContext
-from repro.sim.vector import row_prefixes
+from repro.sim.vector import row_columns
 
 
 class HYB(ABRAlgorithm):
@@ -61,28 +66,24 @@ class HYB(ABRAlgorithm):
         :class:`~repro.abr.base.QoEParameters` at every call, so runtime
         objective adjustments (LingXi) take effect mid-batch exactly as they
         would in the scalar loop; it is read once per distinct policy object
-        (a user's sessions share one HYB) and indexed back to the rows.
+        among the rows the call covers (a user's sessions share one HYB) and
+        indexed back to the rows.
         """
         window = np.asarray([p.throughput_window for p in policies], dtype=int)
         startup = np.asarray([p.startup_level for p in policies], dtype=int)
-        position: dict[int, int] = {}
-        distinct: list[HYB] = []
-        for p in policies:
-            if id(p) not in position:
-                position[id(p)] = len(distinct)
-                distinct.append(p)
-        owner = np.asarray([position[id(p)] for p in policies], dtype=int)
-        prefix = row_prefixes(startup, window, owner)
+        distinct, owner = distinct_policies(policies)
+        at = row_columns(startup, window, owner)
 
         def kernel(context) -> np.ndarray:
             num_levels = context.bitrates.size
-            row_startup, row_window, row_owner = prefix(context.buffer.size)
+            row_startup, row_window, row_owner = at(context.rows, context.buffer.size)
             startup = context.k == 0
             if startup.all():
                 return np.minimum(row_startup, num_levels - 1)
-            betas = np.asarray([p.parameters.beta for p in distinct], dtype=float)
             throughput = context.harmonic_throughput(row_window)
-            budget = betas[row_owner] * np.maximum(context.buffer, 0.0)
+            budget = row_parameters(distinct, row_owner, "beta") * np.maximum(
+                context.buffer, 0.0
+            )
             download_times = context.segment_sizes / np.maximum(throughput, 1e-9)[:, None]
             feasible = download_times < budget[:, None]
             highest = num_levels - 1 - feasible[:, ::-1].argmax(axis=1)

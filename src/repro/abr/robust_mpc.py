@@ -16,9 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.abr.base import ABRAlgorithm, QoEParameters
+from repro.abr.base import (
+    ABRAlgorithm,
+    QoEParameters,
+    distinct_policies,
+    row_parameters,
+)
 from repro.sim.session import ABRContext
-from repro.sim.vector import row_prefixes
+from repro.sim.vector import row_columns
 
 
 class RobustMPC(ABRAlgorithm):
@@ -105,10 +110,11 @@ class RobustMPC(ABRAlgorithm):
         post-:meth:`reset` state, so every row behaves exactly like a freshly
         reset scalar instance advanced call by call — including when several
         rows share one policy object (the scalar engine resets it before each
-        sequential session anyway).  A row's state moves only on calls where
-        it has throughput history (``context.k > 0``): rows at different
-        segment indices, or not started yet (``k < 0``), keep their own
-        count of errors.
+        sequential session anyway).  A row's state moves only on calls that
+        cover it and where it has throughput history (``context.k > 0``), so
+        rows at different segment indices keep their own count of errors; a
+        call on a row set (``context.rows``) scatters the state it moved
+        back to those rows.
 
         The horizon enumeration is evaluated as a prefix tree: level
         sequences in ``itertools.product`` order share their prefix sums, so
@@ -118,8 +124,9 @@ class RobustMPC(ABRAlgorithm):
         Memory is ``O(num_levels ** horizon * N)`` per step.
 
         ``stall_penalty`` / ``switch_penalty`` are read from each policy's
-        live :class:`~repro.abr.base.QoEParameters` at every call, so runtime
-        objective adjustments (LingXi) take effect mid-batch.
+        live :class:`~repro.abr.base.QoEParameters` at every call, once per
+        distinct policy object, so runtime objective adjustments (LingXi)
+        take effect mid-batch.
         """
         horizons = np.asarray([p.horizon for p in policies], dtype=int)
         windows = np.asarray([p.throughput_window for p in policies], dtype=int)
@@ -131,8 +138,9 @@ class RobustMPC(ABRAlgorithm):
         error_counts = np.zeros(len(policies), dtype=int)
         columns = np.arange(max_window)
         last_prediction = np.full(len(policies), np.nan)
-        prefix = row_prefixes(
-            horizons, windows, last_prediction, errors, error_counts
+        distinct, owner = distinct_policies(policies)
+        at = row_columns(
+            horizons, windows, last_prediction, errors, error_counts, owner
         )
 
         def kernel(context) -> np.ndarray:
@@ -140,8 +148,9 @@ class RobustMPC(ABRAlgorithm):
             started = context.k > 0
             if not started.any():
                 return np.zeros(num_rows, dtype=int)
-            row_horizons, row_windows, predicted, row_errors, counts = prefix(
-                num_rows
+            rows = context.rows
+            row_horizons, row_windows, predicted, row_errors, counts, row_owner = at(
+                rows, num_rows
             )
             # --- _robust_throughput, batched ---------------------------------
             # A row records an error on each call after its first with
@@ -161,16 +170,16 @@ class RobustMPC(ABRAlgorithm):
             max_error = np.where(held > 0, max_error, 0.0)
             robust = estimate / (1.0 + max_error)
             np.copyto(predicted, estimate, where=started)
+            if rows is not None:
+                last_prediction[rows] = predicted
+                errors[rows] = row_errors
+                error_counts[rows] = counts
             throughput = np.maximum(robust, 1e-6)
 
             # --- horizon enumeration as a prefix tree ------------------------
             qualities = context.bitrates / 1000.0  # == ladder.qualities()
-            mu = np.asarray(
-                [p.parameters.stall_penalty for p in policies[:num_rows]]
-            )
-            switch = np.asarray(
-                [p.parameters.switch_penalty for p in policies[:num_rows]]
-            )
+            mu = row_parameters(distinct, row_owner, "stall_penalty")
+            switch = row_parameters(distinct, row_owner, "switch_penalty")
             sizes = context.segment_sizes  # (N, L)
             num_levels = qualities.size
             download = sizes / throughput[:, None]  # (N, L)
@@ -182,12 +191,12 @@ class RobustMPC(ABRAlgorithm):
 
             result = np.zeros(num_rows, dtype=int)
             for horizon in np.unique(row_horizons):
-                rows = np.flatnonzero(row_horizons == horizon)
-                buffer = context.buffer[rows][None, :]  # (P, n)
-                previous_quality = last_quality[rows][None, :]
-                score = np.zeros((1, rows.size))
-                down = download[rows].T[None, :, :]  # (1, L, n)
-                cap = context.buffer_cap[rows]
+                group = np.flatnonzero(row_horizons == horizon)
+                buffer = context.buffer[group][None, :]  # (P, n)
+                previous_quality = last_quality[group][None, :]
+                score = np.zeros((1, group.size))
+                down = download[group].T[None, :, :]  # (1, L, n)
+                cap = context.buffer_cap[group]
                 q = qualities[None, :, None]  # (1, L, 1)
                 for _depth in range(int(horizon)):
                     stall = np.maximum(down - buffer[:, None, :], 0.0)
@@ -196,18 +205,18 @@ class RobustMPC(ABRAlgorithm):
                         + context.segment_duration
                     )
                     new_buffer = np.minimum(new_buffer, cap)
-                    increment = (q - mu[rows] * stall) - switch[rows] * np.abs(
+                    increment = (q - mu[group] * stall) - switch[group] * np.abs(
                         q - previous_quality[:, None, :]
                     )
                     score = score[:, None, :] + increment
                     paths = score.shape[0] * num_levels
-                    score = score.reshape(paths, rows.size)
-                    buffer = new_buffer.reshape(paths, rows.size)
+                    score = score.reshape(paths, group.size)
+                    buffer = new_buffer.reshape(paths, group.size)
                     previous_quality = np.broadcast_to(
-                        q, (new_buffer.shape[0], num_levels, rows.size)
-                    ).reshape(paths, rows.size)
+                        q, (new_buffer.shape[0], num_levels, group.size)
+                    ).reshape(paths, group.size)
                 best_leaf = np.argmax(score, axis=0)
-                result[rows] = best_leaf // num_levels ** (int(horizon) - 1)
+                result[group] = best_leaf // num_levels ** (int(horizon) - 1)
             return result if started.all() else np.where(started, result, 0)
 
         return kernel

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.sim.session import ABRContext
-from repro.sim.vector import row_prefixes
+from repro.sim.vector import row_columns
 
 
 class ThroughputRule(ABRAlgorithm):
@@ -54,9 +54,10 @@ class ThroughputRule(ABRAlgorithm):
         """Batched :meth:`select_level` over a struct-of-arrays step context.
 
         Returns ``kernel(context) -> levels`` where ``context`` is a
-        :class:`repro.sim.vector.VectorStepContext` covering one session per
-        policy.  The kernel reproduces the scalar decision bit-for-bit: the
-        same harmonic-mean estimate, the same ``level_for_bitrate`` threshold
+        :class:`repro.sim.vector.VectorStepContext` covering the policy
+        rows it names (``context.rows``, ``None`` for the first ``len``).
+        The kernel reproduces the scalar decision bit-for-bit: the same
+        harmonic-mean estimate, the same ``level_for_bitrate`` threshold
         semantics (via ``searchsorted(side="right")``), the same one-rung
         gradual switching, and level 0 on rows that have observed no
         throughput yet (``context.k == 0``).
@@ -65,14 +66,14 @@ class ThroughputRule(ABRAlgorithm):
         window = np.asarray([p.window for p in policies], dtype=int)
         gradual = np.asarray([p.gradual for p in policies], dtype=bool)
 
-        prefix = row_prefixes(safety, window, gradual)
+        at = row_columns(safety, window, gradual)
 
         def kernel(context) -> np.ndarray:
             rows = context.buffer.size
             startup = context.k == 0
             if startup.all():
                 return np.zeros(rows, dtype=int)
-            row_safety, row_window, row_gradual = prefix(rows)
+            row_safety, row_window, row_gradual = at(context.rows, rows)
             estimate = row_safety * context.harmonic_throughput(row_window)
             target = np.maximum(
                 np.searchsorted(context.bitrates, estimate, side="right") - 1, 0

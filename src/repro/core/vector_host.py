@@ -42,7 +42,6 @@ from repro.core.controller import run_activations
 from repro.core.state import PlayerSnapshot
 from repro.datasets.stall_dataset import WINDOW_LENGTH
 from repro.sim.bandwidth import BandwidthModel
-from repro.sim.vector import row_prefixes
 
 
 class VectorControllerHost:
@@ -77,7 +76,9 @@ class VectorControllerHost:
         self.count = np.zeros(n, dtype=int)  # observed segments per row
         # History column of each row's first observed segment: rows of a
         # staggered cohort start at different steps, and a row's segments
-        # fill consecutive columns from there.
+        # fill consecutive columns from there.  Every column is ``n`` wide,
+        # so row ``i`` of a column is row ``i``'s value whatever rows the
+        # step covered.
         self.first = np.zeros(n, dtype=int)
         self.session_stall_time = np.zeros(n)
         self.session_stall_count = np.zeros(n, dtype=int)
@@ -108,27 +109,10 @@ class VectorControllerHost:
         self.max_survived_stall_time = np.asarray(
             [c.user_state.max_survived_stall_time for c in controllers], dtype=float
         )
-        # Views of the first m rows of the state :meth:`observe_step` updates.
-        self.prefix = row_prefixes(
-            self.session_stall_count,
-            self.session_stall_time,
-            self.since_stall,
-            self.session_watch_time,
-            self.lifetime_segments,
-            self.lifetime_stall_events,
-            self.since_stall_exit,
-            self.lifetime_stall_exits,
-            self.stall_exit_time_sum,
-            self.max_survived_stall_time,
-            self.stalls_since,
-            self.count,
-            self.first,
-            self.thresholds,
-        )
 
     def observe_step(
         self,
-        active: np.ndarray,
+        rows: np.ndarray,
         levels: np.ndarray,
         stall: np.ndarray,
         throughput: np.ndarray,
@@ -136,82 +120,65 @@ class VectorControllerHost:
         exits: np.ndarray,
         bitrates: np.ndarray,
     ) -> None:
-        """Fold one lockstep step into every active session's SoA state.
+        """Fold one lockstep step into the SoA state of the rows it covers.
 
         Mirrors :meth:`repro.core.controller.LingXiABR.observe` — bandwidth
         window, ``UserState.observe_segment`` (same float operation order),
-        trigger counter — as whole-cohort array updates, then batches all
-        triggered sessions' optimizations.  The arguments may cover only the
-        first ``m`` rows (the cohort's live prefix): then only those rows'
-        state is updated, and this step's history columns hold ``m`` entries
-        (a row's columns all cover it, since ``m`` never grows).  Rows that
-        are not ``active`` (not started, exited or ended) keep their state.
+        trigger counter — as array updates, then batches all triggered
+        sessions' optimizations.  ``rows`` is the ascending index array of
+        the rows that played this step (the cohort's playing rows), and the
+        other arguments hold one entry per covered row; every other row
+        keeps its state.
         """
-        (
-            session_stall_count,
-            session_stall_time,
-            since_stall,
-            session_watch_time,
-            lifetime_segments,
-            lifetime_stall_events,
-            since_stall_exit,
-            lifetime_stall_exits,
-            stall_exit_time_sum,
-            max_survived_stall_time,
-            stalls_since,
-            count,
-            first,
-            thresholds,
-        ) = self.prefix(active.size)
-        fresh = active & (count == 0)
-        if fresh.any():
-            first[fresh] = len(self.bitrate_cols)
+        fresh = rows[self.count[rows] == 0]
+        self.first[fresh] = len(self.bitrate_cols)
         # ``UserState.observe_segment`` distinguishes stall > 0 (user-state
         # bookkeeping) from the trigger counter's stall > 1e-12.
-        stalled = active & (stall > 0.0)
-        exited = active & exits
-        survived = active & ~exits
+        stalled = stall > 0.0
+        stall_exit = exits & stalled
 
-        session_stall_count += stalled
-        session_stall_time[:] = np.where(
+        self.session_stall_count[rows] += stalled
+        session_stall_time = self.session_stall_time[rows]
+        session_stall_time = np.where(
             stalled, session_stall_time + stall, session_stall_time
         )
-        since_stall[:] = np.where(
-            active,
-            np.where(stalled, 0.0, since_stall + 1.0),
-            since_stall,
+        self.session_stall_time[rows] = session_stall_time
+        self.since_stall[rows] = np.where(stalled, 0.0, self.since_stall[rows] + 1.0)
+        self.session_watch_time[rows] += self.segment_duration
+        self.lifetime_segments[rows] += 1
+        self.lifetime_stall_events[rows] += stalled
+        self.since_stall_exit[rows] = np.where(
+            stall_exit, 0.0, self.since_stall_exit[rows] + 1.0
         )
-        session_watch_time[:] = np.where(
-            active, session_watch_time + self.segment_duration, session_watch_time
-        )
-        lifetime_segments += active
-        lifetime_stall_events += stalled
-        since_stall_exit[:] = np.where(active, since_stall_exit + 1.0, since_stall_exit)
-        stall_exit = exited & stalled
-        lifetime_stall_exits += stall_exit
-        stall_exit_time_sum[:] = np.where(
+        self.lifetime_stall_exits[rows] += stall_exit
+        stall_exit_time_sum = self.stall_exit_time_sum[rows]
+        self.stall_exit_time_sum[rows] = np.where(
             stall_exit, stall_exit_time_sum + session_stall_time, stall_exit_time_sum
         )
-        since_stall_exit[:] = np.where(stall_exit, 0.0, since_stall_exit)
-        max_survived_stall_time[:] = np.where(
-            survived,
-            np.maximum(max_survived_stall_time, session_stall_time),
-            max_survived_stall_time,
+        max_survived = self.max_survived_stall_time[rows]
+        self.max_survived_stall_time[rows] = np.where(
+            exits, max_survived, np.maximum(max_survived, session_stall_time)
         )
-        stalls_since += active & (stall > 1e-12)
-        count += active
+        self.stalls_since[rows] += stall > 1e-12
+        self.count[rows] += 1
 
-        self.bitrate_cols.append(bitrates[levels])
-        self.throughput_cols.append(np.array(throughput))
-        self.stall_cols.append(np.array(stall))
-        self.cumulative_cols.append(session_stall_time.copy())
-        self.since_stall_cols.append(since_stall.copy())
+        n = self.count.size
+        for columns, values in (
+            (self.bitrate_cols, bitrates[levels]),
+            (self.throughput_cols, throughput),
+            (self.stall_cols, stall),
+        ):
+            column = np.zeros(n)
+            column[rows] = values
+            columns.append(column)
+        self.cumulative_cols.append(self.session_stall_time.copy())
+        self.since_stall_cols.append(self.since_stall.copy())
 
-        candidates = active & (stalls_since > thresholds)
-        if not candidates.any():
+        candidates = np.flatnonzero(self.stalls_since[rows] > self.thresholds[rows])
+        if not candidates.size:
             return
-        triggered: list[int] = []
-        for i in np.flatnonzero(candidates).tolist():
+        triggered: list[tuple[int, int]] = []
+        for local, i in zip(candidates.tolist(), rows[candidates].tolist()):
             abr = self.abrs[i]
             controller = abr.controller
             self._sync_bandwidth_model(i)
@@ -220,10 +187,10 @@ class VectorControllerHost:
             ):
                 continue
             self._sync_row(i)
-            triggered.append(i)
+            triggered.append((i, local))
         if triggered:
             self._optimize(triggered, levels, buffer_after)
-            self.stalls_since[triggered] = 0
+            self.stalls_since[[i for i, _ in triggered]] = 0
 
     # ------------------------------------------------------------------ #
     # Lazy materialisation of per-row scalar state
@@ -291,9 +258,16 @@ class VectorControllerHost:
     # Batched optimization
     # ------------------------------------------------------------------ #
     def _optimize(
-        self, triggered: list[int], levels: np.ndarray, buffer_after: np.ndarray
+        self,
+        triggered: list[tuple[int, int]],
+        levels: np.ndarray,
+        buffer_after: np.ndarray,
     ) -> None:
-        """Run one activation for every triggered session, batched."""
+        """Run one activation for every triggered session, batched.
+
+        ``triggered`` pairs each row with its position in the step's
+        ``levels`` and ``buffer_after``.
+        """
         jobs = [
             (
                 self.abrs[i].controller,
@@ -301,13 +275,13 @@ class VectorControllerHost:
                 PlayerSnapshot(
                     ladder=self.ladder,
                     segment_duration=self.segment_duration,
-                    buffer=float(buffer_after[i]),
-                    last_level=int(levels[i]),
+                    buffer=float(buffer_after[local]),
+                    last_level=int(levels[local]),
                     bandwidth_model=self.abrs[i].bandwidth_model.copy(),
                 ),
             )
-            for i in triggered
+            for i, local in triggered
         ]
         self.activations += len(jobs)
-        for i, parameters in zip(triggered, run_activations(jobs)):
+        for (i, _), parameters in zip(triggered, run_activations(jobs)):
             self.abrs[i].set_parameters(parameters)

@@ -766,10 +766,13 @@ class FleetOrchestrator:
             wall_time_s=wall_time,
             telemetry_path=Path(telemetry_path) if telemetry_path is not None else None,
         )
-        if profiling and obs.enabled():
+
+        def build_report() -> dict | None:
+            if not (profiling and obs.enabled()):
+                return None
             from repro.obs import build_run_report
 
-            result.obs_report = build_run_report(
+            return build_run_report(
                 run_id=run_id,
                 sessions=len(sessions),
                 segments=num_segments,
@@ -788,14 +791,28 @@ class FleetOrchestrator:
                 ],
                 live=live_summary,
             )
-        if telemetry_path is not None:
+
+        if telemetry_path is None:
+            result.obs_report = build_report()
+        else:
             with obs.span("fleet.telemetry"):
-                write_fleet_telemetry(result, telemetry_path)
+                write_fleet_telemetry(result, telemetry_path, report=build_report)
         return result
 
 
-def write_fleet_telemetry(result: FleetResult, path: str | Path) -> Path:
-    """Emit the full JSONL telemetry stream of a fleet run to ``path``."""
+def write_fleet_telemetry(
+    result: FleetResult,
+    path: str | Path,
+    report: Callable[[], dict | None] | None = None,
+) -> Path:
+    """Emit the full JSONL telemetry stream of a fleet run to ``path``.
+
+    ``report``, when given, builds the run report once every shard's events
+    are written, so the report of an inline run holds its
+    ``fleet.telemetry.encode`` spans as a pooled run's holds its workers';
+    the document lands on ``result.obs_report`` and, when not ``None``, in
+    the ``run_report`` event.
+    """
     path = Path(path)
     with TelemetryWriter(path) as writer:
         writer.emit(
@@ -822,6 +839,8 @@ def write_fleet_telemetry(result: FleetResult, path: str | Path) -> Path:
                 with obs.span("fleet.telemetry.encode"):
                     for chunk in iter_shard_chunks(result.run_id, output):
                         writer.write_raw(chunk)
+        if report is not None:
+            result.obs_report = report()
         if result.obs_report is not None:
             writer.emit(
                 TelemetryEvent(

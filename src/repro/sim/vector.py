@@ -48,8 +48,8 @@ stateful ABR instance is shared, and otherwise runs whole on the
 event-ordered reference engine (:mod:`repro.sim.networked`), every session
 counted as a fallback.  A networked batch holds one cohort per kernel key
 whatever its sessions' start slots: every row plays its own local segment,
-and a cohort steps only its live prefix, the rows whose end slot is after
-the current slot (:class:`_Cohort`).
+and a cohort steps exactly the rows that play at the slot — started, before
+their end and alive (:class:`_Cohort`).
 """
 
 from __future__ import annotations
@@ -93,15 +93,14 @@ class VectorStepContext:
     quantities, arrays instead of scalars.  ``last_level`` uses ``-1`` where
     the scalar context would carry ``None`` (before the first segment).
     ``k`` holds each row's own segment index: ``0`` means the row has no
-    throughput history yet, and a negative index marks a row that has not
-    started (its level is masked, and a stateful kernel must leave its state
-    alone).
+    throughput history yet.
 
-    A context may cover only the first ``m`` rows of the ``n`` a kernel was
-    built over (the cohort's live prefix, see :class:`_Cohort`): every array
-    then has ``m`` rows, and the kernel reads and updates only its first
-    ``m`` rows of per-row parameters and state and returns ``m`` levels.
-    Within a session ``m`` never grows.
+    ``rows`` names the rows of the ``n`` a kernel was built over that the
+    context covers: an ascending index array (the rows a cohort plays at
+    the slot, see :class:`_Cohort`), or ``None`` for the first ``len`` rows
+    (Monte-Carlo rollouts pass every row).  Every array has one entry per
+    covered row, and the kernel reads and updates only those rows' per-row
+    parameters and state (:func:`row_columns`) and returns one level each.
     """
 
     k: np.ndarray
@@ -120,6 +119,7 @@ class VectorStepContext:
     #: a staggered cohort or a Monte-Carlo rollout, hold histories of
     #: different lengths.
     history: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     def harmonic_throughput(self, windows: np.ndarray) -> np.ndarray:
         """Per-session harmonic-mean throughput over the last ``windows[i]`` samples.
@@ -152,23 +152,26 @@ class VectorStepContext:
         return out
 
 
-def row_prefixes(*columns: np.ndarray):
-    """``prefix(m)``: the tuple of each column's first ``m`` rows.
+def row_columns(*columns: np.ndarray):
+    """``at(rows, count)``: the tuple of each column's entries at a call's rows.
 
     A vector kernel keeps per-row parameters and state for the ``n`` rows it
-    was built over and may be called with a context of only the first ``m``
-    (the cohort's live prefix).  ``m`` changes only when the prefix shrinks,
-    so the views of the last ``m`` are kept: most calls cost one comparison,
-    not a slice per column.
+    was built over, and each call covers the rows its context or view names
+    (``rows``): an ascending index array gathers those rows (copies, so a
+    stateful kernel scatters its updates back), and ``None`` gives the first
+    ``count`` rows in place (the columns themselves when they hold ``count``
+    rows, as on every Monte-Carlo rollout call).
     """
-    last = [-1, ()]
+    size = len(columns[0]) if columns else 0
 
-    def prefix(m: int) -> tuple:
-        if m != last[0]:
-            last[:] = m, tuple(column[:m] for column in columns)
-        return last[1]
+    def at(rows: np.ndarray | None, count: int) -> tuple:
+        if rows is None:
+            if count == size:
+                return columns
+            return tuple(column[:count] for column in columns)
+        return tuple(column[rows] for column in columns)
 
-    return prefix
+    return at
 
 
 def has_vector_kernel(abr) -> bool:
@@ -258,12 +261,14 @@ class ExitStepView:
     """Struct-of-arrays exit-model view for one lockstep step.
 
     The vector twin of :class:`~repro.sim.session.ExitObservation` (plus the
-    ``active``/``stalled`` masks kernels need for masked scalar fallbacks).
-    ``k`` and ``watch_time`` are per row: rows of a staggered cohort sit at
-    different segment indices.  ``previous_level`` uses ``-1`` for ``None``.
-    Like :class:`VectorStepContext`, a view may cover only the first ``m``
-    rows of the ``n`` an exit kernel was built over; the kernel then returns
-    ``m`` probabilities from its first ``m`` rows of parameters.
+    ``stalled`` mask kernels need for masked scalar fallbacks).  ``k`` and
+    ``watch_time`` are per row: rows of a staggered cohort sit at different
+    segment indices.  ``previous_level`` uses ``-1`` for ``None``.  Like
+    :class:`VectorStepContext`, a view names the kernel rows it covers in
+    ``rows`` (``None``: the first ``len`` rows), and the kernel returns one
+    probability per covered row from those rows' parameters.  ``active``
+    masks the covered rows that play; ``None`` means all of them, which is
+    what the lockstep engine passes, since it covers only rows that play.
     """
 
     k: np.ndarray
@@ -275,27 +280,23 @@ class ExitStepView:
     watch_time: np.ndarray
     buffer: np.ndarray
     throughput: np.ndarray
-    active: np.ndarray
     stalled: np.ndarray
+    active: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
 
 class _Slot(NamedTuple):
-    """Where a cohort's live prefix stands at one cohort slot ``t``.
+    """The rows a cohort plays at cohort slot ``t``.
 
-    ``j`` is the local segment index: one int when every prefix row started
-    at the same slot (then ``cell`` is ``None`` and the step reads its
-    columns as slices), otherwise one index per row, negative for rows that
-    have not started.  ``column`` is then ``max(j, 0)`` and ``cell`` each
-    row's entry in the flattened ``(n, max_steps)`` arrays; a row that has
-    not started points at its column 0, which its own first step rewrites
-    before anything reads it.
+    ``rows`` is the ascending index array of the rows that have started,
+    are before their end and are alive; ``j`` is each one's local segment
+    index and ``cell`` its entry in the flattened ``(n, max_steps)`` arrays.
     """
 
     t: int
-    m: int
-    j: int | np.ndarray
-    cell: np.ndarray | None = None
-    column: np.ndarray | None = None
+    rows: np.ndarray
+    j: np.ndarray
+    cell: np.ndarray
 
 
 @dataclass
@@ -311,16 +312,14 @@ class _Cohort:
 
     In a networked batch the rows start at their own slots: a row that
     starts ``offset`` slots after the cohort's first (``start``) plays local
-    segment ``j = t - offset`` at cohort slot ``t``.  Rows are sorted stably
-    by descending end slot ``offset + max_seg`` (``indices`` maps them back
-    to batch positions), so the rows whose end slot is after ``t`` form the
-    *live prefix* ``[:live[t]]``.  :meth:`step` advances only that prefix,
-    through views of the state arrays: a row past its video's end is never
-    stepped again, and the kernels it calls read and update only their
-    first ``m`` rows.  Rows that exited early and rows that have not
-    started yet stay inside the prefix, masked by ``active``.  An
-    independent batch's rows all start at slot 0, so ``t`` is every row's
-    segment index and the step reads its columns as slices.
+    segment ``j = t - offset`` at cohort slot ``t``; an independent batch's
+    rows all start at slot 0.  :meth:`step` advances exactly the rows that
+    play at the slot (:meth:`slot`): started, before their end and alive.
+    It reaches every per-row input and output through their cells, and the
+    kernels it calls read and update only those rows.  Rows are sorted
+    stably by descending end slot ``offset + max_seg`` (``indices`` maps
+    them back to batch positions), so the rows whose end slot is after
+    ``t`` form the prefix ``[:live[t]]`` that :meth:`slot` searches.
     """
 
     indices: np.ndarray  # batch positions of the cohort's sessions
@@ -364,120 +363,51 @@ class _Cohort:
         self.steps_taken = np.zeros(n, dtype=int)
         self.observed = np.zeros((n, _WINDOW + self.max_steps))
         # live[t]: rows whose end slot is after t, a prefix because the end
-        # slots descend.  lead[t]: the prefix's shared local step, or None
-        # when its rows started at different slots.
+        # slots descend.
         ends = self.offset + self.max_seg
         self.horizon = int(ends[0])
-        live = np.searchsorted(-ends, -np.arange(self.horizon), side="left")
-        last = live - 1
-        shared = (
-            np.minimum.accumulate(self.offset)[last]
-            == np.maximum.accumulate(self.offset)[last]
-        )
-        first = int(self.offset[0])
-        self.live = live.tolist()
-        self.lead = [
-            t - first if one else None for t, one in enumerate(shared.tolist())
-        ]
-        rows = np.arange(n)
-        self.cell_base = rows * self.max_steps
+        self.live = np.searchsorted(-ends, -np.arange(self.horizon), side="left").tolist()
+        self.cell_base = np.arange(n) * self.max_steps
         # windows[i, j]: row i's throughput window before its step j.
         self.windows = sliding_window_view(self.observed, _WINDOW, axis=1)
-        # The state :meth:`step` updates in place, and the batch positions.
-        self.prefix = row_prefixes(
-            self.buffer,
-            self.last_level,
-            self.cumulative_stall,
-            self.stall_count,
-            self.steps_taken,
-            self.exited_early,
-            self.alive,
-            rows,
-            self.indices,
-        )
 
     def slot(self, t: int) -> _Slot:
-        """The live prefix and each row's local step at cohort slot ``t``."""
+        """The rows that play at cohort slot ``t`` and their local steps."""
         m = self.live[t]
-        j = self.lead[t]
-        if j is not None:
-            return _Slot(t, m, j)
-        j = t - self.offset[:m]
-        column = np.maximum(j, 0)
-        return _Slot(t, m, j, self.cell_base[:m] + column, column)
+        offset = self.offset[:m]
+        rows = np.flatnonzero(self.alive[:m] & (offset <= t))
+        j = t - offset[rows]
+        return _Slot(t, rows, j, self.cell_base[rows] + j)
 
-    def active(self, slot: _Slot) -> np.ndarray:
-        """Rows of the slot's prefix that have started and not exited."""
-        if slot.cell is not None:
-            return self.alive[: slot.m] & (slot.j >= 0)
-        if slot.j < 0:
-            return np.zeros(slot.m, dtype=bool)
-        return self.alive[: slot.m].copy()
-
-    def column(self, values: np.ndarray, slot: _Slot) -> np.ndarray:
-        """Each prefix row's entry of an ``(n, max_steps)`` array at the slot."""
-        if slot.cell is None:
-            return values[: slot.m, slot.j]
+    @staticmethod
+    def column(values: np.ndarray, slot: _Slot) -> np.ndarray:
+        """Each playing row's entry of an ``(n, max_steps)`` array at the slot."""
         return values.reshape(-1)[slot.cell]
 
-    def positions(self, m: int) -> np.ndarray:
-        """Batch positions of the first ``m`` rows."""
-        return self.prefix(m)[-1]
-
     def step(  # contract: SIM-STEP-007
-        self,
-        slot: _Slot,
-        active: np.ndarray,
-        allocated: np.ndarray,
-        config: SessionConfig,
+        self, slot: _Slot, allocated: np.ndarray, config: SessionConfig
     ) -> None:
-        """Advance the live prefix one slot at throughputs ``allocated``.
+        """Advance the slot's playing rows one segment at throughputs ``allocated``.
 
-        ``active`` is :meth:`active` ``(slot)`` and ``allocated`` holds one
-        throughput per prefix row.  Equation 3 as array math in the scalar
-        player's operation order, then the exit draw, then the controller
-        host's ``observe`` step.  The bandwidth-window statistics read from
-        each row's *observed* throughput history — exactly what the scalar
-        player's :class:`~repro.sim.bandwidth.BandwidthModel` accumulates.
+        ``allocated`` holds one throughput per row of ``slot.rows``.
+        Equation 3 as array math in the scalar player's operation order,
+        then the exit draw, then the controller host's ``observe`` step.
+        The bandwidth-window statistics read from each row's *observed*
+        throughput history — exactly what the scalar player's
+        :class:`~repro.sim.bandwidth.BandwidthModel` accumulates.
         """
-        m = active.size
-        obs.counter_add("vector.rows_stepped", m)
-        (
-            buffer,
-            last_level,
-            cumulative_stall,
-            stall_count,
-            steps_taken,
-            exited_early,
-            alive,
-            row_index,
-            _,
-        ) = self.prefix(m)
-        j = slot.j
-        staggered = slot.cell is not None
-        # Rows that exited or have not started must stay finite through the
-        # shared array expressions; their values are never recorded.
-        alloc = np.where(active, allocated, 1.0)
-
-        if staggered:
-            k = j
-            sizes = self.sizes.reshape(-1, self.bitrates.size)[slot.cell]
-            # Masked rows count no samples: the cohort skips slots in which
-            # only rows yet to start remain, and an exited row's window can
-            # span such never-written (zero) columns.
-            history = np.where(active, np.minimum(j, _WINDOW), 0)
-            window = self.windows[row_index, slot.column]
-            mean, std = window_stats_by_count(window, history)
-        else:
-            k = np.full(m, j)
-            sizes = self.sizes[:m, j, :]
-            history = None
-            window = self.observed[:m, _WINDOW + max(0, j - _WINDOW) : _WINDOW + j]
-            mean, std = window_stats(window)
+        rows, j, cell = slot.rows, slot.j, slot.cell
+        obs.counter_add("vector.rows_stepped", rows.size)
+        buffer = self.buffer[rows]
+        last_level = self.last_level[rows]
+        sizes = self.sizes.reshape(-1, self.bitrates.size)[cell]
+        history = np.minimum(j, _WINDOW)
+        window = self.windows[rows, j]
+        mean, std = window_stats_by_count(window, history)
         buffer_cap = dynamic_buffer_cap(mean, std, base_cap=config.base_buffer_cap)
 
         context = VectorStepContext(
-            k=k,
+            k=j,
             buffer=buffer,
             buffer_cap=buffer_cap,
             last_level=last_level,
@@ -488,93 +418,84 @@ class _Cohort:
             bitrates=self.bitrates,
             segment_duration=self.segment_duration,
             history=history,
+            rows=rows,
         )
         levels = np.asarray(self.abr_kernel(context), dtype=int)
         num_levels = self.bitrates.size
-        if np.any(active & ((levels < 0) | (levels >= num_levels))):
+        if np.any((levels < 0) | (levels >= num_levels)):
             raise ValueError(
                 f"vector ABR kernel returned levels outside "
                 f"[0, {num_levels}) at slot {slot.t}"
             )
-        levels = np.where(active, levels, 0)
 
-        size = sizes[row_index, levels]
-        download = size / alloc
+        size = sizes[np.arange(rows.size), levels]
+        download = size / allocated
         stall, overflow, buffer_after = playback_step(
             buffer, download, buffer_cap, self.segment_duration, startup=j == 0
         )
         wait = overflow + config.rtt
-
         stalled = stall > 1e-12
-        if staggered:
-            fields = self.segments.reshape(-1)
-
-            def record(name, values, cell=slot.cell):
-                fields[name][cell] = values
-        else:
-            record = self.segments[:m, j].__setitem__
-        np.add(cumulative_stall, stall, out=cumulative_stall, where=active)
-        stall_count += active & stalled
+        cumulative_stall = self.cumulative_stall[rows] + stall
+        stall_count = self.stall_count[rows] + stalled
+        fields = self.segments.reshape(-1)
 
         if self.exit_kernel is not None:
             view = ExitStepView(
-                k=k,
+                k=j,
                 level=levels,
                 previous_level=last_level,
                 stall_time=stall,
                 cumulative_stall_time=cumulative_stall,
                 stall_count=stall_count,
-                watch_time=(k + 1) * self.segment_duration,
+                watch_time=(j + 1) * self.segment_duration,
                 buffer=buffer_after,
-                throughput=alloc,
-                active=active,
+                throughput=allocated,
                 stalled=stalled,
+                rows=rows,
             )
             probabilities = np.asarray(self.exit_kernel(view), dtype=float)
             # NaN must fail this check too (the scalar engine's
             # `not 0.0 <= p <= 1.0` rejects it), hence the negated form.
-            if np.any(
-                active & ~((probabilities >= 0.0) & (probabilities <= 1.0))
-            ):
+            if not np.all((probabilities >= 0.0) & (probabilities <= 1.0)):
                 raise ValueError("exit probability must be in [0, 1]")
-            exits = active & (self.column(self.uniforms, slot) < probabilities)
-            record("exit_probability", probabilities)
+            exits = self.column(self.uniforms, slot) < probabilities
+            fields["exit_probability"][cell] = probabilities
         else:
-            exits = np.zeros(m, dtype=bool)
+            exits = np.zeros(rows.size, dtype=bool)
 
-        record("level", levels)
-        record("size_kbit", size)
-        record("download_time", download)
-        record("stall_time", stall)
-        record("wait_time", wait)
-        record("buffer_before", buffer)
-        record("buffer_after", buffer_after)
-        record("cumulative_stall_time", cumulative_stall)
-        record("stall_count", stall_count)
-        if staggered:
-            self.observed[row_index, _WINDOW + slot.column] = alloc
-        else:
-            self.observed[:m, _WINDOW + j] = alloc
+        fields["level"][cell] = levels
+        fields["size_kbit"][cell] = size
+        fields["download_time"][cell] = download
+        fields["stall_time"][cell] = stall
+        fields["wait_time"][cell] = wait
+        fields["buffer_before"][cell] = buffer
+        fields["buffer_after"][cell] = buffer_after
+        fields["cumulative_stall_time"][cell] = cumulative_stall
+        fields["stall_count"][cell] = stall_count
+        self.observed[rows, _WINDOW + j] = allocated
 
         if self.host is not None:
             # Same point in the segment lifecycle as the scalar engine's
             # ``observe`` hook: after the exit draw, before the next
             # segment's decision — parameter adjustments land on j+1.
             self.host.observe_step(
-                active=active,
+                rows=rows,
                 levels=levels,
                 stall=stall,
-                throughput=alloc,
+                throughput=allocated,
                 buffer_after=buffer_after,
                 exits=exits,
                 bitrates=self.bitrates,
             )
 
-        np.copyto(steps_taken, k + 1, where=active)
-        exited_early |= exits
-        alive &= ~exits
-        np.copyto(buffer, buffer_after, where=active)
-        np.copyto(last_level, levels, where=active)
+        self.cumulative_stall[rows] = cumulative_stall
+        self.stall_count[rows] = stall_count
+        self.steps_taken[rows] = j + 1
+        self.buffer[rows] = buffer_after
+        self.last_level[rows] = levels
+        exited = rows[exits]
+        self.exited_early[exited] = True
+        self.alive[exited] = False
 
     def traces(self) -> list[PlaybackTrace]:
         """Finalize the controller host; fill the columns :meth:`step` leaves
@@ -808,13 +729,11 @@ class VectorBackend(SimBackend):
             cohort = self._build_cohort(indices, specs, config)
             for k in range(cohort.horizon):
                 slot = cohort.slot(k)
-                active = cohort.active(slot)
-                if not active.any():
+                if not slot.rows.size:
                     break
                 obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
                 with obs.span("vector.step"):
-                    trace_column = cohort.column(cohort.bandwidth, slot)
-                    cohort.step(slot, active, trace_column, config)
+                    cohort.step(slot, cohort.column(cohort.bandwidth, slot), config)
             return cohort
 
     def _run_networked(
@@ -860,7 +779,8 @@ class VectorBackend(SimBackend):
 
         # Multi-tier topologies: identity-keyed per-segment cache-miss masks
         # from the same ``NetworkTopology.miss_rows`` as the scalar reference
-        # (``CacheModel`` draws keyed by (user_id, local segment index)).
+        # (``CacheModel`` draws keyed by (user_id, local segment index)), each
+        # row drawn up to its own segment limit and padded with ``False``.
         tiered = network.has_tiers
         full_path: np.ndarray | None = None
         if tiered:
@@ -868,11 +788,13 @@ class VectorBackend(SimBackend):
             miss_rows = iter(
                 network.miss_rows(
                     [spec.user_id for group in groups for spec in group.specs],
-                    [group.max_steps for group in groups for _ in group.specs],
+                    [limit for group in groups for limit in group.max_seg.tolist()],
                 )
             )
             for group in groups:
-                group.miss = np.stack([next(miss_rows) for _ in group.specs])
+                group.miss = np.zeros((len(group.specs), group.max_steps), dtype=bool)
+                for row, limit in zip(group.miss, group.max_seg.tolist()):
+                    row[:limit] = next(miss_rows)
 
         for k in range(horizon):
             obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
@@ -880,7 +802,7 @@ class VectorBackend(SimBackend):
             active_global[:] = False
             if tiered:
                 full_path[:] = False
-            stepping: list[tuple[_Cohort, _Slot, np.ndarray, np.ndarray]] = []
+            stepping: list[tuple[_Cohort, _Slot, np.ndarray]] = []
             runnable_any = False
             for group in groups:
                 t = k - group.start
@@ -893,20 +815,17 @@ class VectorBackend(SimBackend):
                 if t >= group.horizon:
                     continue
                 slot = group.slot(t)
-                active = group.active(slot)
-                if active.any():
+                if slot.rows.size:
                     runnable_any = True
-                    rows = group.positions(slot.m)
-                    stepping.append((group, slot, active, rows))
-                    demand[rows] = np.where(
-                        active, group.column(group.bandwidth, slot), 0.0
-                    )
-                    active_global[rows] = active
+                    positions = group.indices[slot.rows]
+                    stepping.append((group, slot, positions))
+                    demand[positions] = group.column(group.bandwidth, slot)
+                    active_global[positions] = True
                     if tiered:
-                        full_path[rows] = active & group.column(group.miss, slot)
+                        full_path[positions] = group.column(group.miss, slot)
                 elif not runnable_any:
                     # Rows yet to start count as runnable too.
-                    runnable_any = bool(group.alive[: slot.m].any())
+                    runnable_any = bool(group.alive[: group.live[t]].any())
             if not runnable_any:
                 break
             obs.counter_add("vector.net_slots")
@@ -922,8 +841,8 @@ class VectorBackend(SimBackend):
             )
             if stepping:
                 with obs.span("vector.step"):
-                    for group, slot, active, rows in stepping:
-                        group.step(slot, active, allocations[rows], config)
+                    for group, slot, positions in stepping:
+                        group.step(slot, allocations[positions], config)
 
         results: list[PlaybackTrace | None] = [None] * num_sessions
         for group in groups:
@@ -938,8 +857,8 @@ class VectorBackend(SimBackend):
 
         With ``staggered`` (networked batches) each row starts at its spec's
         ``start_step``; otherwise every row starts at slot 0.  Rows are
-        sorted stably by descending end slot, the order the cohort's live
-        prefix needs.
+        sorted stably by descending end slot, so the rows still before their
+        end at any slot form a prefix.
         """
         limits = [specs[i].video.num_segments for i in indices]
         if config.max_segments is not None:

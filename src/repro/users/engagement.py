@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.sim.session import ExitObservation
-from repro.sim.vector import row_prefixes
+from repro.sim.vector import row_columns
 from repro.users.perception import StallSensitivityProfile
 
 #: Universal exit-rate offsets per quality tier (index = ladder level, lowest
@@ -73,17 +73,18 @@ class BaselineExitModel:
         """Batched :meth:`exit_probability` over a struct-of-arrays step view.
 
         Returns ``kernel(view) -> probabilities`` where ``view`` is a
-        :class:`repro.sim.vector.ExitStepView` with one row per model.  The
+        :class:`repro.sim.vector.ExitStepView` over the model rows it names
+        (``view.rows``, ``None`` for the first ``len`` models).  The
         hazard expression is evaluated elementwise in the same operation
         order as the scalar method, so outputs match bit-for-bit.
         """
         base = np.asarray([m.base_hazard for m in models], dtype=float)
         floor = np.asarray([m.floor_hazard for m in models], dtype=float)
         decay_time = np.asarray([m.decay_time_s for m in models], dtype=float)
-        prefix = row_prefixes(base, floor, decay_time)
+        at = row_columns(base, floor, decay_time)
 
         def kernel(view) -> np.ndarray:
-            row_base, row_floor, row_decay_time = prefix(view.level.size)
+            row_base, row_floor, row_decay_time = at(view.rows, view.level.size)
             decay = np.exp(-view.watch_time / row_decay_time)
             return row_floor + (row_base - row_floor) * decay
 
@@ -164,14 +165,13 @@ class QoSAwareExitModel:
         offsets = np.zeros((len(models), int(num_offsets.max())))
         for row, model in enumerate(models):
             offsets[row, : len(model.quality_offsets)] = model.quality_offsets
-        prefix = row_prefixes(
+        at = row_columns(
             base,
             floor,
             decay_time,
             switch_penalty,
             downward_extra,
             num_offsets,
-            offsets,
             np.arange(len(models)),
         )
 
@@ -183,13 +183,12 @@ class QoSAwareExitModel:
                 row_switch_penalty,
                 row_downward_extra,
                 row_num_offsets,
-                row_offsets,
-                rows_index,
-            ) = prefix(view.level.size)
+                model_index,
+            ) = at(view.rows, view.level.size)
             decay = np.exp(-view.watch_time / row_decay_time)
             probability = row_floor + (row_base - row_floor) * decay
             level = np.minimum(view.level, row_num_offsets - 1)
-            probability = probability + row_offsets[rows_index, level]
+            probability = probability + offsets[model_index, level]
             switch = np.where(
                 view.previous_level < 0, 0, view.level - view.previous_level
             )
@@ -197,17 +196,26 @@ class QoSAwareExitModel:
                 switch != 0, row_switch_penalty * np.minimum(np.abs(switch), 3), 0.0
             )
             probability = probability + np.where(switch < 0, row_downward_extra, 0.0)
-            for row in np.flatnonzero(view.active & view.stalled):
-                model = models[row]
+            stalled = view.stalled if view.active is None else view.active & view.stalled
+            rows = np.flatnonzero(stalled)
+            stall_probabilities = []
+            for model_id, cumulative, count, watch_time, level in zip(
+                model_index[rows].tolist(),
+                view.cumulative_stall_time[rows].tolist(),
+                view.stall_count[rows].tolist(),
+                view.watch_time[rows].tolist(),
+                view.level[rows].tolist(),
+            ):
+                model = models[model_id]
                 stall_probability = model.profile.stall_exit_probability(
-                    float(view.cumulative_stall_time[row]),
-                    int(view.stall_count[row]),
+                    cumulative, count
                 )
-                if view.watch_time[row] > model.engagement_time_s:
+                if watch_time > model.engagement_time_s:
                     stall_probability *= model.engagement_stall_discount
-                if view.level[row] >= len(model.quality_offsets) - 1:
+                if level >= len(model.quality_offsets) - 1:
                     stall_probability *= 1.15
-                probability[row] += stall_probability
+                stall_probabilities.append(stall_probability)
+            probability[rows] += stall_probabilities
             return np.minimum(np.maximum(probability, 0.0), 1.0)
 
         return kernel
@@ -254,10 +262,10 @@ class RuleBasedUser:
             [m.stall_count_threshold for m in models], dtype=int
         )
 
-        prefix = row_prefixes(time_threshold, count_threshold)
+        at = row_columns(time_threshold, count_threshold)
 
         def kernel(view) -> np.ndarray:
-            row_time, row_count = prefix(view.level.size)
+            row_time, row_count = at(view.rows, view.level.size)
             crossed = (view.cumulative_stall_time >= row_time) | (
                 view.stall_count >= row_count
             )

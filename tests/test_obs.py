@@ -221,6 +221,27 @@ class TestFleetProfile:
         assert "fleet.run_day/fleet.run_shards/shard.spawn" in names[0]
         assert "fleet.run_day/fleet.run_shards/shard.run/shard.run_batch" in names[0]
 
+    def test_inline_run_report_holds_the_telemetry_encode_span(
+        self, population, library, tmp_path
+    ):
+        """An inline profiled day builds its report once the shard chunks
+        are written: the report, and its ``run_report`` event, hold one
+        ``fleet.telemetry.encode`` span per shard.  With obs off the file's
+        bytes are those of a direct ``write_fleet_telemetry`` (OBS-NEUTRAL-004)."""
+        path = tmp_path / "profiled.jsonl"
+        result = _run_fleet(population, library, shards=2, profile=True, telemetry=path)
+        encode = "fleet.run_day/fleet.telemetry/fleet.telemetry.encode"
+        assert obs.find_span(result.obs_report["spans"], encode)["count"] == 2
+        replayed = last_event(path, "run_report").payload
+        assert obs.find_span(replayed["spans"], encode)["count"] == 2
+
+        off = tmp_path / "off.jsonl"
+        plain = _run_fleet(population, library, shards=2, telemetry=off)
+        assert plain.obs_report is None
+        direct = write_fleet_telemetry(plain, tmp_path / "direct.jsonl")
+        assert off.read_bytes() == direct.read_bytes()
+        assert last_event(off, "run_report") is None
+
     def test_telemetry_encode_span_moves_no_byte(self, population, library, tmp_path):
         """OBS-NEUTRAL-004 on the write side: the encode span and the
         ``telemetry.session_rows`` counter change no telemetry byte."""

@@ -532,7 +532,7 @@ class TestBackendSeam:
 
             @classmethod
             def vector_exit_kernel(cls, models):
-                # one probability per row of the view: its first m models
+                # one probability per row the view covers
                 return lambda view: np.full(view.level.size, np.nan)
 
         video = Video(num_segments=10, seed=0)
@@ -560,7 +560,7 @@ class TestBackendSeam:
             @classmethod
             def vector_kernel(cls, policies):
                 def kernel(context):
-                    # one level per row of the context: its first m policies
+                    # one level per row the context covers
                     levels = np.zeros(context.buffer.size)
                     if context.k[0] == 3:  # a per-row segment index
                         levels[0] = bad_level

@@ -1,14 +1,15 @@
-"""Vector kernels under the live-prefix rule of the lockstep cohort.
+"""Vector kernels under the row-set rule of the lockstep cohort.
 
-The vector engine sorts each cohort's rows by descending segment limit and
-steps only the *live prefix*: the first ``m`` rows, whose videos still have
-the current segment.  Every kernel built over ``n`` rows is then called with
-a context of its first ``m <= n`` rows, and ``m`` never grows.  The rule
-every kernel keeps: it reads and updates only its first ``m`` rows, so the
-call on the first ``m`` rows equals the first ``m`` rows of the full-``n``
-call.  Each case below draws seeded random policies and contexts, runs a
-full-``n`` kernel and a prefix kernel side by side over several steps with a
-shrinking ``m``, and compares them; a failing case replays from its seed.
+The vector engine steps, at every slot, exactly the rows of a cohort that
+play: started, before their video's end and alive.  Every kernel built over
+``n`` rows is then called on that ascending row set (``rows`` of the context
+or view), or on its first ``m`` rows when ``rows`` is ``None`` (Monte-Carlo
+rollouts).  The rule every kernel keeps: it reads and updates only the rows
+the call covers, so the call on a row set, or on the first ``m`` rows, equals
+the full-``n`` call at those rows.  Each case below draws seeded random
+policies and contexts, runs a full-``n`` kernel and a row-set (or prefix)
+kernel side by side over several steps with a shrinking set, and compares
+them; a failing case replays from its seed.
 
 A networked cohort also holds rows that started at different slots, so the
 rows of one context sit at their own segment indices ``k`` (negative for a
@@ -32,6 +33,8 @@ from repro.abr.bola import BOLA
 from repro.abr.hyb import HYB
 from repro.abr.robust_mpc import RobustMPC
 from repro.abr.throughput import ThroughputRule
+from repro.core.exit_predictor import ExitRatePredictor
+from repro.core.vector_host import VectorControllerHost
 from repro.net import EdgeLink, NetworkTopology
 from repro.sim import SessionSpec, get_backend
 from repro.sim.bandwidth import StationaryTraceGenerator
@@ -199,6 +202,130 @@ def test_exit_kernel_on_a_prefix_equals_prefix_of_full_call(family, case):
         np.testing.assert_array_equal(got, expected[:m])
 
 
+def _shrinking_row_sets(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """``STEPS`` ascending row sets, each a subset of the one before, none a
+    prefix: row 0 is in none of them and row ``n - 1`` in all."""
+    keep = rng.random(n) < 0.7
+    keep[0], keep[-1] = False, True
+    sets = []
+    for _ in range(STEPS):
+        sets.append(np.flatnonzero(keep))
+        keep &= rng.random(n) < 0.8
+        keep[-1] = True
+    return sets
+
+
+def _at(arrays, rows: np.ndarray):
+    """The same context or view gathered at ``rows``, and naming them."""
+    return dataclasses.replace(
+        arrays,
+        rows=rows,
+        **{
+            f.name: getattr(arrays, f.name)[rows]
+            for f in dataclasses.fields(arrays)
+            if isinstance(getattr(arrays, f.name), np.ndarray) and f.name != "bitrates"
+        },
+    )
+
+
+@pytest.mark.parametrize("case", range(NUM_CASES))
+@pytest.mark.parametrize("family", sorted(_ABR_FAMILIES))
+def test_abr_kernel_on_a_row_set_equals_full_call_at_those_rows(family, case):
+    """Over ``STEPS`` steps with a shrinking row set that is not a prefix
+    (RobustMPC carries its error history through them), the row-set
+    kernel's levels equal a full-``n`` kernel's at those rows."""
+    rng = np.random.default_rng([case, 50 + sorted(_ABR_FAMILIES).index(family)])
+    n = int(rng.integers(3, 24))
+    policies = _share(_ABR_FAMILIES[family], n, rng)
+    cls = type(policies[0])
+    full, part = cls.vector_kernel(policies), cls.vector_kernel(policies)
+    for k, rows in enumerate(_shrinking_row_sets(n, rng)):
+        context = _context(k, n, rng)
+        expected = np.asarray(full(context))
+        got = np.asarray(part(_at(context, rows)))
+        assert got.shape == rows.shape
+        np.testing.assert_array_equal(got, expected[rows])
+
+
+@pytest.mark.parametrize("case", range(NUM_CASES))
+@pytest.mark.parametrize("family", sorted(_EXIT_FAMILIES))
+def test_exit_kernel_on_a_row_set_equals_full_call_at_those_rows(family, case):
+    rng = np.random.default_rng([case, 60 + sorted(_EXIT_FAMILIES).index(family)])
+    n = int(rng.integers(3, 24))
+    models = _share(_EXIT_FAMILIES[family], n, rng)
+    cls = type(models[0])
+    full, part = cls.vector_exit_kernel(models), cls.vector_exit_kernel(models)
+    for k, rows in enumerate(_shrinking_row_sets(n, rng)):
+        view = _view(k, n, rng)
+        expected = np.asarray(full(view))
+        got = np.asarray(part(_at(view, rows)))
+        assert got.shape == rows.shape
+        np.testing.assert_array_equal(got, expected[rows])
+
+
+_HOST_STATE = (
+    "session_stall_count",
+    "session_stall_time",
+    "since_stall",
+    "session_watch_time",
+    "lifetime_segments",
+    "lifetime_stall_events",
+    "since_stall_exit",
+    "lifetime_stall_exits",
+    "stall_exit_time_sum",
+    "max_survived_stall_time",
+    "stalls_since",
+    "count",
+    "first",
+)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_controller_host_on_a_row_set_equals_full_step_at_those_rows(case):
+    """Two hosts over identical LingXi controllers, one fed every row at
+    every step and one fed a shrinking row set that is not a prefix: the
+    row-set host's state, and after ``finalize`` its controllers (user
+    state, bandwidth window, activation history, deployed parameters),
+    equal the full host's at those rows."""
+    from test_vector_backend import make_lingxi_abr
+
+    predictor = ExitRatePredictor(channels=8, hidden=16, seed=0)
+    rng = np.random.default_rng([case, 70])
+    n = int(rng.integers(3, 10))
+
+    def host() -> VectorControllerHost:
+        abrs = [make_lingxi_abr(predictor, 100 + i, "fixed") for i in range(n)]
+        return VectorControllerHost(abrs, ladder=LADDER, segment_duration=SEGMENT_DURATION)
+
+    full, part = host(), host()
+    everyone = np.arange(n)
+    for rows in _shrinking_row_sets(n, rng):
+        step = dict(
+            levels=rng.integers(0, BITRATES.size, n),
+            stall=np.where(rng.random(n) < 0.5, rng.uniform(0.0, 3.0, n), 0.0),
+            throughput=rng.uniform(150.0, 9000.0, n),
+            buffer_after=rng.uniform(0.0, 30.0, n),
+            exits=rng.random(n) < 0.1,
+        )
+        full.observe_step(rows=everyone, bitrates=BITRATES, **step)
+        part.observe_step(
+            rows=rows, bitrates=BITRATES, **{name: v[rows] for name, v in step.items()}
+        )
+        for name in _HOST_STATE:
+            np.testing.assert_array_equal(
+                getattr(part, name)[rows], getattr(full, name)[rows], err_msg=name
+            )
+    assert full.activations > 0
+    full.finalize()
+    part.finalize()
+    for i in rows.tolist():
+        mine, theirs = part.abrs[i], full.abrs[i]
+        assert mine.controller.user_state == theirs.controller.user_state
+        assert mine.bandwidth_model._samples == theirs.bandwidth_model._samples
+        assert mine.controller.history == theirs.controller.history
+        assert mine.controller.best_parameters == theirs.controller.best_parameters
+
+
 def _scalar_levels(policies, context: VectorStepContext) -> list[int]:
     """Each row's ``select_level`` on the scalar context the row stands for."""
     levels = []
@@ -252,24 +379,72 @@ def test_hyb_kernel_sees_a_shared_policy_change_between_calls():
     assert after == _scalar_levels(policies, context) == [1, 1, 3]
 
 
-@pytest.mark.parametrize("networked", [False, True], ids=["independent", "fat_link"])
-def test_rows_stepped_counts_each_session_up_to_its_video_end(networked):
-    """Without an exit model every session plays its whole video, and the
-    cohort steps exactly the rows whose video still has the segment: the
-    counter sums the segment limits, not sessions x longest video."""
-    lengths = [7, 3, 12, 1, 12, 5]
-    trace = StationaryTraceGenerator(3000.0).generate(20, np.random.default_rng(0))
-    specs = [
-        SessionSpec(abr=HYB(), video=Video(num_segments=length, seed=i), trace=trace, seed=i)
-        for i, length in enumerate(lengths)
+def _staggered_tight_specs() -> list[SessionSpec]:
+    """Sessions starting at slots 0 to 7 on one tight link, half of them on
+    LingXi (one controller-host cohort), with an exit rule that stalls end
+    early."""
+    from test_vector_backend import make_lingxi_abr
+
+    predictor = ExitRatePredictor(channels=8, hidden=16, seed=0)
+    rng = np.random.default_rng(2)
+    generator = StationaryTraceGenerator(1500.0, 500.0)
+    return [
+        SessionSpec(
+            abr=make_lingxi_abr(predictor, 200 + i, "fixed") if i % 2 else HYB(),
+            video=Video(num_segments=int(rng.integers(6, 16)), seed=i),
+            trace=generator.generate(40, rng),
+            exit_model=RuleBasedUser(stall_time_threshold_s=2.0, stall_count_threshold=2),
+            seed=i,
+            user_id=f"user-{i}",
+            start_step=int(rng.integers(0, 8)),
+        )
+        for i in range(10)
     ]
-    network = NetworkTopology(name="fat", links=(EdgeLink("fat", 1e9),)) if networked else None
+
+
+@pytest.mark.parametrize("case", ["independent", "fat_link", "staggered_tight"])
+def test_rows_stepped_counts_each_session_up_to_its_video_end(case):
+    """A cohort steps exactly the rows that play at each slot, so the counter
+    sums the trace lengths: not sessions x longest video, and no row that
+    has not started or has exited.  Without an exit model every session
+    plays its whole video; the staggered case on a tight link holds rows
+    that start late and rows that exit early, and still matches the scalar
+    reference engine."""
+    if case == "staggered_tight":
+        specs = _staggered_tight_specs()
+        network = NetworkTopology(name="tight", links=(EdgeLink("tight", 3000.0),))
+    else:
+        lengths = [7, 3, 12, 1, 12, 5]
+        trace = StationaryTraceGenerator(3000.0).generate(20, np.random.default_rng(0))
+        specs = [
+            SessionSpec(
+                abr=HYB(), video=Video(num_segments=length, seed=i), trace=trace, seed=i
+            )
+            for i, length in enumerate(lengths)
+        ]
+        network = (
+            NetworkTopology(name="fat", links=(EdgeLink("fat", 1e9),))
+            if case == "fat_link"
+            else None
+        )
+    backend = VectorBackend()
     with obs.collect() as collector:
-        traces = get_backend("vector").run_batch(specs, network=network)
+        traces = backend.run_batch(specs, network=network)
     counters = collector.snapshot()["metrics"]["counters"]
-    assert counters["vector.rows_stepped"] == sum(lengths)
-    # traces come back in batch order although the cohort sorted its rows
-    assert [len(trace_.segments) for trace_ in traces] == lengths
+    assert backend.last_fallback_sessions == 0
+    assert counters["vector.rows_stepped"] == sum(len(t.segments) for t in traces)
+    if case == "staggered_tight":
+        from test_network import assert_traces_equal
+
+        assert any(t.exited_early for t in traces)
+        assert not all(t.exited_early for t in traces)
+        reference = get_backend("scalar").run_batch(
+            _staggered_tight_specs(), network=network
+        )
+        assert_traces_equal(reference, traces)
+    else:
+        # traces come back in batch order although the cohort sorted its rows
+        assert [len(trace_.segments) for trace_ in traces] == lengths
 
 
 # --------------------------------------------------------------------------- #
@@ -389,6 +564,7 @@ def test_exit_kernel_at_mixed_segment_indices_equals_one_row_cohorts(family, cas
                 **{
                     f.name: getattr(view, f.name)[i : i + 1]
                     for f in dataclasses.fields(view)
+                    if getattr(view, f.name) is not None
                 },
             )
             np.testing.assert_array_equal(got[i : i + 1], one(alone))
