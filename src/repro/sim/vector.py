@@ -46,10 +46,12 @@ path.  A networked batch couples every session at every slot, so it cannot
 split that way: it runs lockstep when every spec is vectorizable and no
 stateful ABR instance is shared, and otherwise runs whole on the
 event-ordered reference engine (:mod:`repro.sim.networked`), every session
-counted as a fallback.  A networked batch holds one cohort per kernel key
-whatever its sessions' start slots: every row plays its own local segment,
-and a cohort steps exactly the rows that play at the slot — started, before
-their end and alive (:class:`_Cohort`).
+counted as a fallback.  Both kinds of batch take one path: one grouping
+rule and one slot loop, which feeds each cohort's playing rows their trace
+samples, or on a network the shared allocator's answer.  A networked batch
+holds one cohort per kernel key whatever its sessions' start slots: every row
+plays its own local segment, and a cohort steps exactly the rows that play at
+the slot — started, before their end and alive (:class:`_Cohort`).
 """
 
 from __future__ import annotations
@@ -303,23 +305,25 @@ class _Slot(NamedTuple):
 class _Cohort:
     """One internally-lockstep cohort of a batch.
 
-    Sessions are grouped by ABR type, exit type, ladder and segment
-    duration, so the vector kernels and window reductions apply to every
-    row.  :meth:`step` is the vector engine's only per-segment rule;
-    independent batches feed it the trace column, networked batches the
-    shared allocator's answer.  Rows keep per-row, local-step storage:
-    column ``j`` of a row is its ``j``-th segment.
+    Sessions are grouped by ABR type, inner type, exit type, ladder and
+    segment duration, so the vector kernels and window reductions apply to
+    every row.  :meth:`step` is the vector engine's only per-segment rule,
+    fed by the one slot loop (:meth:`VectorBackend._play`) each row's trace
+    sample, or on a network the shared allocator's answer.  Inputs are
+    tables the rows share, each distinct trace and video entered once;
+    outputs keep per-row, local-step storage: column ``j`` of a row is its
+    ``j``-th segment.
 
     In a networked batch the rows start at their own slots: a row that
     starts ``offset`` slots after the cohort's first (``start``) plays local
     segment ``j = t - offset`` at cohort slot ``t``; an independent batch's
     rows all start at slot 0.  :meth:`step` advances exactly the rows that
     play at the slot (:meth:`slot`): started, before their end and alive.
-    It reaches every per-row input and output through their cells, and the
-    kernels it calls read and update only those rows.  Rows are sorted
-    stably by descending end slot ``offset + max_seg`` (``indices`` maps
-    them back to batch positions), so the rows whose end slot is after
-    ``t`` form the prefix ``[:live[t]]`` that :meth:`slot` searches.
+    It reaches every per-row output through their cells, and the kernels it
+    calls read and update only those rows.  Rows are sorted stably by
+    descending end slot ``offset + max_seg`` (``indices`` maps them back to
+    batch positions), so the rows whose end slot is after ``t`` form the
+    prefix ``[:live[t]]`` that :meth:`slot` searches.
     """
 
     indices: np.ndarray  # batch positions of the cohort's sessions
@@ -330,15 +334,21 @@ class _Cohort:
     max_steps: int
     segment_duration: float
     bitrates: np.ndarray
-    bandwidth: np.ndarray  # (n, max_steps) trace rows (access-link demand)
-    sizes: np.ndarray  # (n, max_steps, L)
+    bandwidth: np.ndarray  # distinct traces' samples, concatenated
+    trace_start: np.ndarray  # per-row start of its trace in ``bandwidth``
+    trace_len: np.ndarray  # per-row trace length
+    sizes: np.ndarray  # (segments, L) distinct videos' sizes, concatenated
+    video_start: np.ndarray  # per-row start of its video in ``sizes``
     # The recorded segments, zeroed: step j writes column j, never reads it.
     segments: np.ndarray
     abr_kernel: object
     exit_kernel: object | None
     uniforms: np.ndarray | None
     host: object | None = None
-    miss: np.ndarray | None = None  # (n, max_steps) cache-miss mask (tiered)
+    # Tiered topologies: the rows' cache-miss masks, concatenated, each
+    # ``max_seg`` long; row i's starts at ``miss_start[i]``.
+    miss: np.ndarray | None = None
+    miss_start: np.ndarray | None = None
     # mutable lockstep state
     buffer: np.ndarray = field(init=False)
     last_level: np.ndarray = field(init=False)
@@ -379,10 +389,11 @@ class _Cohort:
         j = t - offset[rows]
         return _Slot(t, rows, j, self.cell_base[rows] + j)
 
-    @staticmethod
-    def column(values: np.ndarray, slot: _Slot) -> np.ndarray:
-        """Each playing row's entry of an ``(n, max_steps)`` array at the slot."""
-        return values.reshape(-1)[slot.cell]
+    def demand(self, slot: _Slot) -> np.ndarray:
+        """Each playing row's trace sample at its local step, wrapping as
+        :meth:`~repro.sim.bandwidth.BandwidthTrace.bandwidth_at` does."""
+        rows = slot.rows
+        return self.bandwidth[self.trace_start[rows] + slot.j % self.trace_len[rows]]
 
     def step(  # contract: SIM-STEP-007
         self, slot: _Slot, allocated: np.ndarray, config: SessionConfig
@@ -400,7 +411,8 @@ class _Cohort:
         obs.counter_add("vector.rows_stepped", rows.size)
         buffer = self.buffer[rows]
         last_level = self.last_level[rows]
-        sizes = self.sizes.reshape(-1, self.bitrates.size)[cell]
+        # j < max_seg <= the video's segment count: every read is in the video.
+        sizes = self.sizes[self.video_start[rows] + j]
         history = np.minimum(j, _WINDOW)
         window = self.windows[rows, j]
         mean, std = window_stats_by_count(window, history)
@@ -458,7 +470,7 @@ class _Cohort:
             # `not 0.0 <= p <= 1.0` rejects it), hence the negated form.
             if not np.all((probabilities >= 0.0) & (probabilities <= 1.0)):
                 raise ValueError("exit probability must be in [0, 1]")
-            exits = self.column(self.uniforms, slot) < probabilities
+            exits = self.uniforms.reshape(-1)[cell] < probabilities
             fields["exit_probability"][cell] = probabilities
         else:
             exits = np.zeros(rows.size, dtype=bool)
@@ -568,58 +580,39 @@ class VectorBackend(SimBackend):
             spec if isinstance(spec.seed, ISeedSequence) else replace(spec, seed=seed)
             for spec, seed in zip(specs, resolve_session_seeds(specs))
         ]
-        if network is not None:
+        vectorizable = [self._vectorizable(spec) for spec in specs]
+        fallback = [index for index, ok in enumerate(vectorizable) if not ok]
+        if network is not None and (
+            fallback or not specs or self._shared_stateful_abr_ids(specs)
+        ):
             # Allocation couples every session at every slot, so a networked
             # batch cannot split into per-session fallbacks the way an
             # independent batch can: it runs lockstep whole, or whole on the
             # event-ordered reference engine.
-            shared_stateful = self._shared_stateful_abr_ids(specs)
-            lockstep = bool(specs) and not shared_stateful and all(
-                self._vectorizable(spec) for spec in specs
-            )
-            self._record_fallback(0 if lockstep else len(specs), len(specs))
-            if lockstep:
-                return self._run_networked(specs, config, network, link_usage)
+            self._record_fallback(len(specs), len(specs))
             return run_networked_scalar(specs, network, config, link_usage=link_usage)
-        results: list[PlaybackTrace | None] = [None] * len(specs)
-
-        groups: dict[tuple, list[int]] = {}
-        fallback: list[int] = []
-        # Controller-wrapped specs sharing one ABR instance (one user, several
-        # sessions) carry controller state *across* sessions, which the scalar
-        # loop plays out sequentially.  Splitting them into waves by
-        # occurrence index — every instance's first session in wave 0, its
-        # second in wave 1, ... — and running the waves in order preserves
-        # that sequencing exactly: un-networked sessions are independent
-        # across users, so a user's n-th session only needs their first n-1
-        # sessions (earlier waves) to have completed.
-        occurrence: dict[int, int] = {}
-        for index, spec in enumerate(specs):
-            if self._vectorizable(spec):
-                if self._controller_wrapped(spec.abr):
-                    wave = occurrence.get(id(spec.abr), 0)
-                    occurrence[id(spec.abr)] = wave + 1
-                    abr_key: tuple = (type(spec.abr), type(spec.abr.inner))
-                else:
-                    wave = 0
-                    abr_key = (type(spec.abr), None)
-                key = (
-                    wave,
-                    abr_key,
-                    None if spec.exit_model is None else type(spec.exit_model),
-                    spec.video.ladder.bitrates_kbps,
-                    spec.video.segment_duration,
-                )
-                groups.setdefault(key, []).append(index)
-            else:
-                fallback.append(index)
         self._record_fallback(len(fallback), len(specs))
+        waves = self._cohort_waves(
+            specs, [index for index, ok in enumerate(vectorizable) if ok]
+        )
+        # A lockstep networked batch shares no stateful ABR instance, so
+        # every controller-wrapped instance plays once: it is one wave.
+        assert network is None or len(waves) == 1, "networked batch split into waves"
 
-        for key, indices in sorted(groups.items(), key=lambda item: item[0][0]):  # contract: DET-ITER-003
-            cohort = self._run_group(indices, specs, config)
-            for index, trace in zip(cohort.indices.tolist(), cohort.traces()):
-                results[index] = trace
-            obs_live.add_sessions(len(indices))
+        results: list[PlaybackTrace | None] = [None] * len(specs)
+        for wave in waves:  # contract: DET-ITER-003
+            with obs.span("vector.play"):
+                cohorts = [
+                    self._build_cohort(indices, specs, config, staggered=network is not None)
+                    for indices in wave
+                ]
+                self._play(cohorts, specs, config, network, link_usage)
+            for cohort in cohorts:
+                for index, trace in zip(cohort.indices.tolist(), cohort.traces()):
+                    results[index] = trace
+                if network is None:
+                    # Networked batches are counted when their shard finishes.
+                    obs_live.add_sessions(len(cohort.specs))
 
         if fallback:
             fallback_traces = ScalarBackend().run_batch(
@@ -628,6 +621,39 @@ class VectorBackend(SimBackend):
             for index, trace in zip(fallback, fallback_traces):
                 results[index] = trace
         return results
+
+    @classmethod
+    def _cohort_waves(cls, specs, indices: list[int]) -> list[list[list[int]]]:
+        """The batch positions ``indices`` as waves of cohorts, one cohort per
+        kernel key (ABR, inner and exit types, ladder, segment duration).
+
+        A controller-wrapped ABR instance shared by several specs (one user,
+        several sessions) carries controller state across sessions, which the
+        scalar loop plays in order: its ``w``-th session goes in wave ``w``,
+        and the waves run in order, so each session starts from the state
+        the user's earlier ones left.
+        """
+        waves: list[dict[tuple, list[int]]] = []
+        occurrence: dict[int, int] = {}
+        for index in indices:
+            spec = specs[index]
+            abr = spec.abr
+            wave, inner = 0, None
+            if cls._controller_wrapped(abr):
+                wave = occurrence.get(id(abr), 0)
+                occurrence[id(abr)] = wave + 1
+                inner = type(abr.inner)
+            key = (
+                type(abr),
+                inner,
+                None if spec.exit_model is None else type(spec.exit_model),
+                spec.video.ladder.bitrates_kbps,
+                spec.video.segment_duration,
+            )
+            if wave == len(waves):
+                waves.append({})
+            waves[wave].setdefault(key, []).append(index)
+        return [list(cohorts.values()) for cohorts in waves]
 
     @staticmethod
     def _shared_stateful_abr_ids(specs) -> set[int]:
@@ -720,146 +746,107 @@ class VectorBackend(SimBackend):
             spec.abr.reset()
         return kernel, host
 
-    def _run_group(self, indices: list[int], specs, config: SessionConfig) -> _Cohort:
-        """Advance one independent cohort, feeding its trace column to each
-        step; returns the finished cohort, whose rows are in its own order."""
-        obs.counter_add("vector.cohorts")
-        obs.observe("vector.cohort_sessions", len(indices))
-        with obs.span("vector.run_group"):
-            cohort = self._build_cohort(indices, specs, config)
-            for k in range(cohort.horizon):
-                slot = cohort.slot(k)
-                if not slot.rows.size:
-                    break
-                obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
-                with obs.span("vector.step"):
-                    cohort.step(slot, cohort.column(cohort.bandwidth, slot), config)
-            return cohort
+    @staticmethod
+    def _play(
+        cohorts: list[_Cohort], specs, config: SessionConfig, network, link_usage
+    ) -> None:
+        """The one slot loop: advance a wave's cohorts together to their end.
 
-    def _run_networked(
-        self, specs, config: SessionConfig, network, link_usage
-    ) -> list[PlaybackTrace]:
-        """Coupled lockstep execution: cohorts advance, links fair-share.
-
-        Every spec is vectorizable and no stateful ABR instance is shared
-        (``run_batch`` sends any other networked batch whole to
-        :func:`~repro.sim.networked.run_networked_scalar`).  The batch is
-        partitioned into one :class:`_Cohort` per kernel key (ABR / exit
-        types, ladder, segment duration) whatever the sessions' start slots:
-        at every slot each cohort's started rows play their own local
-        segment.  Every slot gathers all cohorts' access-link demands into
-        one batch-order vector, fair-shares each link through the same
-        :func:`~repro.net.allocator.allocate_step` the scalar reference
-        engine calls, and feeds the allocations back as the step's observed
-        throughput — Equation 3, the ABR kernels' windows and the exit
-        kernels all see congestion, which is what closes the feedback loop
-        between load and quality.
+        At every slot each cohort steps its playing rows at one throughput
+        each: without a network, a row's trace sample.  With one, the slot
+        gathers all cohorts' access-link demands into one batch-order vector,
+        fair-shares each link through the same
+        :func:`~repro.net.allocator.allocate_step` the scalar reference engine
+        calls, and feeds the allocations back as the observed throughput, so
+        Equation 3, the ABR windows and the exit kernels all see congestion.
         """
-        num_sessions = len(specs)
-        link_index = resolve_link_indices(network, specs)
-        weights = np.asarray([spec.weight for spec in specs], dtype=float)
-        grouped: dict[tuple, list[int]] = {}
-        for index, spec in enumerate(specs):
-            key = (
-                type(spec.abr),
-                type(spec.abr.inner) if self._controller_wrapped(spec.abr) else None,
-                None if spec.exit_model is None else type(spec.exit_model),
-                spec.video.ladder.bitrates_kbps,
-                spec.video.segment_duration,
-            )
-            grouped.setdefault(key, []).append(index)
-        groups = [
-            self._build_cohort(indices, specs, config, staggered=True)
-            for indices in grouped.values()
-        ]
-
-        horizon = max(group.start + group.horizon for group in groups)
-        demand = np.zeros(num_sessions)
-        active_global = np.zeros(num_sessions, dtype=bool)
-
-        # Multi-tier topologies: identity-keyed per-segment cache-miss masks
-        # from the same ``NetworkTopology.miss_rows`` as the scalar reference
-        # (``CacheModel`` draws keyed by (user_id, local segment index)), each
-        # row drawn up to its own segment limit and padded with ``False``.
-        tiered = network.has_tiers
-        full_path: np.ndarray | None = None
-        if tiered:
-            full_path = np.zeros(num_sessions, dtype=bool)
-            miss_rows = iter(
-                network.miss_rows(
-                    [spec.user_id for group in groups for spec in group.specs],
-                    [limit for group in groups for limit in group.max_seg.tolist()],
+        if network is not None:
+            num_sessions = len(specs)
+            link_index = resolve_link_indices(network, specs)
+            weights = np.asarray([spec.weight for spec in specs], dtype=float)
+            demand = np.zeros(num_sessions)
+            active = np.zeros(num_sessions, dtype=bool)
+            full_path: np.ndarray | None = None
+            if network.has_tiers:
+                # Per-segment cache-miss masks from the same
+                # ``NetworkTopology.miss_rows`` as the scalar reference, one
+                # call for the batch so each user's profile is drawn once.
+                full_path = np.zeros(num_sessions, dtype=bool)
+                masks = iter(
+                    network.miss_rows(
+                        [spec.user_id for cohort in cohorts for spec in cohort.specs],
+                        [limit for cohort in cohorts for limit in cohort.max_seg.tolist()],
+                    )
                 )
-            )
-            for group in groups:
-                group.miss = np.zeros((len(group.specs), group.max_steps), dtype=bool)
-                for row, limit in zip(group.miss, group.max_seg.tolist()):
-                    row[:limit] = next(miss_rows)
+                for cohort in cohorts:
+                    cohort.miss = np.concatenate([next(masks) for _ in cohort.specs])
+                    cohort.miss_start = np.cumsum(cohort.max_seg) - cohort.max_seg
 
+        horizon = max(cohort.start + cohort.horizon for cohort in cohorts)
         for k in range(horizon):
             obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
-            demand[:] = 0.0
-            active_global[:] = False
-            if tiered:
-                full_path[:] = False
-            stepping: list[tuple[_Cohort, _Slot, np.ndarray]] = []
-            runnable_any = False
-            for group in groups:
-                t = k - group.start
+            stepping: list[tuple[_Cohort, _Slot]] = []
+            runnable = False
+            for cohort in cohorts:
+                t = k - cohort.start
                 if t < 0:
                     # Not started: the cohort still counts as runnable (the
                     # scalar engine keeps emitting idle-slot usage samples
                     # while any future session exists), but takes no capacity.
-                    runnable_any = True
-                    continue
-                if t >= group.horizon:
-                    continue
-                slot = group.slot(t)
-                if slot.rows.size:
-                    runnable_any = True
-                    positions = group.indices[slot.rows]
-                    stepping.append((group, slot, positions))
-                    demand[positions] = group.column(group.bandwidth, slot)
-                    active_global[positions] = True
-                    if tiered:
-                        full_path[positions] = group.column(group.miss, slot)
-                elif not runnable_any:
-                    # Rows yet to start count as runnable too.
-                    runnable_any = bool(group.alive[: group.live[t]].any())
-            if not runnable_any:
+                    runnable = True
+                elif t < cohort.horizon:
+                    slot = cohort.slot(t)
+                    if slot.rows.size:
+                        runnable = True
+                        stepping.append((cohort, slot))
+                    elif not runnable:
+                        # Rows yet to start count as runnable too.
+                        runnable = bool(cohort.alive[: cohort.live[t]].any())
+            if not runnable:
                 break
-            obs.counter_add("vector.net_slots")
-            allocations = allocate_step(
-                network,
-                k,
-                link_index,
-                demand,
-                active_global,
-                weights,
-                usage_out=link_usage,
-                full_path=full_path,
-            )
+            throughputs = [cohort.demand(slot) for cohort, slot in stepping]
+            if network is not None:
+                demand[:] = 0.0
+                active[:] = False
+                if full_path is not None:
+                    full_path[:] = False
+                positions = [cohort.indices[slot.rows] for cohort, slot in stepping]
+                for (cohort, slot), rows, wanted in zip(stepping, positions, throughputs):
+                    demand[rows] = wanted
+                    active[rows] = True
+                    if full_path is not None:
+                        full_path[rows] = cohort.miss[cohort.miss_start[slot.rows] + slot.j]
+                obs.counter_add("vector.net_slots")
+                allocations = allocate_step(
+                    network,
+                    k,
+                    link_index,
+                    demand,
+                    active,
+                    weights,
+                    usage_out=link_usage,
+                    full_path=full_path,
+                )
+                throughputs = [allocations[rows] for rows in positions]
             if stepping:
                 with obs.span("vector.step"):
-                    for group, slot, positions in stepping:
-                        group.step(slot, allocations[positions], config)
-
-        results: list[PlaybackTrace | None] = [None] * num_sessions
-        for group in groups:
-            for index, trace in zip(group.indices, group.traces()):
-                results[int(index)] = trace
-        return results
+                    for (cohort, slot), throughput in zip(stepping, throughputs):
+                        cohort.step(slot, throughput, config)
 
     def _build_cohort(
-        self, indices: list[int], specs, config: SessionConfig, staggered: bool = False
+        self, indices: list[int], specs, config: SessionConfig, staggered: bool
     ) -> _Cohort:
-        """Inputs and fresh lockstep state for the specs at batch ``indices``.
+        """Input tables and fresh lockstep state for the specs at batch ``indices``.
 
         With ``staggered`` (networked batches) each row starts at its spec's
         ``start_step``; otherwise every row starts at slot 0.  Rows are
         sorted stably by descending end slot, so the rows still before their
-        end at any slot form a prefix.
+        end at any slot form a prefix.  Every distinct trace and video enters
+        its table once (a user's sessions repeat them); no input is copied
+        per row.
         """
+        obs.counter_add("vector.cohorts")
+        obs.observe("vector.cohort_sessions", len(indices))
         limits = [specs[i].video.num_segments for i in indices]
         if config.max_segments is not None:
             limits = [min(limit, config.max_segments) for limit in limits]
@@ -881,31 +868,14 @@ class VectorBackend(SimBackend):
         # grew a fleet day's peak RSS by its whole size (24 MB on
         # ``fleet_plain``) once freed blocks of earlier days were reused.
         segments = np.zeros((n, max_steps), dtype=SEGMENT_DTYPE)
-
-        # Cyclic bandwidth rows and the (n, max_steps, L) segment-size tensor
-        # (videos and traces repeat across sessions of the same user, so a
-        # repeat copies the first row built from the same object).
-        bandwidth = np.empty((n, max_steps))
-        trace_rows: dict[int, int] = {}
-        for i, spec in enumerate(members):
-            first = trace_rows.setdefault(id(spec.trace), i)
-            if first == i:
-                bandwidth[i] = np.resize(
-                    np.asarray(spec.trace.values_kbps, dtype=float), max_steps
-                )
-            else:
-                bandwidth[i] = bandwidth[first]
-        sizes = np.empty((n, max_steps, bitrates.size))
-        video_rows: dict[int, int] = {}
-        step_index = np.arange(max_steps)
-        for i, spec in enumerate(members):
-            first = video_rows.setdefault(id(spec.video), i)
-            if first == i:
-                sizes[i] = spec.video.segment_sizes_kbit[
-                    step_index % spec.video.num_segments
-                ]
-            else:
-                sizes[i] = sizes[first]
+        bandwidth, trace_start, trace_len = _input_table(
+            [spec.trace for spec in members],
+            lambda trace: np.asarray(trace.values_kbps, dtype=float),
+        )
+        sizes, video_start, _ = _input_table(
+            [spec.video for spec in members],
+            lambda video: np.asarray(video.segment_sizes_kbit, dtype=float),
+        )
 
         abr_kernel, host = self._build_abr_kernel(members, first_video.ladder)
         if members[0].exit_model is not None:
@@ -932,7 +902,10 @@ class VectorBackend(SimBackend):
             segment_duration=float(first_video.segment_duration),
             bitrates=bitrates,
             bandwidth=bandwidth,
+            trace_start=trace_start,
+            trace_len=trace_len,
             sizes=sizes,
+            video_start=video_start,
             segments=segments,
             abr_kernel=abr_kernel,
             exit_kernel=exit_kernel,
@@ -941,6 +914,26 @@ class VectorBackend(SimBackend):
         )
         cohort.buffer[:] = float(config.initial_buffer)
         return cohort
+
+
+def _input_table(objects: list, values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(table, start, length)``: each distinct object's ``values(obj)`` once,
+    concatenated along the first axis, and per row the start and length of
+    its object's entry (objects are told apart by identity)."""
+    entries: dict[int, tuple[int, int]] = {}
+    parts: list[np.ndarray] = []
+    size = 0
+    start = np.empty(len(objects), dtype=int)
+    length = np.empty(len(objects), dtype=int)
+    for row, obj in enumerate(objects):
+        entry = entries.get(id(obj))
+        if entry is None:
+            part = values(obj)
+            entry = entries[id(obj)] = (size, len(part))
+            parts.append(part)
+            size += len(part)
+        start[row], length[row] = entry
+    return np.concatenate(parts), start, length
 
 
 register_backend("vector", VectorBackend)

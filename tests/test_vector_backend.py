@@ -10,9 +10,12 @@ round trip of the resulting log collections.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.abr.base import QoEParameters
 from repro.abr.bba import BBA
 from repro.abr.bola import BOLA
@@ -404,6 +407,35 @@ class TestLingXiVectorPath:
         assert_traces_equal(scalar_traces, vector_traces)
         assert backend.last_fallback_sessions == 0
         self._assert_controllers_equal(scalar_specs, vector_specs)
+
+    def test_independent_batch_is_one_cohort_per_wave_and_kernel_key(self, predictor):
+        """Plain HYB and BBA sessions beside LingXi users with three sessions
+        each: a user's sessions split into waves 0 to 2, so the batch builds
+        one cohort per (wave, kernel key), LingXi(HYB), HYB and BBA in wave
+        0 and LingXi(HYB) alone in waves 1 and 2, and still equals the
+        scalar engine trace for trace."""
+
+        def build():
+            lingxi = self._specs(predictor, "fixed", sessions_per_user=3)
+            plain = [
+                dataclasses.replace(spec, abr=(HYB, BBA)[i % 2](), seed=500 + i)
+                for i, spec in enumerate(lingxi[:6])
+            ]
+            return lingxi[:9] + plain + lingxi[9:]
+
+        scalar_specs, vector_specs = build(), build()
+        scalar_traces = get_backend("scalar").run_batch(scalar_specs)
+        backend = VectorBackend()
+        with obs.collect() as collector:
+            vector_traces = backend.run_batch(vector_specs)
+        assert collector.snapshot()["metrics"]["counters"]["vector.cohorts"] == 5
+        assert backend.last_fallback_sessions == 0
+        assert_traces_equal(scalar_traces, vector_traces)
+        hosted = slice(0, 9), slice(15, None)
+        self._assert_controllers_equal(
+            [spec for part in hosted for spec in scalar_specs[part]],
+            [spec for part in hosted for spec in vector_specs[part]],
+        )
 
     def test_mixed_modes_and_predictors_in_one_cohort(self, predictor, monkeypatch):
         """Fixed and Bayesian controllers over two predictors share a cohort.

@@ -402,49 +402,90 @@ def _staggered_tight_specs() -> list[SessionSpec]:
     ]
 
 
-@pytest.mark.parametrize("case", ["independent", "fat_link", "staggered_tight"])
+def _shared_table_specs(staggered: bool) -> list[SessionSpec]:
+    """One HYB cohort whose twelve rows share two video objects and three
+    trace objects of distinct lengths, every trace shorter than both videos,
+    so each row's trace reads wrap; users repeat, so rows share miss masks."""
+    rng = np.random.default_rng(4)
+    generator = StationaryTraceGenerator(2500.0, 600.0)
+    videos = [Video(num_segments=14, seed=1), Video(num_segments=9, seed=2)]
+    traces = [generator.generate(length, rng) for length in (3, 5, 8)]
+    return [
+        SessionSpec(
+            abr=HYB(),
+            video=videos[i % 2],
+            trace=traces[i % 3],
+            seed=i,
+            user_id=f"user-{i % 4}",
+            start_step=i % 3 if staggered else 0,
+        )
+        for i in range(12)
+    ]
+
+
+def _rows_stepped_case(case: str):
+    """``(specs, network, lengths)`` of one case below; ``lengths`` is every
+    session's segment count when no session exits early, else ``None``."""
+    from test_network import _tiered_topology
+
+    if case == "staggered_tight":
+        network = NetworkTopology(name="tight", links=(EdgeLink("tight", 3000.0),))
+        return _staggered_tight_specs(), network, None
+    if case.startswith("shared_tables"):
+        tiered = case == "shared_tables_tiered"
+        network = _tiered_topology(hit_ratio=0.5) if tiered else None
+        return _shared_table_specs(staggered=tiered), network, [14, 9] * 6
+    lengths = [7, 3, 12, 1, 12, 5]
+    trace = StationaryTraceGenerator(3000.0).generate(20, np.random.default_rng(0))
+    specs = [
+        SessionSpec(abr=HYB(), video=Video(num_segments=length, seed=i), trace=trace, seed=i)
+        for i, length in enumerate(lengths)
+    ]
+    network = (
+        NetworkTopology(name="fat", links=(EdgeLink("fat", 1e9),))
+        if case == "fat_link"
+        else None
+    )
+    return specs, network, lengths
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["independent", "fat_link", "staggered_tight", "shared_tables", "shared_tables_tiered"],
+)
 def test_rows_stepped_counts_each_session_up_to_its_video_end(case):
     """A cohort steps exactly the rows that play at each slot, so the counter
     sums the trace lengths: not sessions x longest video, and no row that
     has not started or has exited.  Without an exit model every session
     plays its whole video; the staggered case on a tight link holds rows
-    that start late and rows that exit early, and still matches the scalar
-    reference engine."""
-    if case == "staggered_tight":
-        specs = _staggered_tight_specs()
-        network = NetworkTopology(name="tight", links=(EdgeLink("tight", 3000.0),))
-    else:
-        lengths = [7, 3, 12, 1, 12, 5]
-        trace = StationaryTraceGenerator(3000.0).generate(20, np.random.default_rng(0))
-        specs = [
-            SessionSpec(
-                abr=HYB(), video=Video(num_segments=length, seed=i), trace=trace, seed=i
-            )
-            for i, length in enumerate(lengths)
-        ]
-        network = (
-            NetworkTopology(name="fat", links=(EdgeLink("fat", 1e9),))
-            if case == "fat_link"
-            else None
-        )
+    that start late and rows that exit early.  The shared-tables cases read
+    every row's trace samples, segment sizes and (on a tiered topology with
+    a cache) miss flags from tables its rows share.  Every case matches the
+    scalar reference engine, link-usage sample for sample."""
+    from test_network import assert_traces_equal
+
+    specs, network, lengths = _rows_stepped_case(case)
     backend = VectorBackend()
+    scalar_usage, vector_usage = [], []
     with obs.collect() as collector:
-        traces = backend.run_batch(specs, network=network)
+        traces = backend.run_batch(specs, network=network, link_usage=vector_usage)
     counters = collector.snapshot()["metrics"]["counters"]
     assert backend.last_fallback_sessions == 0
     assert counters["vector.rows_stepped"] == sum(len(t.segments) for t in traces)
-    if case == "staggered_tight":
-        from test_network import assert_traces_equal
-
+    reference = get_backend("scalar").run_batch(
+        _rows_stepped_case(case)[0], network=network, link_usage=scalar_usage
+    )
+    assert_traces_equal(reference, traces)
+    assert scalar_usage == vector_usage
+    if lengths is None:
         assert any(t.exited_early for t in traces)
         assert not all(t.exited_early for t in traces)
-        reference = get_backend("scalar").run_batch(
-            _staggered_tight_specs(), network=network
-        )
-        assert_traces_equal(reference, traces)
     else:
         # traces come back in batch order although the cohort sorted its rows
         assert [len(trace_.segments) for trace_ in traces] == lengths
+    if case == "shared_tables_tiered":
+        # cache misses reached the upper tiers
+        assert {sample.tier for sample in vector_usage} == {"edge", "peering", "origin"}
 
 
 # --------------------------------------------------------------------------- #
@@ -601,24 +642,13 @@ def test_robust_mpc_staggered_rows_follow_their_own_scalar_instances(case):
             assert got[i] == expected, (t, i, int(draws["k"][i]))
 
 
-def test_staggered_networked_batch_is_one_cohort_per_kernel_and_matches_reference(
-    monkeypatch,
-):
+def test_staggered_networked_batch_is_one_cohort_per_kernel_and_matches_reference():
     """Every ABR kernel on one tight link, sessions starting at slots 0 to
     30, one session that starts after every other has ended and one that
     starts at the last slot another still plays: the vector engine builds
     one cohort per kernel key and matches the scalar reference engine trace
     for trace, link-usage sample for sample."""
     from test_network import assert_traces_equal
-
-    built: list[int] = []
-    build = VectorBackend._build_cohort
-
-    def counting_build(self, indices, specs, config, staggered=False):
-        built.append(len(indices))
-        return build(self, indices, specs, config, staggered)
-
-    monkeypatch.setattr(VectorBackend, "_build_cohort", counting_build)
 
     rng = np.random.default_rng(5)
     population = UserPopulation.generate(32, seed=3, bandwidth_median_kbps=2500.0)
@@ -652,13 +682,10 @@ def test_staggered_networked_batch_is_one_cohort_per_kernel_and_matches_referenc
         specs, network=topology, link_usage=scalar_usage
     )
     backend = VectorBackend()
-    traces = backend.run_batch(specs, network=topology, link_usage=vector_usage)
+    with obs.collect() as collector:
+        traces = backend.run_batch(specs, network=topology, link_usage=vector_usage)
     assert backend.last_fallback_sessions == 0
-    assert sorted(built) == sorted(
-        sum(type(s.abr).__name__ == name for s in specs)
-        for name in {type(s.abr).__name__ for s in specs}
-    )
-    assert len(built) == len(families)
+    assert collector.snapshot()["metrics"]["counters"]["vector.cohorts"] == len(families)
     assert_traces_equal(reference, traces)
     assert scalar_usage == vector_usage
     # the link was congested: some session got less than its own demand
