@@ -19,9 +19,15 @@ import numpy as np
 
 from repro import obs
 from repro.analytics.logs import exit_rate_by_stall_time
+from repro.core.exit_predictor import ExitRatePredictor
 from repro.obs.live import live_run
 from repro.obs.telemetry_reader import iter_session_logs, replay_link_utilization
-from repro.fleet import FleetConfig, FleetOrchestrator, available_scenarios
+from repro.fleet import (
+    FleetConfig,
+    FleetOrchestrator,
+    LingXiFleetFactory,
+    available_scenarios,
+)
 from repro.net import ALLOCATORS, available_topologies, get_topology
 from repro.sim import available_backends
 from repro.sim.video import VideoLibrary
@@ -61,6 +67,15 @@ def main() -> None:
             "override the topology's bandwidth allocator (requires "
             "--network): iterated path-aware water-filling or the "
             "Low-Lapsley primal-dual engine"
+        ),
+    )
+    parser.add_argument(
+        "--abr",
+        default="hyb",
+        choices=("hyb", "lingxi"),
+        help=(
+            "every user's ABR: HYB, or LingXi(HYB) with a per-user controller "
+            "(exit predictor, Monte-Carlo rollouts, online Bayesian optimisation)"
         ),
     )
     parser.add_argument("--users", type=int, default=500)
@@ -122,12 +137,15 @@ def main() -> None:
             allocator=args.allocator,
         )
     )
+    abr_factory = None  # the fleet's default, HYB
+    if args.abr == "lingxi":
+        abr_factory = LingXiFleetFactory(ExitRatePredictor(channels=8, hidden=16, seed=0))
     network_label = f", {args.network} network" if args.network else ""
     if args.allocator:
         network_label += f" ({args.allocator} allocator)"
     print(
         f"simulating {args.users} users x {args.sessions_per_user} sessions "
-        f"({args.scenario}{network_label}) on {args.shards} shards / "
+        f"({args.scenario}{network_label}, {args.abr}) on {args.shards} shards / "
         f"{args.workers} workers [{args.backend} backend] ..."
     )
     with ExitStack() as stack:
@@ -138,6 +156,7 @@ def main() -> None:
             population,
             library,
             scenario=args.scenario,
+            abr_factory=abr_factory,
             telemetry_path=telemetry_path,
         )
 

@@ -696,7 +696,7 @@ def check_monte_carlo_path(
 ) -> Iterator[Finding]:
     """CORE-MC-010: every LingXi controller scores candidates with the
     lockstep ``BatchedMonteCarloEvaluator`` it builds itself, and every
-    activation runs through ``run_activations``.  The sequential
+    activation runs through the one ``ActivationDriver``.  The sequential
     ``MonteCarloEvaluator`` is a test reference that the package never
     builds, and no code outside ``core/controller.py`` swaps a
     controller's ``evaluator`` after construction.  The lockstep rollout

@@ -7,12 +7,15 @@ online Bayesian optimization (``L(B)``) or a fixed candidate sweep (``L(F)``)
 with the lockstep Monte-Carlo evaluator (Algorithm 2) scoring each
 candidate.  The best candidate becomes the ABR's new objective.
 
-:func:`run_activations` is the one activation routine.  The scalar engine
-runs it for one session at a time (:meth:`LingXiController.optimize`); the
-vector engine's :class:`~repro.core.vector_host.VectorControllerHost` runs
-it for every session that triggers at the same lockstep step.  Both engines
-therefore score candidates through the same requests, which is why their
-controllers end with identical histories.
+:class:`ActivationDriver` is the one activation routine, driven one round at
+a time: it launches activations and advances every activation in flight by
+one round per call.  The scalar engine drives it to completion for one
+session at a time (:func:`run_activations`, which
+:meth:`LingXiController.optimize` calls); the vector engine's
+:class:`~repro.core.vector_host.VectorControllerHost` advances it once per
+lockstep slot, so rounds of activations triggered at different slots share
+one call.  Both engines therefore score candidates through the same
+requests, which is why their controllers end with identical histories.
 
 :class:`LingXiABR` packages a controller together with any
 :class:`~repro.abr.base.ABRAlgorithm` so the combination drops straight into
@@ -28,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.abr.base import ABRAlgorithm, QoEParameters
 from repro.bayesopt.online import OnlineBayesianOptimizer
 from repro.core.exit_predictor import ExitRatePredictor
@@ -147,8 +151,8 @@ class LingXiController:
     ) -> tuple[QoEParameters, float]:
         """Lowest-predicted-exit-rate candidate (first wins ties).
 
-        This is how a fixed-mode sweep picks its winner in
-        :func:`run_activations`; it falls back to the current deployment when
+        This is how a fixed-mode sweep picks its winner in an
+        :class:`ActivationDriver`; it falls back to the current deployment when
         every value is non-finite.
         """
         best_value = float("inf")
@@ -161,10 +165,13 @@ class LingXiController:
 
     def finish_activation(
         self, best_parameters: QoEParameters, best_value: float, evaluated: int
-    ) -> QoEParameters:
+    ) -> None:
         """Record one completed activation and deploy its winner.
 
-        The bookkeeping tail of every activation in :func:`run_activations`.
+        The bookkeeping tail of every activation in an
+        :class:`ActivationDriver`.  The trigger count it records is
+        ``stalls_since_optimization`` at this point, so nothing may resync
+        the controller between the activation's launch and its finish.
         """
         self.history.append(
             OptimizationEvent(
@@ -177,7 +184,6 @@ class LingXiController:
         )
         self.best_parameters = best_parameters
         self.stalls_since_optimization = 0
-        return best_parameters
 
     def optimize(self, abr: ABRAlgorithm, snapshot: PlayerSnapshot) -> QoEParameters:
         """Run one activation: evaluate candidates and deploy the best one."""
@@ -185,11 +191,13 @@ class LingXiController:
 
 
 class _Activation:
-    """One controller's activation in flight inside :func:`run_activations`.
+    """One controller's activation in flight inside an :class:`ActivationDriver`.
 
     Each round scores :attr:`candidates` (one request) and :meth:`absorb`
     folds the scores in; a fixed sweep takes one round, a Bayesian
     activation its incumbent round plus ``max_sample_times`` OBO rounds.
+    After its last round, :attr:`best_parameters` is what the activation
+    deployed.
     """
 
     def __init__(
@@ -256,50 +264,92 @@ class _Activation:
         return True
 
 
-def run_activations(  # contract: CORE-MC-010
-    jobs: Sequence[tuple[LingXiController, ABRAlgorithm, PlayerSnapshot]],
-) -> list[QoEParameters]:
-    """Run one activation per ``(controller, inner_abr, snapshot)`` job.
+class ActivationDriver:  # contract: CORE-MC-010
+    """Activations in flight, advanced one round per :meth:`advance` call.
 
-    Returns the parameters each job deployed, in job order.  Jobs are grouped
-    by their underlying :class:`ExitRatePredictor`, and each round of a group
-    is one ``evaluate_requests`` call, so every virtual step costs the group
-    one NN forward:
+    :meth:`launch` starts one activation per ``(controller, inner_abr,
+    snapshot)`` job; :meth:`advance` runs one round of every activation in
+    flight.  Activations are grouped by their underlying
+    :class:`ExitRatePredictor`, and one round of a group is one
+    ``evaluate_requests`` call, so every virtual step costs the group one NN
+    forward, however many activations share it and whenever each was
+    launched:
 
     * a fixed-mode (``L(F)``) activation is one request carrying its whole
-      candidate grid, scored in the first round;
-    * a Bayesian (``L(B)``) activation scores its incumbent in the first
-      round, then runs ``max_sample_times`` OBO rounds of one candidate each,
-      pruned against the best value so far.
+      candidate grid, scored in its first round, after which it finishes;
+    * a Bayesian (``L(B)``) activation scores its incumbent in its first
+      round, then runs ``max_sample_times`` OBO rounds of one candidate
+      each, pruned against the best value so far.
 
     Every candidate of an activation draws from a generator seeded with the
     same activation seed (common random numbers), so the comparison between
-    candidates is paired.  A job's results depend only on its own
-    controller, so an activation gives the same answer alone or in a group.
+    candidates is paired.  A request's scores depend only on its own
+    controller, not on the requests that share its call, so an activation
+    gives the same answer alone or in a group, launched at any round.
     """
-    groups: dict[int, list[int]] = {}
-    for index, (controller, _abr, _snapshot) in enumerate(jobs):
-        key = id(controller.evaluator.predictor.predictor)
-        groups.setdefault(key, []).append(index)
-    deployed: list[QoEParameters | None] = [None] * len(jobs)
-    for members in groups.values():
-        evaluator = jobs[members[0]][0].evaluator
-        activations = [_Activation(*jobs[index]) for index in members]
-        pending = activations
-        while pending:
-            values = evaluator.evaluate_requests(
+
+    def __init__(self) -> None:
+        self._groups: dict[int, list[_Activation]] = {}
+
+    @property
+    def in_flight(self) -> int:
+        """Number of launched activations that have not finished."""
+        return sum(len(pending) for pending in self._groups.values())
+
+    def launch(
+        self, jobs: Sequence[tuple[LingXiController, ABRAlgorithm, PlayerSnapshot]]
+    ) -> list[_Activation]:
+        """Start one activation per job, in job order (each draws its seed)."""
+        activations = [_Activation(*job) for job in jobs]
+        obs.counter_add("core.activations", len(activations))
+        for activation in activations:
+            key = id(activation.controller.evaluator.predictor.predictor)
+            self._groups.setdefault(key, []).append(activation)
+        return activations
+
+    def advance(self) -> list[_Activation]:
+        """Run one round of every activation in flight.
+
+        Returns the activations that finished in this round, each recorded
+        and deployed on its controller
+        (:meth:`LingXiController.finish_activation`).
+        """
+        finished: list[_Activation] = []
+        for key, pending in list(self._groups.items()):
+            values = pending[0].controller.evaluator.evaluate_requests(
                 [activation.request() for activation in pending]
             )
-            pending = [
-                activation
-                for activation, scores in zip(pending, values)
-                if activation.absorb(scores)
-            ]
-        for index, activation in zip(members, activations):
-            deployed[index] = activation.controller.finish_activation(
-                activation.best_parameters, activation.best_value, activation.evaluated
-            )
-    return deployed
+            running = []
+            for activation, scores in zip(pending, values):
+                if activation.absorb(scores):
+                    running.append(activation)
+                    continue
+                activation.controller.finish_activation(
+                    activation.best_parameters, activation.best_value, activation.evaluated
+                )
+                finished.append(activation)
+            if running:
+                self._groups[key] = running
+            else:
+                del self._groups[key]
+        return finished
+
+
+def run_activations(  # contract: CORE-MC-010
+    jobs: Sequence[tuple[LingXiController, ABRAlgorithm, PlayerSnapshot]],
+) -> list[QoEParameters]:
+    """Run one activation per ``(controller, inner_abr, snapshot)`` job to
+    completion and return the parameters each deployed, in job order.
+
+    Launches every job on one :class:`ActivationDriver` and advances it
+    until nothing is in flight, so each round of each predictor group is one
+    ``evaluate_requests`` call.
+    """
+    driver = ActivationDriver()
+    activations = driver.launch(jobs)
+    while driver.in_flight:
+        driver.advance()
+    return [activation.best_parameters for activation in activations]
 
 
 class LingXiABR(ABRAlgorithm):

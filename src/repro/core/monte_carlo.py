@@ -17,7 +17,7 @@ candidate) block's own generator, chooses levels with the inner ABR's
 math shared with the vector engine (:mod:`repro.sim.vector`), and scores
 every alive row with one batched predictor call, so several candidates —
 and several sessions' activations — share one NN forward per step
-(:func:`repro.core.controller.run_activations` builds those requests).
+(:class:`repro.core.controller.ActivationDriver` builds those requests).
 
 :class:`MonteCarloEvaluator` is the sequential reference: one sample after
 another, one single-row predictor call per simulated segment.  The tests and
@@ -260,7 +260,7 @@ class BatchedMonteCarloEvaluator:
     stays array code.  The live ABR is never modified.
 
     :meth:`evaluate_requests` is the engine, and every controller activation
-    runs through it (:func:`repro.core.controller.run_activations`).
+    runs through it (:class:`repro.core.controller.ActivationDriver`).
     :meth:`evaluate` wraps it for one candidate with the signature of
     :meth:`MonteCarloEvaluator.evaluate`, so the two can be compared
     directly.

@@ -6,10 +6,16 @@ the N per-session :class:`~repro.core.controller.LingXiController`s of a
 lockstep cohort: after every engine step it folds the cohort's struct-of-
 arrays segment outcomes into per-row state arrays (bandwidth window, dual
 layer user state, stall trigger counters), checks the activation trigger
-vectorized, and hands every session that activates at the same step to
-**one** :func:`~repro.core.controller.run_activations` call — a single NN
-forward per virtual step across all concurrently-optimizing sessions'
-candidates and samples.
+vectorized, and launches every triggered session's activation on the
+host's one :class:`~repro.core.controller.ActivationDriver`.  The row is
+then **held**: it plays no segment until its activation deploys.  Once per
+slot the engine calls :meth:`VectorControllerHost.advance`, which runs one
+round of every activation in flight as one ``evaluate_requests`` call per
+predictor — a single NN forward per virtual step across all optimizing
+sessions' candidates and samples, whichever slot triggered them.  An
+activation of ``R`` rounds triggered at slot ``t`` deploys at slot
+``t + R - 1``, and its row plays its next segment at slot ``t + R``; a
+fixed sweep (one round) deploys in the slot that triggered it.
 
 The per-segment bookkeeping is pure array math: the scalar path's
 ``BandwidthModel.update`` + ``UserState.observe_segment`` calls become a
@@ -25,11 +31,14 @@ Equivalence contract
 The host reproduces the scalar engine's LingXi behaviour bit for bit:
 every array update mirrors the float operation order of
 ``UserState.observe_segment``, and the activations themselves run through
-the same :func:`~repro.core.controller.run_activations` that
-``LingXiController.optimize`` calls in the scalar engine — activation seeds
-from each controller's private stream, one freshly seeded generator per
-candidate evaluation, and the same OBO warm starts, activation history and
-parameter deployment.
+the same :class:`~repro.core.controller.ActivationDriver` that
+``LingXiController.optimize`` drives to completion in the scalar engine —
+activation seeds from each controller's private stream, one freshly seeded
+generator per candidate evaluation, and the same OBO warm starts,
+activation history and parameter deployment.  A request's scores do not
+depend on the requests that share its call, and a held row's next segment
+waits for its deployment exactly as the scalar engine's next segment
+waits for ``optimize`` to return.
 """
 
 from __future__ import annotations
@@ -38,16 +47,29 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.controller import run_activations
+from repro.core.controller import ActivationDriver
 from repro.core.state import PlayerSnapshot
 from repro.datasets.stall_dataset import WINDOW_LENGTH
 from repro.sim.bandwidth import BandwidthModel
 
 
-class VectorControllerHost:
-    """Drives the LingXi controllers of one lockstep cohort over SoA state."""
+class ActivationInFlightError(RuntimeError):
+    """A host was finalized while an activation it launched had not deployed."""
 
-    def __init__(self, abrs: Sequence, ladder, segment_duration: float) -> None:
+
+class VectorControllerHost:
+    """Drives the LingXi controllers of one lockstep cohort over SoA state.
+
+    ``max_steps`` bounds the segments any row plays: each row keeps its
+    segment history in its own row of a ``(n, max_steps, 5)`` array, indexed
+    by its own segment count.
+    """
+
+    _THROUGHPUT = 1  # the throughput's column of ``history``
+
+    def __init__(
+        self, abrs: Sequence, ladder, segment_duration: float, max_steps: int
+    ) -> None:
         for abr in abrs:
             if getattr(abr, "controller", None) is None or getattr(abr, "inner", None) is None:
                 raise TypeError(
@@ -58,10 +80,14 @@ class VectorControllerHost:
         self.ladder = ladder
         self.max_bitrate = float(ladder.max_bitrate)
         self.segment_duration = float(segment_duration)
-        #: Number of optimization activations the host has run (all sessions).
+        #: Number of optimization activations the host has launched.
         self.activations = 0
+        self.driver = ActivationDriver()
+        self._rows: dict[object, int] = {}  # activation in flight -> its row
 
         n = len(self.abrs)
+        #: Rows whose activation is in flight: they play no segment.
+        self.held = np.zeros(n, dtype=bool)
         controllers = [abr.controller for abr in self.abrs]
         # --- trigger state (carries across sessions, like the controller's) --
         self.stalls_since = np.asarray(
@@ -74,21 +100,14 @@ class VectorControllerHost:
         self.initial_samples = [list(abr.bandwidth_model._samples) for abr in self.abrs]
         # --- short-term user-state layer (fresh per session/cohort) ----------
         self.count = np.zeros(n, dtype=int)  # observed segments per row
-        # History column of each row's first observed segment: rows of a
-        # staggered cohort start at different steps, and a row's segments
-        # fill consecutive columns from there.  Every column is ``n`` wide,
-        # so row ``i`` of a column is row ``i``'s value whatever rows the
-        # step covered.
-        self.first = np.zeros(n, dtype=int)
         self.session_stall_time = np.zeros(n)
         self.session_stall_count = np.zeros(n, dtype=int)
         self.session_watch_time = np.zeros(n)
         self.since_stall = np.full(n, float(WINDOW_LENGTH))
-        self.bitrate_cols: list[np.ndarray] = []
-        self.throughput_cols: list[np.ndarray] = []
-        self.stall_cols: list[np.ndarray] = []
-        self.cumulative_cols: list[np.ndarray] = []
-        self.since_stall_cols: list[np.ndarray] = []
+        # history[i, j]: row i's j-th segment's bitrate, throughput, stall,
+        # session stall time and segments since stall.  A row's own segment
+        # count indexes it, whatever slots the row played or was held at.
+        self.history = np.zeros((n, max_steps, 5))
         # --- long-term layer (seeded from each controller's restored state) --
         # float arrays: ``observe_step`` writes their rows in place.
         self.since_stall_exit = np.asarray(
@@ -124,14 +143,13 @@ class VectorControllerHost:
 
         Mirrors :meth:`repro.core.controller.LingXiABR.observe` — bandwidth
         window, ``UserState.observe_segment`` (same float operation order),
-        trigger counter — as array updates, then batches all triggered
-        sessions' optimizations.  ``rows`` is the ascending index array of
-        the rows that played this step (the cohort's playing rows), and the
-        other arguments hold one entry per covered row; every other row
+        trigger counter — as array updates, then launches every triggered
+        session's activation and holds its row until :meth:`advance`
+        deploys it.  ``rows`` is the ascending index array of the rows that
+        played this step (the cohort's playing rows, never a held one), and
+        the other arguments hold one entry per covered row; every other row
         keeps its state.
         """
-        fresh = rows[self.count[rows] == 0]
-        self.first[fresh] = len(self.bitrate_cols)
         # ``UserState.observe_segment`` distinguishes stall > 0 (user-state
         # bookkeeping) from the trigger counter's stall > 1e-12.
         stalled = stall > 0.0
@@ -160,19 +178,17 @@ class VectorControllerHost:
             exits, max_survived, np.maximum(max_survived, session_stall_time)
         )
         self.stalls_since[rows] += stall > 1e-12
-        self.count[rows] += 1
-
-        n = self.count.size
-        for columns, values in (
-            (self.bitrate_cols, bitrates[levels]),
-            (self.throughput_cols, throughput),
-            (self.stall_cols, stall),
-        ):
-            column = np.zeros(n)
-            column[rows] = values
-            columns.append(column)
-        self.cumulative_cols.append(self.session_stall_time.copy())
-        self.since_stall_cols.append(self.since_stall.copy())
+        count = self.count[rows]
+        self.history[rows, count] = np.column_stack(
+            (
+                bitrates[levels],
+                throughput,
+                stall,
+                session_stall_time,
+                self.since_stall[rows],
+            )
+        )
+        self.count[rows] = count + 1
 
         candidates = np.flatnonzero(self.stalls_since[rows] > self.thresholds[rows])
         if not candidates.size:
@@ -189,8 +205,7 @@ class VectorControllerHost:
             self._sync_row(i)
             triggered.append((i, local))
         if triggered:
-            self._optimize(triggered, levels, buffer_after)
-            self.stalls_since[[i for i, _ in triggered]] = 0
+            self._launch(triggered, levels, buffer_after)
 
     # ------------------------------------------------------------------ #
     # Lazy materialisation of per-row scalar state
@@ -199,19 +214,16 @@ class VectorControllerHost:
         """Rebuild row ``i``'s ``LingXiABR.bandwidth_model`` sample window.
 
         Only the trailing ``model.window`` observations can survive the
-        model's trim, so only those columns are materialised — this runs for
-        every trigger-candidate row every step, and a row whose trigger
-        keeps firing into the pruning rule must not pay for its whole
-        history each time.
+        model's trim, so only those are materialised — this runs for every
+        trigger-candidate row every step, and a row whose trigger keeps
+        firing into the pruning rule must not pay for its whole history
+        each time.
         """
-        first, count = int(self.first[i]), int(self.count[i])
+        count = int(self.count[i])
         model = self.abrs[i].bandwidth_model
-        observed = [
-            float(col[i])
-            for col in self.throughput_cols[
-                first + max(0, count - model.window) : first + count
-            ]
-        ]
+        observed = self.history[
+            i, max(0, count - model.window) : count, self._THROUGHPUT
+        ].tolist()
         model._samples = (self.initial_samples[i] + observed)[-model.window :]
         model._cached_mean = None
         model._cached_std = None
@@ -220,18 +232,13 @@ class VectorControllerHost:
         """Materialise row ``i``'s full ``UserState`` into its controller."""
         controller = self.abrs[i].controller
         state = controller.user_state
-        played = slice(int(self.first[i]), int(self.first[i] + self.count[i]))
-        state.bitrates_kbps = [float(col[i]) for col in self.bitrate_cols[played]]
-        state.throughputs_kbps = [
-            float(col[i]) for col in self.throughput_cols[played]
-        ]
-        state.stall_times = [float(col[i]) for col in self.stall_cols[played]]
-        state.cumulative_stall_history = [
-            float(col[i]) for col in self.cumulative_cols[played]
-        ]
-        state.segments_since_stall_history = [
-            float(col[i]) for col in self.since_stall_cols[played]
-        ]
+        (
+            state.bitrates_kbps,
+            state.throughputs_kbps,
+            state.stall_times,
+            state.cumulative_stall_history,
+            state.segments_since_stall_history,
+        ) = self.history[i, : int(self.count[i])].T.tolist()
         state.session_stall_count = int(self.session_stall_count[i])
         state.session_stall_time = float(self.session_stall_time[i])
         state.session_watch_time = float(self.session_watch_time[i])
@@ -248,22 +255,33 @@ class VectorControllerHost:
 
         Called once after the lockstep loop so controller persistence
         (checkpoints) and the next wave of a user's sessions see exactly the
-        state the scalar loop would have left behind.
+        state the scalar loop would have left behind.  Raises
+        :class:`ActivationInFlightError` while an activation has not
+        deployed: its row's controller would be resynced mid-activation.
         """
+        if self.in_flight:
+            raise ActivationInFlightError(
+                f"{self.in_flight} activations still in flight at finalize"
+            )
         for i in range(len(self.abrs)):
             self._sync_bandwidth_model(i)
             self._sync_row(i)
 
     # ------------------------------------------------------------------ #
-    # Batched optimization
+    # Pipelined optimization
     # ------------------------------------------------------------------ #
-    def _optimize(
+    @property
+    def in_flight(self) -> int:
+        """Number of launched activations that have not deployed."""
+        return len(self._rows)
+
+    def _launch(
         self,
         triggered: list[tuple[int, int]],
         levels: np.ndarray,
         buffer_after: np.ndarray,
     ) -> None:
-        """Run one activation for every triggered session, batched.
+        """Launch one activation per triggered session and hold its row.
 
         ``triggered`` pairs each row with its position in the step's
         ``levels`` and ``buffer_after``.
@@ -283,5 +301,16 @@ class VectorControllerHost:
             for i, local in triggered
         ]
         self.activations += len(jobs)
-        for (i, _), parameters in zip(triggered, run_activations(jobs)):
-            self.abrs[i].set_parameters(parameters)
+        for (i, _), activation in zip(triggered, self.driver.launch(jobs)):
+            self._rows[activation] = i
+            self.held[i] = True
+
+    def advance(self) -> None:
+        """Run one round of every activation in flight, then deploy the ones
+        that finished (``set_parameters``, trigger counter reset) and
+        release their rows."""
+        for activation in self.driver.advance():
+            i = self._rows.pop(activation)
+            self.abrs[i].set_parameters(activation.best_parameters)
+            self.stalls_since[i] = 0
+            self.held[i] = False

@@ -37,7 +37,7 @@ ABR decisions come from the policies' ``vector_kernel`` classmethods
 state), and LingXi-wrapped sessions run their whole per-user control loop
 through a :class:`~repro.core.vector_host.VectorControllerHost` — trigger
 checks over struct-of-arrays controller state, Monte-Carlo optimization
-batched across every concurrently-optimizing session.  Sessions whose ABR or
+batched across every activation in flight, one round per slot.  Sessions whose ABR or
 exit model still has no vector kernel (Pensieve, custom classes) fall back
 to the scalar engine behind the same ``run_batch`` interface, in spec order;
 the backend counts them (``last_fallback_sessions`` /
@@ -51,7 +51,8 @@ rule and one slot loop, which feeds each cohort's playing rows their trace
 samples, or on a network the shared allocator's answer.  A networked batch
 holds one cohort per kernel key whatever its sessions' start slots: every row
 plays its own local segment, and a cohort steps exactly the rows that play at
-the slot — started, before their end and alive (:class:`_Cohort`).
+the slot — started, before their end, alive and not held for an activation
+in flight (:class:`_Cohort`).
 """
 
 from __future__ import annotations
@@ -291,8 +292,9 @@ class _Slot(NamedTuple):
     """The rows a cohort plays at cohort slot ``t``.
 
     ``rows`` is the ascending index array of the rows that have started,
-    are before their end and are alive; ``j`` is each one's local segment
-    index and ``cell`` its entry in the flattened ``(n, max_steps)`` arrays.
+    are before their end, are alive and are not held; ``j`` is each one's
+    local segment index and ``cell`` its entry in the flattened
+    ``(n, max_steps)`` arrays.
     """
 
     t: int
@@ -314,16 +316,17 @@ class _Cohort:
     outputs keep per-row, local-step storage: column ``j`` of a row is its
     ``j``-th segment.
 
-    In a networked batch the rows start at their own slots: a row that
-    starts ``offset`` slots after the cohort's first (``start``) plays local
-    segment ``j = t - offset`` at cohort slot ``t``; an independent batch's
-    rows all start at slot 0.  :meth:`step` advances exactly the rows that
-    play at the slot (:meth:`slot`): started, before their end and alive.
-    It reaches every per-row output through their cells, and the kernels it
-    calls read and update only those rows.  Rows are sorted stably by
-    descending end slot ``offset + max_seg`` (``indices`` maps them back to
-    batch positions), so the rows whose end slot is after ``t`` form the
-    prefix ``[:live[t]]`` that :meth:`slot` searches.
+    In a networked batch the rows start at their own slots, ``offset``
+    slots after the cohort's first (``start``); an independent batch's rows
+    all start at slot 0.  A row's local segment ``j`` is its own segment
+    count (``steps_taken``).  :meth:`step` advances exactly the rows that
+    play at the slot (:meth:`slot`): started, before their end, alive and
+    not held by the controller host.  It reaches every per-row output
+    through their cells, and the kernels it calls read and update only
+    those rows.  A row plays at every slot from its start, so its ``j`` is
+    ``t - offset`` at cohort slot ``t``, unless the host held it: a row
+    whose LingXi activation is in flight skips slots until its parameters
+    deploy.
     """
 
     indices: np.ndarray  # batch positions of the cohort's sessions
@@ -372,22 +375,32 @@ class _Cohort:
         self.exited_early = np.zeros(n, dtype=bool)
         self.steps_taken = np.zeros(n, dtype=int)
         self.observed = np.zeros((n, _WINDOW + self.max_steps))
-        # live[t]: rows whose end slot is after t, a prefix because the end
-        # slots descend.
-        ends = self.offset + self.max_seg
-        self.horizon = int(ends[0])
-        self.live = np.searchsorted(-ends, -np.arange(self.horizon), side="left").tolist()
         self.cell_base = np.arange(n) * self.max_steps
         # windows[i, j]: row i's throughput window before its step j.
         self.windows = sliding_window_view(self.observed, _WINDOW, axis=1)
 
     def slot(self, t: int) -> _Slot:
-        """The rows that play at cohort slot ``t`` and their local steps."""
-        m = self.live[t]
-        offset = self.offset[:m]
-        rows = np.flatnonzero(self.alive[:m] & (offset <= t))
-        j = t - offset[rows]
+        """The rows that play at cohort slot ``t`` and their local steps.
+
+        Held rows are skipped and counted (``vector.held_slots``).
+        """
+        playable = self.alive & (self.offset <= t) & (self.steps_taken < self.max_seg)
+        if self.host is not None:
+            held = playable & self.host.held
+            skipped = int(np.count_nonzero(held))
+            if skipped:
+                obs.counter_add("vector.held_slots", skipped)
+                playable ^= held
+        rows = np.flatnonzero(playable)
+        j = self.steps_taken[rows]
         return _Slot(t, rows, j, self.cell_base[rows] + j)
+
+    def pending(self) -> bool:
+        """True while a row has segments left to play (not yet started, or
+        held) or the controller host has an activation in flight."""
+        if self.host is not None and self.host.in_flight:
+            return True
+        return bool(np.any(self.alive & (self.steps_taken < self.max_seg)))
 
     def demand(self, slot: _Slot) -> np.ndarray:
         """Each playing row's trace sample at its local step, wrapping as
@@ -718,7 +731,7 @@ class VectorBackend(SimBackend):
         return True
 
     @classmethod
-    def _build_abr_kernel(cls, specs, ladder):
+    def _build_abr_kernel(cls, specs, ladder, max_steps: int):
         """ABR kernel + optional controller host for one homogeneous group.
 
         Plain policies supply their own ``vector_kernel``; controller-wrapped
@@ -737,6 +750,7 @@ class VectorBackend(SimBackend):
                 [spec.abr for spec in specs],
                 ladder=ladder,
                 segment_duration=float(specs[0].video.segment_duration),
+                max_steps=max_steps,
             )
         else:
             policies = [spec.abr for spec in specs]
@@ -759,6 +773,15 @@ class VectorBackend(SimBackend):
         :func:`~repro.net.allocator.allocate_step` the scalar reference engine
         calls, and feeds the allocations back as the observed throughput, so
         Equation 3, the ABR windows and the exit kernels all see congestion.
+
+        After the steps, each LingXi cohort's controller host runs one round
+        of every activation in flight (:meth:`~repro.core.vector_host.
+        VectorControllerHost.advance`), and the loop runs while any row can
+        still play or any activation is in flight.  Without a network the
+        rows never interact, so a row waits in the host's hold for its
+        activation while the others play on.  On a network allocation
+        couples the rows through the slot, so the hosts advance until
+        nothing is in flight within the slot and no row is ever held.
         """
         if network is not None:
             num_sessions = len(specs)
@@ -782,8 +805,9 @@ class VectorBackend(SimBackend):
                     cohort.miss = np.concatenate([next(masks) for _ in cohort.specs])
                     cohort.miss_start = np.cumsum(cohort.max_seg) - cohort.max_seg
 
-        horizon = max(cohort.start + cohort.horizon for cohort in cohorts)
-        for k in range(horizon):
+        hosts = [cohort.host for cohort in cohorts if cohort.host is not None]
+        k = 0
+        while True:
             obs_live.pulse()  # wall-clock heartbeat; no-op without a live run
             stepping: list[tuple[_Cohort, _Slot]] = []
             runnable = False
@@ -794,14 +818,14 @@ class VectorBackend(SimBackend):
                     # scalar engine keeps emitting idle-slot usage samples
                     # while any future session exists), but takes no capacity.
                     runnable = True
-                elif t < cohort.horizon:
-                    slot = cohort.slot(t)
-                    if slot.rows.size:
-                        runnable = True
-                        stepping.append((cohort, slot))
-                    elif not runnable:
-                        # Rows yet to start count as runnable too.
-                        runnable = bool(cohort.alive[: cohort.live[t]].any())
+                    continue
+                slot = cohort.slot(t)
+                if slot.rows.size:
+                    runnable = True
+                    stepping.append((cohort, slot))
+                elif not runnable:
+                    # Rows yet to start or held count as runnable too.
+                    runnable = cohort.pending()
             if not runnable:
                 break
             throughputs = [cohort.demand(slot) for cohort, slot in stepping]
@@ -832,6 +856,11 @@ class VectorBackend(SimBackend):
                 with obs.span("vector.step"):
                     for (cohort, slot), throughput in zip(stepping, throughputs):
                         cohort.step(slot, throughput, config)
+            for host in hosts:
+                host.advance()
+                while network is not None and host.in_flight:
+                    host.advance()
+            k += 1
 
     def _build_cohort(
         self, indices: list[int], specs, config: SessionConfig, staggered: bool
@@ -839,11 +868,9 @@ class VectorBackend(SimBackend):
         """Input tables and fresh lockstep state for the specs at batch ``indices``.
 
         With ``staggered`` (networked batches) each row starts at its spec's
-        ``start_step``; otherwise every row starts at slot 0.  Rows are
-        sorted stably by descending end slot, so the rows still before their
-        end at any slot form a prefix.  Every distinct trace and video enters
-        its table once (a user's sessions repeat them); no input is copied
-        per row.
+        ``start_step``; otherwise every row starts at slot 0.  Every distinct
+        trace and video enters its table once (a user's sessions repeat
+        them); no input is copied per row.
         """
         obs.counter_add("vector.cohorts")
         obs.observe("vector.cohort_sessions", len(indices))
@@ -855,9 +882,7 @@ class VectorBackend(SimBackend):
             dtype=int,
         )
         start = int(starts.min())
-        order = np.argsort(-(starts + limits), kind="stable")
-        indices = [indices[i] for i in order.tolist()]
-        max_seg = np.asarray(limits, dtype=int)[order]
+        max_seg = np.asarray(limits, dtype=int)
         members = [specs[i] for i in indices]
         first_video = members[0].video
         bitrates = np.asarray(first_video.ladder.bitrates_kbps, dtype=float)
@@ -877,7 +902,7 @@ class VectorBackend(SimBackend):
             lambda video: np.asarray(video.segment_sizes_kbit, dtype=float),
         )
 
-        abr_kernel, host = self._build_abr_kernel(members, first_video.ladder)
+        abr_kernel, host = self._build_abr_kernel(members, first_video.ladder, max_steps)
         if members[0].exit_model is not None:
             models = [spec.exit_model for spec in members]
             exit_kernel = type(models[0]).vector_exit_kernel(models)
@@ -896,7 +921,7 @@ class VectorBackend(SimBackend):
             indices=np.asarray(indices, dtype=int),
             specs=members,
             start=start,
-            offset=starts[order] - start,
+            offset=starts - start,
             max_seg=max_seg,
             max_steps=max_steps,
             segment_duration=float(first_video.segment_duration),

@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.abr.bba import BBA
 from repro.abr.bola import BOLA
 from repro.abr.hyb import HYB
@@ -563,12 +564,16 @@ class TestNetworkedEquivalenceGate:
             scalar_specs, network=topology, link_usage=scalar_usage
         )
         backend = VectorBackend()
-        vector_traces = backend.run_batch(
-            vector_specs, network=topology, link_usage=vector_usage
-        )
+        with obs.collect() as collector:
+            vector_traces = backend.run_batch(
+                vector_specs, network=topology, link_usage=vector_usage
+            )
         assert_traces_equal(scalar_traces, vector_traces)
         assert scalar_usage == vector_usage
         assert backend.last_fallback_sessions == 0
+        # allocation couples the rows, so activations drain within the slot
+        counters = collector.snapshot()["metrics"]["counters"]
+        assert counters.get("vector.held_slots", 0) == 0
         for scalar_spec, vector_spec in zip(scalar_specs, vector_specs):
             assert (
                 scalar_spec.abr.controller.history

@@ -25,6 +25,7 @@ from repro.abr.throughput import ThroughputRule
 from repro.analytics.logs import LogCollection, SessionLog
 from repro.core import vector_host
 from repro.core.controller import (
+    ActivationDriver,
     ControllerConfig,
     LingXiABR,
     LingXiController,
@@ -38,6 +39,7 @@ from repro.core.monte_carlo import (
     virtual_video,
 )
 from repro.core.parameter_space import ParameterSpace
+from repro.core.persistence import controller_state_payload
 from repro.core.state import PlayerSnapshot, UserState
 from repro.core.triggers import TriggerPolicy
 from repro.fleet import (
@@ -441,10 +443,10 @@ class TestLingXiVectorPath:
         """Fixed and Bayesian controllers over two predictors share a cohort.
 
         Every user watches the same video over the same trace, so the
-        sessions stall in step and trigger together; the host then hands
-        them to one ``run_activations`` call, which groups the jobs by
-        predictor and runs both modes' rounds side by side.  The result must
-        still equal the scalar engine's one-activation-at-a-time run.
+        sessions stall in step and trigger together; one host round
+        (``advance``) then scores them, one ``evaluate_requests`` call per
+        predictor, both modes' rounds side by side.  The result must still
+        equal the scalar engine's one-activation-at-a-time run.
         """
         predictors = (predictor, ExitRatePredictor(channels=8, hidden=16, seed=1))
 
@@ -475,20 +477,30 @@ class TestLingXiVectorPath:
                 )
             return specs
 
-        steps = []
-
-        def recording_run_activations(jobs):
-            steps.append(
-                {
-                    (id(controller.predictor), controller.config.mode)
-                    for controller, _abr, _snapshot in jobs
-                }
-            )
-            return run_activations(jobs)
-
         scalar_specs, vector_specs = build(), build()
         scalar_traces = get_backend("scalar").run_batch(scalar_specs)
-        monkeypatch.setattr(vector_host, "run_activations", recording_run_activations)
+        # (predictor, mode) of each request, by the user state it carries
+        owners = {
+            id(spec.abr.controller.user_state): (
+                id(spec.abr.controller.predictor),
+                spec.abr.controller.config.mode,
+            )
+            for spec in vector_specs
+        }
+        steps: list[set] = []  # per host round, what its calls carried
+        advance = vector_host.VectorControllerHost.advance
+        evaluate = BatchedMonteCarloEvaluator.evaluate_requests
+
+        def recording_advance(host):
+            steps.append(set())
+            return advance(host)
+
+        def recording_evaluate(evaluator, requests):
+            steps[-1].update(owners[id(request.user_state)] for request in requests)
+            return evaluate(evaluator, requests)
+
+        monkeypatch.setattr(vector_host.VectorControllerHost, "advance", recording_advance)
+        monkeypatch.setattr(BatchedMonteCarloEvaluator, "evaluate_requests", recording_evaluate)
         backend = VectorBackend()
         vector_traces = backend.run_batch(vector_specs)
         assert_traces_equal(scalar_traces, vector_traces)
@@ -500,7 +512,7 @@ class TestLingXiVectorPath:
             if spec.abr.controller.history
         }
         assert activated == {"fixed", "bayesian"}
-        # one lockstep step activated both modes over both predictors
+        # one host round scored both modes over both predictors
         assert any(
             {mode for _key, mode in step} == {"fixed", "bayesian"}
             and len({key for key, _mode in step}) == 2
@@ -517,6 +529,125 @@ class TestLingXiVectorPath:
         backend = VectorBackend()
         backend.run_batch([spec])
         assert backend.last_fallback_sessions == 1
+
+
+class TestPipelinedActivations:
+    """Activations advanced one round at a time equal one-shot activations."""
+
+    #: (predictor, mode) of each controller: both modes over two predictors.
+    PLAN = ((0, "bayesian"), (0, "fixed"), (1, "bayesian"), (1, "fixed"), (0, "bayesian"))
+
+    @pytest.fixture(scope="class")
+    def predictors(self):
+        return tuple(ExitRatePredictor(channels=8, hidden=16, seed=s) for s in (0, 1))
+
+    def _controllers(self, predictors) -> list[LingXiController]:
+        controllers = []
+        for k, (p, mode) in enumerate(self.PLAN):
+            controller = make_lingxi_abr(predictors[p], 300 + k, mode).controller
+            controller.user_state = TestBatchedEvaluateMany._snapshot_and_state()[1]
+            controllers.append(controller)
+        return controllers
+
+    @staticmethod
+    def _job(controller):
+        return controller, HYB(), TestBatchedEvaluateMany._snapshot_and_state()[0]
+
+    def test_round_at_a_time_driver_equals_one_shot_activations(
+        self, predictors, monkeypatch
+    ):
+        """Each controller activates twice.  The reference runs every
+        activation alone through ``run_activations``; the driver launches
+        them at staggered ``advance`` calls, a controller's second activation
+        in the round after its first finished, so rounds of different
+        activations, modes and launch times share calls.  Histories, deployed
+        parameters and OBO trials must be equal, each predictor must see one
+        ``evaluate_requests`` call per ``advance`` in which it had work, and
+        each activation must finish after its own number of rounds."""
+        reference = self._controllers(predictors)
+        for controller in reference:
+            for _ in range(2):
+                run_activations([self._job(controller)])
+
+        calls: dict[int, int] = {}
+        evaluate = BatchedMonteCarloEvaluator.evaluate_requests
+
+        def counting(evaluator, requests):
+            key = id(evaluator.predictor.predictor)
+            calls[key] = calls.get(key, 0) + 1
+            return evaluate(evaluator, requests)
+
+        monkeypatch.setattr(BatchedMonteCarloEvaluator, "evaluate_requests", counting)
+        controllers = self._controllers(predictors)
+        first_launch = {0: [0, 1], 1: [2], 3: [3, 4]}
+        remaining = [2] * len(controllers)
+        driver = ActivationDriver()
+        flying: dict = {}  # activation -> (controller index, launch advance)
+        busy: dict[int, int] = {}  # predictor -> advances with work
+        relaunch: list[int] = []
+        rounds = 0
+        a = 0
+        while driver.in_flight or any(remaining):
+            for k in first_launch.get(a, []) + relaunch:
+                [activation] = driver.launch([self._job(controllers[k])])
+                flying[activation] = (k, a)
+                remaining[k] -= 1
+            relaunch = []
+            assert driver.in_flight == len(flying)
+            for p in {self.PLAN[k][0] for k, _ in flying.values()}:
+                key = id(predictors[p])
+                busy[key] = busy.get(key, 0) + 1
+            rounds += len(flying)
+            for activation in driver.advance():
+                k, launched = flying.pop(activation)
+                expected_rounds = 1 if self.PLAN[k][1] == "fixed" else 3
+                assert a == launched + expected_rounds - 1
+                assert activation.best_parameters == controllers[k].best_parameters
+                if remaining[k]:
+                    relaunch.append(k)
+            a += 1
+
+        assert calls == busy
+        # rounds of different activations shared calls
+        assert sum(calls.values()) < rounds
+        for mine, theirs in zip(controllers, reference):
+            assert len(mine.history) == 2
+            assert mine.history == theirs.history
+            assert mine.best_parameters == theirs.best_parameters
+            assert controller_state_payload(mine) == controller_state_payload(theirs)
+
+    def test_host_holds_rows_until_their_activations_deploy(self, predictors):
+        """Bayesian rows that trigger are held for their three rounds, and
+        ``finalize`` refuses to resync a controller mid-activation."""
+        ladder = BitrateLadder()
+        abrs = [make_lingxi_abr(predictors[0], 400 + i, "bayesian") for i in range(3)]
+        host = vector_host.VectorControllerHost(
+            abrs, ladder=ladder, segment_duration=2.0, max_steps=4
+        )
+        rows = np.arange(3)
+        for _ in range(2):
+            host.observe_step(
+                rows=rows,
+                levels=np.zeros(3, dtype=int),
+                stall=np.asarray([1.5, 1.5, 0.0]),
+                throughput=np.full(3, 300.0),
+                buffer_after=np.zeros(3),
+                exits=np.zeros(3, dtype=bool),
+                bitrates=np.asarray(ladder.bitrates_kbps, dtype=float),
+            )
+        assert host.held.tolist() == [True, True, False]
+        assert host.in_flight == 2
+        with pytest.raises(vector_host.ActivationInFlightError):
+            host.finalize()
+        for _ in range(2):
+            host.advance()
+            assert host.held.tolist() == [True, True, False]
+        host.advance()
+        assert not host.held.any() and host.in_flight == 0
+        assert host.stalls_since.tolist() == [0, 0, 0]
+        host.finalize()
+        assert [len(abr.controller.history) for abr in abrs] == [1, 1, 0]
+        assert [abr.controller.history[0].trigger_stall_count for abr in abrs[:2]] == [2, 2]
 
 
 class TestBackendSeam:
@@ -690,21 +821,39 @@ class TestFleetBackendRouting:
         assert inline.metrics == pooled.metrics
 
     def test_vector_fleet_with_lingxi_factory_runs_hosted_and_keeps_state(
-        self, population, library
+        self, library
     ):
+        """A low-bandwidth LingXi day with three sessions per user, so waves
+        carry controller state and Bayesian activations hold rows: the
+        vector engine's metrics and controller states equal the scalar
+        engine's."""
+        population = UserPopulation.generate(12, seed=5, bandwidth_median_kbps=1500.0)
         predictor = ExitRatePredictor(channels=8, hidden=16, seed=0)
-        result = FleetOrchestrator(
-            FleetConfig(
-                num_shards=2,
-                num_workers=0,
-                sessions_per_user=1,
-                trace_length=40,
-                seed=3,
-                backend="vector",
-            )
-        ).run(population, library, abr_factory=LingXiFleetFactory(predictor))
-        assert result.metrics.num_sessions == len(population)
-        assert set(result.controller_states) == {p.user_id for p in population}
+
+        def run(backend):
+            return FleetOrchestrator(
+                FleetConfig(
+                    num_shards=2,
+                    num_workers=0,
+                    sessions_per_user=3,
+                    trace_length=40,
+                    seed=3,
+                    backend=backend,
+                )
+            ).run(population, library, abr_factory=LingXiFleetFactory(predictor))
+
+        scalar = run("scalar")
+        with obs.collect() as collector:
+            vector = run("vector")
+        counters = collector.snapshot()["metrics"]["counters"]
+        assert vector.metrics.num_sessions == 3 * len(population)
+        assert set(vector.controller_states) == {p.user_id for p in population}
+        assert vector.metrics == scalar.metrics
+        assert vector.controller_states == scalar.controller_states
+        assert sum(
+            len(state["obo_trials"]) for state in vector.controller_states.values()
+        ) > 0
+        assert counters.get("vector.held_slots", 0) > 0
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(KeyError):

@@ -276,7 +276,7 @@ _HOST_STATE = (
     "max_survived_stall_time",
     "stalls_since",
     "count",
-    "first",
+    "history",
 )
 
 
@@ -286,7 +286,8 @@ def test_controller_host_on_a_row_set_equals_full_step_at_those_rows(case):
     every step and one fed a shrinking row set that is not a prefix: the
     row-set host's state, and after ``finalize`` its controllers (user
     state, bandwidth window, activation history, deployed parameters),
-    equal the full host's at those rows."""
+    equal the full host's at those rows.  Each step is followed by one
+    ``advance``, which deploys the fixed sweeps it launched."""
     from test_vector_backend import make_lingxi_abr
 
     predictor = ExitRatePredictor(channels=8, hidden=16, seed=0)
@@ -295,7 +296,9 @@ def test_controller_host_on_a_row_set_equals_full_step_at_those_rows(case):
 
     def host() -> VectorControllerHost:
         abrs = [make_lingxi_abr(predictor, 100 + i, "fixed") for i in range(n)]
-        return VectorControllerHost(abrs, ladder=LADDER, segment_duration=SEGMENT_DURATION)
+        return VectorControllerHost(
+            abrs, ladder=LADDER, segment_duration=SEGMENT_DURATION, max_steps=STEPS
+        )
 
     full, part = host(), host()
     everyone = np.arange(n)
@@ -311,6 +314,8 @@ def test_controller_host_on_a_row_set_equals_full_step_at_those_rows(case):
         part.observe_step(
             rows=rows, bitrates=BITRATES, **{name: v[rows] for name, v in step.items()}
         )
+        full.advance()
+        part.advance()
         for name in _HOST_STATE:
             np.testing.assert_array_equal(
                 getattr(part, name)[rows], getattr(full, name)[rows], err_msg=name
